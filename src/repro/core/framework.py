@@ -164,10 +164,12 @@ class CapacityPlan:
     ``failure_planning``, and — for sharded runs — ``clustering``,
     ``sharding``, ``refinement``) to the seconds this run spent in
     each, as recorded by the engine's instrumentation; ``counters``
-    holds the run's counter increments (kernel calls and bracket
-    iterations — including the fused kernel's ``kernel.fused_rows``
-    fast-path rows and ``kernel.f32_retries`` verification fallbacks —
-    evaluation cache hits/misses, bytes broadcast to workers, ...).
+    holds the run's counter increments (kernel decision steps, the
+    rows they judged — ``kernel.row_evaluations`` — and how many of
+    those reached the backlog pass — ``kernel.backlog_rows`` — bracket
+    iterations, the fused kernel's ``kernel.fused_rows`` fast-path rows
+    and ``kernel.f32_retries`` verification fallbacks, evaluation cache
+    hits/misses, bytes broadcast to workers, ...).
     Every kernel mode records the full ``kernel.*`` set, zeros
     included, so counter maps are comparable across modes and scales.
     ``sharding`` is the hierarchical tier's summary

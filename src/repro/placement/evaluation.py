@@ -43,6 +43,7 @@ from repro.placement.fused import (
     fused_required_capacity,
 )
 from repro.placement.kernels import (
+    KERNEL_COUNTERS,
     BatchSearchStats,
     BatchSimulator,
     required_capacity_batch,
@@ -195,17 +196,6 @@ def _evaluate_items_batched(
     fingerprint: Optional[str] = None,
 ) -> tuple[list[ServerEvaluation], BatchSearchStats]:
     """Solve every item's capacity search in one batched kernel solve."""
-    if len(items) == 1 and items[0][2] is None and kernel in ("batch", "fused"):
-        # A lone search gains nothing from the lock-step machinery (its
-        # result is bit-identical either way); the scalar loop has less
-        # per-call overhead than either batched kernel.
-        limit, rows, _ = items[0]
-        evaluation = _evaluate_rows(
-            cos1, cos2, calendar, commitment, tolerance, rows, limit
-        )
-        return [evaluation], BatchSearchStats(
-            rows=1, kernel_calls=0, bracket_iterations=0, probe_hits=0
-        )
     subsets = [rows for _, rows, _ in items]
     limits = np.asarray([limit for limit, _, _ in items], dtype=float)
     probe_values = [probe for _, _, probe in items]
@@ -272,18 +262,17 @@ def evaluate_group_worker(
 
 def evaluate_groups_worker(
     payload: EvaluationPayload, items: tuple[GroupItem, ...]
-) -> tuple[tuple[ServerEvaluation, ...], tuple[int, int, int, int, int, int]]:
+) -> tuple[tuple[ServerEvaluation, ...], BatchSearchStats]:
     """Executor work unit: a whole chunk of subsets in one kernel solve.
 
     Returns the evaluations in item order plus the solver's work stats
-    ``(rows, kernel_calls, bracket_iterations, probe_hits, fused_rows,
-    f32_retries)`` so the driver can fold them into its
-    instrumentation. Honours the payload's ``kernel`` selection —
-    ``"scalar"`` runs the per-subset reference loop instead (the
-    benchmark's baseline arm).
+    (in :data:`KERNEL_COUNTERS` order) so the driver can fold them into
+    its instrumentation.
+    Honours the payload's ``kernel`` selection — ``"scalar"`` runs the
+    per-subset reference loop instead (the benchmark's baseline arm).
     """
     if not items:
-        return (), (0, 0, 0, 0, 0, 0)
+        return (), BatchSearchStats(rows=0)
     if payload.kernel == "scalar":
         evaluations = tuple(
             _evaluate_rows(
@@ -297,7 +286,7 @@ def evaluate_groups_worker(
             )
             for limit, rows, _ in items
         )
-        return evaluations, (len(items), 0, 0, 0, 0, 0)
+        return evaluations, BatchSearchStats(rows=len(items))
     evaluations_list, stats = _evaluate_items_batched(
         payload.cos1,
         payload.cos2,
@@ -309,14 +298,7 @@ def evaluate_groups_worker(
         translations=_worker_translations(payload),
         fingerprint=payload.fingerprint,
     )
-    return tuple(evaluations_list), (
-        stats.rows,
-        stats.kernel_calls,
-        stats.bracket_iterations,
-        stats.probe_hits,
-        stats.fused_rows,
-        stats.f32_retries,
-    )
+    return tuple(evaluations_list), stats
 
 
 class PlacementEvaluator:
@@ -442,9 +424,7 @@ class PlacementEvaluator:
         """Merge a worker-computed evaluation into the driver-side cache."""
         self._cache.setdefault(key, evaluation)
 
-    def record_search_stats(
-        self, stats: Sequence[int] | BatchSearchStats
-    ) -> None:
+    def record_search_stats(self, stats: BatchSearchStats) -> None:
         """Fold one batch solve's work accounting into the counters.
 
         Every ``kernel.*`` counter is recorded on every call — zero
@@ -452,26 +432,7 @@ class PlacementEvaluator:
         counter set in :meth:`Instrumentation.counters_since` deltas
         (the fused counters simply stay at zero for the other modes).
         """
-        if isinstance(stats, BatchSearchStats):
-            values: Sequence[int] = (
-                stats.rows,
-                stats.kernel_calls,
-                stats.bracket_iterations,
-                stats.probe_hits,
-                stats.fused_rows,
-                stats.f32_retries,
-            )
-        else:
-            values = tuple(stats) + (0,) * (6 - len(stats))
-        names = (
-            "kernel.rows",
-            "kernel.calls",
-            "kernel.bracket_iterations",
-            "kernel.probe_hits",
-            "kernel.fused_rows",
-            "kernel.f32_retries",
-        )
-        for name, value in zip(names, values):
+        for name, value in zip(KERNEL_COUNTERS, stats):
             self._count(name, value)
 
     def content_fingerprint(self) -> str:

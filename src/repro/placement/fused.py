@@ -34,9 +34,11 @@ almost all of them:
 * **float32 fast path, float64 verification.** Brackets (low, high,
   mid) stay float64 on exactly the dyadic grid the batch kernel walks;
   only the per-iteration *decisions* run on the compressed float32
-  arrays. After convergence one stacked float64 kernel call over the
-  original traces verifies, for every row, that the winning capacity
-  satisfies the commitment and the losing bracket edge does not. A
+  arrays. After convergence one stacked float64
+  :meth:`~repro.placement.kernels.BatchSimulator.decide` call over the
+  original traces — the batch kernel's own decision function —
+  verifies, for every row, that the winning capacity satisfies the
+  commitment and the losing bracket edge does not. A
   monotone predicate makes that check retroactively validate every
   decision that influenced the bracket: the low edge only ever rises to
   capacities judged infeasible and the high edge only ever falls to
@@ -59,10 +61,9 @@ implementations sit below the float64 verification, so they only need
 to be *approximately* right — a wrong decision costs a retry, never
 correctness.
 
-Fused results carry ``report=None`` (like the batch kernel's peak-screen
-rows): the placement layers only consume ``fits`` and
-``required_capacity``, and materialising reports would need the exact
-FIFO drain the fast path exists to avoid.
+Fused results carry ``report=None``, as the batch kernel's do: the
+placement layers only consume ``fits`` and ``required_capacity``, and
+materialising reports would need the exact FIFO drain no search pays.
 """
 
 from __future__ import annotations
@@ -349,7 +350,7 @@ def translate_rows(
         floor = np.minimum.accumulate(np.minimum(prefix, 0.0), axis=1)
         backlog_floor = prefix - floor
         guard = np.full((keep.size, length), np.inf)
-        arrivals = batch._arrivals_cum[index[keep]]
+        arrivals = batch._arrivals(index[keep])
         guard[:, deadline:] = (
             arrivals[:, deadline + 1 :]
             - arrivals[:, 1 : length - deadline + 1]
@@ -479,7 +480,6 @@ def fused_required_capacity(
         cos1_matrix, cos2_matrix, subsets, calendar
     )
     late_kernel, _ = resolve_late_kernel(prefer_numba)
-    deadline = commitment.deadline_slots(calendar)
 
     kernel_calls = 0
     fused_rows = 0
@@ -499,7 +499,7 @@ def fused_required_capacity(
     if candidate.size == 0:
         return BatchSearchResult(
             results=tuple(results),  # type: ignore[arg-type]
-            stats=BatchSearchStats(n, 0, 0, 0, 0, 0),
+            stats=BatchSearchStats(rows=n),
         )
 
     m = int(candidate.size)
@@ -639,13 +639,13 @@ def fused_required_capacity(
                 ver_caps.append(float(lose[position]))
                 expect_true.append(False)
                 owner.append(position)
-    verdict = batch.evaluate_rows(
+    verdict, backlog_rows = batch.decide(
         np.asarray(ver_rows, dtype=int),
         np.asarray(ver_caps, dtype=float),
-        gate=commitment,
-        decision_deadline=deadline,
-    ).satisfies(commitment, calendar)
+        commitment,
+    )
     kernel_calls += 1
+    row_evaluations = len(ver_rows)
     confirmed = np.ones(m, dtype=bool)
     for checked, position in enumerate(owner):
         if bool(verdict[checked]) != expect_true[checked]:
@@ -694,6 +694,8 @@ def fused_required_capacity(
         kernel_calls += solved.stats.kernel_calls
         bracket_iterations += solved.stats.bracket_iterations
         probe_hits += solved.stats.probe_hits
+        row_evaluations += solved.stats.row_evaluations
+        backlog_rows += solved.stats.backlog_rows
 
     return BatchSearchResult(
         results=tuple(results),  # type: ignore[arg-type]
@@ -704,5 +706,7 @@ def fused_required_capacity(
             probe_hits=probe_hits,
             fused_rows=fused_rows,
             f32_retries=f32_retries,
+            row_evaluations=row_evaluations,
+            backlog_rows=backlog_rows,
         ),
     )

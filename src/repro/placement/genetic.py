@@ -41,6 +41,7 @@ from repro.placement.evaluation import (
     ServerEvaluation,
     evaluate_groups_worker,
 )
+from repro.placement.kernels import KERNEL_COUNTERS
 from repro.placement.objective import server_score
 from repro.resources.pool import ResourcePool
 from repro.util.rng import derive_rng
@@ -479,18 +480,7 @@ class GeneticPlacementSearch:
             # Record the full BatchSearchStats set uniformly — zero
             # increments included — so every kernel mode surfaces the
             # same counter names in a plan's counter deltas.
-            padded = tuple(stats) + (0,) * (6 - len(stats))
-            for name, value in zip(
-                (
-                    "kernel.rows",
-                    "kernel.calls",
-                    "kernel.bracket_iterations",
-                    "kernel.probe_hits",
-                    "kernel.fused_rows",
-                    "kernel.f32_retries",
-                ),
-                padded,
-            ):
+            for name, value in zip(KERNEL_COUNTERS, stats):
                 instrumentation.count(name, value)
         instrumentation.count("placement.group_evaluations", len(pending))
 

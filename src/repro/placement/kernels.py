@@ -1,25 +1,36 @@
 """Batched capacity-search kernels (Section VI-A, vectorised over rows).
 
 The placement loop's dominant cost is the required-capacity binary
-search: every candidate server subset runs dozens of
-:meth:`~repro.placement.simulator.SingleServerSimulator.evaluate` calls,
-each a handful of numpy operations on one length-``T`` trace plus Python
-dispatch overhead. This module batches that work two ways:
+search. The paper's search (Section VI-A) only ever asks one monotone
+question of a candidate capacity — *does it honour the commitment?* —
+and the planner keeps nothing but ``fits`` and ``required_capacity``
+from the answer. This module batches that question:
 
 * :class:`BatchSimulator` stacks the aggregate per-subset traces into
-  ``(N, T)`` matrices and hoists every capacity-independent term (CoS1
-  peaks, theta denominators, CoS2 arrival cumsums) so one kernel call
-  measures all pending subsets, each at its own candidate capacity, in
-  a single vectorised pass;
+  ``(N, T)`` matrices and hoists the capacity-independent terms (CoS1
+  peaks, theta denominators, CoS2 arrival cumsums);
+* :meth:`BatchSimulator.decide` answers the commitment for many
+  (row, capacity) pairings by **gates in cost order**: the CoS1 peak
+  (no trace pass), then theta (only rows that passed the peak), then
+  the FIFO backlog and the deadline check (only rows that passed
+  theta) — in row tiles sized to stay cache-resident;
 * :func:`required_capacity_batch` is a **simultaneous bisection**: the
   low/high brackets of all pending subsets advance as parallel arrays,
-  one batched kernel call halving every bracket per iteration, instead
-  of ``N`` independent scalar Python loops.
+  one decision call halving every bracket per iteration, instead of
+  ``N`` independent scalar Python loops.
 
-Row ``i`` of a batched evaluation is bit-identical to the scalar
-``SingleServerSimulator.evaluate``/:func:`~repro.placement.required_capacity.required_capacity`
-path: the kernels perform the same floating-point operations in the
-same order, only with a leading batch axis.
+Every gate performs the scalar path's floating-point operations in the
+scalar path's order on the row it judges, so each decision — and with
+it every bracket and every required capacity — is bit-identical to
+``SingleServerSimulator.evaluate(c).satisfies(...)`` and
+:func:`~repro.placement.required_capacity.required_capacity`. Search
+results carry ``report=None``: measuring an
+:class:`~repro.placement.simulator.AccessReport` needs the exact FIFO
+drain, which no decision does;
+:meth:`~repro.placement.evaluation.PlacementEvaluator.search_result`
+(the scalar path) reports, and :func:`evaluate_capacities` /
+:meth:`BatchSimulator.evaluate_rows` remain the exact batched
+measurements.
 
 Warm starts are *probes*, not bracket clamps. Required capacity is
 monotone in **capacity** (more capacity can only help — this is what
@@ -27,14 +38,14 @@ makes bisection sound) but **not** in the workload subset: adding a
 workload that is fully satisfied in the binding slot raises that slot's
 satisfied/requested ratio, so a superset can legitimately need *less*
 capacity than one of its subsets. A parent evaluation therefore only
-yields a guess, and :func:`required_capacity_batch` spends one batched
-kernel row verifying each guess before trusting it as a bracket.
+yields a guess, and :func:`required_capacity_batch` spends one decision
+row verifying each guess before trusting it as a bracket.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -51,23 +62,21 @@ from repro.units import CpuShares
 _EPSILON = 1e-9
 _THETA_SLACK = 1e-12
 
-#: ``max_deferred_slots`` value for rows whose deferral measurement was
-#: skipped because CoS1 or theta already failed (the row cannot satisfy
-#: the commitment regardless, so the FIFO drain is never needed).
-DEFERRED_NOT_MEASURED = -1
+#: Bytes of float64 trace one decision tile may span per working array.
+#: A tile keeps about five such arrays live (CoS2, available capacity,
+#: satisfied demand, then backlog and served work in their place), so
+#: the working set is a small multiple of this; see DESIGN.md section 9
+#: for how the value was chosen. Fixed: the tile only changes how many
+#: rows one pass touches, never a decision.
+_TILE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
 class BatchAccessReport:
-    """Access statistics for K (trace row, capacity) pairings.
+    """Exact access statistics for K (trace row, capacity) pairings.
 
     The arrays all share one leading axis; :meth:`report` materialises
     one row as a scalar :class:`~repro.placement.simulator.AccessReport`.
-
-    ``deferred_exact`` is ``False`` for decision-only evaluations where
-    the deferral was measured as a cheap deadline pass/fail instead of
-    the exact FIFO drain; :meth:`satisfies` is still correct but
-    :meth:`report` refuses to materialise such rows.
     """
 
     capacities: np.ndarray
@@ -77,7 +86,6 @@ class BatchAccessReport:
     max_deferred_slots: np.ndarray
     cos2_demand_totals: np.ndarray
     cos2_satisfied_on_request: np.ndarray
-    deferred_exact: bool = True
 
     def __len__(self) -> int:
         return int(self.capacities.shape[0])
@@ -85,12 +93,7 @@ class BatchAccessReport:
     def satisfies(
         self, commitment: CoSCommitment, calendar: TraceCalendar
     ) -> np.ndarray:
-        """Vectorised :meth:`AccessReport.satisfies` over every row.
-
-        Rows with an unmeasured deferral (see
-        :data:`DEFERRED_NOT_MEASURED`) already failed CoS1 or theta, so
-        the deadline term never decides them.
-        """
+        """Vectorised :meth:`AccessReport.satisfies` over every row."""
         deadline = commitment.deadline_slots(calendar)
         theta_ok = ~(self.theta_measured < commitment.theta - _THETA_SLACK)
         return (
@@ -101,28 +104,58 @@ class BatchAccessReport:
 
     def report(self, row: int) -> AccessReport:
         """Row ``row`` as a scalar :class:`AccessReport`."""
-        if not self.deferred_exact:
-            raise SimulationError(
-                "this evaluation only measured a deadline pass/fail; "
-                "re-evaluate without decision_deadline to report it"
-            )
-        deferred = int(self.max_deferred_slots[row])
-        if deferred == DEFERRED_NOT_MEASURED:
-            raise SimulationError(
-                "deferral was not measured for this row (CoS1 or theta "
-                "already failed under a gated evaluation)"
-            )
         return AccessReport(
             capacity=float(self.capacities[row]),
             cos1_fits=bool(self.cos1_fits[row]),
             cos1_peak=float(self.cos1_peaks[row]),
             theta_measured=float(self.theta_measured[row]),
-            max_deferred_slots=deferred,
+            max_deferred_slots=int(self.max_deferred_slots[row]),
             cos2_demand_total=float(self.cos2_demand_totals[row]),
             cos2_satisfied_on_request=float(
                 self.cos2_satisfied_on_request[row]
             ),
         )
+
+
+def _theta_rows(
+    satisfied_now: np.ndarray,
+    requested: np.ndarray,
+    positive: np.ndarray,
+    calendar: TraceCalendar,
+) -> np.ndarray:
+    """Measured theta per row of a ``(K, T)`` satisfied-demand stack.
+
+    The minimum over weeks and slots-of-day of satisfied / requested,
+    with no-request slots counting as fully satisfied. Same reduction
+    order as the scalar path (day axis first, then the min).
+    ``requested``/``positive`` may be broadcastable (one trace against
+    K capacities).
+    """
+    rows = satisfied_now.shape[0]
+    satisfied_view = satisfied_now.reshape(
+        rows, calendar.weeks, DAYS_PER_WEEK, calendar.slots_per_day
+    ).sum(axis=2)
+    ratios = np.ones(
+        (rows, calendar.weeks, calendar.slots_per_day), dtype=float
+    )
+    np.divide(satisfied_view, requested, out=ratios, where=positive)
+    if not ratios.size:
+        return np.ones(rows)
+    return ratios.reshape(rows, -1).min(axis=1)
+
+
+def _fifo_backlog(deficits: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Fluid FIFO backlog per slot, computed in place of ``deficits``.
+
+    ``b_t = max(0, b_{t-1} + deficit_t)`` as the prefix sums minus
+    their running minimum (clamped at zero) — the scalar path's
+    operations, one cumsum/accumulate pass for all rows. ``scratch``
+    (same shape) is overwritten.
+    """
+    prefix = np.cumsum(deficits, axis=-1, out=deficits)
+    floor = np.minimum(prefix, 0.0, out=scratch)
+    np.minimum.accumulate(floor, axis=-1, out=floor)
+    return np.subtract(prefix, floor, out=prefix)
 
 
 def _batched_metrics(
@@ -135,24 +168,14 @@ def _batched_metrics(
     totals: np.ndarray,
     capacities: np.ndarray,
     calendar: TraceCalendar,
-    gate: Optional[CoSCommitment],
-    decision_deadline: Optional[int] = None,
 ) -> BatchAccessReport:
-    """The (K, T) kernel shared by every batched entry point.
+    """The exact (K, T) measurement behind both reporting entry points.
 
     ``cos1``/``cos2``/``requested``/``positive``/``arrivals_cum`` may be
-    broadcast views (a single trace against K capacities). When ``gate``
-    is given, the expensive FIFO-drain measurement is skipped for rows
-    whose CoS1 or theta already misses the commitment — their
-    ``max_deferred_slots`` is :data:`DEFERRED_NOT_MEASURED`.
-
-    ``decision_deadline`` replaces the exact FIFO drain with a
-    vectorised deadline pass/fail: serving is FIFO, so the wait of the
-    arrival in slot ``t`` exceeds ``D`` slots iff the work served by
-    slot ``t + D`` still trails the arrivals through ``t``. One shifted
-    comparison per row answers ``max_deferred_slots <= D`` without any
-    per-row ``searchsorted``; the report is marked ``deferred_exact =
-    False`` and cannot be materialised.
+    broadcast views (a single trace against K capacities). Every
+    backlogged row pays the FIFO drain (one ``searchsorted``), which is
+    why the capacity search decides with :meth:`BatchSimulator.decide`
+    instead and never calls this.
     """
     rows = capacities.shape[0]
     caps_col = capacities[:, None]
@@ -160,70 +183,20 @@ def _batched_metrics(
     granted_cos1 = np.minimum(cos1, caps_col)
     available = np.maximum(0.0, caps_col - granted_cos1)
     satisfied_now = np.minimum(cos2, available)
-
-    # Theta: min over weeks and slots-of-day of satisfied / requested,
-    # with no-request slots counting as fully satisfied. Same reduction
-    # order as the scalar path (day axis first, then the min).
-    satisfied_view = satisfied_now.reshape(
-        rows, calendar.weeks, DAYS_PER_WEEK, calendar.slots_per_day
-    ).sum(axis=2)
-    ratios = np.ones(
-        (rows, calendar.weeks, calendar.slots_per_day), dtype=float
-    )
-    np.divide(
-        satisfied_view,
-        np.broadcast_to(requested, ratios.shape),
-        out=ratios,
-        where=np.broadcast_to(positive, ratios.shape),
-    )
-    theta = (
-        ratios.reshape(rows, -1).min(axis=1)
-        if ratios.size
-        else np.ones(rows)
-    )
-
-    # Fluid FIFO backlog, one cumsum/accumulate pass for all rows.
-    deficits = cos2 - available
-    prefix = np.cumsum(deficits, axis=-1)
-    floor = np.minimum.accumulate(np.minimum(prefix, 0.0), axis=-1)
-    backlog = prefix - floor
+    theta = _theta_rows(satisfied_now, requested, positive, calendar)
+    backlog = _fifo_backlog(cos2 - available, scratch=available)
     max_backlog = backlog.max(axis=-1, initial=0.0)
 
     max_deferred = np.zeros(rows, dtype=np.int64)
-    backlogged = max_backlog > _EPSILON
-    if gate is not None:
-        passes_gates = cos1_fits & ~(theta < gate.theta - _THETA_SLACK)
-        max_deferred[backlogged & ~passes_gates] = DEFERRED_NOT_MEASURED
-        measure = backlogged & passes_gates
-    else:
-        measure = backlogged
-    if decision_deadline is not None:
-        deadline = int(decision_deadline)
-        length = backlog.shape[-1]
-        checked = np.nonzero(measure)[0]
-        if checked.size and deadline < length:
-            served = (
-                arrivals_cum[checked, 1:] - backlog[checked]
-            )
-            late = np.any(
-                served[:, deadline:]
-                < arrivals_cum[checked, 1 : length - deadline + 1]
-                - _EPSILON,
-                axis=1,
-            )
-            max_deferred[checked[late]] = deadline + 1
-    else:
-        slot_index = None
-        for row in np.nonzero(measure)[0]:
-            arrivals = arrivals_cum[row, 1:]
-            served = arrivals - backlog[row]
-            if slot_index is None:
-                slot_index = np.arange(arrivals.shape[0])
-            first_served = np.searchsorted(
-                served, arrivals - _EPSILON, side="left"
-            )
-            waits = first_served - slot_index
-            max_deferred[row] = max(0, int(waits.max()))
+    slot_index = np.arange(backlog.shape[-1])
+    for row in np.nonzero(max_backlog > _EPSILON)[0]:
+        arrivals = arrivals_cum[row, 1:]
+        served = arrivals - backlog[row]
+        first_served = np.searchsorted(
+            served, arrivals - _EPSILON, side="left"
+        )
+        waits = first_served - slot_index
+        max_deferred[row] = max(0, int(waits.max()))
 
     return BatchAccessReport(
         capacities=capacities,
@@ -233,7 +206,6 @@ def _batched_metrics(
         max_deferred_slots=max_deferred,
         cos2_demand_totals=np.broadcast_to(totals, (rows,)),
         cos2_satisfied_on_request=satisfied_now.sum(axis=-1),
-        deferred_exact=decision_deadline is None,
     )
 
 
@@ -367,7 +339,6 @@ def evaluate_capacities(
         totals=np.asarray(simulator._cos2_total, dtype=float),
         capacities=caps,
         calendar=simulator.calendar,
-        gate=None,
     )
 
 
@@ -375,9 +346,10 @@ class BatchSimulator:
     """N stacked aggregate traces, each evaluable at its own capacity.
 
     The batched counterpart of building N
-    :class:`SingleServerSimulator` objects: all capacity-independent
-    precomputation (peaks, theta denominators, arrival cumsums) happens
-    once here, vectorised over the stack.
+    :class:`SingleServerSimulator` objects: the capacity-independent
+    precomputation (peaks, theta denominators) happens once here,
+    vectorised over the stack; a row's arrival cumsum is filled in the
+    first time a deadline check or an exact report needs it.
     """
 
     def __init__(
@@ -408,10 +380,11 @@ class BatchSimulator:
             n, calendar.weeks, DAYS_PER_WEEK, calendar.slots_per_day
         ).sum(axis=2)
         self._positive = self._requested > 0
-        self._arrivals_cum = np.concatenate(
-            [np.zeros((n, 1)), np.cumsum(cos2, axis=1)], axis=1
-        )
-        self.totals = cos2.sum(axis=1)
+        # Filled per row on first use (see ``_arrivals``): most rows of
+        # a search fail a cheaper gate and never need theirs.
+        self._arrivals_cum = np.empty((n, length + 1), dtype=float)
+        self._arrivals_ready = np.zeros(n, dtype=bool)
+        self._tile_rows = max(1, _TILE_BYTES // (8 * max(1, length)))
         self._theta_cache: dict[float, np.ndarray] = {}
 
     def theta_thresholds(self, theta: float) -> np.ndarray:
@@ -462,68 +435,190 @@ class BatchSimulator:
             self._cos1[row], self._cos2[row], self.calendar
         )
 
-    def evaluate_rows(
-        self,
-        rows: Optional[np.ndarray],
-        capacities: np.ndarray,
-        *,
-        gate: Optional[CoSCommitment] = None,
-        decision_deadline: Optional[int] = None,
-    ) -> BatchAccessReport:
-        """Evaluate ``rows`` (``None`` = all) at per-row capacities.
+    def _arrivals(self, index: np.ndarray) -> np.ndarray:
+        """``[0, cumsum(cos2)]`` for the rows ``index`` (a copy)."""
+        missing = index[~self._arrivals_ready[index]]
+        if missing.size:
+            self._arrivals_cum[missing, 0] = 0.0
+            self._arrivals_cum[missing, 1:] = np.cumsum(
+                self._cos2[missing], axis=1
+            )
+            self._arrivals_ready[missing] = True
+        return self._arrivals_cum[index]
 
-        ``gate`` enables the deferral short-circuit for rows that
-        already miss the commitment on CoS1 or theta, and
-        ``decision_deadline`` downgrades the deferral to a cheap
-        pass/fail against that deadline; see :func:`_batched_metrics`.
-        """
+    def _pairings(
+        self, rows: Optional[np.ndarray], capacities: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Validated ``(row index, capacity)`` arrays (``None`` = all)."""
         caps = np.asarray(capacities, dtype=float)
-        if rows is None:
-            index = slice(None)
-            count = self.n_rows
-        else:
-            index = np.asarray(rows, dtype=int)
-            count = int(index.shape[0])
-        if caps.shape != (count,):
+        index = (
+            np.arange(self.n_rows)
+            if rows is None
+            else np.asarray(rows, dtype=int)
+        )
+        if caps.shape != index.shape or caps.ndim != 1:
             raise SimulationError(
-                f"need one capacity per row, got {caps.shape} for {count}"
+                f"need one capacity per row, got {caps.shape} "
+                f"for {index.shape}"
             )
         if caps.size and float(caps.min()) <= 0:
             raise SimulationError(
                 f"capacity must be > 0, got {float(caps.min())}"
             )
+        return index, caps
+
+    def evaluate_rows(
+        self, rows: Optional[np.ndarray], capacities: np.ndarray
+    ) -> BatchAccessReport:
+        """Exact reports for ``rows`` (``None`` = all) at their capacities.
+
+        Row ``i`` is bit-identical to
+        ``simulator_for(rows[i]).evaluate(capacities[i])``.
+        """
+        index, caps = self._pairings(rows, capacities)
+        cos2 = self._cos2[index]
         return _batched_metrics(
             cos1=self._cos1[index],
-            cos2=self._cos2[index],
+            cos2=cos2,
             peaks=self.peaks[index],
             requested=self._requested[index],
             positive=self._positive[index],
-            arrivals_cum=self._arrivals_cum[index],
-            totals=self.totals[index],
+            arrivals_cum=self._arrivals(index),
+            totals=cos2.sum(axis=1),
             capacities=caps,
             calendar=self.calendar,
-            gate=gate,
-            decision_deadline=decision_deadline,
         )
 
+    def decide(
+        self,
+        rows: Optional[np.ndarray],
+        capacities: np.ndarray,
+        commitment: CoSCommitment,
+    ) -> tuple[np.ndarray, int]:
+        """Does each row honour ``commitment`` at its capacity?
 
-@dataclass(frozen=True)
-class BatchSearchStats:
+        The capacity search's one question, answered without measuring
+        a report. Row ``i`` of the boolean result equals
+        ``simulator_for(rows[i]).evaluate(capacities[i]).satisfies(...)``
+        — the three constraints are a conjunction, so a row is dropped
+        at the first gate it fails, cheapest gate first:
+
+        1. CoS1 peak against the capacity — no trace pass;
+        2. theta — one pass, only for rows that passed the peak;
+        3. the FIFO backlog (cumsum/accumulate), only for rows that
+           passed theta, then the deadline for rows that are backlogged
+           at all. Serving is FIFO, so the arrival in slot ``t`` waits
+           more than ``D`` slots iff the work served through slot
+           ``t + D`` still trails the arrivals through ``t``: one
+           shifted comparison per row, no per-row ``searchsorted``.
+
+        Each gate is the scalar path's float64 operations on that row,
+        and rows are independent, so neither the gating nor the row
+        tiling (see :data:`_TILE_BYTES`) can change a decision. Also
+        returns how many rows reached the backlog pass.
+        """
+        index, caps = self._pairings(rows, capacities)
+        ok = self.peaks[index] <= caps + _EPSILON
+        theta_floor = commitment.theta - _THETA_SLACK
+        deadline = commitment.deadline_slots(self.calendar)
+        backlog_rows = 0
+        live = np.nonzero(ok)[0]
+        for start in range(0, live.size, self._tile_rows):
+            tile = live[start : start + self._tile_rows]
+            ok[tile], reached = self._decide_tile(
+                index[tile], caps[tile], theta_floor, deadline
+            )
+            backlog_rows += reached
+        return ok, backlog_rows
+
+    def _decide_tile(
+        self,
+        index: np.ndarray,
+        caps: np.ndarray,
+        theta_floor: float,
+        deadline: int,
+    ) -> tuple[np.ndarray, int]:
+        """Theta and deadline gates for one tile of peak-passing rows."""
+        caps_col = caps[:, None]
+        # ``index`` is an integer array, so these are private copies the
+        # passes below overwrite in place.
+        cos2 = self._cos2[index]
+        available = self._cos1[index]
+        np.minimum(available, caps_col, out=available)
+        np.subtract(caps_col, available, out=available)
+        np.maximum(0.0, available, out=available)
+        theta = _theta_rows(
+            np.minimum(cos2, available),
+            self._requested[index],
+            self._positive[index],
+            self.calendar,
+        )
+        ok = ~(theta < theta_floor)
+        passed = np.nonzero(ok)[0]
+        length = cos2.shape[-1]
+        if not passed.size or deadline >= length:
+            # No wait can outlast a deadline of the whole trace.
+            return ok, 0
+        if passed.size < index.size:
+            cos2 = cos2[passed]
+            available = available[passed]
+
+        backlog = _fifo_backlog(
+            np.subtract(cos2, available, out=cos2), scratch=available
+        )
+        backlogged = np.nonzero(
+            backlog.max(axis=-1, initial=0.0) > _EPSILON
+        )[0]
+        if backlogged.size:
+            checked = passed[backlogged]
+            arrivals = self._arrivals(index[checked])
+            served = arrivals[:, 1:] - backlog[backlogged]
+            late = np.any(
+                served[:, deadline:]
+                < arrivals[:, 1 : length - deadline + 1] - _EPSILON,
+                axis=1,
+            )
+            ok[checked[late]] = False
+        return ok, int(passed.size)
+
+
+class BatchSearchStats(NamedTuple):
     """Work accounting for one simultaneous capacity solve.
 
-    ``fused_rows``/``f32_retries`` stay zero outside the fused kernel
-    (:mod:`repro.placement.fused`): they count rows settled by the
-    float32 fast path and rows that failed its float64 verification and
-    re-ran on this batch kernel. All six fields are recorded uniformly
-    by every kernel mode so counter sets stay comparable across runs.
+    ``kernel_calls`` counts decision steps (one :meth:`BatchSimulator.decide`
+    call, however many tiles it ran), ``row_evaluations`` the rows those
+    steps judged, and ``backlog_rows`` the ones that got past the peak
+    and theta gates to the cumsum/accumulate pass — the gap between the
+    two is the work the gate order saves. ``fused_rows``/``f32_retries``
+    stay zero outside the fused kernel (:mod:`repro.placement.fused`):
+    they count rows settled by the float32 fast path and rows that
+    failed its float64 verification and re-ran on this batch kernel.
+    Every field is recorded uniformly by every kernel mode so counter
+    sets stay comparable across runs. A plain tuple of ints, so workers
+    ship it as is.
     """
 
     rows: int
-    kernel_calls: int
-    bracket_iterations: int
-    probe_hits: int
+    kernel_calls: int = 0
+    bracket_iterations: int = 0
+    probe_hits: int = 0
     fused_rows: int = 0
     f32_retries: int = 0
+    row_evaluations: int = 0
+    backlog_rows: int = 0
+
+
+#: Instrumentation counter of each :class:`BatchSearchStats` field.
+KERNEL_COUNTERS = (
+    "kernel.rows",
+    "kernel.calls",
+    "kernel.bracket_iterations",
+    "kernel.probe_hits",
+    "kernel.fused_rows",
+    "kernel.f32_retries",
+    "kernel.row_evaluations",
+    "kernel.backlog_rows",
+)
 
 
 @dataclass(frozen=True)
@@ -546,28 +641,29 @@ def required_capacity_batch(
 
     ``mode="bisect"`` carries the low/high brackets of all pending rows
     as parallel arrays; each iteration halves every still-open bracket
-    with one batched kernel call. Without ``probes`` the result of row
-    ``i`` is bit-identical to
+    with one :meth:`BatchSimulator.decide` call. Without ``probes`` the
+    ``fits`` and ``required_capacity`` of row ``i`` are bit-identical to
     ``required_capacity(..., capacity_limit=capacity_limits[i])`` on the
-    row's aggregate trace.
+    row's aggregate trace. Every result's ``report`` is ``None``: the
+    search only decides (see the module docstring).
 
     ``mode="analytic"`` inverts the theta constraint in closed form
-    (:func:`_theta_threshold_rows`), evaluates each row once at that
+    (:func:`_theta_threshold_rows`), decides each row once at that
     candidate, and falls back to bisection only for rows where the
     deferral deadline — not theta — is the binding constraint. Every
-    decision is still made by a measured kernel evaluation, so results
-    stay within ``tolerance`` of the scalar path (they are no longer
-    bit-identical: the analytic candidate is the exact constraint
-    boundary rather than a bisection grid point).
+    decision is still a measured one, so results stay within
+    ``tolerance`` of the scalar path (they are no longer bit-identical:
+    the analytic candidate is the exact constraint boundary rather than
+    a bisection grid point).
 
     ``probes`` (optional, ``NaN`` = none) are warm-start capacity
     guesses, e.g. a parent assignment's required capacity for a similar
-    subset. Each guess costs two verification rows in one kernel call:
-    a guess ``g`` that satisfies the commitment while ``g - tolerance``
-    does not finishes that row's search immediately; otherwise the
-    verified side tightens the bracket. Probed rows stay within
-    ``tolerance`` of the true minimum but may differ from the scalar
-    path by up to ``tolerance``.
+    subset. Each guess costs two decision rows in one call: a guess
+    ``g`` that satisfies the commitment while ``g - tolerance`` does not
+    finishes that row's search immediately; otherwise the verified side
+    tightens the bracket. Probed rows stay within ``tolerance`` of the
+    true minimum but may differ from the scalar path by up to
+    ``tolerance``.
     """
     limits = np.asarray(capacity_limits, dtype=float)
     n = batch.n_rows
@@ -585,219 +681,119 @@ def required_capacity_batch(
         raise SimulationError(
             f"mode must be 'bisect' or 'analytic', got {mode!r}"
         )
-    calendar = batch.calendar
 
     kernel_calls = 0
+    row_evaluations = 0
+    backlog_rows = 0
     bracket_iterations = 0
     probe_hits = 0
-    results: list[Optional[RequiredCapacityResult]] = [None] * n
-    infinity = float("inf")
+
+    def satisfied(rows: np.ndarray, capacities: np.ndarray) -> np.ndarray:
+        """One decision step over ``rows`` (none is not a step)."""
+        nonlocal kernel_calls, row_evaluations, backlog_rows
+        if not rows.size:
+            return np.zeros(0, dtype=bool)
+        ok, reached = batch.decide(rows, capacities, commitment)
+        kernel_calls += 1
+        row_evaluations += int(rows.size)
+        backlog_rows += reached
+        return ok
+
+    # Required capacity per row; infinity until a search settles it (and
+    # for good when the row does not fit its limit).
+    required = np.full(n, np.inf)
 
     # CoS1 peaks alone exceeding the limit: no fit, no simulation.
     peaks = batch.peaks
     candidate = np.nonzero(peaks <= limits + _EPSILON)[0]
-    for row in np.nonzero(peaks > limits + _EPSILON)[0]:
-        results[row] = RequiredCapacityResult(
-            fits=False, required_capacity=infinity, report=None
-        )
-
-    if candidate.size == 0:
-        return BatchSearchResult(
-            results=tuple(results),  # type: ignore[arg-type]
-            stats=BatchSearchStats(n, kernel_calls, 0, 0),
-        )
+    floors = np.maximum(peaks, tolerance)
 
     # Analytic pre-pass: jump straight to the exact theta boundary and
-    # verify it with one measured evaluation. Rows whose candidate
-    # already reaches the limit skip it (the limit screen below decides
-    # them), rows that verify are done, and rows where the deferral
-    # deadline binds above the theta boundary keep the failed candidate
-    # as a proven lower bracket for the bisection fallback.
-    cand_low: dict[int, float] = {}
-    if mode == "analytic":
-        floors = np.maximum(peaks[candidate], tolerance)
+    # verify it with one decision. Rows whose candidate already reaches
+    # the limit skip it (the limit screen below decides them), rows
+    # that verify are done, and rows where the deferral deadline binds
+    # above the theta boundary keep the failed candidate as a proven
+    # lower bracket for the bisection fallback.
+    if mode == "analytic" and candidate.size:
         thresholds = batch.theta_thresholds(commitment.theta)[candidate]
         cand = np.maximum(
-            floors, thresholds * (1.0 + _THETA_SLACK) + _EPSILON
+            floors[candidate], thresholds * (1.0 + _THETA_SLACK) + _EPSILON
         )
-        direct = np.nonzero(cand < limits[candidate])[0]
-        if direct.size:
-            direct_rows = candidate[direct]
-            at_cand = batch.evaluate_rows(
-                direct_rows, cand[direct], gate=commitment
-            )
-            kernel_calls += 1
-            cand_ok = at_cand.satisfies(commitment, calendar)
-            for position in np.nonzero(cand_ok)[0]:
-                results[int(direct_rows[position])] = (
-                    RequiredCapacityResult(
-                        fits=True,
-                        required_capacity=float(cand[direct[position]]),
-                        report=at_cand.report(int(position)),
-                    )
-                )
-            for position in np.nonzero(~cand_ok)[0]:
-                cand_low[int(direct_rows[position])] = float(
-                    cand[direct[position]]
-                )
-            candidate = candidate[
-                [results[int(row)] is None for row in candidate]
-            ]
-            if candidate.size == 0:
-                return BatchSearchResult(
-                    results=tuple(results),  # type: ignore[arg-type]
-                    stats=BatchSearchStats(n, kernel_calls, 0, 0),
-                )
+        direct = cand < limits[candidate]
+        direct_rows = candidate[direct]
+        cand_ok = satisfied(direct_rows, cand[direct])
+        required[direct_rows[cand_ok]] = cand[direct][cand_ok]
+        floors[direct_rows[~cand_ok]] = cand[direct][~cand_ok]
+        candidate = candidate[np.isinf(required[candidate])]
 
-    # Screen at the limit (full reports: they are returned on no-fit).
-    at_limit = batch.evaluate_rows(candidate, limits[candidate])
-    kernel_calls += 1
-    limit_ok = at_limit.satisfies(commitment, calendar)
-    for position in np.nonzero(~limit_ok)[0]:
-        results[candidate[position]] = RequiredCapacityResult(
-            fits=False,
-            required_capacity=infinity,
-            report=at_limit.report(int(position)),
-        )
-
-    rows = candidate[limit_ok]
-    low = np.maximum(peaks[rows], tolerance)
-    if cand_low:
-        for position, row in enumerate(rows):
-            override = cand_low.get(int(row))
-            if override is not None:
-                low[position] = override
+    # Screen at the limit: rows that miss the commitment there never fit.
+    rows = candidate[satisfied(candidate, limits[candidate])]
+    low = floors[rows]
     high = limits[rows].copy()
-    best_theta = at_limit.theta_measured[limit_ok].astype(float, copy=True)
-    best_deferred = at_limit.max_deferred_slots[limit_ok].copy()
-    best_satisfied = at_limit.cos2_satisfied_on_request[limit_ok].copy()
 
-    def finalize(position: int, required: float) -> RequiredCapacityResult:
-        row = int(rows[position])
-        return RequiredCapacityResult(
-            fits=True,
-            required_capacity=required,
-            report=AccessReport(
-                capacity=required,
-                cos1_fits=True,
-                cos1_peak=float(peaks[row]),
-                theta_measured=float(best_theta[position]),
-                max_deferred_slots=int(best_deferred[position]),
-                cos2_demand_total=float(batch.totals[row]),
-                cos2_satisfied_on_request=float(best_satisfied[position]),
-            ),
-        )
-
-    def compress(keep: np.ndarray) -> None:
-        nonlocal rows, low, high, best_theta, best_deferred, best_satisfied
-        rows = rows[keep]
-        low = low[keep]
-        high = high[keep]
-        best_theta = best_theta[keep]
-        best_deferred = best_deferred[keep]
-        best_satisfied = best_satisfied[keep]
+    def settle(done: np.ndarray, at: np.ndarray) -> None:
+        """Record ``at`` for the ``done`` rows and drop them."""
+        nonlocal rows, low, high
+        required[rows[done]] = at[done]
+        rows, low, high = rows[~done], low[~done], high[~done]
 
     # Degenerate bracket (low >= high): the limit itself is the answer.
-    open_bracket = low < high
-    for position in np.nonzero(~open_bracket)[0]:
-        results[rows[position]] = finalize(
-            int(position), float(high[position])
-        )
-    compress(open_bracket)
+    settle(~(low < high), high)
 
     # The scalar path's low probe: a floor that satisfies ends the
     # search. The analytic pre-pass subsumes it (its candidate is never
     # below this floor and already failed for every row still open).
-    if rows.size and mode != "analytic":
-        at_low = batch.evaluate_rows(rows, low, gate=commitment)
-        kernel_calls += 1
-        low_ok = at_low.satisfies(commitment, calendar)
-        for position in np.nonzero(low_ok)[0]:
-            results[rows[position]] = RequiredCapacityResult(
-                fits=True,
-                required_capacity=float(low[position]),
-                report=at_low.report(int(position)),
-            )
-        compress(~low_ok)
+    if mode != "analytic":
+        settle(satisfied(rows, low), low)
 
     # Warm-start probes: verify each guess (and its tolerance sibling)
-    # with one batched call, then bracket on the verified side.
+    # with one decision call, then bracket on the verified side.
     if probes is not None and rows.size:
         guesses = np.asarray(probes, dtype=float)[rows]
         usable = np.isfinite(guesses)
         usable &= (guesses > low) & (guesses < high)
-        probe_positions = np.nonzero(usable)[0]
-        if probe_positions.size:
-            guess = guesses[probe_positions]
-            sibling = np.maximum(guess - tolerance, low[probe_positions])
-            stacked_rows = np.concatenate(
-                [rows[probe_positions], rows[probe_positions]]
-            )
-            stacked_caps = np.concatenate([guess, sibling])
-            probed = batch.evaluate_rows(
-                stacked_rows, stacked_caps, gate=commitment
-            )
-            kernel_calls += 1
-            probe_ok = probed.satisfies(commitment, calendar)
-            half = probe_positions.size
-            for offset, position in enumerate(probe_positions):
-                if probe_ok[offset]:
-                    high[position] = guess[offset]
-                    best_theta[position] = probed.theta_measured[offset]
-                    best_deferred[position] = probed.max_deferred_slots[
-                        offset
-                    ]
-                    best_satisfied[position] = (
-                        probed.cos2_satisfied_on_request[offset]
-                    )
-                    if probe_ok[half + offset]:
-                        high[position] = sibling[offset]
-                        best_theta[position] = probed.theta_measured[
-                            half + offset
-                        ]
-                        best_deferred[position] = (
-                            probed.max_deferred_slots[half + offset]
-                        )
-                        best_satisfied[position] = (
-                            probed.cos2_satisfied_on_request[half + offset]
-                        )
-                    else:
-                        low[position] = sibling[offset]
-                        probe_hits += 1
-                else:
-                    low[position] = guess[offset]
+        probed = np.nonzero(usable)[0]
+        guess = guesses[probed]
+        sibling = np.maximum(guess - tolerance, low[probed])
+        verdicts = satisfied(
+            np.concatenate([rows[probed], rows[probed]]),
+            np.concatenate([guess, sibling]),
+        )
+        guess_ok, sibling_ok = verdicts[: probed.size], verdicts[probed.size :]
+        high[probed] = np.where(
+            guess_ok, np.where(sibling_ok, sibling, guess), high[probed]
+        )
+        low[probed] = np.where(
+            guess_ok, np.where(sibling_ok, low[probed], sibling), guess
+        )
+        probe_hits = int((guess_ok & ~sibling_ok).sum())
 
-    # Simultaneous bisection: one batched kernel call per iteration.
+    # Simultaneous bisection: one decision call per iteration.
     while rows.size:
-        still_open = high - low > tolerance
-        for position in np.nonzero(~still_open)[0]:
-            results[rows[position]] = finalize(
-                int(position), float(high[position])
-            )
-        compress(still_open)
+        settle(~(high - low > tolerance), high)
         if not rows.size:
             break
         mid = (low + high) / 2.0
-        at_mid = batch.evaluate_rows(rows, mid, gate=commitment)
-        kernel_calls += 1
+        mid_ok = satisfied(rows, mid)
         bracket_iterations += int(rows.size)
-        mid_ok = at_mid.satisfies(commitment, calendar)
-        accepted = np.nonzero(mid_ok)[0]
-        high[accepted] = mid[accepted]
-        best_theta[accepted] = at_mid.theta_measured[accepted]
-        best_deferred[accepted] = at_mid.max_deferred_slots[accepted]
-        best_satisfied[accepted] = at_mid.cos2_satisfied_on_request[
-            accepted
-        ]
-        rejected = np.nonzero(~mid_ok)[0]
-        low[rejected] = mid[rejected]
+        high = np.where(mid_ok, mid, high)
+        low = np.where(mid_ok, low, mid)
 
     return BatchSearchResult(
-        results=tuple(results),  # type: ignore[arg-type]
+        results=tuple(
+            RequiredCapacityResult(
+                fits=fits, required_capacity=capacity, report=None
+            )
+            for fits, capacity in zip(
+                np.isfinite(required).tolist(), required.tolist()
+            )
+        ),
         stats=BatchSearchStats(
             rows=n,
             kernel_calls=kernel_calls,
             bracket_iterations=bracket_iterations,
             probe_hits=probe_hits,
+            row_evaluations=row_evaluations,
+            backlog_rows=backlog_rows,
         ),
     )

@@ -4,18 +4,22 @@ The kernels' contract comes in two strengths and both are pinned down
 here with hypothesis:
 
 * the multi-capacity kernel (:func:`evaluate_capacities`) and the
-  multi-row kernel (:meth:`BatchSimulator.evaluate_rows`) are
-  **bit-identical** to the scalar :meth:`SingleServerSimulator.evaluate`
-  path, as is :func:`required_capacity_batch` in its default
-  ``mode="bisect"`` without probes;
-* the accelerated paths (``mode="analytic"``, warm-start probes, the
-  ``decision_deadline`` pass/fail) only promise *tolerance-equivalent*
-  answers — same fits verdict, required capacity within the search
-  tolerance, and every returned capacity verified to satisfy the
-  commitment by a fresh scalar measurement.
+  multi-row kernel (:meth:`BatchSimulator.evaluate_rows`) report
+  **bit-identically** to the scalar :meth:`SingleServerSimulator.evaluate`
+  path; the decision function (:meth:`BatchSimulator.decide`) returns
+  the oracle's ``satisfies`` verdict on every row, gated and tiled or
+  not; and :func:`required_capacity_batch` in its default
+  ``mode="bisect"`` without probes returns the scalar search's ``fits``
+  and ``required_capacity`` bit for bit (its results carry no report);
+* the accelerated paths (``mode="analytic"``, warm-start probes) only
+  promise *tolerance-equivalent* answers — same fits verdict, required
+  capacity within the search tolerance, and every returned capacity
+  verified to satisfy the commitment by a fresh scalar measurement.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from hypothesis import strategies as st
 
 from repro.core.cos import CoSCommitment
 from repro.exceptions import SimulationError
+from repro.placement import kernels
 from repro.placement.kernels import (
     BatchSimulator,
     evaluate_capacities,
@@ -128,14 +133,14 @@ class TestEvaluateRows:
     @settings(max_examples=25, deadline=None)
     @given(trace_stacks(min_rows=2, max_rows=3), commitments)
     def test_gated_rows_agree_on_satisfies(self, stack, commitment):
-        """The gate may skip the FIFO drain only for rows it cannot save."""
+        """A gate may drop a row only when the oracle fails it too."""
         cos1, cos2 = stack
         rows = cos1.shape[0]
         capacities = np.full(rows, 2.0)
         batch = BatchSimulator(cos1, cos2, CAL)
-        gated = batch.evaluate_rows(None, capacities, gate=commitment)
+        verdicts, backlog_rows = batch.decide(None, capacities, commitment)
+        assert 0 <= backlog_rows <= rows
         scalars = scalar_reports(cos1, cos2, capacities)
-        verdicts = gated.satisfies(commitment, CAL)
         for row, scalar in enumerate(scalars):
             assert bool(verdicts[row]) == scalar.satisfies(commitment, CAL)
 
@@ -154,28 +159,131 @@ class TestDecisionDeadline:
             ),
             float,
         )
-        deadline = commitment.deadline_slots(CAL)
         batch = BatchSimulator(cos1, cos2, CAL)
-        exact = batch.evaluate_rows(None, capacities, gate=commitment)
-        quick = batch.evaluate_rows(
-            None, capacities, gate=commitment, decision_deadline=deadline
-        )
-        assert not quick.deferred_exact
+        exact = batch.evaluate_rows(None, capacities)
+        quick, _ = batch.decide(None, capacities, commitment)
         np.testing.assert_array_equal(
-            quick.satisfies(commitment, CAL),
-            exact.satisfies(commitment, CAL),
+            quick, exact.satisfies(commitment, CAL)
         )
 
-    def test_decision_only_report_refuses_to_materialise(self):
-        batch = BatchSimulator(np.ones((1, N)), np.ones((1, N)), CAL)
-        quick = batch.evaluate_rows(
-            None,
-            np.array([2.0]),
-            gate=CoSCommitment(theta=0.9),
-            decision_deadline=1,
+
+# --- the decision function against the oracle, on the hostile corners ---
+
+#: Rows per decision tile under test (the production tile holds
+#: thousands of rows of these short traces).
+TILE = 3
+
+#: A single-week and a multi-week calendar (28 and 42 observations).
+CALENDARS = (CAL, TraceCalendar(weeks=3, slot_minutes=720))
+
+
+@st.composite
+def hostile_rows(draw, length):
+    """One (cos1, cos2) row from the corners the gates must survive."""
+    kind = draw(
+        st.sampled_from(
+            ["random", "all_zero", "constant_cos2", "cos1_only", "bursty"]
         )
-        with pytest.raises(SimulationError, match="pass/fail"):
-            quick.report(0)
+    )
+    series = st.lists(levels, min_size=length, max_size=length)
+    cos1 = np.asarray(draw(series), float)
+    if kind == "all_zero":
+        cos1 = cos2 = np.zeros(length)
+    elif kind == "cos1_only":
+        cos2 = np.zeros(length)
+    elif kind == "constant_cos2":
+        cos2 = np.full(length, draw(levels))
+    elif kind == "bursty":
+        cos1 = np.zeros(length)
+        cos2 = np.zeros(length)
+        burst = draw(st.integers(min_value=0, max_value=length - 1))
+        cos2[burst] = draw(st.floats(min_value=4.0, max_value=64.0))
+    else:
+        cos2 = np.asarray(draw(series), float)
+    return cos1, cos2
+
+
+@st.composite
+def decision_cases(draw):
+    """(calendar, stack, capacities, commitment) around every gate edge."""
+    calendar = draw(st.sampled_from(CALENDARS))
+    length = calendar.n_observations
+    base = [draw(hostile_rows(length)) for _ in range(draw(st.integers(1, 3)))]
+    rows = draw(st.sampled_from([1, TILE, TILE + 1, 3 * TILE]))
+    cos1 = np.stack([base[row % len(base)][0] for row in range(rows)])
+    cos2 = np.stack([base[row % len(base)][1] for row in range(rows)])
+    capacities = np.empty(rows)
+    for row in range(rows):
+        peak = float(cos1[row].max())
+        capacity = draw(
+            st.one_of(
+                st.sampled_from([peak, peak + 1e-9, peak - 1e-9]),
+                capacity_values,
+            )
+        )
+        capacities[row] = capacity if capacity > 0 else 0.125
+    slot = calendar.slot_minutes
+    commitment = CoSCommitment(
+        theta=draw(st.sampled_from([0.5, 0.95, 1.0])),
+        deadline_minutes=draw(
+            st.sampled_from(
+                [0.0, slot, 3.0 * slot, length * slot, 2.0 * length * slot]
+            )
+        ),
+    )
+    return calendar, cos1, cos2, capacities, commitment
+
+
+class TestDecisionFunction:
+    """`decide` is the oracle's `satisfies`, row by row, however tiled."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(decision_cases())
+    def test_matches_oracle_on_hostile_corners(self, case):
+        calendar, cos1, cos2, capacities, commitment = case
+        oracle = np.asarray(
+            [
+                SingleServerSimulator(c1, c2, calendar)
+                .evaluate(capacity)
+                .satisfies(commitment, calendar)
+                for c1, c2, capacity in zip(cos1, cos2, capacities)
+            ]
+        )
+        untiled = BatchSimulator(cos1, cos2, calendar)
+        tile_bytes = TILE * 8 * calendar.n_observations
+        with mock.patch.object(kernels, "_TILE_BYTES", tile_bytes):
+            tiled = BatchSimulator(cos1, cos2, calendar)
+        assert tiled._tile_rows == TILE
+        assert untiled._tile_rows > 3 * TILE
+        for batch in (untiled, tiled):
+            verdicts, backlog_rows = batch.decide(
+                None, capacities, commitment
+            )
+            np.testing.assert_array_equal(verdicts, oracle)
+            assert 0 <= backlog_rows <= len(capacities)
+
+    def test_row_subset_and_order_are_respected(self):
+        """`rows` may repeat and reorder stack rows (probe stacking)."""
+        cos1 = np.stack([np.full(N, 1.0), np.full(N, 3.0)])
+        cos2 = np.stack([np.full(N, 1.0), np.zeros(N)])
+        batch = BatchSimulator(cos1, cos2, CAL)
+        commitment = CoSCommitment(theta=0.95, deadline_minutes=0.0)
+        verdicts, backlog_rows = batch.decide(
+            np.array([1, 0, 1, 0]),
+            np.array([3.0, 2.0, 2.0, 1.5]),
+            commitment,
+        )
+        assert verdicts.tolist() == [True, True, False, False]
+        # Row 1 at 2.0 stops at the peak gate, row 0 at 1.5 at theta.
+        assert backlog_rows == 2
+
+    def test_rejects_bad_pairings(self):
+        batch = BatchSimulator(np.ones((2, N)), np.ones((2, N)), CAL)
+        commitment = CoSCommitment(theta=0.9)
+        with pytest.raises(SimulationError, match="one capacity per row"):
+            batch.decide(None, np.array([1.0]), commitment)
+        with pytest.raises(SimulationError, match="capacity must be > 0"):
+            batch.decide(None, np.array([1.0, 0.0]), commitment)
 
 
 class TestRequiredCapacityBatchBisect:
@@ -202,10 +310,7 @@ class TestRequiredCapacityBatchBisect:
             batched = outcome.results[row]
             assert batched.fits == scalar.fits
             assert batched.required_capacity == scalar.required_capacity
-            if scalar.report is None:
-                assert batched.report is None
-            else:
-                assert batched.report == scalar.report
+            assert batched.report is None
 
     def test_peak_over_limit_short_circuits(self):
         cos1 = np.full((1, N), 2 * LIMIT)
@@ -227,12 +332,17 @@ class TestRequiredCapacityBatchBisect:
         outcome = required_capacity_batch(
             batch, np.full(2, LIMIT), commitment
         )
+        assert outcome.stats.backlog_rows == 2
         for row in range(2):
             result = outcome.results[row]
             assert not result.fits
             assert result.required_capacity == float("inf")
-            assert result.report is not None
-            assert result.report.max_deferred_slots > 0
+            assert result.report is None
+            scalar = required_capacity(
+                [], LIMIT, commitment, simulator=batch.simulator_for(row)
+            )
+            assert not scalar.fits
+            assert scalar.report.max_deferred_slots > 0
 
 
 class TestRequiredCapacityBatchAnalytic:
