@@ -1,36 +1,32 @@
 """Static analysis for the R-Opus pipeline's unwritten invariants.
 
 The execution engine's correctness contract — deterministic RNG flow,
-picklable work units, tolerance-based metric comparisons, invariants
-that survive ``python -O`` — cannot be expressed in tests alone, so
-this package enforces it at review time with a custom AST linter:
+picklable work units, tolerance-based metric comparisons, resources
+released on every path — cannot be expressed in tests alone, so this
+package enforces it at review time with a custom AST linter:
 
 * :mod:`repro.analysis.rules` — one :class:`Rule` per invariant
-  (ROP001-ROP011), registered in a global registry;
-* :mod:`repro.analysis.dataflow` — the intraprocedural abstract
-  interpreter (CFG, intervals, units) behind the flow-sensitive rules
-  ROP008-ROP010;
+  (ROP001-ROP006, ROP011, ROP013, ROP017-ROP020), registered in a
+  global registry;
+* :mod:`repro.analysis.effects` — the call-graph effect fixpoint
+  behind ROP013;
+* :mod:`repro.analysis.typestate` — the resource-lifecycle checker
+  behind ROP017-ROP020, over the CFGs of :mod:`repro.analysis.cfg`;
 * :mod:`repro.analysis.runner` — file walking, rule execution, inline
   ``# ropus: ignore`` handling, exit codes;
-* :mod:`repro.analysis.baseline` — adopt-now-fix-later suppression;
-* :mod:`repro.analysis.reporters` — text, round-trippable JSON, and
-  SARIF 2.1.0 for code-scanning upload.
+* :mod:`repro.analysis.reporters` — text, JSON, and SARIF 2.1.0 for
+  code-scanning upload;
+* :mod:`repro.analysis.sanitizer` / :mod:`repro.analysis.leaktrack` —
+  the runtime counterparts, armed by ``ROPUS_SANITIZE`` /
+  ``ROPUS_LEAKTRACK``.
 
 Run it as ``python -m repro.analysis src`` or ``ropus lint``.
 """
 
-from repro.analysis.baseline import (
-    apply_baseline,
-    load_baseline,
-    prune_baseline,
-    write_baseline,
-)
 from repro.analysis.config import AnalysisConfig, resolve_config
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.reporters import (
-    finding_from_dict,
     finding_to_dict,
-    parse_json,
     render_json,
     render_sarif,
     render_text,
@@ -43,12 +39,7 @@ from repro.analysis.rules import (
     register,
     registered_rules,
 )
-from repro.analysis.runner import (
-    AnalysisResult,
-    analyze_file,
-    analyze_paths,
-    main,
-)
+from repro.analysis.runner import AnalysisResult, analyze_paths, main
 
 __all__ = [
     "AnalysisConfig",
@@ -58,21 +49,14 @@ __all__ = [
     "ProjectRule",
     "Rule",
     "Severity",
-    "analyze_file",
     "analyze_paths",
-    "apply_baseline",
-    "finding_from_dict",
     "finding_to_dict",
     "iter_rule_classes",
-    "load_baseline",
     "main",
-    "parse_json",
-    "prune_baseline",
     "register",
     "registered_rules",
     "render_json",
     "render_sarif",
     "render_text",
     "resolve_config",
-    "write_baseline",
 ]

@@ -3,9 +3,9 @@
 One :class:`ControlFlowGraph` is built per ``def``. Blocks hold simple
 statements only; branching constructs (``if``/``while``/``for``) end a
 block and contribute *guarded edges* — the edge records the test
-expression and which boolean outcome takes it, so the interpreter can
-refine intervals along each branch (``if theta > 0:`` narrows
-``theta`` on the true edge).
+expression and which boolean outcome takes it, so the typestate
+checker can refine resource states along each branch (``if segment is
+None:`` means nothing was acquired on the true edge).
 
 Exception flow is modelled explicitly rather than with the historical
 "try body flows into handler with no guard" shortcut:

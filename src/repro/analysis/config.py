@@ -1,33 +1,17 @@
-"""Analysis configuration: rule selection, severities, excludes.
+"""Analysis configuration: rule selection and path excludes.
 
-Configuration merges three layers, later winning:
-
-1. built-in defaults (all registered rules, everything an error);
-2. an optional ``[tool.repro-analysis]`` table in ``pyproject.toml``
-   (located by walking up from the first scanned path);
-3. command-line flags (``--select``, ``--ignore``, ``--exclude``,
-   ``--baseline``).
-
-``tomllib`` only exists on Python 3.11+; on 3.10 the pyproject layer is
-silently skipped — CLI flags still work everywhere.
+Every registered rule runs at its default severity unless the command
+line narrows the set (``--select``, ``--ignore``) or skips paths
+(``--exclude``). There is no config file layer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Sequence
 
-from repro.analysis.findings import Severity
 from repro.exceptions import ConfigurationError
-
-try:  # Python 3.11+
-    import tomllib
-except ImportError:  # pragma: no cover - 3.10 fallback
-    tomllib = None  # type: ignore[assignment]
-
-#: pyproject table the analyzer reads.
-PYPROJECT_TABLE = "repro-analysis"
 
 #: Directory names never descended into.
 DEFAULT_EXCLUDED_DIRS = frozenset(
@@ -43,11 +27,6 @@ class AnalysisConfig:
     select: frozenset[str] | None = None
     ignore: frozenset[str] = frozenset()
     exclude: tuple[str, ...] = ()
-    baseline: Path | None = None
-    severity_overrides: Mapping[str, Severity] = field(default_factory=dict)
-    #: Where project-pass results are memoised; ``None`` disables the
-    #: cache entirely (the ``--no-cache`` escape hatch).
-    cache_dir: Path | None = Path(".ropus_cache")
 
     def rule_enabled(self, rule_id: str) -> bool:
         if rule_id in self.ignore:
@@ -56,29 +35,21 @@ class AnalysisConfig:
             return rule_id in self.select
         return True
 
-    def severity_for(self, rule_id: str, default: Severity) -> Severity:
-        return self.severity_overrides.get(rule_id, default)
-
     def path_excluded(self, path: Path) -> bool:
         posix = path.as_posix()
         return any(pattern in posix for pattern in self.exclude)
 
 
-def _parse_rule_list(value: Any, option: str) -> frozenset[str]:
-    if isinstance(value, str):
-        value = [item.strip() for item in value.split(",") if item.strip()]
-    if not isinstance(value, (list, tuple, set, frozenset)):
-        raise ConfigurationError(f"{option} must be a list of rule ids")
-    return frozenset(str(item) for item in value)
-
-
-def _validate_rule_ids(ids: frozenset[str], option: str) -> None:
-    """Reject ids no registered rule answers to.
+def _parse_rule_list(value: Sequence[str] | str, option: str) -> frozenset[str]:
+    """Split a comma-separated id list and reject unregistered ids.
 
     A typo in ``--select`` would otherwise silently run *zero* rules
     (or, in ``--ignore``, suppress nothing) — the worst possible
     failure mode for a linter gate.
     """
+    if isinstance(value, str):
+        value = [item.strip() for item in value.split(",") if item.strip()]
+    ids = frozenset(str(item) for item in value)
     # Imported here: the registry fills in when the rules package runs,
     # and config must stay importable before that happens.
     from repro.analysis.rules import registered_rules
@@ -89,25 +60,7 @@ def _validate_rule_ids(ids: frozenset[str], option: str) -> None:
             f"{option} names unknown rule id(s): {', '.join(unknown)} "
             "(see --list-rules)"
         )
-
-
-def load_pyproject_table(start: Path) -> dict[str, Any]:
-    """The ``[tool.repro-analysis]`` table nearest ``start``, or ``{}``."""
-    if tomllib is None:
-        return {}
-    directory = start if start.is_dir() else start.parent
-    for candidate in (directory, *directory.parents):
-        pyproject = candidate / "pyproject.toml"
-        if pyproject.is_file():
-            with pyproject.open("rb") as handle:
-                data = tomllib.load(handle)
-            table = data.get("tool", {}).get(PYPROJECT_TABLE, {})
-            if not isinstance(table, dict):
-                raise ConfigurationError(
-                    f"[tool.{PYPROJECT_TABLE}] must be a table"
-                )
-            return table
-    return {}
+    return ids
 
 
 def resolve_config(
@@ -115,54 +68,16 @@ def resolve_config(
     select: Sequence[str] | str | None = None,
     ignore: Sequence[str] | str | None = None,
     exclude: Sequence[str] | None = None,
-    baseline: str | Path | None = None,
-    pyproject: Mapping[str, Any] | None = None,
-    no_cache: bool = False,
 ) -> AnalysisConfig:
-    """Merge pyproject defaults with explicit (CLI) overrides."""
-    pyproject = pyproject or {}
-
-    if select is None and "select" in pyproject:
-        select = _parse_rule_list(pyproject["select"], "select")
-    if ignore is None and "ignore" in pyproject:
-        ignore = _parse_rule_list(pyproject["ignore"], "ignore")
-    if not exclude and "exclude" in pyproject:
-        raw = pyproject["exclude"]
-        if not isinstance(raw, (list, tuple)):
-            raise ConfigurationError("exclude must be a list of path parts")
-        exclude = [str(item) for item in raw]
-    if baseline is None and "baseline" in pyproject:
-        baseline = str(pyproject["baseline"])
-
-    cache_dir: Path | None = Path(".ropus_cache")
-    if "cache-dir" in pyproject:
-        cache_dir = Path(str(pyproject["cache-dir"]))
-    if no_cache:
-        cache_dir = None
-
-    overrides: dict[str, Severity] = {}
-    for rule_id, name in dict(pyproject.get("severity", {})).items():
-        try:
-            overrides[str(rule_id)] = Severity(str(name))
-        except ValueError as error:
-            raise ConfigurationError(
-                f"unknown severity {name!r} for rule {rule_id}"
-            ) from error
-
-    selected = _parse_rule_list(select, "select") if select is not None else None
-    ignored = (
-        _parse_rule_list(ignore, "ignore") if ignore is not None else frozenset()
-    )
-    if selected is not None:
-        _validate_rule_ids(selected, "select")
-    if ignored:
-        _validate_rule_ids(ignored, "ignore")
-
+    """Validate the command-line values into an :class:`AnalysisConfig`."""
     return AnalysisConfig(
-        select=selected,
-        ignore=ignored,
+        select=(
+            _parse_rule_list(select, "select") if select is not None else None
+        ),
+        ignore=(
+            _parse_rule_list(ignore, "ignore")
+            if ignore is not None
+            else frozenset()
+        ),
         exclude=tuple(exclude or ()),
-        baseline=Path(baseline) if baseline is not None else None,
-        severity_overrides=overrides,
-        cache_dir=cache_dir,
     )

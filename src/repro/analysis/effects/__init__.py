@@ -1,25 +1,19 @@
 """Interprocedural effect & determinism inference.
 
-The dataflow package (ROP008-ROP011) checks one function at a time;
-this package answers the question those rules cannot: *what does a
-callable do, transitively?* It builds a project-wide call graph over
-every analyzed module (reusing the ImportMap canonical-name resolution
-the per-module rules already trust), computes a per-function
-:class:`EffectSummary` over a small effect lattice, and propagates
-summaries bottom-up through the condensation of the call graph (Tarjan
-SCCs, fixpoint within each component).
+The module-scope rules check one file at a time; this package answers
+the question they cannot: *what does a callable do, transitively?* It
+builds a project-wide call graph over every analyzed module (reusing
+the ImportMap canonical-name resolution the per-module rules already
+trust), computes a per-function :class:`EffectSummary` over a small
+effect lattice, and propagates summaries bottom-up through the
+condensation of the call graph (Tarjan SCCs, fixpoint within each
+component).
 
-The flow-aware rules ROP013-ROP016 consume the result:
-
-* **ROP013** — a transitively impure callable (ambient RNG, wall
-  clock, global mutation) submitted to an ``Executor`` /
-  ``ResilientExecutor``;
-* **ROP014** — nondeterministic iteration order reaching placement
-  decisions, checkpoint payloads, or hash inputs;
-* **ROP015** — RNG generator objects crossing process or checkpoint
-  boundaries (see :mod:`repro.analysis.rules.seed_discipline`);
-* **ROP016** — checkpoint payloads whose JSON round-trip is not
-  bit-stable.
+Two consumers read the result: **ROP013** — a transitively impure
+callable (ambient RNG, wall clock, global mutation) submitted to an
+``Executor`` / ``ResilientExecutor`` — and the typestate checker
+(ROP017–ROP020), which resolves callees through the same function
+index.
 
 Manual knowledge lives in :data:`KNOWN_EFFECTS` as *verified
 overrides*: each entry declares both what inference must derive for

@@ -65,8 +65,6 @@ def _external_contribution(site: CallSite, path: str) -> EffectSummary:
         detail = f".{site.target}() call"
     else:
         return EffectSummary.empty()
-    if site.sorted_wrapped:
-        effects = effects - {Effect.NONDET_ITERATION}
     if not effects:
         return EffectSummary.empty()
     origin = Origin(path=path, line=site.line, detail=detail)
@@ -145,7 +143,7 @@ def _tarjan_sccs(
 
 
 def infer_effects(project: EffectProject) -> EffectProject:
-    """Fill in ``project.summaries`` and ``project.reaches_sink``."""
+    """Fill in ``project.summaries``."""
     names = sorted(project.functions)
     edges: dict[str, list[str]] = {}
     for name in names:
@@ -160,18 +158,11 @@ def infer_effects(project: EffectProject) -> EffectProject:
     for component in _tarjan_sccs(names, edges):
         member_set = set(component)
         joined = EffectSummary.empty()
-        sinks: set[str] = set()
         for member in component:
             info = project.functions[member]
             joined = joined.join(info.direct)
-            if info.hash_sink:
-                sinks.add("hash")
-            if info.checkpoint_sink:
-                sinks.add("checkpoint")
             for site in info.calls:
                 target = _resolve_project_target(project, site)
-                if target is not None:
-                    sinks.update(project.reaches_sink.get(target, ()))
                 override = _override_contribution(site, info.display_path)
                 if override is not None:
                     joined = joined.join(override)
@@ -186,10 +177,8 @@ def infer_effects(project: EffectProject) -> EffectProject:
                 joined = joined.join(
                     _external_contribution(site, info.display_path)
                 )
-        frozen = frozenset(sinks)
         for member in component:
             project.summaries[member] = joined
-            project.reaches_sink[member] = frozen
     return project
 
 

@@ -4,7 +4,7 @@ Two tables:
 
 * the **intrinsic table** — effects of stdlib/numpy primitives
   (``random.random`` is ambient RNG, ``time.time`` reads the clock,
-  ``os.listdir`` yields nondeterministic order). Matched on canonical
+  ``os.listdir`` touches the filesystem). Matched on canonical
   dotted names after ImportMap resolution; a handful of constructors
   are argument-sensitive (``numpy.random.default_rng(seed)`` is
   sanctioned, ``default_rng()`` is ambient).
@@ -15,10 +15,8 @@ Two tables:
   :func:`repro.analysis.effects.inference.verify_overrides`, so a
   behaviour change in the function breaks the build until the table is
   updated consciously) and the summary call sites inherit
-  (``exported``). This is the effect-engine analogue of the dataflow
-  package's :data:`~repro.analysis.dataflow.signatures.KNOWN_SIGNATURES`
-  table, with the hand-maintained entries demoted from ground truth to
-  checked annotations.
+  (``exported``). The hand-maintained entries are checked
+  annotations, not ground truth.
 
 Unknown externals are treated as effect-free (optimistic): assuming
 the worst would mark the whole tree impure and drown every real
@@ -71,21 +69,6 @@ _SEEDABLE_RNG_CONSTRUCTORS = frozenset(
     }
 )
 
-#: Directory/file enumeration whose order is filesystem-dependent.
-NONDET_LISTING_CALLS = frozenset(
-    {
-        "os.listdir",
-        "os.scandir",
-        "os.walk",
-        "glob.glob",
-        "glob.iglob",
-    }
-)
-
-#: Path methods with filesystem-order results (matched on attribute
-#: name because the receiver's type is unknown statically).
-NONDET_LISTING_METHODS = frozenset({"iterdir", "glob", "rglob"})
-
 #: Canonical calls that touch the filesystem or process streams.
 _IO_CALLS = frozenset(
     {
@@ -99,6 +82,11 @@ _IO_CALLS = frozenset(
         "os.mkdir",
         "os.makedirs",
         "os.fsync",
+        "os.listdir",
+        "os.scandir",
+        "os.walk",
+        "glob.glob",
+        "glob.iglob",
         "shutil.copy",
         "shutil.copytree",
         "shutil.rmtree",
@@ -124,6 +112,9 @@ _IO_METHODS = frozenset(
         "mkdir",
         "touch",
         "rmdir",
+        "iterdir",
+        "glob",
+        "rglob",
     }
 )
 
@@ -157,9 +148,6 @@ def external_effects(
         effects.add(Effect.AMBIENT_RNG)
     if canonical in WALL_CLOCK_CALLS:
         effects.add(Effect.WALL_CLOCK)
-    if canonical in NONDET_LISTING_CALLS:
-        effects.add(Effect.NONDET_ITERATION)
-        effects.add(Effect.IO)
     if canonical in _IO_CALLS:
         effects.add(Effect.IO)
     if canonical in _ENV_CALLS or canonical.startswith("os.environ."):
@@ -169,18 +157,9 @@ def external_effects(
 
 def method_effects(attribute: str) -> frozenset[Effect]:
     """Effects of an unresolvable ``receiver.attribute(...)`` call."""
-    effects: set[Effect] = set()
-    if attribute in NONDET_LISTING_METHODS:
-        effects.add(Effect.NONDET_ITERATION)
-        effects.add(Effect.IO)
     if attribute in _IO_METHODS:
-        effects.add(Effect.IO)
-    return frozenset(effects)
-
-
-def is_env_read(canonical: str) -> bool:
-    """Whether reading the name itself (not calling) touches the env."""
-    return canonical == "os.environ" or canonical.startswith("os.environ.")
+        return frozenset({Effect.IO})
+    return frozenset()
 
 
 # --------------------------------------------------------------------

@@ -8,7 +8,7 @@ finite and has no infinite ascending chains).
 
 Each effect a summary carries is anchored by an :class:`Origin` — the
 ``path:line`` of the *primitive* site that introduced it (the
-``random.random()`` call, the ``for x in some_set`` loop), preserved
+``random.random()`` call, the ``global`` rebinding), preserved
 unchanged as the effect propagates up the call graph. Rule messages
 can therefore point a reviewer at the actual offending line three
 calls deep instead of at the function that merely inherited it.
@@ -41,11 +41,6 @@ class Effect(enum.Enum):
     IO = "io"
     #: Reads the process environment (``os.environ`` / ``os.getenv``).
     ENV = "env"
-    #: Iterates a collection whose order is not reproducible
-    #: (``set``/``frozenset`` iteration, unsorted ``os.listdir``/``glob``).
-    NONDET_ITERATION = "nondet-iteration"
-    #: Defined in a nested scope, so it cannot cross a pickle boundary.
-    UNPICKLABLE_CAPTURE = "unpicklable-capture"
 
     def __str__(self) -> str:
         return self.value
@@ -111,8 +106,3 @@ class EffectSummary:
 
 
 _EMPTY = EffectSummary(effects=frozenset(), origins={})
-
-
-def effects_from_names(names: Iterable[str]) -> frozenset[Effect]:
-    """Parse effect value-strings (``"ambient-rng"``) into members."""
-    return frozenset(Effect(name) for name in names)

@@ -4,20 +4,18 @@ One :class:`_ModuleScanner` pass per analyzed module produces a
 :class:`FunctionInfo` for each ``def`` (top-level functions, methods,
 and nested functions each get their own entry, qualified
 ``module.Class.name`` / ``module.outer.<locals>.inner``). The scan
-records three things the inference pass and the ROP013-ROP016 rules
-consume:
+records three things the inference pass, ROP013 and the typestate
+checker consume:
 
 * **direct effects** — primitive effect sites observable in the body
-  itself (set iteration, mutable-global access, ``global`` rebinding,
-  ``os.environ`` reads); intrinsic *call* effects are resolved later,
-  at inference time, once the full project index exists;
+  itself (mutable-global access, ``global`` rebinding, ``os.environ``
+  reads); intrinsic *call* effects are resolved later, at inference
+  time, once the full project index exists;
 * **call sites** — the callee reference in canonical dotted form
   (through the module's ImportMap) plus enough syntax to resolve
   argument-sensitive intrinsics;
-* **boundary sites** — executor submissions (``.map``/``.submit`` on
-  executor-shaped receivers) and checkpoint saves (``.save`` on
-  checkpoint-shaped receivers), the crossing points the flow rules
-  police.
+* **submission sites** — ``.map``/``.submit`` on executor-shaped
+  receivers, the crossing point ROP013 polices.
 
 Resolution is deliberately optimistic: an attribute call on an
 unknown receiver contributes only what the method-name heuristics
@@ -31,22 +29,14 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator
 
-from repro.analysis.effects.intrinsics import (
-    NONDET_LISTING_CALLS,
-    NONDET_LISTING_METHODS,
-)
 from repro.analysis.effects.lattice import Effect, EffectSummary, Origin
-from repro.analysis.rules.base import ImportMap, ModuleContext, dotted_name
+from repro.analysis.rules.base import ModuleContext, dotted_name
 
 #: Receiver-name fragments that mark a ``.map``/``.submit`` call as an
 #: executor submission (mirrors ROP004's heuristic).
 _EXECUTOR_NAME_PARTS = ("executor", "session", "pool", "engine")
-
-#: Receiver-name fragments that mark a ``.save`` call as a checkpoint
-#: write.
-_CHECKPOINT_NAME_PARTS = ("checkpoint",)
 
 _SUBMIT_METHODS = frozenset({"map", "submit"})
 
@@ -70,12 +60,6 @@ _MUTATING_METHODS = frozenset(
     }
 )
 
-#: Builtins that materialize their (first) argument's iteration order.
-_ORDER_MATERIALIZERS = frozenset({"list", "tuple", "enumerate", "iter"})
-
-#: Set-typed annotation spellings.
-_SET_ANNOTATIONS = frozenset({"set", "frozenset", "Set", "FrozenSet"})
-
 
 def _receiver_matches(receiver: ast.expr, parts: tuple[str, ...]) -> bool:
     dotted = dotted_name(receiver)
@@ -95,7 +79,6 @@ class CallSite:
     target: str | None
     node: ast.Call | None
     receiver: str | None = None
-    sorted_wrapped: bool = False
 
 
 @dataclass(frozen=True)
@@ -104,20 +87,8 @@ class SubmissionSite:
 
     line: int
     col: int
-    node: ast.Call
     work_repr: str
-    work_kind: str  # "name" | "project" | "lambda" | "unknown"
     work_target: str | None
-
-
-@dataclass(frozen=True)
-class SaveSite:
-    """One ``checkpointer.save(key, payload)`` call."""
-
-    line: int
-    col: int
-    node: ast.Call
-    payload: ast.expr | None
 
 
 @dataclass
@@ -130,14 +101,8 @@ class FunctionInfo:
     node: ast.FunctionDef | ast.AsyncFunctionDef
     context: ModuleContext
     direct: EffectSummary = field(default_factory=EffectSummary.empty)
-    #: Every primitive effect site in the body (the summary keeps only
-    #: the first origin per effect; rules want all of them).
-    direct_sites: tuple[tuple[Effect, Origin], ...] = ()
     calls: list[CallSite] = field(default_factory=list)
     submissions: list[SubmissionSite] = field(default_factory=list)
-    saves: list[SaveSite] = field(default_factory=list)
-    hash_sink: bool = False
-    checkpoint_sink: bool = False
 
     @property
     def short_name(self) -> str:
@@ -202,7 +167,7 @@ class _ModuleScanner:
         for stmt in self.context.tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._scan_function(
-                    stmt, f"{self.module}.{stmt.name}", None, False, functions
+                    stmt, f"{self.module}.{stmt.name}", None, functions
                 )
             elif isinstance(stmt, ast.ClassDef):
                 for item in stmt.body:
@@ -213,7 +178,6 @@ class _ModuleScanner:
                             item,
                             f"{self.module}.{stmt.name}.{item.name}",
                             stmt.name,
-                            False,
                             functions,
                         )
         return functions
@@ -223,7 +187,6 @@ class _ModuleScanner:
         node: ast.FunctionDef | ast.AsyncFunctionDef,
         qualified: str,
         class_name: str | None,
-        nested: bool,
         out: list[FunctionInfo],
     ) -> None:
         info = FunctionInfo(
@@ -233,7 +196,7 @@ class _ModuleScanner:
             node=node,
             context=self.context,
         )
-        visitor = _FunctionBodyVisitor(self, info, class_name, nested)
+        visitor = _FunctionBodyVisitor(self, info, class_name)
         visitor.run()
         out.append(info)
         for child in visitor.nested_defs:
@@ -241,7 +204,6 @@ class _ModuleScanner:
                 child,
                 f"{qualified}.<locals>.{child.name}",
                 class_name,
-                True,
                 out,
             )
 
@@ -261,18 +223,6 @@ def _assigned_names(stmt: ast.stmt) -> Iterator[str]:
                     yield element.id
 
 
-def _is_set_annotation(annotation: ast.expr | None) -> bool:
-    if annotation is None:
-        return False
-    node = annotation
-    if isinstance(node, ast.Subscript):
-        node = node.value
-    name = dotted_name(node)
-    if name is None:
-        return False
-    return name.split(".")[-1] in _SET_ANNOTATIONS
-
-
 class _FunctionBodyVisitor(ast.NodeVisitor):
     """One pass over a single function body.
 
@@ -286,17 +236,13 @@ class _FunctionBodyVisitor(ast.NodeVisitor):
         scanner: _ModuleScanner,
         info: FunctionInfo,
         class_name: str | None,
-        nested: bool,
     ) -> None:
         self.scanner = scanner
         self.info = info
         self.class_name = class_name
-        self.nested = nested
         self.nested_defs: list[ast.FunctionDef | ast.AsyncFunctionDef] = []
         self._nested_names: dict[str, str] = {}
         self._effects: list[tuple[Effect, Origin]] = []
-        self._sorted_wrapped: set[int] = set()
-        self._set_locals: set[str] = set()
         self._global_decls: set[str] = set()
         self._local_bindings: set[str] = set()
         self._root = info.node
@@ -307,11 +253,9 @@ class _FunctionBodyVisitor(ast.NodeVisitor):
         for stmt in self._root.body:
             self.visit(stmt)
         self.info.direct = EffectSummary.of(self._effects)
-        self.info.direct_sites = tuple(self._effects)
-        self.info.calls = list(self.info.calls)
 
     def _prepass(self) -> None:
-        """Collect nested defs, set-typed locals, and global decls."""
+        """Collect nested defs, local bindings, and global decls."""
         args = self._root.args
         for arg in [
             *args.posonlyargs,
@@ -321,8 +265,6 @@ class _FunctionBodyVisitor(ast.NodeVisitor):
             *([args.kwarg] if args.kwarg else []),
         ]:
             self._local_bindings.add(arg.arg)
-            if _is_set_annotation(arg.annotation):
-                self._set_locals.add(arg.arg)
         for node in ast.walk(self._root):
             if node is self._root:
                 continue
@@ -336,17 +278,6 @@ class _FunctionBodyVisitor(ast.NodeVisitor):
                 node.ctx, ast.Store
             ):
                 self._local_bindings.add(node.id)
-            if isinstance(node, ast.Assign):
-                if self._is_set_expr(node.value) is not None:
-                    for name in _assigned_names(node):
-                        self._set_locals.add(name)
-            elif isinstance(node, ast.AnnAssign):
-                if _is_set_annotation(node.annotation) or (
-                    node.value is not None
-                    and self._is_set_expr(node.value) is not None
-                ):
-                    for name in _assigned_names(node):
-                        self._set_locals.add(name)
 
     # -- helpers -------------------------------------------------------
     def _origin(self, node: ast.AST, detail: str) -> Origin:
@@ -359,57 +290,12 @@ class _FunctionBodyVisitor(ast.NodeVisitor):
     def _add(self, effect: Effect, node: ast.AST, detail: str) -> None:
         self._effects.append((effect, self._origin(node, detail)))
 
-    def _is_set_expr(self, node: ast.expr) -> str | None:
-        """A human description when ``node`` evaluates to a set."""
-        if isinstance(node, ast.Set):
-            return "set literal"
-        if isinstance(node, ast.SetComp):
-            return "set comprehension"
-        if isinstance(node, ast.Call):
-            callee = dotted_name(node.func)
-            if callee in {"set", "frozenset"}:
-                return f"{callee}(...)"
-        if isinstance(node, ast.Name) and node.id in self._set_locals:
-            return f"set-typed local {node.id!r}"
-        return None
-
-    def _check_iteration_source(self, node: ast.expr, context: str) -> None:
-        description = self._is_set_expr(node)
-        if description is not None:
-            self._add(
-                Effect.NONDET_ITERATION,
-                node,
-                f"{context} over {description}",
-            )
-
     # -- structural visitors -------------------------------------------
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self.nested_defs.append(node)
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
         self.nested_defs.append(node)
-
-    def visit_For(self, node: ast.For) -> None:
-        self._check_iteration_source(node.iter, "for-loop")
-        self.generic_visit(node)
-
-    def visit_AsyncFor(self, node: ast.AsyncFor) -> None:
-        self._check_iteration_source(node.iter, "for-loop")
-        self.generic_visit(node)
-
-    def _visit_comprehension(self, node: ast.AST) -> None:
-        for generator in getattr(node, "generators", []):
-            self._check_iteration_source(generator.iter, "comprehension")
-        self.generic_visit(node)
-
-    visit_ListComp = _visit_comprehension
-    visit_SetComp = _visit_comprehension
-    visit_DictComp = _visit_comprehension
-    visit_GeneratorExp = _visit_comprehension
-
-    def visit_Starred(self, node: ast.Starred) -> None:
-        self._check_iteration_source(node.value, "unpacking")
-        self.generic_visit(node)
 
     def visit_Global(self, node: ast.Global) -> None:
         self._add(
@@ -451,30 +337,6 @@ class _FunctionBodyVisitor(ast.NodeVisitor):
 
     # -- calls ---------------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
-        callee = dotted_name(node.func)
-        if callee == "sorted" or callee in {"min", "max", "sum"}:
-            # Order-insensitive consumers sanction a nondet source as
-            # their *direct* argument.
-            for arg in node.args:
-                if isinstance(arg, ast.Call):
-                    self._sorted_wrapped.add(id(arg))
-        if callee in _ORDER_MATERIALIZERS and node.args:
-            self._check_iteration_source(node.args[0], f"{callee}(...)")
-        elif callee in {"map", "filter"} and len(node.args) >= 2:
-            for arg in node.args[1:]:
-                self._check_iteration_source(arg, f"{callee}(...)")
-        elif callee == "zip":
-            for arg in node.args:
-                self._check_iteration_source(arg, "zip(...)")
-        elif callee == "dict.fromkeys" and node.args:
-            self._check_iteration_source(node.args[0], "dict.fromkeys(...)")
-        if (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr == "join"
-            and node.args
-        ):
-            self._check_iteration_source(node.args[0], "str.join(...)")
-
         # Mutation of module-level containers through their methods.
         if isinstance(node.func, ast.Attribute):
             receiver = dotted_name(node.func.value)
@@ -490,12 +352,11 @@ class _FunctionBodyVisitor(ast.NodeVisitor):
                 )
 
         self._record_call(node)
-        self._record_boundaries(node)
+        self._record_submission(node)
         self.generic_visit(node)
 
     def _record_call(self, node: ast.Call) -> None:
         kind, target, receiver = self._resolve_callable(node.func)
-        sorted_wrapped = id(node) in self._sorted_wrapped
         self.info.calls.append(
             CallSite(
                 line=node.lineno,
@@ -504,46 +365,23 @@ class _FunctionBodyVisitor(ast.NodeVisitor):
                 target=target,
                 node=node,
                 receiver=receiver,
-                sorted_wrapped=sorted_wrapped,
             )
         )
-        if kind == "name" and target is not None and (
-            target.startswith("hashlib.")
-        ):
-            self.info.hash_sink = True
 
-    def _record_boundaries(self, node: ast.Call) -> None:
-        if not isinstance(node.func, ast.Attribute):
-            return
-        attr = node.func.attr
-        if attr in _SUBMIT_METHODS and _receiver_matches(
-            node.func.value, _EXECUTOR_NAME_PARTS
+    def _record_submission(self, node: ast.Call) -> None:
+        if (
+            isinstance(node.func, ast.Attribute)
+            and node.func.attr in _SUBMIT_METHODS
+            and _receiver_matches(node.func.value, _EXECUTOR_NAME_PARTS)
+            and node.args
         ):
-            if node.args:
-                work_kind, work_target, work_repr = self._resolve_work(
-                    node.args[0]
-                )
-                self.info.submissions.append(
-                    SubmissionSite(
-                        line=node.lineno,
-                        col=node.col_offset,
-                        node=node,
-                        work_repr=work_repr,
-                        work_kind=work_kind,
-                        work_target=work_target,
-                    )
-                )
-        elif attr == "save" and _receiver_matches(
-            node.func.value, _CHECKPOINT_NAME_PARTS
-        ):
-            self.info.checkpoint_sink = True
-            payload = node.args[1] if len(node.args) >= 2 else None
-            self.info.saves.append(
-                SaveSite(
+            work = node.args[0]
+            self.info.submissions.append(
+                SubmissionSite(
                     line=node.lineno,
                     col=node.col_offset,
-                    node=node,
-                    payload=payload,
+                    work_repr=ast.unparse(work),
+                    work_target=self._resolve_work(work),
                 )
             )
 
@@ -591,13 +429,14 @@ class _FunctionBodyVisitor(ast.NodeVisitor):
             return "method", func.attr, receiver
         return "unknown", dotted, None
 
-    def _resolve_work(
-        self, arg: ast.expr
-    ) -> tuple[str, str | None, str]:
-        """Resolve the work-unit argument of an executor submission."""
-        work_repr = ast.unparse(arg)
+    def _resolve_work(self, arg: ast.expr) -> str | None:
+        """Canonical name of an executor submission's work unit.
+
+        Sees through ``functools.partial(fn, ...)``; lambdas and other
+        call results resolve to ``None``.
+        """
         if isinstance(arg, ast.Lambda):
-            return "lambda", None, work_repr
+            return None
         if isinstance(arg, ast.Call):
             kind, target, _ = self._resolve_callable(arg.func)
             if (
@@ -606,11 +445,9 @@ class _FunctionBodyVisitor(ast.NodeVisitor):
                 and arg.args
             ):
                 return self._resolve_work(arg.args[0])
-            return "unknown", None, work_repr
+            return None
         kind, target, _ = self._resolve_callable(arg)
-        if kind == "name" and target is not None:
-            return "name", target, work_repr
-        return "unknown", None, work_repr
+        return target if kind == "name" else None
 
 
 @dataclass
@@ -620,15 +457,6 @@ class EffectProject:
     modules: list[ModuleContext]
     functions: dict[str, FunctionInfo]
     summaries: dict[str, EffectSummary] = field(default_factory=dict)
-    #: Which sink kinds (``"hash"``, ``"checkpoint"``) each function
-    #: transitively reaches through project-internal calls.
-    reaches_sink: dict[str, frozenset[str]] = field(default_factory=dict)
-
-    def summary(self, qualified: str) -> EffectSummary | None:
-        return self.summaries.get(qualified)
-
-    def function(self, qualified: str) -> FunctionInfo | None:
-        return self.functions.get(qualified)
 
 
 def build_project(modules: list[ModuleContext]) -> EffectProject:
@@ -684,27 +512,12 @@ class ProjectContext:
         return self._typestate
 
 
-#: Re-exported for rule modules that need the same receiver heuristic.
-def looks_like_executor(receiver: ast.expr) -> bool:
-    return _receiver_matches(receiver, _EXECUTOR_NAME_PARTS)
-
-
-def looks_like_checkpointer(receiver: ast.expr) -> bool:
-    return _receiver_matches(receiver, _CHECKPOINT_NAME_PARTS)
-
-
-# Re-exported so rules can reason about listing calls consistently.
 __all__ = [
     "CallSite",
     "EffectProject",
     "FunctionInfo",
     "ProjectContext",
-    "SaveSite",
     "SubmissionSite",
     "build_project",
-    "looks_like_checkpointer",
-    "looks_like_executor",
     "module_name_for",
-    "NONDET_LISTING_CALLS",
-    "NONDET_LISTING_METHODS",
 ]

@@ -16,13 +16,11 @@ class Severity(enum.Enum):
     """How a finding affects the analysis exit code.
 
     ``ERROR`` findings fail the run; ``WARNING`` findings are reported
-    but do not block. ``NOTE`` is reserved for informational output
-    (e.g. baseline bookkeeping).
+    but do not block.
     """
 
     ERROR = "error"
     WARNING = "warning"
-    NOTE = "note"
 
     def __str__(self) -> str:
         return self.value
@@ -48,11 +46,3 @@ class Finding:
     def sort_key(self) -> tuple[str, int, int, str]:
         """Order findings top-to-bottom per file, then by rule id."""
         return (self.path, self.line, self.column, self.rule)
-
-    def fingerprint(self) -> tuple[str, str, str]:
-        """Line-independent identity used by baseline suppression.
-
-        Deliberately excludes ``line``/``column`` so unrelated edits
-        that shift code do not invalidate a recorded baseline entry.
-        """
-        return (self.rule, self.path, self.message)

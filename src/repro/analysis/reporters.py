@@ -1,10 +1,9 @@
 """Text, JSON, and SARIF rendering of analysis results.
 
 The text reporter is for humans (``path:line:col RULE message``); the
-JSON reporter is a stable machine interface whose output round-trips
-through :func:`parse_json` — CI tooling can consume findings without
-scraping text. The SARIF reporter emits a SARIF 2.1.0 log so CI can
-publish findings to code-scanning UIs (GitHub's
+JSON reporter is a stable machine interface — CI tooling can consume
+findings without scraping text. The SARIF reporter emits a SARIF 2.1.0
+log so CI can publish findings to code-scanning UIs (GitHub's
 ``codeql-action/upload-sarif`` consumes it directly).
 """
 
@@ -14,7 +13,6 @@ import json
 from typing import Any, Sequence
 
 from repro.analysis.findings import Finding, Severity
-from repro.exceptions import ConfigurationError
 
 JSON_SCHEMA_VERSION = 1
 
@@ -34,47 +32,16 @@ def finding_to_dict(finding: Finding) -> dict[str, Any]:
     }
 
 
-def finding_from_dict(data: dict[str, Any]) -> Finding:
-    try:
-        return Finding(
-            path=str(data["path"]),
-            line=int(data["line"]),
-            column=int(data["column"]),
-            rule=str(data["rule"]),
-            message=str(data["message"]),
-            hint=str(data["hint"]),
-            severity=Severity(str(data["severity"])),
-        )
-    except (KeyError, ValueError, TypeError) as error:
-        raise ConfigurationError(f"malformed finding record: {data!r}") from error
-
-
-def render_json(
-    findings: Sequence[Finding], *, suppressed: int = 0
-) -> str:
+def render_json(findings: Sequence[Finding]) -> str:
     """Machine-readable report; stable field order, newline-terminated."""
     payload = {
         "version": JSON_SCHEMA_VERSION,
-        "suppressed": suppressed,
         "findings": [
             finding_to_dict(finding)
             for finding in sorted(findings, key=Finding.sort_key)
         ],
     }
     return json.dumps(payload, indent=2) + "\n"
-
-
-def parse_json(text: str) -> list[Finding]:
-    """Inverse of :func:`render_json` (findings only)."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise ConfigurationError(f"invalid analysis JSON: {error}") from error
-    if payload.get("version") != JSON_SCHEMA_VERSION:
-        raise ConfigurationError(
-            f"unsupported analysis JSON version {payload.get('version')!r}"
-        )
-    return [finding_from_dict(entry) for entry in payload.get("findings", [])]
 
 
 def _sarif_level(severity: Severity) -> str:
@@ -101,15 +68,8 @@ def _sarif_rules() -> list[dict[str, Any]]:
     ]
 
 
-def render_sarif(
-    findings: Sequence[Finding], *, suppressed: int = 0
-) -> str:
-    """SARIF 2.1.0 log of the findings, newline-terminated.
-
-    ``suppressed`` (baseline-suppressed count) is recorded as a run
-    property so the number survives into the uploaded log without
-    inventing phantom result objects for suppressed findings.
-    """
+def render_sarif(findings: Sequence[Finding]) -> str:
+    """SARIF 2.1.0 log of the findings, newline-terminated."""
     results = [
         {
             "ruleId": finding.rule,
@@ -151,16 +111,13 @@ def render_sarif(
                     }
                 },
                 "results": results,
-                "properties": {"baselineSuppressed": suppressed},
             }
         ],
     }
     return json.dumps(payload, indent=2) + "\n"
 
 
-def render_text(
-    findings: Sequence[Finding], *, suppressed: int = 0
-) -> str:
+def render_text(findings: Sequence[Finding]) -> str:
     """Human-readable report, one line per finding plus a summary."""
     lines = []
     for finding in sorted(findings, key=Finding.sort_key):
@@ -173,7 +130,5 @@ def render_text(
     errors = sum(1 for f in findings if f.severity is Severity.ERROR)
     warnings = sum(1 for f in findings if f.severity is Severity.WARNING)
     summary = f"{errors} error(s), {warnings} warning(s)"
-    if suppressed:
-        summary += f", {suppressed} baseline-suppressed"
-    lines.append(summary if findings or suppressed else "clean: no findings")
+    lines.append(summary if findings else "clean: no findings")
     return "\n".join(lines) + "\n"

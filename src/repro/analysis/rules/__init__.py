@@ -12,11 +12,8 @@ from repro.analysis.rules import (  # noqa: F401  (imported for registration)
     float_equality,
     mutable_default,
     naked_rng,
-    seed_discipline,
-    shared_mutation,
-    swallowed_failure,
     typestate_rules,
-    unit_flow,
+    unvalidated_boundary,
     wall_clock,
 )
 from repro.analysis.rules.base import (

@@ -175,8 +175,8 @@ class ProjectRule(Rule):
     :class:`repro.analysis.effects.project.ProjectContext` — every
     parsed module plus the lazily computed effect inference — and
     returns findings that may anchor anywhere in the tree. Inline
-    ``# ropus: ignore`` suppression and the baseline still apply,
-    keyed on the file each finding lands in.
+    ``# ropus: ignore`` suppression still applies, keyed on the file
+    each finding lands in.
     """
 
     scope: ClassVar[str] = "project"

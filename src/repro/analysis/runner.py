@@ -4,11 +4,8 @@
 paths, parses every ``.py`` file once, runs each enabled module rule's
 visitor over the tree, then runs the project-scope rules (ROP013+,
 built on the interprocedural effect engine) over the whole parsed set,
-and finally applies the two suppression layers:
-
-* inline ``# ropus: ignore`` / ``# ropus: ignore[ROP001]`` comments on
-  the flagged line;
-* the optional JSON baseline file (:mod:`repro.analysis.baseline`).
+and finally drops findings silenced by an inline ``# ropus: ignore`` /
+``# ropus: ignore[ROP001]`` comment on the flagged line.
 
 Exit codes: ``0`` clean, ``1`` at least one error-severity finding,
 ``2`` configuration/usage failure.
@@ -19,18 +16,14 @@ from __future__ import annotations
 import argparse
 import ast
 import re
-import subprocess
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from repro.analysis import baseline as baseline_module
-from repro.analysis import cache as cache_module
 from repro.analysis.config import (
     DEFAULT_EXCLUDED_DIRS,
     AnalysisConfig,
-    load_pyproject_table,
     resolve_config,
 )
 from repro.analysis.findings import Finding, Severity
@@ -51,7 +44,6 @@ class AnalysisResult:
 
     findings: tuple[Finding, ...]
     suppressed_inline: int
-    suppressed_baseline: int
     files_analyzed: int
 
     @property
@@ -140,13 +132,6 @@ def _parse_module(path: Path) -> tuple[ModuleContext | None, Finding | None]:
     )
 
 
-def _apply_severity(finding: Finding, config: AnalysisConfig) -> Finding:
-    severity = config.severity_for(finding.rule, finding.severity)
-    if severity is not finding.severity:
-        return replace(finding, severity=severity)
-    return finding
-
-
 def _run_module_rules(
     context: ModuleContext, config: AnalysisConfig
 ) -> list[Finding]:
@@ -158,8 +143,7 @@ def _run_module_rules(
             continue
         if not rule_class.applies_to(context):
             continue
-        for finding in rule_class(context).check():
-            raw.append(_apply_severity(finding, config))
+        raw.extend(rule_class(context).check())
     return raw
 
 
@@ -180,67 +164,19 @@ def _run_project_rules(
     if not rule_classes or not contexts:
         return []
 
-    cache_key: str | None = None
-    if config.cache_dir is not None:
-        cache_key = cache_module.project_cache_key(
-            contexts,
-            [rule_class.rule_id for rule_class in rule_classes],
-            [
-                config.severity_for(
-                    rule_class.rule_id, rule_class.default_severity
-                ).value
-                for rule_class in rule_classes
-            ],
-        )
-        cached = cache_module.load_project_findings(
-            config.cache_dir, cache_key
-        )
-        if cached is not None:
-            return cached
-
     from repro.analysis.effects.project import ProjectContext
 
     project = ProjectContext(list(contexts))
     raw: list[Finding] = []
     for rule_class in rule_classes:
-        for finding in rule_class(project).check():  # type: ignore[call-arg]
-            raw.append(_apply_severity(finding, config))
-    if cache_key is not None and config.cache_dir is not None:
-        cache_module.store_project_findings(
-            config.cache_dir, cache_key, raw
-        )
+        raw.extend(rule_class(project).check())  # type: ignore[call-arg]
     return raw
-
-
-def analyze_file(
-    path: Path, config: AnalysisConfig
-) -> tuple[list[Finding], int]:
-    """Run every enabled rule over one file.
-
-    Returns ``(findings, inline_suppressed_count)``. Project-scope
-    rules run with the single file as the whole project, so
-    intra-module interprocedural findings still surface. A file that
-    does not parse yields a single ``ROP000`` syntax-error finding
-    rather than aborting the run.
-    """
-    context, parse_error = _parse_module(path)
-    if context is None:
-        return [parse_error] if parse_error is not None else [], 0
-
-    raw = _run_module_rules(context, config)
-    raw.extend(_run_project_rules([context], config))
-    findings = [
-        finding
-        for finding in raw
-        if not _inline_suppressed(finding, context.source_lines)
-    ]
-    return findings, len(raw) - len(findings)
 
 
 def analyze_paths(
     paths: Sequence[str | Path], config: AnalysisConfig | None = None
 ) -> AnalysisResult:
-    """Analyze files/directories and apply every suppression layer."""
+    """Analyze files/directories and apply inline suppressions."""
     config = config if config is not None else AnalysisConfig()
     files = iter_python_files([Path(path) for path in paths], config)
     raw: list[Finding] = []
@@ -265,68 +201,11 @@ def analyze_paths(
             finding, sources.get(finding.path, [])
         )
     ]
-    inline_suppressed = len(raw) - len(findings)
-
-    baseline_suppressed = 0
-    if config.baseline is not None and config.baseline.exists():
-        fingerprints = baseline_module.load_baseline(config.baseline)
-        findings, baseline_suppressed = baseline_module.apply_baseline(
-            findings, fingerprints
-        )
-
     return AnalysisResult(
         findings=tuple(sorted(findings, key=Finding.sort_key)),
-        suppressed_inline=inline_suppressed,
-        suppressed_baseline=baseline_suppressed,
+        suppressed_inline=len(raw) - len(findings),
         files_analyzed=len(files),
     )
-
-
-def changed_python_files(roots: Sequence[Path]) -> list[Path]:
-    """Python files touched relative to ``HEAD``, scoped to ``roots``.
-
-    Union of worktree+index modifications and untracked files, so the
-    mode sees exactly what a ``git commit -a`` would ship. Deleted
-    files drop out naturally (they no longer exist on disk). Project
-    rules then see *only* the changed files, which keeps the mode fast
-    at the cost of cross-module edges into unchanged code — the full
-    run in CI retains complete coverage.
-    """
-    names: set[str] = set()
-    for command in (
-        ["git", "diff", "--name-only", "HEAD"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ):
-        try:
-            proc = subprocess.run(
-                command, capture_output=True, text=True, check=False
-            )
-        except OSError as error:  # pragma: no cover - git missing
-            raise ConfigurationError(
-                f"--changed requires git: {error}"
-            ) from error
-        if proc.returncode != 0:
-            raise ConfigurationError(
-                "--changed requires a git checkout: "
-                + proc.stderr.strip()
-            )
-        names.update(
-            line.strip() for line in proc.stdout.splitlines() if line.strip()
-        )
-
-    resolved_roots = [root.resolve() for root in roots]
-    selected: list[Path] = []
-    for name in sorted(names):
-        candidate = Path(name)
-        if candidate.suffix != ".py" or not candidate.is_file():
-            continue
-        resolved = candidate.resolve()
-        if any(
-            resolved == root or root in resolved.parents
-            for root in resolved_roots
-        ):
-            selected.append(candidate)
-    return selected
 
 
 def add_analysis_arguments(parser: argparse.ArgumentParser) -> None:
@@ -356,32 +235,6 @@ def add_analysis_arguments(parser: argparse.ArgumentParser) -> None:
         help="path substring to skip (repeatable)",
     )
     parser.add_argument(
-        "--baseline", default=None,
-        help="JSON baseline file of accepted findings",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="record current findings into --baseline and exit 0",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help=(
-            "prune baseline entries that no longer match a finding "
-            "(listing each stale suppression) and exit 0"
-        ),
-    )
-    parser.add_argument(
-        "--changed", action="store_true",
-        help=(
-            "analyze only files changed relative to git HEAD "
-            "(scoped to the given paths)"
-        ),
-    )
-    parser.add_argument(
-        "--no-config", action="store_true",
-        help="skip the [tool.repro-analysis] pyproject table",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true",
         help="print every registered rule and exit",
     )
@@ -391,10 +244,6 @@ def add_analysis_arguments(parser: argparse.ArgumentParser) -> None:
             "print one rule's description, rationale, and good/bad "
             "examples, then exit"
         ),
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the .ropus_cache project-pass cache",
     )
 
 
@@ -484,7 +333,7 @@ def run_analysis_command(args: argparse.Namespace) -> int:
     if args.list_rules:
         sys.stdout.write(_list_rules())
         return 0
-    if getattr(args, "explain", None):
+    if args.explain:
         try:
             sys.stdout.write(explain_rule(args.explain))
         except ConfigurationError as error:
@@ -493,67 +342,16 @@ def run_analysis_command(args: argparse.Namespace) -> int:
         return 0
 
     try:
-        pyproject = (
-            {} if args.no_config else load_pyproject_table(Path(args.paths[0]))
-        )
         config = resolve_config(
-            select=args.select,
-            ignore=args.ignore,
-            exclude=args.exclude,
-            baseline=args.baseline,
-            pyproject=pyproject,
-            no_cache=getattr(args, "no_cache", False),
+            select=args.select, ignore=args.ignore, exclude=args.exclude
         )
-        paths: Sequence[str | Path] = args.paths
-        if getattr(args, "changed", False):
-            paths = changed_python_files(
-                [Path(path) for path in args.paths]
-            )
-            if not paths:
-                sys.stdout.write("no changed Python files to analyze\n")
-                return 0
-        if args.write_baseline or getattr(args, "update_baseline", False):
-            if config.baseline is None:
-                raise ConfigurationError(
-                    "--write-baseline/--update-baseline require "
-                    "--baseline PATH"
-                )
-            # Record findings pre-baseline so the file is complete.
-            scan_config = replace(config, baseline=None)
-            result = analyze_paths(paths, scan_config)
-            if args.write_baseline:
-                count = baseline_module.write_baseline(
-                    result.findings, config.baseline
-                )
-                sys.stdout.write(
-                    f"wrote {count} suppression(s) to {config.baseline}\n"
-                )
-                return 0
-            kept, stale = baseline_module.prune_baseline(
-                result.findings, config.baseline
-            )
-            for rule, file_path, message in stale:
-                sys.stderr.write(
-                    f"warning: stale suppression pruned: "
-                    f"{rule} {file_path}: {message}\n"
-                )
-            sys.stdout.write(
-                f"baseline {config.baseline}: kept {kept} "
-                f"suppression(s), pruned {len(stale)} stale\n"
-            )
-            return 0
-        result = analyze_paths(paths, config)
+        result = analyze_paths(args.paths, config)
     except ConfigurationError as error:
         sys.stderr.write(f"repro.analysis: {error}\n")
         return 2
 
-    suppressed = result.suppressed_baseline
-    if args.format == "json":
-        sys.stdout.write(render_json(result.findings, suppressed=suppressed))
-    elif args.format == "sarif":
-        sys.stdout.write(render_sarif(result.findings, suppressed=suppressed))
-    else:
-        sys.stdout.write(render_text(result.findings, suppressed=suppressed))
+    render = {"json": render_json, "sarif": render_sarif, "text": render_text}
+    sys.stdout.write(render[args.format](result.findings))
     return 0 if result.clean else 1
 
 

@@ -13,8 +13,7 @@ Per function, the checker tracks every resource acquired through the
 
 The analysis is a forward fixpoint over the function's CFG with
 set-union joins; exception edges propagate the source block's *entry*
-state (the raising statement never completed), matching the unit
-dataflow engine's convention. Because the builder isolates every
+state (the raising statement never completed). Because the builder isolates every
 may-raise statement in a singleton block, the entry state is exactly
 the pre-statement state for all protocol-relevant operations (which
 are calls, hence always may-raise).
@@ -46,7 +45,7 @@ import ast
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.analysis.dataflow.cfg import ControlFlowGraph, build_cfg
+from repro.analysis.cfg import ControlFlowGraph, build_cfg
 from repro.analysis.rules.base import dotted_name
 from repro.analysis.typestate.escape import (
     RELEASES,

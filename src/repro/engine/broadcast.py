@@ -22,8 +22,7 @@ How it composes:
 * :func:`resolve` is its worker-side inverse, called once per process by
   the pool initializer. Attached segments are cached per process and the
   restored views are marked non-writeable, so a worker that mutates the
-  "shared" payload faults immediately instead of corrupting siblings
-  (the same invariant the ROP007 lint rule enforces statically).
+  "shared" payload faults immediately instead of corrupting siblings.
 
 The pickle fallback is always preserved — :func:`publish` returns the
 payload unchanged (and ``shared_bytes == 0``) when there is nothing to

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -203,22 +202,6 @@ class FailureCase:
         return _scenario_label(
             self.kind, self.domain, self.failed_servers, self.degraded
         )
-
-    @property
-    def failed_server(self) -> str:
-        """Deprecated: the ``"+"``-joined display string.
-
-        Use :attr:`failed_servers` (structured) or :attr:`label`
-        (display/checkpoint identity) instead; this property exists only
-        for callers written against the pre-domain API.
-        """
-        warnings.warn(
-            "FailureCase.failed_server is deprecated; use "
-            "FailureCase.failed_servers or FailureCase.label",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return "+".join(self.failed_servers)
 
 
 @dataclass(frozen=True)

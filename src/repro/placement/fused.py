@@ -54,12 +54,9 @@ almost all of them:
   evaluator's planning-style content fingerprint plus the workload rows
   reuses it across servers, generations, and failure-sweep cases.
 
-The per-iteration late check is a tiny scan; ``ROPUS_NUMBA=1`` swaps in
-an optional numba jit with early exit per row, falling back to the
-vectorised numpy scan when numba is not importable. Both
-implementations sit below the float64 verification, so they only need
-to be *approximately* right — a wrong decision costs a retry, never
-correctness.
+The per-iteration late check is a tiny vectorised numpy scan. It sits
+below the float64 verification, so it only needs to be *approximately*
+right — a wrong decision costs a retry, never correctness.
 
 Fused results carry ``report=None``, as the batch kernel's do: the
 placement layers only consume ``fits`` and ``required_capacity``, and
@@ -68,10 +65,8 @@ materialising reports would need the exact FIFO drain no search pays.
 
 from __future__ import annotations
 
-import functools
-import os
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -91,23 +86,11 @@ from repro.placement.required_capacity import (
 )
 from repro.traces.calendar import TraceCalendar
 
-#: Environment knob enabling the optional numba jit for the late scan.
-NUMBA_ENV_VAR = "ROPUS_NUMBA"
-
-#: ``late(totals, guards, capacities) -> bool per row`` over compressed
-#: float32 arrays; see :func:`resolve_late_kernel`.
-LateKernel = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-
-
-def numba_requested() -> bool:
-    """Whether the environment asks for the numba late-scan jit."""
-    return os.environ.get(NUMBA_ENV_VAR, "") == "1"
-
 
 def _late_rows_numpy(
     totals: np.ndarray, guards: np.ndarray, capacities: np.ndarray
 ) -> np.ndarray:
-    """Vectorised late check over compressed rows (numpy fallback).
+    """Vectorised late check over compressed float32 rows.
 
     Uses the prefix-minus-running-minimum identity for the clamped
     backlog recursion; drain slots reset the backlog exactly, so the
@@ -122,67 +105,6 @@ def _late_rows_numpy(
     )
     backlog = prefix - floor
     return np.any(backlog > guards, axis=1)
-
-
-def _build_numba_late_kernel() -> Optional[LateKernel]:
-    """The jitted per-row early-exit scan, or ``None`` without numba."""
-    try:
-        from numba import njit
-    except ImportError:
-        return None
-
-    @njit(cache=False)
-    def _scan(
-        totals: np.ndarray,
-        guards: np.ndarray,
-        capacities: np.ndarray,
-        out: np.ndarray,
-    ) -> None:
-        n_rows, width = totals.shape
-        for i in range(n_rows):
-            backlog = np.float32(0.0)
-            cap = capacities[i]
-            for t in range(width):
-                backlog = backlog + totals[i, t] - cap
-                if backlog < np.float32(0.0):
-                    backlog = np.float32(0.0)
-                elif backlog > guards[i, t]:
-                    out[i] = True
-                    break
-
-    def kernel(
-        totals: np.ndarray, guards: np.ndarray, capacities: np.ndarray
-    ) -> np.ndarray:
-        out = np.zeros(totals.shape[0], dtype=np.bool_)
-        if totals.shape[1]:
-            _scan(totals, guards, capacities, out)
-        return out
-
-    return kernel
-
-
-@functools.lru_cache(maxsize=2)
-def _resolve(prefer: bool) -> tuple[LateKernel, bool]:
-    jitted = _build_numba_late_kernel() if prefer else None
-    if jitted is None:
-        return (_late_rows_numpy, False)
-    return (jitted, True)
-
-
-def resolve_late_kernel(
-    prefer_numba: Optional[bool] = None,
-) -> tuple[LateKernel, bool]:
-    """Resolve the compressed late-check implementation.
-
-    Returns ``(kernel, used_numba)``. ``prefer_numba=None`` follows the
-    :data:`NUMBA_ENV_VAR` knob; an unimportable numba silently falls
-    back to the numpy scan (both sit below float64 verification, so the
-    choice never affects results). The resolution — including the jit
-    compilation — is memoised per preference, so repeated solves reuse
-    one compiled kernel per process.
-    """
-    prefer = numba_requested() if prefer_numba is None else bool(prefer_numba)
-    return _resolve(prefer)
 
 
 @dataclass(frozen=True)
@@ -451,7 +373,6 @@ def fused_required_capacity(
     *,
     cache: Optional[TranslationCache] = None,
     fingerprint: Optional[str] = None,
-    prefer_numba: Optional[bool] = None,
 ) -> BatchSearchResult:
     """Solve every subset's capacity search on the fused fast path.
 
@@ -479,7 +400,6 @@ def fused_required_capacity(
     batch = BatchSimulator.from_subsets(
         cos1_matrix, cos2_matrix, subsets, calendar
     )
-    late_kernel, _ = resolve_late_kernel(prefer_numba)
 
     kernel_calls = 0
     fused_rows = 0
@@ -538,7 +458,7 @@ def fused_required_capacity(
         ok = capacities >= theta_caps[positions]
         active = np.nonzero(ok)[0]
         if active.size:
-            late = late_kernel(
+            late = _late_rows_numpy(
                 stack_totals[positions[active]],
                 stack_guards[positions[active]],
                 capacities[active].astype(np.float32),

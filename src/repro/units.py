@@ -21,10 +21,11 @@ scalar is part of its type here:
 
 The markers are :data:`typing.Annotated` aliases, so they are ``float``
 (or ``int``) at runtime and invisible to normal code, while
-``repro.analysis``'s dataflow rules (ROP008–ROP011) read them from the
-AST to prove unit consistency across the translation pipeline. Keep
-this module dependency-free (stdlib only): the linter imports it to
-share one definition of each unit's name, range, and conversions.
+``repro.analysis``'s ROP011 reads them from the AST and requires every
+dataclass field that carries one to be range-checked in
+``__post_init__``. Keep this module dependency-free (stdlib only): the
+linter imports it to share one definition of each unit's name and
+range.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ __all__ = [
     "SLOTS",
     "Slots",
     "UNITS_BY_NAME",
-    "VALIDATOR_UNITS",
     "Unit",
     "unit_for_annotation",
 ]
@@ -53,23 +53,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Unit:
-    """Metadata for one scalar unit: its name, domain, and conversions.
+    """Metadata for one scalar unit: its name and domain.
 
     ``low``/``high`` bound the unit's declared domain;
     ``low_inclusive``/``high_inclusive`` record whether each bound
-    belongs to it. ``scale_to`` names units reachable by a pure
-    rescaling, mapped to the multiplicative factor (``Percent`` →
-    ``Fraction01`` is ``1/100``); the dataflow rules treat ``x / 100``
-    and ``x * 100`` as sanctioned conversions precisely because of
-    these entries.
-
-    ``dimension`` groups units measuring the same underlying quantity;
-    ``scale`` is the multiplier relative to that dimension's canonical
-    unit (``Percent`` is the ``ratio`` dimension at scale 100). Two
-    units mix safely in additive arithmetic or comparisons only when
-    both dimension *and* scale agree (``Fraction01`` with
-    ``Probability``); same dimension at different scales (``Percent``
-    with ``Fraction01``) demands an explicit conversion first.
+    belongs to it.
     """
 
     name: str
@@ -78,9 +66,6 @@ class Unit:
     high: float
     low_inclusive: bool = True
     high_inclusive: bool = True
-    dimension: str = "ratio"
-    scale: float = 1.0
-    scale_to: tuple[tuple[str, float], ...] = ()
 
     def contains(self, value: float) -> bool:
         """Whether ``value`` lies inside the unit's declared domain."""
@@ -97,37 +82,18 @@ class Unit:
         close_bracket = "]" if self.high_inclusive else ")"
         return f"{open_bracket}{self.low:g}, {self.high:g}{close_bracket}"
 
-    def mixes_with(self, other: "Unit") -> bool:
-        """Whether values of the two units may meet in ``+``/``-``/``<``.
-
-        True exactly when dimension and scale both agree —
-        ``Fraction01`` with ``Probability`` mixes; ``Percent`` with
-        either does not (convert first).
-        """
-        return self.dimension == other.dimension and self.scale == other.scale
-
-    def conversion_factor(self, other: "Unit") -> float | None:
-        """The multiplier converting ``self`` to ``other``, if declared."""
-        for target, factor in self.scale_to:
-            if target == other.name:
-                return factor
-        return None
-
 
 FRACTION_01 = Unit(
     name="Fraction01",
     symbol="fraction",
     low=0.0,
     high=1.0,
-    scale_to=(("Percent", 100.0),),
 )
 PERCENT = Unit(
     name="Percent",
     symbol="%",
     low=0.0,
     high=100.0,
-    scale=100.0,
-    scale_to=(("Fraction01", 0.01),),
 )
 PROBABILITY = Unit(
     name="Probability",
@@ -141,7 +107,6 @@ SLOTS = Unit(
     low=0.0,
     high=math.inf,
     high_inclusive=False,
-    dimension="slots",
 )
 CPU_SHARES = Unit(
     name="CpuShares",
@@ -149,7 +114,6 @@ CPU_SHARES = Unit(
     low=0.0,
     high=math.inf,
     high_inclusive=False,
-    dimension="cpu-shares",
 )
 
 #: Dimensionless fraction in ``[0, 1]``: utilizations, ``p``, measured
@@ -169,23 +133,11 @@ Slots = Annotated[int, SLOTS]
 #: Absolute resource amount in CPU shares (demands, allocations).
 CpuShares = Annotated[float, CPU_SHARES]
 
-#: Every unit, keyed by marker name. The dataflow analysis resolves an
-#: annotation like ``units.Percent`` to its final attribute and looks
-#: the unit up here.
+#: Every unit, keyed by marker name. ROP011 resolves an annotation like
+#: ``units.Percent`` to its final attribute and looks the unit up here.
 UNITS_BY_NAME: dict[str, Unit] = {
     unit.name: unit
     for unit in (FRACTION_01, PERCENT, PROBABILITY, SLOTS, CPU_SHARES)
-}
-
-#: Which validation helper vouches for which unit: a successful
-#: ``require_fraction(x, ...)`` call proves ``x`` is a ``Fraction01``
-#: (its open interval is *stricter* than the unit's closed domain),
-#: ``require_probability`` proves ``Probability``, and
-#: ``require_positive``/``require_non_negative`` prove the unbounded
-#: non-negative units only when the annotation already says which.
-VALIDATOR_UNITS: dict[str, str] = {
-    "repro.util.validation.require_fraction": "Fraction01",
-    "repro.util.validation.require_probability": "Probability",
 }
 
 

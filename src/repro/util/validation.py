@@ -32,8 +32,8 @@ via ``repro.util.floats.isclose(theta, 1.0)`` so values within
 The corresponding :mod:`repro.units` markers declare the *closed*
 domains (``Fraction01`` and ``Probability`` are both ``[0, 1]``): a
 successful ``require_fraction`` call proves membership in a strict
-subset of ``Fraction01``'s domain, so the static dataflow rules treat
-both helpers as establishing their unit.
+subset of ``Fraction01``'s domain, so ROP011 accepts either helper as
+the ``__post_init__`` check of a field carrying that marker.
 """
 
 from __future__ import annotations

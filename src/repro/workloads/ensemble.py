@@ -168,7 +168,7 @@ def scaled_specs(n_apps: int, seed: int = 2006) -> list[WorkloadSpec]:
     demand scale — the population stays Figure-6-shaped (spikers
     through smooth services in the published proportions) while every
     application's trace is distinct. Used to study how planning scales
-    beyond the paper's ensemble (see ``benchmarks/perf/scaling_bench``).
+    beyond the paper's ensemble (see ``benchmarks/record``).
     """
     if n_apps < 1:
         raise ConfigurationError(f"n_apps must be >= 1, got {n_apps}")

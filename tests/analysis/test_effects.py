@@ -2,10 +2,10 @@
 
 Covers the lattice algebra, the project scanner, the SCC fixpoint,
 and — most importantly — the self-hosting contract: run over the
-shipped ``src/`` tree, every :data:`KNOWN_EFFECTS` override and every
-:data:`KNOWN_SIGNATURES` entry must resolve to a real function, and
-every override's declared ``inferred`` set must equal what the engine
-actually derives (so the hand-maintained tables cannot rot).
+shipped ``src/`` tree, every :data:`KNOWN_EFFECTS` override must
+resolve to a real function, and every override's declared ``inferred``
+set must equal what the engine actually derives (so the hand-maintained
+table cannot rot).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.dataflow.signatures import KNOWN_SIGNATURES
 from repro.analysis.effects import (
     Effect,
     EffectSummary,
@@ -122,29 +121,6 @@ class TestScanner:
         )
         assert _effects_of(project, "sample.make") == ("ambient-rng",)
 
-    def test_set_iteration_flagged(self):
-        project = _project_for(
-            "def collect(names):\n"
-            "    unique = set(names)\n"
-            "    return [n for n in unique]\n"
-        )
-        assert "nondet-iteration" in _effects_of(project, "sample.collect")
-
-    def test_sorted_set_is_sanctioned(self):
-        project = _project_for(
-            "def collect(names):\n"
-            "    return sorted(set(names))\n"
-        )
-        assert _effects_of(project, "sample.collect") == ()
-
-    def test_membership_test_is_clean(self):
-        project = _project_for(
-            "def keep(names, candidates):\n"
-            "    allowed = set(names)\n"
-            "    return [c for c in candidates if c in allowed]\n"
-        )
-        assert _effects_of(project, "sample.keep") == ()
-
     def test_global_mutation_detected(self):
         project = _project_for(
             "_COUNT = 0\n"
@@ -196,16 +172,13 @@ class TestScanner:
         )
         assert "env" in _effects_of(project, "sample.flag")
 
-    def test_listing_call_is_nondet_and_io(self):
+    def test_listing_call_is_io(self):
         project = _project_for(
             "import os\n"
             "def entries(root):\n"
             "    return os.listdir(root)\n"
         )
-        assert _effects_of(project, "sample.entries") == (
-            "io",
-            "nondet-iteration",
-        )
+        assert _effects_of(project, "sample.entries") == ("io",)
 
     def test_sorted_listing_is_io_only(self):
         project = _project_for(
@@ -262,25 +235,6 @@ class TestInference:
         )
         assert _effects_of(project, "sample.call") == ()
 
-    def test_reaches_sink_propagates_through_calls(self):
-        project = _project_for(
-            "import hashlib\n"
-            "def digest(data):\n"
-            "    return hashlib.sha256(data).hexdigest()\n"
-            "def outer(data):\n"
-            "    return digest(data)\n"
-        )
-        assert project.reaches_sink["sample.outer"] == {"hash"}
-
-    def test_checkpoint_sink_kind(self):
-        project = _project_for(
-            "def save(checkpointer, payload):\n"
-            "    checkpointer.save('k', payload)\n"
-            "def outer(checkpointer, payload):\n"
-            "    save(checkpointer, payload)\n"
-        )
-        assert project.reaches_sink["sample.outer"] == {"checkpoint"}
-
 
 class TestSelfHosting:
     """The engine run over the shipped tree, tables included."""
@@ -310,14 +264,6 @@ class TestSelfHosting:
 
     def test_every_effect_override_matches_inference(self, src_project):
         assert [str(m) for m in verify_overrides(src_project)] == []
-
-    def test_every_dataflow_signature_resolves(self, src_project):
-        missing = [
-            qualified
-            for qualified in KNOWN_SIGNATURES
-            if qualified not in src_project.functions
-        ]
-        assert missing == []
 
     def test_shipped_tree_has_no_task_unsafe_submissions(self, src_project):
         violations = []

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import analyze_paths, registered_rules
+from repro.analysis import AnalysisConfig, analyze_paths, registered_rules
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -23,16 +23,8 @@ RULE_FIXTURES = [
     ("ROP004", "bad_executor_submission.py", "good_executor_submission.py"),
     ("ROP005", "bad_bare_assert.py", "good_bare_assert.py"),
     ("ROP006", "bad_mutable_default.py", "good_mutable_default.py"),
-    ("ROP007", "bad_shared_mutation.py", "good_shared_mutation.py"),
-    ("ROP008", "bad_unit_confusion.py", "good_unit_confusion.py"),
-    ("ROP009", "bad_interval_violation.py", "good_interval_violation.py"),
-    ("ROP010", "bad_unconverted_return.py", "good_unconverted_return.py"),
     ("ROP011", "bad_unvalidated_boundary.py", "good_unvalidated_boundary.py"),
-    ("ROP012", "bad_swallowed_failure.py", "good_swallowed_failure.py"),
     ("ROP013", "bad_impure_submission.py", "good_impure_submission.py"),
-    ("ROP014", "bad_nondet_order.py", "good_nondet_order.py"),
-    ("ROP015", "bad_seed_discipline.py", "good_seed_discipline.py"),
-    ("ROP016", "bad_checkpoint_payload.py", "good_checkpoint_payload.py"),
     ("ROP017", "bad_resource_leak.py", "good_resource_leak.py"),
     ("ROP018", "bad_use_after_release.py", "good_use_after_release.py"),
     ("ROP019", "bad_double_release.py", "good_double_release.py"),
@@ -42,8 +34,9 @@ RULE_FIXTURES = [
 
 class TestRegistry:
     def test_every_domain_rule_registered(self):
-        ids = set(registered_rules())
-        assert {case[0] for case in RULE_FIXTURES} <= ids
+        # Equality, not containment: a retired id that crept back in
+        # (or a new rule without a fixture pair) fails here.
+        assert {case[0] for case in RULE_FIXTURES} == set(registered_rules())
 
     def test_rules_carry_metadata(self):
         for rule_id, rule_class in registered_rules().items():
@@ -90,27 +83,9 @@ class TestSpecificDetections:
         assert any("lambda" in message for message in messages)
         assert any("nested function" in message for message in messages)
 
-    def test_both_mutation_forms_flagged(self):
-        result = analyze_paths([FIXTURES / "bad_shared_mutation.py"])
-        assert len(result.findings) == 2
-
     def test_float_equality_counts_each_comparison(self):
         result = analyze_paths([FIXTURES / "bad_float_equality.py"])
         assert len(result.findings) == 3
-
-    def test_unit_confusion_flags_every_mix_site(self):
-        result = analyze_paths([FIXTURES / "bad_unit_confusion.py"])
-        assert len(result.findings) == 4
-        assert {finding.rule for finding in result.findings} == {"ROP008"}
-
-    def test_swallowed_failure_flags_each_shape(self):
-        result = analyze_paths([FIXTURES / "bad_swallowed_failure.py"])
-        rop012 = [f for f in result.findings if f.rule == "ROP012"]
-        assert len(rop012) == 3
-        messages = " ".join(finding.message for finding in rop012)
-        assert "bare except" in messages
-        assert "Exception" in messages
-        assert "while True" in messages
 
     def test_unvalidated_boundary_names_each_field(self):
         result = analyze_paths([FIXTURES / "bad_unvalidated_boundary.py"])
@@ -119,19 +94,6 @@ class TestSpecificDetections:
         assert any("'u_low'" in message for message in messages)
         assert any("'m_degr_percent'" in message for message in messages)
         assert any("'u_high'" in message for message in messages)
-
-
-class TestSeededRegression:
-    """The missing-``/100`` defect the dataflow pass was built to catch."""
-
-    def test_missing_div100_on_m_degr_percent_is_flagged(self):
-        result = analyze_paths([FIXTURES / "regression_missing_div100.py"])
-        rop008 = [f for f in result.findings if f.rule == "ROP008"]
-        assert len(rop008) == 1
-        finding = rop008[0]
-        assert finding.line == 16
-        assert "Percent" in finding.message
-        assert "Fraction01" in finding.message
 
 
 class TestShmPublishLeakRegression:
@@ -157,5 +119,57 @@ class TestShmPublishLeakRegression:
     def test_fixed_publish_shape_is_clean(self):
         result = analyze_paths(
             [FIXTURES / "regression_shm_publish_fixed.py"]
+        )
+        assert result.findings == ()
+
+
+class TestWorkerGlobalCacheRegression:
+    """The ``_SWEEP_SCRATCH`` bug: a submitted worker's helper memoised
+    per-payload state in a module-global dict.
+
+    The worker itself never touches the global, so no module-scope rule
+    could see it; ROP013 flags the submission through the call-graph
+    fixpoint. The fixed shape hangs the scratch off the payload.
+    """
+
+    def test_historical_worker_cache_is_flagged(self):
+        result = analyze_paths(
+            [FIXTURES / "regression_worker_cache_global.py"]
+        )
+        assert [f.rule for f in result.findings] == ["ROP013"]
+        message = result.findings[0].message
+        assert "'_failure_case_worker'" in message
+        assert "mutates-global" in message
+        assert "_SWEEP_SCRATCH" in message
+
+    def test_payload_attached_cache_is_clean(self):
+        result = analyze_paths(
+            [FIXTURES / "regression_worker_cache_fixed.py"]
+        )
+        assert result.findings == ()
+
+
+class TestEngineAssertLeakRegression:
+    """Engines the test suite leaked on assertion-failure paths.
+
+    ``close()`` after the ``assert`` is skipped when the assertion
+    fails; ROP017 flags the exception path. Linted the way CI lints
+    ``tests/``: pytest modules are exempt from ROP005 by file name,
+    which a fixture cannot carry without being collected.
+    """
+
+    CONFIG = AnalysisConfig(ignore=frozenset({"ROP005"}))
+
+    def test_close_after_assert_is_flagged(self):
+        result = analyze_paths(
+            [FIXTURES / "regression_engine_assert_leak.py"], self.CONFIG
+        )
+        assert [f.rule for f in result.findings] == ["ROP017"]
+        assert "executor/engine" in result.findings[0].message
+        assert "exception path" in result.findings[0].message
+
+    def test_context_managed_engine_is_clean(self):
+        result = analyze_paths(
+            [FIXTURES / "regression_engine_assert_fixed.py"], self.CONFIG
         )
         assert result.findings == ()

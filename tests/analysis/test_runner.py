@@ -1,4 +1,4 @@
-"""Runner behaviour: tree walking, suppression layers, exit codes."""
+"""Runner behaviour: tree walking, inline suppression, exit codes."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import pytest
 
 import repro
 from repro.analysis import AnalysisConfig, analyze_paths, resolve_config
-from repro.analysis.findings import Severity
 from repro.analysis.runner import main
 from repro.cli import main as cli_main
 from repro.exceptions import ConfigurationError
@@ -86,25 +85,6 @@ class TestConfig:
         result = analyze_paths([FIXTURES], config)
         assert result.files_analyzed == 0
 
-    def test_severity_override_downgrades_to_warning(self):
-        config = resolve_config(
-            pyproject={"severity": {"ROP003": "warning"}}
-        )
-        result = analyze_paths([FIXTURES / "bad_float_equality.py"], config)
-        assert result.findings
-        assert all(
-            finding.severity is Severity.WARNING
-            for finding in result.findings
-        )
-        assert result.clean  # warnings do not fail the run
-
-    def test_pyproject_table_flows_into_config(self):
-        config = resolve_config(
-            pyproject={"select": "ROP001,ROP002", "exclude": ["fixtures"]}
-        )
-        assert config.select == frozenset({"ROP001", "ROP002"})
-        assert config.exclude == ("fixtures",)
-
 
 class TestPytestModuleExemption:
     """ROP005 stays silent in pytest files (benchmarks are pytest-run)."""
@@ -132,10 +112,6 @@ class TestRuleIdValidation:
         with pytest.raises(ConfigurationError, match="ignore"):
             resolve_config(ignore="ROP001,ROP424")
 
-    def test_unknown_pyproject_select_is_rejected(self):
-        with pytest.raises(ConfigurationError, match="ROP999"):
-            resolve_config(pyproject={"select": ["ROP999"]})
-
     def test_cli_reports_usage_error_for_unknown_rule(self, capsys):
         code = main(
             [str(FIXTURES / "good_naked_rng.py"), "--select", "ROP999"]
@@ -144,44 +120,25 @@ class TestRuleIdValidation:
         assert "ROP999" in capsys.readouterr().err
 
 
-class TestCliPrecedence:
-    """CLI ``--select``/``--ignore`` beat ``[tool.repro-analysis]``."""
+class TestCliSelection:
+    """``--select`` narrows the rule set on both entry points."""
 
-    @staticmethod
-    def _project(tmp_path: Path) -> Path:
-        (tmp_path / "pyproject.toml").write_text(
-            "[tool.repro-analysis]\nselect = [\"ROP005\"]\n"
-        )
-        module = tmp_path / "module.py"
-        module.write_text(
-            (FIXTURES / "bad_float_equality.py").read_text()
-        )
-        return module
+    MODULE = str(FIXTURES / "bad_float_equality.py")  # violates ROP003 only
 
-    def test_resolve_config_prefers_cli_values(self):
-        config = resolve_config(
-            select="ROP003", pyproject={"select": "ROP001"}
-        )
-        assert config.select == frozenset({"ROP003"})
-        config = resolve_config(
-            ignore="ROP003", pyproject={"ignore": "ROP001"}
-        )
-        assert config.ignore == frozenset({"ROP003"})
+    def test_resolve_config_parses_comma_lists(self):
+        config = resolve_config(select="ROP001,ROP002", exclude=["fixtures"])
+        assert config.select == frozenset({"ROP001", "ROP002"})
+        assert config.exclude == ("fixtures",)
+        assert resolve_config(ignore="ROP003").ignore == frozenset({"ROP003"})
 
-    def test_module_entry_pyproject_applies_without_flags(self, tmp_path):
-        module = self._project(tmp_path)
-        # Table selects ROP005 only; the file only violates ROP003.
-        assert main([str(module)]) == 0
-
-    def test_module_entry_cli_select_overrides_table(self, tmp_path, capsys):
-        module = self._project(tmp_path)
-        assert main([str(module), "--select", "ROP003"]) == 1
+    def test_module_entry_select(self, capsys):
+        assert main([self.MODULE, "--select", "ROP005"]) == 0
+        assert main([self.MODULE, "--select", "ROP003"]) == 1
         assert "ROP003" in capsys.readouterr().out
 
-    def test_ropus_lint_cli_select_overrides_table(self, tmp_path, capsys):
-        module = self._project(tmp_path)
-        assert cli_main(["lint", str(module)]) == 0
-        assert cli_main(["lint", str(module), "--select", "ROP003"]) == 1
+    def test_ropus_lint_select(self, capsys):
+        assert cli_main(["lint", self.MODULE, "--select", "ROP005"]) == 0
+        assert cli_main(["lint", self.MODULE, "--select", "ROP003"]) == 1
         assert "ROP003" in capsys.readouterr().out
 
 
@@ -196,10 +153,10 @@ class TestSyntaxErrors:
 
 class TestExitCodes:
     def test_main_clean_returns_zero(self):
-        assert main([str(FIXTURES / "good_naked_rng.py"), "--no-config"]) == 0
+        assert main([str(FIXTURES / "good_naked_rng.py")]) == 0
 
     def test_main_findings_return_one(self, capsys):
-        code = main([str(FIXTURES / "bad_naked_rng.py"), "--no-config"])
+        code = main([str(FIXTURES / "bad_naked_rng.py")])
         assert code == 1
         out = capsys.readouterr().out
         assert "ROP001" in out
@@ -210,7 +167,7 @@ class TestExitCodes:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("ROP001", "ROP004", "ROP007"):
+        for rule_id in ("ROP001", "ROP004", "ROP017"):
             assert rule_id in out
 
     def test_module_entry_point(self):
@@ -240,259 +197,6 @@ class TestExitCodes:
             text=True,
         )
         assert dirty.returncode == 1, dirty.stdout + dirty.stderr
-
-
-class TestUpdateBaseline:
-    _VIOLATING = "import time\n\n\ndef stamped():\n    return time.time()\n"
-    _CLEAN = "def stamped(now):\n    return now\n"
-
-    def test_prunes_stale_entries_with_warning(self, tmp_path, capsys):
-        subject = tmp_path / "subject.py"
-        subject.write_text(self._VIOLATING, encoding="utf-8")
-        baseline = tmp_path / "baseline.json"
-        assert main(
-            [
-                str(subject),
-                "--baseline",
-                str(baseline),
-                "--write-baseline",
-                "--no-config",
-            ]
-        ) == 0
-        # Pay the debt: the baselined finding no longer exists.
-        subject.write_text(self._CLEAN, encoding="utf-8")
-        assert main(
-            [
-                str(subject),
-                "--baseline",
-                str(baseline),
-                "--update-baseline",
-                "--no-config",
-            ]
-        ) == 0
-        captured = capsys.readouterr()
-        assert "stale suppression pruned" in captured.err
-        assert "ROP002" in captured.err
-        assert "pruned 1 stale" in captured.out
-
-        from repro.analysis import load_baseline
-
-        assert load_baseline(baseline) == set()
-
-    def test_keeps_live_entries_and_never_adds(self, tmp_path, capsys):
-        subject = tmp_path / "subject.py"
-        subject.write_text(self._VIOLATING, encoding="utf-8")
-        baseline = tmp_path / "baseline.json"
-        assert main(
-            [
-                str(subject),
-                "--baseline",
-                str(baseline),
-                "--write-baseline",
-                "--no-config",
-            ]
-        ) == 0
-        # Introduce a *new* violation alongside the baselined one.
-        subject.write_text(
-            self._VIOLATING + "\n\ndef drawn():\n    import random\n"
-            "    return random.random()\n",
-            encoding="utf-8",
-        )
-        assert main(
-            [
-                str(subject),
-                "--baseline",
-                str(baseline),
-                "--update-baseline",
-                "--no-config",
-            ]
-        ) == 0
-        assert "pruned 0 stale" in capsys.readouterr().out
-
-        from repro.analysis import load_baseline
-
-        kept = load_baseline(baseline)
-        assert {rule for rule, _, _ in kept} == {"ROP002"}
-        # The run with the pruned baseline still fails on the new debt.
-        code = main(
-            [str(subject), "--baseline", str(baseline), "--no-config"]
-        )
-        assert code == 1
-
-    def test_update_requires_baseline_path(self, tmp_path, capsys):
-        subject = tmp_path / "subject.py"
-        subject.write_text(self._CLEAN, encoding="utf-8")
-        assert main([str(subject), "--update-baseline", "--no-config"]) == 2
-        assert "--baseline" in capsys.readouterr().err
-
-
-class TestChangedMode:
-    @staticmethod
-    def _git(repo: Path, *args: str) -> None:
-        subprocess.run(
-            [
-                "git",
-                "-c",
-                "user.email=test@example.com",
-                "-c",
-                "user.name=test",
-                *args,
-            ],
-            cwd=repo,
-            check=True,
-            capture_output=True,
-        )
-
-    def test_changed_scopes_to_modified_files(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        repo = tmp_path / "repo"
-        repo.mkdir()
-        self._git(repo, "init", "-q")
-        committed = repo / "committed.py"
-        committed.write_text(
-            "import time\n\n\ndef old():\n    return time.time()\n",
-            encoding="utf-8",
-        )
-        self._git(repo, "add", "committed.py")
-        self._git(repo, "commit", "-q", "-m", "seed")
-
-        fresh = repo / "fresh.py"
-        fresh.write_text(
-            "import random\n\n\ndef draw():\n    return random.random()\n",
-            encoding="utf-8",
-        )
-        monkeypatch.chdir(repo)
-        # Only the untracked file is analyzed: the committed violation
-        # stays invisible to --changed.
-        assert main([".", "--changed", "--no-config"]) == 1
-        out = capsys.readouterr().out
-        assert "fresh.py" in out
-        assert "committed.py" not in out
-
-    def test_changed_with_clean_tree_is_a_noop(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        repo = tmp_path / "repo"
-        repo.mkdir()
-        self._git(repo, "init", "-q")
-        module = repo / "module.py"
-        module.write_text("def identity(x):\n    return x\n", encoding="utf-8")
-        self._git(repo, "add", "module.py")
-        self._git(repo, "commit", "-q", "-m", "seed")
-        monkeypatch.chdir(repo)
-        assert main([".", "--changed", "--no-config"]) == 0
-        assert "no changed Python files" in capsys.readouterr().out
-
-
-LEAKY_SOURCE = (
-    "from multiprocessing import shared_memory\n"
-    "\n"
-    "\n"
-    "def publish(payload, n):\n"
-    "    segment = shared_memory.SharedMemory(create=True, size=n)\n"
-    "    payload.copy_into(segment)\n"
-    "    segment.unlink()\n"
-)
-
-
-class TestProjectFindingsCache:
-    """The .ropus_cache/ memoisation of project-scope findings."""
-
-    def _config(self, tmp_path):
-        return AnalysisConfig(cache_dir=tmp_path / ".ropus_cache")
-
-    def test_run_writes_one_cache_entry(self, tmp_path):
-        module = tmp_path / "leak.py"
-        module.write_text(LEAKY_SOURCE, encoding="utf-8")
-        config = self._config(tmp_path)
-        result = analyze_paths([module], config)
-        assert {finding.rule for finding in result.findings} == {"ROP017"}
-        entries = list((tmp_path / ".ropus_cache").glob("project-*.json"))
-        assert len(entries) == 1
-
-    def test_hit_replays_stored_findings(self, tmp_path):
-        """The second run reads the entry instead of re-analyzing.
-
-        Proven by tampering with the stored message: if the cache were
-        bypassed the recomputed finding would not carry the marker.
-        """
-        module = tmp_path / "leak.py"
-        module.write_text(LEAKY_SOURCE, encoding="utf-8")
-        config = self._config(tmp_path)
-        first = analyze_paths([module], config)
-
-        [entry] = (tmp_path / ".ropus_cache").glob("project-*.json")
-        document = entry.read_text(encoding="utf-8")
-        entry.write_text(
-            document.replace("may never be released", "CACHED-MARKER"),
-            encoding="utf-8",
-        )
-        second = analyze_paths([module], config)
-        assert len(second.findings) == len(first.findings) == 1
-        assert "CACHED-MARKER" in second.findings[0].message
-
-    def test_editing_the_file_invalidates(self, tmp_path):
-        module = tmp_path / "leak.py"
-        module.write_text(LEAKY_SOURCE, encoding="utf-8")
-        config = self._config(tmp_path)
-        assert len(analyze_paths([module], config).findings) == 1
-
-        fixed = LEAKY_SOURCE.replace(
-            "    payload.copy_into(segment)\n    segment.unlink()\n",
-            "    try:\n"
-            "        payload.copy_into(segment)\n"
-            "    finally:\n"
-            "        segment.unlink()\n",
-        )
-        assert fixed != LEAKY_SOURCE
-        module.write_text(fixed, encoding="utf-8")
-        result = analyze_paths([module], config)
-        assert result.findings == ()
-        entries = list((tmp_path / ".ropus_cache").glob("project-*.json"))
-        assert len(entries) == 2  # old key untouched, new key added
-
-    def test_rule_selection_changes_the_key(self, tmp_path):
-        module = tmp_path / "leak.py"
-        module.write_text(LEAKY_SOURCE, encoding="utf-8")
-        cache_dir = tmp_path / ".ropus_cache"
-        analyze_paths(
-            [module], AnalysisConfig(cache_dir=cache_dir)
-        )
-        analyze_paths(
-            [module],
-            AnalysisConfig(
-                cache_dir=cache_dir, select=frozenset({"ROP017"})
-            ),
-        )
-        assert len(list(cache_dir.glob("project-*.json"))) == 2
-
-    def test_corrupt_entry_reads_as_miss(self, tmp_path):
-        module = tmp_path / "leak.py"
-        module.write_text(LEAKY_SOURCE, encoding="utf-8")
-        config = self._config(tmp_path)
-        analyze_paths([module], config)
-        [entry] = (tmp_path / ".ropus_cache").glob("project-*.json")
-        entry.write_text("{not json", encoding="utf-8")
-        result = analyze_paths([module], config)
-        assert len(result.findings) == 1  # recomputed, then re-stored
-        assert "not json" not in entry.read_text(encoding="utf-8")
-
-    def test_no_cache_flag_disables_writes(self, tmp_path, monkeypatch):
-        module = tmp_path / "leak.py"
-        module.write_text(LEAKY_SOURCE, encoding="utf-8")
-        monkeypatch.chdir(tmp_path)
-        assert main([str(module), "--no-config", "--no-cache"]) == 1
-        assert not (tmp_path / ".ropus_cache").exists()
-
-    def test_cli_run_populates_default_directory(
-        self, tmp_path, monkeypatch
-    ):
-        module = tmp_path / "leak.py"
-        module.write_text(LEAKY_SOURCE, encoding="utf-8")
-        monkeypatch.chdir(tmp_path)
-        assert main([str(module), "--no-config"]) == 1
-        assert list((tmp_path / ".ropus_cache").glob("project-*.json"))
 
 
 class TestExplain:

@@ -3,8 +3,7 @@
 The golden log pins the full schema shape — run/tool/driver layout,
 the reporting descriptor for every registered rule (so adding a rule
 without metadata, or perturbing existing metadata, shows up as a
-golden diff), region offsets, and the baseline-suppressed run
-property. A second test exercises the ``# ropus: ignore`` interplay:
+golden diff) and region offsets. A second test exercises the ``# ropus: ignore`` interplay:
 suppressed findings must vanish from the SARIF results entirely
 rather than appear with a suppression marker.
 """
@@ -49,7 +48,7 @@ def _sample_findings() -> list[Finding]:
 
 class TestGoldenLog:
     def test_sarif_matches_golden_file(self):
-        rendered = render_sarif(_sample_findings(), suppressed=2)
+        rendered = render_sarif(_sample_findings())
         assert rendered == GOLDEN.read_text(encoding="utf-8")
 
     def test_golden_log_shape(self):
@@ -62,7 +61,7 @@ class TestGoldenLog:
         rules = run["tool"]["driver"]["rules"]
         rule_ids = [rule["id"] for rule in rules]
         assert rule_ids == sorted(rule_ids)
-        assert {"ROP013", "ROP014", "ROP015", "ROP016"} <= set(rule_ids)
+        assert {"ROP013", "ROP017", "ROP020"} <= set(rule_ids)
         for rule in rules:
             assert rule["name"]
             assert rule["shortDescription"]["text"]
@@ -71,7 +70,6 @@ class TestGoldenLog:
                 "warning",
             }
 
-        assert run["properties"]["baselineSuppressed"] == 2
         first, second = run["results"]
         # Findings are ordered by (path, line, column, rule).
         assert first["ruleId"] == "ROP002"
@@ -100,11 +98,7 @@ class TestInlineSuppressionInterplay:
             encoding="utf-8",
         )
         result = analyze_paths([subject])
-        log = json.loads(
-            render_sarif(
-                result.findings, suppressed=result.suppressed_baseline
-            )
-        )
+        log = json.loads(render_sarif(result.findings))
         results = log["runs"][0]["results"]
         assert [r["ruleId"] for r in results] == ["ROP002"]
         assert (

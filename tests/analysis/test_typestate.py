@@ -1,7 +1,8 @@
 """Tests for the exception-edge CFG and the typestate checker.
 
-Three layers: structural assertions about exception edges on the CFG
-itself (raise-in-try, raise-in-handler, finally ordering, nested try,
+Three layers: structural assertions about branch guards and exception
+edges on the CFG itself (guarded if/else, loop back edges,
+raise-in-try, raise-in-handler, finally ordering, nested try,
 ``with contextlib.suppress``), a hypothesis property that generated
 function bodies never lose statements to unreachable blocks, and
 behavioural coverage of the path-sensitive resource checker — leak
@@ -17,7 +18,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.dataflow import build_cfg
+from repro.analysis.cfg import build_cfg
 from repro.analysis.effects import build_project
 from repro.analysis.rules.base import ModuleContext
 from repro.analysis.typestate import check_project
@@ -82,6 +83,41 @@ def _is_call_named(stmt: ast.stmt, name: str) -> bool:
         and isinstance(stmt.value.func, ast.Name)
         and stmt.value.func.id == name
     )
+
+
+class TestControlFlowGraph:
+    def test_if_else_produces_guarded_edges(self):
+        cfg = _cfg(
+            "def f(x):\n"
+            "    if x > 0:\n"
+            "        y = 1\n"
+            "    else:\n"
+            "        y = 2\n"
+            "    return y\n"
+        )
+        guards = [edge for edge in cfg.edges if edge.guard is not None]
+        assert {edge.guard_value for edge in guards} == {True, False}
+        assert all(isinstance(edge.guard, ast.Compare) for edge in guards)
+
+    def test_while_loop_has_a_back_edge(self):
+        cfg = _cfg(
+            "def f(n):\n"
+            "    while n > 0:\n"
+            "        n = n - 1\n"
+            "    return n\n"
+        )
+        assert any(edge.target <= edge.source for edge in cfg.edges)
+
+    def test_return_terminates_its_block(self):
+        cfg = _cfg(
+            "def f(x):\n"
+            "    if x:\n"
+            "        return 1\n"
+            "    return 2\n"
+        )
+        for block in cfg.blocks:
+            for statement in block.statements[:-1]:
+                assert not isinstance(statement, ast.Return)
 
 
 class TestExceptionEdges:

@@ -55,7 +55,7 @@ class TestBreakpointFraction:
             breakpoint_fraction(0.5, 0.66, 0.0)
         with pytest.raises(PartitionError):
             # Out-of-domain on purpose: rejection is what's asserted.
-            breakpoint_fraction(0.5, 0.66, 1.5)  # ropus: ignore[ROP009]
+            breakpoint_fraction(0.5, 0.66, 1.5)
         with pytest.raises(ValueError):
             breakpoint_fraction(0.0, 0.66, 0.5)
 
@@ -124,7 +124,7 @@ class TestPartitionDemand:
     def test_rejects_negative_cap(self):
         with pytest.raises(PartitionError):
             # Out-of-domain on purpose: rejection is what's asserted.
-            partition_demand(np.ones(3), -1.0, 0.0)  # ropus: ignore[ROP009]
+            partition_demand(np.ones(3), -1.0, 0.0)
 
     def test_rejects_2d(self):
         with pytest.raises(PartitionError):

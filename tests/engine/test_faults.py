@@ -37,9 +37,9 @@ class TestSeededOccurrences:
     def test_rejects_bad_rate_and_horizon(self):
         with pytest.raises(ROpusError):
             # Out-of-domain on purpose: rejection is what's asserted.
-            seeded_occurrences(0, "x", 1.5, 10)  # ropus: ignore[ROP009]
+            seeded_occurrences(0, "x", 1.5, 10)
         with pytest.raises(ROpusError):
-            seeded_occurrences(0, "x", -0.1, 10)  # ropus: ignore[ROP009]
+            seeded_occurrences(0, "x", -0.1, 10)
         with pytest.raises(ROpusError):
             seeded_occurrences(0, "x", 0.5, -1)
 

@@ -98,18 +98,6 @@ class TestFaultScenario:
         )
 
 
-class TestDeprecatedFailedServer:
-    def test_joined_string_still_available(self, setup):
-        demands, policy, pool, normal, planner = setup
-        report = planner.plan(
-            demands, policy, pool, normal, algorithm="first_fit"
-        )
-        case = report.cases[0]
-        with pytest.deprecated_call():
-            joined = case.failed_server
-        assert joined == "+".join(case.failed_servers) == case.label
-
-
 class TestDomainSweeps:
     def test_rack_loss_cases(self, setup):
         demands, policy, pool, normal, planner = setup

@@ -28,8 +28,6 @@ from repro.placement.fused import (
     _compress_row,
     _late_rows_numpy,
     fused_required_capacity,
-    numba_requested,
-    resolve_late_kernel,
     translate_rows,
 )
 from repro.placement.kernels import (
@@ -364,11 +362,8 @@ class TestVerificationFallback:
         def always_late(totals, guards, capacities):
             return np.ones(totals.shape[0], dtype=bool)
 
-        original = fused_module.resolve_late_kernel
-        fused_module.resolve_late_kernel = lambda prefer=None: (
-            always_late,
-            False,
-        )
+        original = fused_module._late_rows_numpy
+        fused_module._late_rows_numpy = always_late
         try:
             result = fused_required_capacity(
                 cos1,
@@ -380,7 +375,7 @@ class TestVerificationFallback:
                 tolerance=TOLERANCE,
             )
         finally:
-            fused_module.resolve_late_kernel = original
+            fused_module._late_rows_numpy = original
         assert_plans_identical(reference, result)
         feasible = sum(1 for ref in reference.results if ref.fits)
         peak_screened = int((batch.peaks > limits + 1e-9).sum())
@@ -391,36 +386,6 @@ class TestVerificationFallback:
             result.stats.fused_rows + result.stats.f32_retries
             == len(subsets) - peak_screened
         )
-
-
-class TestNumbaKnob:
-    def test_fallback_without_numba(self):
-        try:
-            import numba  # noqa: F401
-
-            pytest.skip("numba installed: fallback path not reachable")
-        except ImportError:
-            pass
-        fused_module._resolve.cache_clear()
-        kernel, used_numba = resolve_late_kernel(True)
-        assert used_numba is False
-        assert kernel is _late_rows_numpy
-        fused_module._resolve.cache_clear()
-
-    def test_env_knob(self, monkeypatch):
-        monkeypatch.delenv(fused_module.NUMBA_ENV_VAR, raising=False)
-        assert numba_requested() is False
-        monkeypatch.setenv(fused_module.NUMBA_ENV_VAR, "1")
-        assert numba_requested() is True
-        monkeypatch.setenv(fused_module.NUMBA_ENV_VAR, "0")
-        assert numba_requested() is False
-
-    def test_kernel_resolution_is_memoised(self):
-        fused_module._resolve.cache_clear()
-        first = resolve_late_kernel(False)
-        second = resolve_late_kernel(False)
-        assert first == second
-        assert first[0] is _late_rows_numpy and first[1] is False
 
 
 class TestTranslationCache:

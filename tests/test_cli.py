@@ -164,14 +164,14 @@ class TestLint:
 
     def test_lint_clean_fixture(self, capsys):
         code = main(
-            ["lint", str(self.FIXTURES / "good_naked_rng.py"), "--no-config"]
+            ["lint", str(self.FIXTURES / "good_naked_rng.py")]
         )
         assert code == 0
         assert "clean" in capsys.readouterr().out
 
     def test_lint_dirty_fixture(self, capsys):
         code = main(
-            ["lint", str(self.FIXTURES / "bad_naked_rng.py"), "--no-config"]
+            ["lint", str(self.FIXTURES / "bad_naked_rng.py")]
         )
         assert code == 1
         assert "ROP001" in capsys.readouterr().out
@@ -183,7 +183,6 @@ class TestLint:
             [
                 "lint",
                 str(self.FIXTURES / "bad_wall_clock.py"),
-                "--no-config",
                 "--format",
                 "json",
             ]
@@ -194,7 +193,7 @@ class TestLint:
 
     def test_lint_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
-        assert "ROP007" in capsys.readouterr().out
+        assert "ROP017" in capsys.readouterr().out
 
 
 class TestResilienceKnobs:
