@@ -6,8 +6,9 @@ system still fits on the remaining N-1 servers *if* the relaxed failure-
 mode QoS (cases 2/3/5/6) is applied — so no spare server is required.
 
 The benchmark reproduces the what-if sweep: consolidate under strict
-normal-mode QoS, then remove each used server in turn and re-place all
-workloads under the relaxed failure-mode QoS on the survivors.
+normal-mode QoS, then remove each used server in turn and re-place its
+workloads on the survivors, every workload at the relaxed failure-mode
+QoS (the rest stay where they are; see ``repro.placement.failure``).
 """
 
 import pytest

@@ -39,7 +39,7 @@ from typing import Sequence
 
 from repro.analysis.runner import add_analysis_arguments, run_analysis_command
 from repro.core.cos import PoolCommitments
-from repro.core.framework import ROpus
+from repro.core.framework import CapacityPlan, ROpus
 from repro.core.qos import QoSPolicy, case_study_qos
 from repro.core.translation import QoSTranslator
 from repro.engine import (
@@ -490,9 +490,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     return 1
 
 
-def _print_failure_outlook(plan: object) -> None:
+def _print_failure_outlook(plan: CapacityPlan) -> None:
     """Print the domain-sweep and spare-sizing tables of a plan."""
-    reports = getattr(plan, "domain_reports", None) or {}
+    reports = plan.domain_reports or {}
     rows = []
     for scope, report in sorted(reports.items()):
         rows.append(
@@ -502,17 +502,29 @@ def _print_failure_outlook(plan: object) -> None:
                 len(report.infeasible_cases),
                 "yes" if report.all_supported else "no",
                 "yes" if report.spare_server_needed else "no",
+                report.repaired,
+                report.replanned,
+                max(
+                    (
+                        len(case.moved_from(plan.consolidation))
+                        for case in report.cases
+                    ),
+                    default=0,
+                ),
             ]
         )
     if rows:
         print(
             format_table(
-                ["scope", "cases", "infeasible", "absorbed", "spare needed"],
+                [
+                    "scope", "cases", "infeasible", "absorbed",
+                    "spare needed", "repaired", "re-planned", "max moved",
+                ],
                 rows,
                 title="Failure-domain outlook",
             )
         )
-    curve = getattr(plan, "spare_curve", None)
+    curve = plan.spare_curve
     if curve is not None:
         print()
         rows = [

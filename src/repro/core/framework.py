@@ -151,6 +151,11 @@ def planning_fingerprint(
         "failure_policy": (
             None if failure_policy is None else repr(failure_policy)
         ),
+        # How a what-if is searched. A constant: what-if documents a
+        # pre-repair run left behind (every case a full re-plan) read as
+        # absent instead of resuming into a sweep that is half full
+        # search, half repair.
+        "failure_search": "repair-first",
     }
     canonical = json.dumps(document, sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -210,6 +215,11 @@ class CapacityPlan:
             "sum_peak_allocations": self.consolidation.sum_peak_allocations,
             "sharing_savings": self.consolidation.sharing_savings(),
             "spare_server_needed": self.spare_server_needed,
+            "failure_sweep": (
+                None
+                if self.failure_report is None
+                else self.failure_report.summary()
+            ),
             "failure_domains": (
                 None
                 if self.domain_reports is None

@@ -3,10 +3,23 @@
 Starting from a normal-mode consolidation, the planner perturbs the pool
 with a fault scenario, switches the affected applications (those hosted
 on the faulted servers) to their failure-mode QoS requirements, and
-re-runs the consolidation on the surviving capacity. If every scenario
+*repairs* the running plan on the surviving capacity. If every scenario
 in a sweep can be absorbed, the pool needs no spare server — the
 applications ride out the repair window at their (typically relaxed)
 failure-mode QoS.
+
+Repair-first what-ifs (:func:`_repair_assignment`): a what-if is a delta
+on the normal assignment, not a new assignment. Survivors keep their
+residents; each displaced workload goes to the used survivor it fills
+tightest, and an idle survivor (or spare) is opened only when no used
+one fits. Residents of a *degraded* server stay while their group fits
+the scaled limit and are otherwise evicted largest-peak-first until the
+rest fits. The full greedy-seed + genetic search over every workload is
+the fallback, reached only when repair cannot finish — a survivor's own
+residents no longer fit under the case's QoS mix, or a displaced
+workload finds no home. A repaired case reports
+``result.algorithm == "repair"``; the ``failure.repaired`` /
+``failure.replanned`` counters say how often each branch ran.
 
 Scenario families (one :class:`FaultScenario` each):
 
@@ -37,14 +50,15 @@ application during the what-if (the cheaper, pool-wide degraded posture
 used in the paper's case-study discussion of Table I).
 
 Fan-out: every what-if case is independent — translate the ensemble
-under the case's QoS mix, consolidate on the surviving capacity — so the
-sweep maps cases through the execution engine. Each work unit is a pure
-function of a broadcast :class:`_FailureSweepPayload` (commitments, pool,
-demands, policies, search config) and its ``(scenario, affected
-workloads)`` item; inner consolidations run serially inside the worker
-with their own deterministic seeded search, so results are identical
-across backends. Completed cases are checkpointed per wave under keys
-derived from the scenario's structured fields, so killed sweeps resume.
+under the case's QoS mix, repair (or re-plan) on the surviving capacity
+— so the sweep maps cases through the execution engine. Each work unit
+is a pure function of a broadcast :class:`_FailureSweepPayload`
+(commitments, pool, demands, policies, the normal assignment, search
+config) and its ``(scenario, affected workloads)`` item; a fallback
+search runs serially inside the worker with its own deterministic seeded
+search, so results are identical across backends. Completed cases are
+checkpointed per wave under keys derived from the scenario's structured
+fields, so killed sweeps resume.
 """
 
 from __future__ import annotations
@@ -59,9 +73,12 @@ from repro.core.qos import QoSPolicy
 from repro.engine import Checkpointer, ExecutionEngine
 from repro.exceptions import PlacementError
 from repro.placement.consolidation import ConsolidationResult, Consolidator
+from repro.placement.evaluation import PlacementEvaluator
 from repro.placement.fused import TranslationCache
 from repro.placement.genetic import GeneticSearchConfig
-from repro.resources.pool import DOMAIN_KINDS
+from repro.resources.pool import DOMAIN_KINDS, ResourcePool
+from repro.resources.server import ServerSpec
+from repro.traces.allocation import CoSAllocationPair
 from repro.traces.trace import DemandTrace
 from repro.util.rng import derive_rng
 
@@ -197,10 +214,34 @@ class FailureCase:
         return self.result.servers_used if self.result is not None else None
 
     @property
+    def repaired(self) -> bool:
+        """True when the normal plan was repaired in place; False when
+        the case fell back to the full search (absorbed there or not)."""
+        return self.result is not None and self.result.algorithm == "repair"
+
+    @property
     def label(self) -> str:
         """The case's stable identity (matches its scenario's label)."""
         return _scenario_label(
             self.kind, self.domain, self.failed_servers, self.degraded
+        )
+
+    def moved_from(self, normal_result: ConsolidationResult) -> tuple[str, ...]:
+        """Workloads this case hosts on another server than the normal plan."""
+        if self.result is None:
+            return ()
+        home = {
+            name: server
+            for server, names in normal_result.assignment.items()
+            for name in names
+        }
+        return tuple(
+            sorted(
+                name
+                for server, names in self.result.assignment.items()
+                for name in names
+                if home.get(name) != server
+            )
         )
 
 
@@ -223,6 +264,16 @@ class FailureReport:
     def infeasible_cases(self) -> tuple[FailureCase, ...]:
         return tuple(case for case in self.cases if not case.feasible)
 
+    @property
+    def repaired(self) -> int:
+        """Cases absorbed by repairing the normal plan in place."""
+        return sum(case.repaired for case in self.cases)
+
+    @property
+    def replanned(self) -> int:
+        """Cases that fell back to the full search over every workload."""
+        return len(self.cases) - self.repaired
+
     def case_for(self, label: str) -> FailureCase:
         """Look up a case by its label (a server name for the single
         sweep, a scenario label otherwise)."""
@@ -236,6 +287,8 @@ class FailureReport:
             "cases": len(self.cases),
             "infeasible": len(self.infeasible_cases),
             "all_supported": self.all_supported,
+            "repaired": self.repaired,
+            "replanned": self.replanned,
         }
 
 
@@ -349,22 +402,24 @@ class _FailureSweepPayload:
 
     Carries commitments rather than the driver's translator so engines
     (which may hold live process pools) never cross process boundaries.
+    ``normal_assignment`` is the running plan every what-if repairs.
     """
 
     commitments: PoolCommitments
     config: GeneticSearchConfig | None
     tolerance: float
     attribute: str
-    pool: object
+    pool: ResourcePool
     demands: tuple[DemandTrace, ...]
     policies: Mapping[str, QoSPolicy] | QoSPolicy
     relax_all: bool
     algorithm: str
+    normal_assignment: Mapping[str, tuple[str, ...]]
     kernel: str = "batch"
     share_cache: bool = True
 
     def __getstate__(self) -> dict:
-        # The lazily attached scratch (see ``_scratch_for``) holds live
+        # The attached scratch (see ``_scratch_for``) holds live
         # evaluators; it must never cross a process boundary.
         state = dict(self.__dict__)
         state.pop("_scratch", None)
@@ -374,24 +429,58 @@ class _FailureSweepPayload:
         self.__dict__.update(state)
 
 
-class _SweepScratch:
-    """Process-local memo shared across one sweep's what-if cases.
+def _policy_for(
+    policies: Mapping[str, QoSPolicy] | QoSPolicy, name: str
+) -> QoSPolicy:
+    if isinstance(policies, QoSPolicy):
+        return policies
+    try:
+        return policies[name]
+    except KeyError:
+        raise PlacementError(
+            f"no QoS policy given for workload {name!r}"
+        ) from None
 
-    Everything memoised here is a pure function of the broadcast
+
+class _SweepScratch:
+    """Process-local state shared by the what-if cases of one planner.
+
+    Holds what every case needs and none should rebuild — a translator
+    on the broadcast commitments and the demand lookup — plus, when the
+    payload shares its cache, two memos of pure functions of the
     payload: a workload's failure-mode translation does not depend on
     which server failed, and with ``relax_all`` every case degrades the
     same ensemble — so the cases share one translation table and, per
     distinct QoS mix, one :class:`PlacementEvaluator` whose
-    required-capacity memo carries over from case to case. Sharing
-    changes no results (cache hits return exactly what a fresh search
-    would), it only removes re-derivation; the serial backend shares
-    across the whole sweep, parallel workers share whatever cases land
-    in the same process. Degraded-capacity scenarios only change
-    server *limits*, never the translated workloads, so they share the
-    same memo.
+    required-capacity memo carries over from case to case. Neither
+    depends on the pool, the scope or the scenario (degraded servers
+    and spares only change server *limits*, which key the evaluator's
+    memo), so one scratch serves every sweep a planner runs over the
+    same demands and policies: the rack sweep finds the survivor groups
+    the server sweep solved. Sharing changes no results (cache hits
+    return exactly what a fresh solve would), it only removes
+    re-derivation; on the serial backend the scratch is the planner's
+    own, parallel workers build one per broadcast payload and share
+    whatever cases land in the same process.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, payload: _FailureSweepPayload) -> None:
+        from repro.core.translation import QoSTranslator
+
+        self.commitments = payload.commitments
+        self.tolerance = payload.tolerance
+        self.kernel = payload.kernel
+        self.share_cache = payload.share_cache
+        self.demands = payload.demands
+        #: A copy, so a caller editing its policy map between two
+        #: sweeps is handed a fresh scratch rather than stale memos.
+        self.policies = (
+            payload.policies
+            if isinstance(payload.policies, QoSPolicy)
+            else dict(payload.policies)
+        )
+        self.translator = QoSTranslator(self.commitments)
+        self.demand_by_name = {demand.name: demand for demand in self.demands}
         self.translations: dict = {}
         self.evaluators: dict = {}
         # Fused-kernel group translations, shared across every case
@@ -400,24 +489,228 @@ class _SweepScratch:
         # with different degraded ensembles never collide.
         self.fused_translations = TranslationCache()
 
+    def serves(self, payload: _FailureSweepPayload) -> bool:
+        """Whether the memos were derived from this payload's inputs."""
+        return (
+            payload.commitments == self.commitments
+            and payload.tolerance == self.tolerance
+            and payload.kernel == self.kernel
+            and payload.share_cache == self.share_cache
+            and len(payload.demands) == len(self.demands)
+            and all(
+                theirs is ours
+                for theirs, ours in zip(payload.demands, self.demands)
+            )
+            and payload.policies == self.policies
+        )
 
-def _scratch_for(payload: _FailureSweepPayload) -> _SweepScratch | None:
-    """The payload's scratch, attached lazily to the payload itself.
+    def evaluator_for(
+        self, affected: Sequence[str], relax_all: bool
+    ) -> PlacementEvaluator:
+        """The evaluator of one case's QoS mix (memoised when sharing)."""
+        relaxed = set(affected)
+        mix = tuple(
+            (name, relax_all or name in relaxed) for name in self.demand_by_name
+        )
+        evaluator = self.evaluators.get(mix)
+        if evaluator is None:
+            evaluator = PlacementEvaluator(
+                [self._pair(name, failure_mode) for name, failure_mode in mix],
+                self.commitments.cos2,
+                tolerance=self.tolerance,
+                kernel=self.kernel,
+                translations=(
+                    self.fused_translations if self.share_cache else None
+                ),
+            )
+            if self.share_cache:
+                self.evaluators[mix] = evaluator
+        return evaluator
 
-    Each worker process unpickles its own payload copy (broadcast once
-    per session), so hanging the scratch off that copy keeps it
-    process-local without any module-level registry — the scratch's
-    lifetime is exactly the payload's, and a new sweep starts cold by
-    construction. ``object.__setattr__`` is the sanctioned escape
-    hatch for caching on a frozen dataclass.
+    def _pair(self, name: str, failure_mode: bool) -> CoSAllocationPair:
+        key = (name, failure_mode)
+        pair = self.translations.get(key)
+        if pair is None:
+            qos = _policy_for(self.policies, name).mode(
+                failure_mode=failure_mode
+            )
+            pair = self.translator.translate(self.demand_by_name[name], qos).pair
+            if self.share_cache:
+                self.translations[key] = pair
+        return pair
+
+
+def _scratch_for(payload: _FailureSweepPayload) -> _SweepScratch:
+    """The payload's scratch, attached to the payload itself.
+
+    On the serial backend the driver hands the payload over by
+    reference with its planner's scratch already attached (see
+    :meth:`FailurePlanner._sweep`). Each worker process instead
+    unpickles its own payload copy (broadcast once per session, the
+    scratch dropped), so attaching a fresh scratch to that copy keeps
+    it process-local without any module-level registry — its lifetime
+    is exactly the payload's. ``object.__setattr__`` is the sanctioned
+    escape hatch for caching on a frozen dataclass.
     """
-    if not payload.share_cache:
-        return None
     scratch = getattr(payload, "_scratch", None)
     if scratch is None:
-        scratch = _SweepScratch()
+        scratch = _SweepScratch(payload)
         object.__setattr__(payload, "_scratch", scratch)
     return scratch
+
+
+def _repair_assignment(
+    evaluator: PlacementEvaluator,
+    servers: Sequence[ServerSpec],
+    attribute: str,
+    normal_assignment: Mapping[str, Sequence[str]],
+    degraded: Sequence[str],
+) -> list[int] | None:
+    """The normal assignment repaired onto the surviving ``servers``.
+
+    Workloads whose server survived stay put; the displaced ones — their
+    server is gone, or a degraded server evicted them — are best-fitted
+    largest peak allocation first. Returns the server index per
+    workload, or ``None`` when repair cannot finish: an undegraded
+    survivor's residents no longer fit under the evaluator's QoS mix,
+    or a displaced workload fits on no survivor.
+    """
+    index_of = {name: index for index, name in enumerate(evaluator.names)}
+    survivor_of = {server.name: index for index, server in enumerate(servers)}
+    limits = [server.capacity_of(attribute) for server in servers]
+    peaks = evaluator.peak_allocations()
+
+    def largest_first(workload: int) -> tuple[float, int]:
+        return (-peaks[workload], workload)
+
+    groups: dict[int, list[int]] = {}
+    for server_name, names in normal_assignment.items():
+        survivor = survivor_of.get(server_name)
+        residents = [index_of[name] for name in names if name in index_of]
+        if survivor is not None and residents:
+            groups[survivor] = residents
+
+    used = sorted(groups)
+    still_fit = evaluator.evaluate_groups(
+        [(limits[survivor], groups[survivor]) for survivor in used]
+    )
+    for survivor, evaluation in zip(used, still_fit):
+        if evaluation.fits:
+            continue
+        if servers[survivor].name not in degraded:
+            return None
+        # Evict largest-first until the rest fits the scaled limit: the
+        # shortest fitting suffix, found in one batch (required capacity
+        # is not monotone in the subset, so every suffix is asked).
+        residents = sorted(groups.pop(survivor), key=largest_first)
+        suffixes = [residents[cut:] for cut in range(1, len(residents) + 1)]
+        fits = evaluator.evaluate_groups(
+            [(limits[survivor], suffix) for suffix in suffixes]
+        )
+        kept = next(
+            suffix for suffix, kept_fit in zip(suffixes, fits) if kept_fit.fits
+        )
+        if kept:
+            groups[survivor] = kept
+
+    assignment = [-1] * evaluator.n_workloads
+    for survivor, residents in groups.items():
+        for workload in residents:
+            assignment[workload] = survivor
+    displaced = sorted(
+        (
+            workload
+            for workload, survivor in enumerate(assignment)
+            if survivor < 0
+        ),
+        key=largest_first,
+    )
+    for workload in displaced:
+        used = sorted(groups)
+        evaluations = evaluator.evaluate_groups(
+            [(limits[survivor], groups[survivor] + [workload]) for survivor in used]
+        )
+        fitting = [
+            (limits[survivor] - evaluation.required, survivor)
+            for survivor, evaluation in zip(used, evaluations)
+            if evaluation.fits
+        ]
+        if fitting:
+            _, target = min(fitting)
+        else:
+            idle = [
+                survivor
+                for survivor in range(len(servers))
+                if survivor not in groups
+            ]
+            alone = evaluator.evaluate_groups(
+                [(limits[survivor], [workload]) for survivor in idle]
+            )
+            target = next(
+                (
+                    survivor
+                    for survivor, evaluation in zip(idle, alone)
+                    if evaluation.fits
+                ),
+                None,
+            )
+            if target is None:
+                return None
+        groups.setdefault(target, []).append(workload)
+        assignment[workload] = target
+    return assignment
+
+
+def _evaluate_failure(
+    payload: _FailureSweepPayload,
+    scenario: FaultScenario,
+    affected: tuple[str, ...],
+) -> FailureCase:
+    """One what-if: repair the normal plan, re-plan only as the fallback."""
+    surviving = payload.pool
+    if scenario.failed_servers:
+        surviving = surviving.without(*scenario.failed_servers)
+    if scenario.degraded:
+        surviving = surviving.with_degraded(dict(scenario.degraded))
+    consolidator = Consolidator(
+        surviving,
+        payload.commitments.cos2,
+        config=payload.config,
+        tolerance=payload.tolerance,
+        attribute=payload.attribute,
+        kernel=payload.kernel,
+    )
+    evaluator = _scratch_for(payload).evaluator_for(affected, payload.relax_all)
+    assignment = _repair_assignment(
+        evaluator,
+        surviving.servers,
+        payload.attribute,
+        payload.normal_assignment,
+        [name for name, _ in scenario.degraded],
+    )
+    result: ConsolidationResult | None
+    if assignment is not None:
+        # Every used server is re-decided against its limit here; an
+        # unfit group raises rather than being reported as absorbed.
+        result = consolidator._build_result(
+            evaluator, assignment, "repair", None
+        )
+    else:
+        try:
+            result = consolidator.consolidate_with_evaluator(
+                evaluator, algorithm=payload.algorithm
+            )
+        except PlacementError:
+            result = None
+    return FailureCase(
+        failed_servers=scenario.failed_servers,
+        feasible=result is not None,
+        affected_workloads=affected,
+        result=result,
+        kind=scenario.kind,
+        domain=scenario.domain,
+        degraded=scenario.degraded,
+    )
 
 
 def _failure_case_worker(
@@ -425,27 +718,8 @@ def _failure_case_worker(
     item: tuple[FaultScenario, tuple[str, ...]],
 ) -> FailureCase:
     """Executor work unit: evaluate one failure what-if end to end."""
-    from repro.core.translation import QoSTranslator
-
     scenario, affected = item
-    planner = FailurePlanner(
-        QoSTranslator(payload.commitments),
-        config=payload.config,
-        tolerance=payload.tolerance,
-        attribute=payload.attribute,
-        kernel=payload.kernel,
-    )
-    demand_by_name = {demand.name: demand for demand in payload.demands}
-    return planner._evaluate_failure(
-        scenario,
-        set(affected),
-        demand_by_name,
-        payload.policies,
-        payload.pool,
-        relax_all=payload.relax_all,
-        algorithm=payload.algorithm,
-        scratch=_scratch_for(payload),
-    )
+    return _evaluate_failure(payload, scenario, affected)
 
 
 def _case_to_payload(case: FailureCase) -> dict:
@@ -471,9 +745,11 @@ def _case_from_payload(payload: dict) -> FailureCase | None:
 
     Search details are not persisted (the sweep's plan-level outputs —
     feasibility, assignment, capacities — never depend on them), so a
-    restored case carries ``search=None`` exactly like a case computed
-    by a greedy algorithm. Pre-domain checkpoints (which persisted a
-    joined ``failed_server`` string) read as unreadable and recompute.
+    restored case carries ``search=None`` exactly like a repaired case
+    or one computed by a greedy algorithm; ``result.algorithm`` is
+    persisted, so a restored case still says whether it was repaired.
+    A document missing a structured field reads as unreadable and the
+    case recomputes.
     """
     try:
         doc = payload["result"]
@@ -520,6 +796,9 @@ class FailurePlanner:
         self.kernel = kernel
         self.share_cache = share_cache
         self.checkpointer = checkpointer
+        #: One scratch for every sweep this planner runs (see
+        #: :class:`_SweepScratch`); planner-scoped, never module-level.
+        self._scratch: _SweepScratch | None = None
 
     def plan(
         self,
@@ -569,8 +848,8 @@ class FailurePlanner:
             for failed_server, hosted in normal_result.assignment.items()
         ]
         return self._sweep(
-            items, demands, policies, pool, relax_all, algorithm,
-            key_prefix=key_prefix,
+            items, demands, policies, pool, normal_result, relax_all,
+            algorithm, key_prefix=key_prefix,
         )
 
     def plan_multi(
@@ -655,8 +934,8 @@ class FailurePlanner:
                 )
             )
         return self._sweep(
-            items, demands, policies, pool, relax_all, algorithm,
-            key_prefix=key_prefix,
+            items, demands, policies, pool, normal_result, relax_all,
+            algorithm, key_prefix=key_prefix,
         )
 
     def plan_domains(
@@ -701,8 +980,8 @@ class FailurePlanner:
                 )
             )
         return self._sweep(
-            items, demands, policies, pool, relax_all, algorithm,
-            key_prefix=key_prefix,
+            items, demands, policies, pool, normal_result, relax_all,
+            algorithm, key_prefix=key_prefix,
         )
 
     def plan_degraded(
@@ -754,8 +1033,8 @@ class FailurePlanner:
                 )
             )
         return self._sweep(
-            items, demands, policies, pool, relax_all, algorithm,
-            key_prefix=key_prefix,
+            items, demands, policies, pool, normal_result, relax_all,
+            algorithm, key_prefix=key_prefix,
         )
 
     def plan_scope(
@@ -975,6 +1254,7 @@ class FailurePlanner:
         demands: Sequence[DemandTrace],
         policies: Mapping[str, QoSPolicy] | QoSPolicy,
         pool,
+        normal_result: ConsolidationResult,
         relax_all: bool,
         algorithm: str,
         key_prefix: str = "",
@@ -990,9 +1270,19 @@ class FailurePlanner:
             policies=policies,
             relax_all=relax_all,
             algorithm=algorithm,
+            normal_assignment={
+                server: tuple(names)
+                for server, names in normal_result.assignment.items()
+            },
             kernel=self.kernel,
             share_cache=self.share_cache,
         )
+        # In-process cases (the serial backend, a pool degraded to
+        # serial) find the planner's scratch on the payload; it is
+        # dropped when the payload is pickled for worker processes.
+        if self._scratch is None or not self._scratch.serves(payload):
+            self._scratch = _SweepScratch(payload)
+        object.__setattr__(payload, "_scratch", self._scratch)
         instrumentation = self.engine.instrumentation
         with instrumentation.stage("failure_planning"):
             restored: dict[int, FailureCase] = {}
@@ -1032,8 +1322,13 @@ class FailurePlanner:
                 cases[case_position] = case
             for (case_position, _), case in zip(pending, computed):
                 cases[case_position] = case
+        report = FailureReport(cases=tuple(cases))
         instrumentation.count("failure.cases", len(items))
-        return FailureReport(cases=tuple(cases))
+        # Counted here, from computed and checkpoint-restored cases
+        # alike, so serial, pooled and resumed runs report the same.
+        instrumentation.count("failure.repaired", report.repaired)
+        instrumentation.count("failure.replanned", report.replanned)
+        return report
 
     def _case_key(self, label: str, key_prefix: str = "") -> str:
         if key_prefix:
@@ -1056,101 +1351,3 @@ class FailurePlanner:
                 self._case_key(case.label, key_prefix),
                 _case_to_payload(case),
             )
-
-    def _evaluate_failure(
-        self,
-        scenario: FaultScenario,
-        affected: set[str],
-        demand_by_name: Mapping[str, DemandTrace],
-        policies: Mapping[str, QoSPolicy] | QoSPolicy,
-        pool,
-        *,
-        relax_all: bool,
-        algorithm: str,
-        scratch: _SweepScratch | None = None,
-    ) -> FailureCase:
-        surviving = pool
-        if scenario.failed_servers:
-            surviving = surviving.without(*scenario.failed_servers)
-        if scenario.degraded:
-            surviving = surviving.with_degraded(dict(scenario.degraded))
-        pairs = []
-        mix = []
-        for name, demand in demand_by_name.items():
-            policy = self._policy_for(policies, name)
-            failure_mode = relax_all or name in affected
-            qos = policy.mode(failure_mode=failure_mode)
-            key = (name, failure_mode)
-            pair = (
-                scratch.translations.get(key)
-                if scratch is not None
-                else None
-            )
-            if pair is None:
-                pair = self.translator.translate(demand, qos).pair
-                if scratch is not None:
-                    scratch.translations[key] = pair
-            pairs.append(pair)
-            mix.append(key)
-
-        consolidator = Consolidator(
-            surviving,
-            self.translator.commitments.cos2,
-            config=self.config,
-            tolerance=self.tolerance,
-            attribute=self.attribute,
-            kernel=self.kernel,
-        )
-        try:
-            if scratch is not None:
-                from repro.placement.evaluation import PlacementEvaluator
-
-                signature = tuple(mix)
-                evaluator = scratch.evaluators.get(signature)
-                if evaluator is None:
-                    evaluator = PlacementEvaluator(
-                        pairs,
-                        self.translator.commitments.cos2,
-                        tolerance=self.tolerance,
-                        kernel=self.kernel,
-                        instrumentation=consolidator.engine.instrumentation,
-                        translations=scratch.fused_translations,
-                    )
-                    scratch.evaluators[signature] = evaluator
-                result = consolidator.consolidate_with_evaluator(
-                    evaluator, algorithm=algorithm
-                )
-            else:
-                result = consolidator.consolidate(pairs, algorithm=algorithm)
-        except PlacementError:
-            return FailureCase(
-                failed_servers=scenario.failed_servers,
-                feasible=False,
-                affected_workloads=tuple(sorted(affected)),
-                result=None,
-                kind=scenario.kind,
-                domain=scenario.domain,
-                degraded=scenario.degraded,
-            )
-        return FailureCase(
-            failed_servers=scenario.failed_servers,
-            feasible=True,
-            affected_workloads=tuple(sorted(affected)),
-            result=result,
-            kind=scenario.kind,
-            domain=scenario.domain,
-            degraded=scenario.degraded,
-        )
-
-    @staticmethod
-    def _policy_for(
-        policies: Mapping[str, QoSPolicy] | QoSPolicy, name: str
-    ) -> QoSPolicy:
-        if isinstance(policies, QoSPolicy):
-            return policies
-        try:
-            return policies[name]
-        except KeyError:
-            raise PlacementError(
-                f"no QoS policy given for workload {name!r}"
-            ) from None

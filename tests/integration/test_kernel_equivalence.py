@@ -31,6 +31,7 @@ from repro.resources.server import homogeneous_servers
 from repro.traces.calendar import TraceCalendar
 from repro.traces.trace import DemandTrace
 from repro.workloads.generator import WorkloadGenerator, WorkloadSpec
+from tests.placement.failure_checks import case_view
 
 TOLERANCE = 0.01
 FAST_SEARCH = GeneticSearchConfig(
@@ -127,9 +128,10 @@ class TestKernelEquivalence:
         assert dict(cold.consolidation.required_by_server) == dict(
             shared.consolidation.required_by_server
         )
-        assert failure_view(cold.failure_report) == failure_view(
+        assert case_view(cold.failure_report) == case_view(
             shared.failure_report
         )
+        assert cold.plan_hash() == shared.plan_hash()
 
 
 BIT_IDENTICAL_KERNELS = ("batch", "fused", "scalar")

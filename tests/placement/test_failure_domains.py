@@ -27,6 +27,12 @@ from repro.resources.pool import ResourcePool
 from repro.resources.server import homogeneous_servers
 from repro.traces.calendar import TraceCalendar
 from repro.workloads.generator import WorkloadGenerator, WorkloadSpec
+from tests.placement.failure_checks import (
+    assert_scalar_oracle_agrees,
+    assert_stays_put,
+    feasible_labels,
+    repair_never_finds_a_home,
+)
 
 SEARCH = GeneticSearchConfig(
     seed=0, max_generations=8, stall_generations=3, population_size=8
@@ -227,6 +233,88 @@ class TestDegradedServers:
         assert len(gentle.infeasible_cases) <= len(harsh.infeasible_cases)
 
 
+class TestRepairFirstAcrossScopes:
+    """Every scope repairs the normal plan; only the displaced move."""
+
+    def _sweep(self, planner, setup, scope, relax_all):
+        demands, policy, pool, normal, _ = setup
+        if scope.startswith("degraded@"):
+            return planner.plan_degraded(
+                demands, policy, pool, normal,
+                factor=float(scope.partition("@")[2]), scope="rack",
+                relax_all=relax_all, algorithm="first_fit",
+            )
+        return planner.plan_scope(
+            demands, policy, pool, normal, scope=scope,
+            relax_all=relax_all, algorithm="first_fit",
+        )
+
+    @pytest.mark.parametrize("relax_all", [False, True])
+    @pytest.mark.parametrize(
+        "scope", ["server", "rack", "rack:2", "degraded@0.5", "degraded@0.3"]
+    )
+    def test_stay_put_and_scalar_oracle(self, setup, scope, relax_all):
+        demands, policy, pool, normal, planner = setup
+        report = self._sweep(planner, setup, scope, relax_all)
+        assert report.cases
+        for case in report.cases:
+            if case.result is None:
+                continue
+            if case.repaired:
+                assert_stays_put(case, normal)
+                faulted = set(case.failed_servers) | {
+                    name for name, _ in case.degraded
+                }
+                assert set(case.moved_from(normal)) <= {
+                    name
+                    for server in faulted
+                    for name in normal.assignment.get(server, ())
+                }
+            assert_scalar_oracle_agrees(
+                case, demands, policy, pool, planner.translator,
+                relax_all=relax_all,
+            )
+
+    def test_every_branch_is_exercised(self, setup):
+        """The fixture is a fair one: across scopes it yields repaired
+        cases, re-planned feasible cases and infeasible ones."""
+        demands, policy, pool, normal, planner = setup
+        reports = [
+            self._sweep(planner, setup, scope, relax_all)
+            for scope in ("server", "rack", "rack:2", "degraded@0.5")
+            for relax_all in (False, True)
+        ]
+        cases = [case for report in reports for case in report.cases]
+        assert any(case.repaired for case in cases)
+        assert any(case.feasible and not case.repaired for case in cases)
+        assert any(not case.feasible for case in cases)
+        # A degraded rack keeps what still fits and evicts the rest.
+        degraded = [
+            case
+            for case in cases
+            if case.degraded and case.repaired and case.moved_from(normal)
+        ]
+        assert degraded
+        assert any(
+            len(case.moved_from(normal)) < len(case.affected_workloads)
+            for case in degraded
+        )
+
+    @pytest.mark.parametrize("scope", ["rack", "rack:2", "degraded@0.5"])
+    def test_repair_first_covers_whatever_the_full_search_covers(
+        self, setup, monkeypatch, scope
+    ):
+        planner = setup[-1]
+        repair_first = self._sweep(planner, setup, scope, True)
+        repair_never_finds_a_home(monkeypatch)
+        full_search = self._sweep(
+            FailurePlanner(planner.translator, config=SEARCH),
+            setup, scope, True,
+        )
+        assert full_search.repaired == 0
+        assert feasible_labels(repair_first) >= feasible_labels(full_search)
+
+
 class TestSamplingGuard:
     def test_sampled_sweep_is_capped_and_counted(self, setup):
         demands, policy, pool, normal, planner = setup
@@ -408,3 +496,61 @@ class TestDomainSweepResume:
         assert with_domains.plan_hash() != without.plan_hash()
         summary = with_domains.summary()
         assert "rack" in summary["failure_domains"]
+
+    def test_repair_counters_agree_across_backends_and_resume(
+        self, framework_parts, tmp_path
+    ):
+        """``failure.repaired + failure.replanned == failure.cases`` and
+        the same numbers serial, pooled, and resumed from a checkpoint."""
+        demands, policy = framework_parts
+        names = ("failure.cases", "failure.repaired", "failure.replanned")
+
+        def repair_counters(plan):
+            counters = plan.summary()["counters"]
+            assert (
+                counters["failure.repaired"] + counters["failure.replanned"]
+                == counters["failure.cases"]
+            )
+            return {name: counters[name] for name in names}
+
+        baseline = self._framework().plan(demands, policy)
+        expected = repair_counters(baseline)
+        assert expected["failure.repaired"] == (
+            baseline.failure_report.repaired
+            + baseline.domain_reports["rack"].repaired
+        )
+        assert baseline.summary()["failure_sweep"]["repaired"] == (
+            baseline.failure_report.repaired
+        )
+
+        with ExecutionEngine.with_workers(2) as engine:
+            pooled = ROpus(
+                PoolCommitments.of(theta=0.95),
+                ResourcePool(homogeneous_servers(6, cpus=16, racks=3)),
+                search_config=SEARCH,
+                engine=engine,
+                failure_policy=FailureSweepPolicy(scopes=("rack",)),
+            ).plan(demands, policy)
+        assert repair_counters(pooled) == expected
+        assert pooled.plan_hash() == baseline.plan_hash()
+
+        class _Killed(Exception):
+            pass
+
+        class _KilledAfterServerSweep(Checkpointer):
+            def save(self, key, payload):
+                if key.startswith("failure/scope:rack/"):
+                    raise _Killed
+                return super().save(key, payload)
+
+        directory = tmp_path / "ckpt"
+        with pytest.raises(_Killed):
+            self._framework(
+                checkpointer=_KilledAfterServerSweep(directory)
+            ).plan(demands, policy)
+        resumed = self._framework(checkpointer=Checkpointer(directory)).plan(
+            demands, policy
+        )
+        assert resumed.resilience_summary()["failure.case_resumes"] >= 1
+        assert repair_counters(resumed) == expected
+        assert resumed.plan_hash() == baseline.plan_hash()

@@ -15,6 +15,12 @@ from repro.resources.pool import ResourcePool
 from repro.resources.server import homogeneous_servers
 from repro.traces.calendar import TraceCalendar
 from repro.workloads.generator import WorkloadGenerator, WorkloadSpec
+from tests.placement.failure_checks import (
+    assert_scalar_oracle_agrees,
+    assert_stays_put,
+    feasible_labels,
+    repair_never_finds_a_home,
+)
 
 SEARCH = GeneticSearchConfig(
     seed=0, max_generations=8, stall_generations=3, population_size=8
@@ -111,3 +117,44 @@ class TestPlanMulti:
             if case.result is not None:
                 # 2 of 8 servers are gone.
                 assert case.servers_used <= 6
+
+
+class TestRepairFirstMulti:
+    @pytest.mark.parametrize("relax_all", [False, True])
+    def test_double_failures_move_only_the_displaced(self, setup, relax_all):
+        demands, policy, pool, normal, planner = setup
+        if normal.servers_used < 2:
+            pytest.skip("needs at least two used servers")
+        report = planner.plan_multi(
+            demands, policy, pool, normal,
+            concurrent_failures=2, relax_all=relax_all,
+        )
+        assert report.repaired > 0
+        for case in report.cases:
+            if case.result is None:
+                continue
+            if case.repaired:
+                assert_stays_put(case, normal)
+                assert set(case.moved_from(normal)) == set(
+                    case.affected_workloads
+                )
+            assert_scalar_oracle_agrees(
+                case, demands, policy, pool, planner.translator,
+                relax_all=relax_all,
+            )
+
+    def test_repair_first_covers_whatever_the_full_search_covers(
+        self, setup, monkeypatch
+    ):
+        demands, policy, pool, normal, planner = setup
+        if normal.servers_used < 2:
+            pytest.skip("needs at least two used servers")
+        repair_first = planner.plan_multi(
+            demands, policy, pool, normal, concurrent_failures=2
+        )
+        repair_never_finds_a_home(monkeypatch)
+        full_search = FailurePlanner(
+            planner.translator, config=SEARCH
+        ).plan_multi(demands, policy, pool, normal, concurrent_failures=2)
+        assert full_search.repaired == 0
+        assert feasible_labels(repair_first) >= feasible_labels(full_search)
