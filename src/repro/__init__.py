@@ -87,10 +87,6 @@ from repro.placement.failure import (
     SpareSizingCurve,
 )
 from repro.placement.genetic import GeneticSearchConfig
-from repro.placement.multi_attribute import (
-    MultiAttributeConsolidator,
-    MultiAttributeEvaluator,
-)
 from repro.resources.container import ResourceContainer
 from repro.resources.pool import ResourcePool
 from repro.resources.server import ServerSpec, homogeneous_servers
@@ -127,8 +123,6 @@ __all__ = [
     "GeneticSearchConfig",
     "InfeasiblePlacementError",
     "Instrumentation",
-    "MultiAttributeConsolidator",
-    "MultiAttributeEvaluator",
     "ParallelExecutor",
     "PartitionError",
     "PlacementConstraints",

@@ -52,10 +52,6 @@ from repro.placement.failure import (
 )
 from repro.placement.genetic import GeneticPlacementSearch, GeneticSearchConfig
 from repro.placement.greedy import best_fit_decreasing, first_fit_decreasing
-from repro.placement.multi_attribute import (
-    MultiAttributeConsolidator,
-    MultiAttributeEvaluator,
-)
 from repro.placement.objective import assignment_score, server_score
 from repro.placement.required_capacity import required_capacity
 from repro.placement.sharding import (
@@ -84,8 +80,6 @@ __all__ = [
     "GeneticPlacementSearch",
     "GeneticSearchConfig",
     "HierarchicalPlanner",
-    "MultiAttributeConsolidator",
-    "MultiAttributeEvaluator",
     "ShardedPlacementResult",
     "ShardingPolicy",
     "SingleServerSimulator",

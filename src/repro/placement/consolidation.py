@@ -16,6 +16,7 @@ from typing import Literal, Mapping, Optional, Sequence
 
 from repro.engine import Checkpointer, ExecutionEngine
 from repro.exceptions import PlacementError
+from repro.placement.correlation import correlation_aware_seed
 from repro.placement.evaluation import KERNELS, PlacementEvaluator
 from repro.placement.genetic import (
     GeneticPlacementSearch,
@@ -207,19 +208,17 @@ class Consolidator:
 
     def consolidate_with_evaluator(
         self,
-        evaluator,
+        evaluator: PlacementEvaluator,
         algorithm: Algorithm = "genetic",
         *,
         previous: Optional[ConsolidationResult] = None,
         checkpointer: Optional[Checkpointer] = None,
         checkpoint_key: str = "consolidation",
     ) -> ConsolidationResult:
-        """Run the placement algorithms against any evaluator.
+        """Run the placement algorithms against a caller-built evaluator.
 
-        The evaluator only needs the :class:`PlacementEvaluator`
-        interface (``names``, ``n_workloads``, ``peak_allocations`` and
-        ``evaluate_group``); the multi-attribute extension passes a
-        composite evaluator here.
+        The failure sweep passes one evaluator to many consolidations so
+        they share its memo.
         """
         instrumentation = self.engine.instrumentation
         with instrumentation.stage("placement"):
@@ -238,7 +237,17 @@ class Consolidator:
                 extra_seeds = [
                     best_fit_decreasing(evaluator, self.pool, self.attribute)
                 ]
-                extra_seeds.extend(self._correlation_seed(evaluator))
+                # Mixing anti-correlated workloads onto servers is a
+                # strong starting point (Section VIII); a pool too tight
+                # for that ordering simply goes without the seed.
+                try:
+                    extra_seeds.append(
+                        correlation_aware_seed(
+                            evaluator, self.pool, self.attribute
+                        )
+                    )
+                except PlacementError:
+                    pass
                 carried = self._assignment_from_previous(evaluator, previous)
                 if carried is not None:
                     extra_seeds.insert(0, carried)
@@ -309,25 +318,6 @@ class Consolidator:
             )
         return assignment
 
-    def _correlation_seed(self, evaluator) -> list[tuple[int, ...]]:
-        """A correlation-aware greedy seed, when the evaluator supports it.
-
-        Mixing anti-correlated workloads onto servers is a strong
-        starting point for the genetic search (Section VIII flags demand
-        correlation as worth exploiting). Composite (multi-attribute)
-        evaluators do not expose the raw series, so the seed is skipped
-        for them.
-        """
-        from repro.placement.correlation import correlation_aware_seed
-        from repro.placement.evaluation import PlacementEvaluator
-
-        if not isinstance(evaluator, PlacementEvaluator):
-            return []
-        try:
-            return [correlation_aware_seed(evaluator, self.pool, self.attribute)]
-        except PlacementError:
-            return []
-
     def _assignment_from_previous(
         self, evaluator, previous: Optional[ConsolidationResult]
     ) -> Optional[tuple[int, ...]]:
@@ -371,29 +361,20 @@ class Consolidator:
             groups.setdefault(int(server_index), []).append(workload_index)
 
         # Evaluate every used server's final group in one batched call
-        # when the evaluator supports it (normally all cache hits after
-        # a search; one simultaneous solve otherwise, e.g. for the pure
-        # greedy algorithms' final scoring).
-        batch_evaluate = getattr(evaluator, "evaluate_groups", None)
+        # (normally all cache hits after a search; one simultaneous
+        # solve otherwise, e.g. for the pure greedy algorithms' final
+        # scoring).
         used = [
             (server_index, server)
             for server_index, server in enumerate(servers)
             if groups.get(server_index)
         ]
-        if batch_evaluate is not None:
-            evaluations = batch_evaluate(
-                [
-                    (server.capacity_of(self.attribute), groups[server_index])
-                    for server_index, server in used
-                ]
-            )
-        else:
-            evaluations = [
-                evaluator.evaluate_group(
-                    groups[server_index], server, self.attribute
-                )
+        evaluations = evaluator.evaluate_groups(
+            [
+                (server.capacity_of(self.attribute), groups[server_index])
                 for server_index, server in used
             ]
+        )
         evaluation_by_server = {
             server_index: evaluation
             for (server_index, _), evaluation in zip(used, evaluations)

@@ -10,8 +10,8 @@ cache is what makes the search affordable.
 
 Two execution shapes are supported:
 
-* the scalar path (:func:`evaluate_group_worker`) runs one subset's
-  binary search at a time, exactly as the paper describes it;
+* the scalar path (``kernel="scalar"``) runs one subset's binary search
+  at a time, exactly as the paper describes it;
 * the batch path (:meth:`PlacementEvaluator.evaluate_groups`,
   :func:`evaluate_groups_worker`) stacks all cache-missing subsets into
   a :class:`~repro.placement.kernels.BatchSimulator` and solves every
@@ -29,7 +29,6 @@ the memoisation design survives the fan-out.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -38,10 +37,7 @@ import numpy as np
 from repro.engine.instrumentation import Instrumentation
 from repro.core.cos import CoSCommitment
 from repro.exceptions import PlacementError
-from repro.placement.fused import (
-    TranslationCache,
-    fused_required_capacity,
-)
+from repro.placement.fused import fused_required_capacity
 from repro.placement.kernels import (
     KERNEL_COUNTERS,
     BatchSearchStats,
@@ -91,8 +87,11 @@ class ServerEvaluation:
 #: Memoisation key: (server capacity, canonically sorted subset rows).
 GroupKey = tuple[float, tuple[int, ...]]
 
-#: One batched work item: (capacity limit, sorted rows, probe or None).
-GroupItem = tuple[float, "tuple[int, ...]", Optional[float]]
+#: One batched work item: (capacity limit, sorted rows, ``None``). The
+#: third slot carries nothing; ``benchmarks/record/tracing.py`` builds
+#: these triples itself, so the slot goes in the benchmark PR that
+#: retires that file's per-kernel solves (see CHANGES.md, PR 19).
+GroupItem = tuple[float, "tuple[int, ...]", None]
 
 
 @dataclass(frozen=True)
@@ -111,39 +110,6 @@ class EvaluationPayload:
     commitment: CoSCommitment
     tolerance: float
     kernel: str = "batch"
-    fingerprint: Optional[str] = None
-
-    def __getstate__(self) -> dict:
-        # The lazily attached fused-translation scratch (see
-        # ``_worker_translations``) holds live numpy buffers; it must
-        # never cross a process boundary.
-        state = dict(self.__dict__)
-        state.pop("_fused_translations", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-
-
-def _worker_translations(
-    payload: EvaluationPayload,
-) -> Optional[TranslationCache]:
-    """The payload's fused-translation memo, attached lazily to it.
-
-    Mirrors :func:`repro.placement.failure._scratch_for`: each worker
-    process unpickles its own payload copy (broadcast once per
-    session), so hanging the cache off that copy keeps it process-local
-    without a module-level registry, and a new session starts cold by
-    construction. ``object.__setattr__`` is the sanctioned escape hatch
-    for caching on a frozen dataclass.
-    """
-    if payload.kernel != "fused" or payload.fingerprint is None:
-        return None
-    cache = getattr(payload, "_fused_translations", None)
-    if cache is None:
-        cache = TranslationCache()
-        object.__setattr__(payload, "_fused_translations", cache)
-    return cache
 
 
 def _evaluation_from_result(
@@ -192,34 +158,13 @@ def _evaluate_items_batched(
     tolerance: float,
     items: Sequence[GroupItem],
     kernel: str = "batch",
-    translations: Optional[TranslationCache] = None,
-    fingerprint: Optional[str] = None,
 ) -> tuple[list[ServerEvaluation], BatchSearchStats]:
     """Solve every item's capacity search in one batched kernel solve."""
     subsets = [rows for _, rows, _ in items]
     limits = np.asarray([limit for limit, _, _ in items], dtype=float)
-    probe_values = [probe for _, _, probe in items]
-    probes: Optional[np.ndarray] = None
-    if any(probe is not None for probe in probe_values):
-        probes = np.asarray(
-            [
-                float("nan") if probe is None else float(probe)
-                for probe in probe_values
-            ],
-            dtype=float,
-        )
     if kernel == "fused":
         solved = fused_required_capacity(
-            cos1,
-            cos2,
-            subsets,
-            calendar,
-            limits,
-            commitment,
-            tolerance=tolerance,
-            probes=probes,
-            cache=translations,
-            fingerprint=fingerprint,
+            cos1, cos2, subsets, calendar, limits, commitment, tolerance=tolerance
         )
     else:
         batch = BatchSimulator.from_subsets(cos1, cos2, subsets, calendar)
@@ -228,7 +173,6 @@ def _evaluate_items_batched(
             limits,
             commitment,
             tolerance=tolerance,
-            probes=probes,
             mode=_solver_mode(kernel),
         )
     evaluations = [
@@ -236,28 +180,6 @@ def _evaluate_items_batched(
         for result, limit in zip(solved.results, limits)
     ]
     return evaluations, solved.stats
-
-
-def evaluate_group_worker(
-    payload: EvaluationPayload, item: tuple[float, tuple[int, ...]]
-) -> ServerEvaluation:
-    """Executor work unit: ``item`` is ``(capacity_limit, workload_rows)``.
-
-    A pure function of the broadcast payload and the item, so results
-    are identical across serial and parallel backends. This is the
-    scalar (one search per call) granularity; see
-    :func:`evaluate_groups_worker` for the batched one.
-    """
-    limit, rows = item
-    return _evaluate_rows(
-        payload.cos1,
-        payload.cos2,
-        payload.calendar,
-        payload.commitment,
-        payload.tolerance,
-        tuple(sorted(rows)),
-        limit,
-    )
 
 
 def evaluate_groups_worker(
@@ -295,8 +217,6 @@ def evaluate_groups_worker(
         payload.tolerance,
         items,
         kernel=payload.kernel,
-        translations=_worker_translations(payload),
-        fingerprint=payload.fingerprint,
     )
     return tuple(evaluations_list), stats
 
@@ -312,7 +232,6 @@ class PlacementEvaluator:
         *,
         kernel: str = "batch",
         instrumentation: Optional[Instrumentation] = None,
-        translations: Optional[TranslationCache] = None,
     ):
         if not pairs:
             raise PlacementError("need at least one workload to place")
@@ -337,17 +256,6 @@ class PlacementEvaluator:
         self._cos1 = np.vstack([pair.cos1.values for pair in self.pairs])
         self._cos2 = np.vstack([pair.cos2.values for pair in self.pairs])
         self._cache: dict[GroupKey, ServerEvaluation] = {}
-        # Fused-kernel state: the per-group translation memo (sharable
-        # across evaluators, e.g. one failure sweep's per-QoS-mix
-        # evaluators) and the lazily computed content fingerprint that
-        # keys it.
-        if translations is not None:
-            self._translations: Optional[TranslationCache] = translations
-        elif kernel == "fused":
-            self._translations = TranslationCache()
-        else:
-            self._translations = None
-        self._fingerprint: Optional[str] = None
 
     @property
     def n_workloads(self) -> int:
@@ -435,26 +343,6 @@ class PlacementEvaluator:
         for name, value in zip(KERNEL_COUNTERS, stats):
             self._count(name, value)
 
-    def content_fingerprint(self) -> str:
-        """Digest of everything a fused translation's content depends on.
-
-        The same scheme as :func:`repro.core.framework.planning_fingerprint`
-        scoped to the translation inputs: the stacked allocation
-        matrices, the commitment, the tolerance, and the calendar. Two
-        evaluators with equal fingerprints produce bit-identical
-        translations for equal row subsets, which is what lets one
-        :class:`TranslationCache` serve many evaluators.
-        """
-        if self._fingerprint is None:
-            digest = hashlib.sha256()
-            digest.update(self._cos1.tobytes())
-            digest.update(self._cos2.tobytes())
-            digest.update(repr(self.commitment).encode("utf-8"))
-            digest.update(repr(self.calendar).encode("utf-8"))
-            digest.update(repr(float(self.tolerance)).encode("utf-8"))
-            self._fingerprint = digest.hexdigest()
-        return self._fingerprint
-
     def worker_payload(self) -> EvaluationPayload:
         """The picklable state a stateless worker needs (broadcast once)."""
         return EvaluationPayload(
@@ -464,11 +352,6 @@ class PlacementEvaluator:
             commitment=self.commitment,
             tolerance=self.tolerance,
             kernel=self.kernel,
-            fingerprint=(
-                self.content_fingerprint()
-                if self.kernel == "fused"
-                else None
-            ),
         )
 
     def search_result(
@@ -506,8 +389,6 @@ class PlacementEvaluator:
                 self.tolerance,
                 [(limit, rows, None)],
                 kernel=self.kernel,
-                translations=self._translations,
-                fingerprint=self._kernel_fingerprint(),
             )
             self.record_search_stats(stats)
             return evaluations[0]
@@ -534,8 +415,6 @@ class PlacementEvaluator:
                 self.tolerance,
                 nonempty,
                 kernel=self.kernel,
-                translations=self._translations,
-                fingerprint=self._kernel_fingerprint(),
             )
             self.record_search_stats(stats)
             solved_by_key = {
@@ -559,12 +438,6 @@ class PlacementEvaluator:
         return [
             solved_by_key[key] if key[1] else empty for key in missing
         ]
-
-    def _kernel_fingerprint(self) -> Optional[str]:
-        """The translation-memo key, only computed for the fused kernel."""
-        if self.kernel != "fused":
-            return None
-        return self.content_fingerprint()
 
     def _count(self, name: str, increment: float = 1) -> None:
         if self.instrumentation is not None:

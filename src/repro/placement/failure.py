@@ -74,7 +74,6 @@ from repro.engine import Checkpointer, ExecutionEngine
 from repro.exceptions import PlacementError
 from repro.placement.consolidation import ConsolidationResult, Consolidator
 from repro.placement.evaluation import PlacementEvaluator
-from repro.placement.fused import TranslationCache
 from repro.placement.genetic import GeneticSearchConfig
 from repro.resources.pool import DOMAIN_KINDS, ResourcePool
 from repro.resources.server import ServerSpec
@@ -483,11 +482,6 @@ class _SweepScratch:
         self.demand_by_name = {demand.name: demand for demand in self.demands}
         self.translations: dict = {}
         self.evaluators: dict = {}
-        # Fused-kernel group translations, shared across every case
-        # (and every per-QoS-mix evaluator) this process handles: the
-        # cache keys on each evaluator's content fingerprint, so mixes
-        # with different degraded ensembles never collide.
-        self.fused_translations = TranslationCache()
 
     def serves(self, payload: _FailureSweepPayload) -> bool:
         """Whether the memos were derived from this payload's inputs."""
@@ -519,9 +513,6 @@ class _SweepScratch:
                 self.commitments.cos2,
                 tolerance=self.tolerance,
                 kernel=self.kernel,
-                translations=(
-                    self.fused_translations if self.share_cache else None
-                ),
             )
             if self.share_cache:
                 self.evaluators[mix] = evaluator
@@ -586,7 +577,7 @@ def _repair_assignment(
     groups: dict[int, list[int]] = {}
     for server_name, names in normal_assignment.items():
         survivor = survivor_of.get(server_name)
-        residents = [index_of[name] for name in names if name in index_of]
+        residents = [index_of[name] for name in names]
         if survivor is not None and residents:
             groups[survivor] = residents
 
@@ -828,18 +819,6 @@ class FailurePlanner:
             Apply failure-mode QoS to every application during the
             what-if instead of only those hosted on the failed server.
         """
-        demand_by_name = {demand.name: demand for demand in demands}
-        missing = [
-            name
-            for names in normal_result.assignment.values()
-            for name in names
-            if name not in demand_by_name
-        ]
-        if missing:
-            raise PlacementError(
-                f"normal plan references unknown workloads: {missing}"
-            )
-
         items = [
             (
                 FaultScenario(failed_servers=(failed_server,)),
@@ -1260,6 +1239,17 @@ class FailurePlanner:
         key_prefix: str = "",
     ) -> FailureReport:
         """Evaluate every what-if case through the execution engine."""
+        known = {demand.name for demand in demands}
+        missing = [
+            name
+            for names in normal_result.assignment.values()
+            for name in names
+            if name not in known
+        ]
+        if missing:
+            raise PlacementError(
+                f"normal plan references unknown workloads: {missing}"
+            )
         payload = _FailureSweepPayload(
             commitments=self.translator.commitments,
             config=self.config,

@@ -48,11 +48,6 @@ almost all of them:
   winners; rows that do not are re-solved by
   :func:`~repro.placement.kernels.required_capacity_batch` and counted
   as ``f32_retries``.
-* **Memoised translation.** Building a group's compressed
-  representation (theta threshold, floor backlog, guard windows) costs
-  a few full-trace passes; a :class:`TranslationCache` keyed by the
-  evaluator's planning-style content fingerprint plus the workload rows
-  reuses it across servers, generations, and failure-sweep cases.
 
 The per-iteration late check is a tiny vectorised numpy scan. It sits
 below the float64 verification, so it only needs to be *approximately*
@@ -122,72 +117,16 @@ class GroupTranslation:
     the candidate).
     """
 
-    rows: tuple[int, ...]
     peak: float
     theta_cap: float
     low0: float
     totals: np.ndarray
     guards: np.ndarray
-    #: False for a theta-killed stub: the row's capacity limit sits
-    #: below ``theta_cap``, so the late decision is never consulted and
-    #: the compressed series was not built. Stubs are never cached — a
-    #: later call with a higher limit rebuilds the row in full.
-    complete: bool = True
 
     @property
     def width(self) -> int:
         """Compressed slot count (original trace length upper bound)."""
         return int(self.totals.shape[0])
-
-
-class TranslationCache:
-    """Bounded memo of :class:`GroupTranslation` by (fingerprint, rows).
-
-    The fingerprint identifies the translation's full input content
-    (demand matrices, commitment, tolerance, calendar — see
-    :meth:`~repro.placement.evaluation.PlacementEvaluator.content_fingerprint`),
-    so one cache may safely serve many evaluators, e.g. a failure
-    sweep's per-QoS-mix evaluators sharing one sweep scratch. Eviction
-    is insertion-ordered (FIFO): translations are cheap to rebuild and
-    the bound only exists to keep long management-loop runs from
-    accumulating stale entries.
-    """
-
-    def __init__(self, max_entries: int = 4096):
-        if max_entries <= 0:
-            raise SimulationError(
-                f"max_entries must be > 0, got {max_entries}"
-            )
-        self._entries: dict[
-            tuple[str, tuple[int, ...]], GroupTranslation
-        ] = {}
-        self.max_entries = int(max_entries)
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(
-        self, fingerprint: str, rows: tuple[int, ...]
-    ) -> Optional[GroupTranslation]:
-        entry = self._entries.get((fingerprint, rows))
-        if entry is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return entry
-
-    def put(
-        self,
-        fingerprint: str,
-        rows: tuple[int, ...],
-        translation: GroupTranslation,
-    ) -> None:
-        entries = self._entries
-        while len(entries) >= self.max_entries:
-            entries.pop(next(iter(entries)))
-        entries[(fingerprint, rows)] = translation
 
 
 def _compress_row(
@@ -222,18 +161,18 @@ def _compress_row(
 
 def translate_rows(
     batch: BatchSimulator,
-    subsets: Sequence[tuple[int, ...]],
     rows: np.ndarray,
     commitment: CoSCommitment,
     tolerance: float,
     limits: Optional[np.ndarray] = None,
 ) -> list[GroupTranslation]:
-    """Build translations for ``rows`` of ``batch`` (one per subset).
+    """Build translations for ``rows`` of ``batch`` (one per row).
 
-    ``subsets[i]`` names the workload rows behind batch row
-    ``rows[i]`` (only used to label the translation for cache keying).
+    Only the requested rows are translated — the caller runs its
+    (translation-free) peak screen first so rows it already killed
+    never pay the theta walk or the run-length compression.
     When per-row capacity ``limits`` are given, rows whose exact theta
-    threshold already exceeds their limit come back as incomplete
+    threshold already exceeds their limit come back as empty-width
     stubs: the fused search decides them no-fit on the closed-form
     theta comparison alone (the late scan is masked out below the
     threshold), so their run-length compression would never be read.
@@ -290,69 +229,14 @@ def translate_rows(
             totals_c, guards_c = empty, empty
         translations.append(
             GroupTranslation(
-                rows=tuple(subsets[position]),
                 peak=float(peaks[position]),
                 theta_cap=float(theta_caps[position]),
                 low0=float(low0[position]),
                 totals=totals_c,
                 guards=guards_c,
-                complete=bool(needed[position]) or not late_possible,
             )
         )
     return translations
-
-
-def _translations_for(
-    batch: BatchSimulator,
-    rows: np.ndarray,
-    subsets: Sequence[tuple[int, ...]],
-    commitment: CoSCommitment,
-    tolerance: float,
-    limits: Optional[np.ndarray],
-    cache: Optional[TranslationCache],
-    fingerprint: Optional[str],
-) -> list[GroupTranslation]:
-    """Translations for batch rows ``rows``, cache-served where possible.
-
-    ``subsets[i]`` labels ``rows[i]``. Only the requested rows are
-    translated — the caller runs its (translation-free) peak screen
-    first so rows it already killed never pay the theta walk or the
-    run-length compression. Theta-killed stubs (see
-    :func:`translate_rows`) are never cached: the same subset may later
-    arrive with a higher limit that needs the full compression.
-    """
-    index = np.asarray(rows, dtype=int)
-    if cache is None or fingerprint is None:
-        return translate_rows(
-            batch,
-            [tuple(subset) for subset in subsets],
-            index,
-            commitment,
-            tolerance,
-            limits=limits,
-        )
-    out: list[Optional[GroupTranslation]] = [None] * index.shape[0]
-    missing: list[int] = []
-    for position in range(index.shape[0]):
-        cached = cache.get(fingerprint, tuple(subsets[position]))
-        if cached is not None:
-            out[position] = cached
-        else:
-            missing.append(position)
-    if missing:
-        built = translate_rows(
-            batch,
-            [tuple(subsets[position]) for position in missing],
-            index[missing],
-            commitment,
-            tolerance,
-            limits=None if limits is None else limits[missing],
-        )
-        for position, translation in zip(missing, built):
-            out[position] = translation
-            if translation.complete:
-                cache.put(fingerprint, translation.rows, translation)
-    return out  # type: ignore[return-value]
 
 
 #: Planned per-row outcomes awaiting float64 verification.
@@ -369,16 +253,12 @@ def fused_required_capacity(
     capacity_limits: np.ndarray,
     commitment: CoSCommitment,
     tolerance: float = DEFAULT_TOLERANCE,
-    probes: Optional[np.ndarray] = None,
-    *,
-    cache: Optional[TranslationCache] = None,
-    fingerprint: Optional[str] = None,
 ) -> BatchSearchResult:
     """Solve every subset's capacity search on the fused fast path.
 
     Row ``i`` is bit-identical (in ``fits``/``required_capacity``) to
     ``required_capacity_batch`` in ``bisect`` mode over the same
-    subsets, probes included — rows whose float32 trajectory fails the
+    subsets — rows whose float32 trajectory fails the
     float64 endpoint verification are transparently re-solved by that
     very kernel (``stats.f32_retries`` counts them; ``stats.fused_rows``
     counts the rows the fast path settled). Reports are ``None``; see
@@ -423,15 +303,8 @@ def fused_required_capacity(
         )
 
     m = int(candidate.size)
-    cand_translations = _translations_for(
-        batch,
-        candidate,
-        [subsets[int(row)] for row in candidate],
-        commitment,
-        tolerance,
-        limits[candidate],
-        cache,
-        fingerprint,
+    cand_translations = translate_rows(
+        batch, candidate, commitment, tolerance, limits=limits[candidate]
     )
     width = max(t.width for t in cand_translations)
     stack_totals = np.zeros((m, width), dtype=np.float32)
@@ -471,7 +344,6 @@ def fused_required_capacity(
     win = np.zeros(m, dtype=float)
     lose = np.zeros(m, dtype=float)
     iterations = np.zeros(m, dtype=np.int64)
-    probe_hit = np.zeros(m, dtype=bool)
 
     everyone = np.arange(m)
     ok_limit = decide(everyone, high)
@@ -491,32 +363,6 @@ def fused_required_capacity(
             outcome[position] = _WIN_HIGH_ONLY
             win[position] = float(low[position])
         pending = pending[~ok_low]
-
-    # Warm-start probes, judged on the fast path exactly as the batch
-    # kernel judges them (guess and tolerance sibling in one pass).
-    if probes is not None and pending.size:
-        guesses = np.asarray(probes, dtype=float)[candidate[pending]]
-        usable = np.isfinite(guesses)
-        usable &= (guesses > low[pending]) & (guesses < high[pending])
-        probed = pending[usable]
-        if probed.size:
-            guess = guesses[usable]
-            sibling = np.maximum(guess - tolerance, low[probed])
-            stacked_ok = decide(
-                np.concatenate([probed, probed]),
-                np.concatenate([guess, sibling]),
-            )
-            half = probed.size
-            for offset, position in enumerate(probed):
-                if stacked_ok[offset]:
-                    high[position] = guess[offset]
-                    if stacked_ok[half + offset]:
-                        high[position] = sibling[offset]
-                    else:
-                        low[position] = sibling[offset]
-                        probe_hit[position] = True
-                else:
-                    low[position] = guess[offset]
 
     # Simultaneous bisection on the float64 dyadic grid, decisions on
     # the compressed float32 stacks.
@@ -572,7 +418,6 @@ def fused_required_capacity(
             confirmed[position] = False
 
     bracket_iterations = int(iterations[confirmed].sum())
-    probe_hits = int(probe_hit[confirmed].sum())
     for position in np.nonzero(confirmed)[0]:
         row = int(candidate[position])
         fused_rows += 1
@@ -596,24 +441,17 @@ def fused_required_capacity(
         sub = BatchSimulator(
             batch._cos1[retry_rows], batch._cos2[retry_rows], calendar
         )
-        retry_probes = (
-            None
-            if probes is None
-            else np.asarray(probes, dtype=float)[retry_rows]
-        )
         solved = required_capacity_batch(
             sub,
             limits[retry_rows],
             commitment,
             tolerance=tolerance,
-            probes=retry_probes,
             mode="bisect",
         )
         for row, result in zip(retry_rows, solved.results):
             results[int(row)] = result
         kernel_calls += solved.stats.kernel_calls
         bracket_iterations += solved.stats.bracket_iterations
-        probe_hits += solved.stats.probe_hits
         row_evaluations += solved.stats.row_evaluations
         backlog_rows += solved.stats.backlog_rows
 
@@ -623,7 +461,6 @@ def fused_required_capacity(
             rows=n,
             kernel_calls=kernel_calls,
             bracket_iterations=bracket_iterations,
-            probe_hits=probe_hits,
             fused_rows=fused_rows,
             f32_retries=f32_retries,
             row_evaluations=row_evaluations,

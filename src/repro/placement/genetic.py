@@ -37,6 +37,7 @@ from repro.engine.dispatch import split_chunks
 from repro.exceptions import PlacementError
 from repro.placement.evaluation import (
     GroupItem,
+    GroupKey,
     PlacementEvaluator,
     ServerEvaluation,
     evaluate_groups_worker,
@@ -60,13 +61,6 @@ class GeneticSearchConfig:
     crossover_probability: float = 0.6
     mutation_probability: float = 0.8
     seed: Optional[int] = None
-    #: Ship each child's parent-evaluation capacities to the batch
-    #: solver as verified probe guesses. Sound (every probe is checked
-    #: by a kernel call before it moves a bracket) but a lucky probe can
-    #: finish a search at a capacity that differs from the scalar
-    #: bisection's answer by up to the tolerance, so bit-identical
-    #: scalar/batch comparisons keep this off.
-    warm_start_brackets: bool = False
 
     def __post_init__(self) -> None:
         if self.population_size < 2:
@@ -182,7 +176,7 @@ class GeneticPlacementSearch:
             if checkpointer is not None
             else None
         )
-        with self.engine.session(self._worker_payload()) as session:
+        with self.engine.session(self.evaluator.worker_payload()) as session:
             if resume is not None:
                 population, best_feasible, history, stall, start_generation = (
                     self._restore(resume, rng, session)
@@ -362,54 +356,31 @@ class GeneticPlacementSearch:
     def _evaluate_used_servers(
         self, groups: dict[int, list[int]]
     ) -> dict[int, ServerEvaluation]:
-        """Evaluate every used server's group, as one batch if possible.
+        """Evaluate every used server's group as one batch.
 
         All of an assignment's server groups are independent searches,
-        so an evaluator exposing ``evaluate_groups`` solves the cache
-        misses in one simultaneous bisection; composite evaluators fall
-        back to per-group calls. Results are identical either way.
+        so the evaluator solves the cache misses in one simultaneous
+        bisection.
         """
         used = sorted(server_index for server_index in groups if groups[server_index])
-        batch_evaluate = getattr(self.evaluator, "evaluate_groups", None)
-        if batch_evaluate is not None:
-            evaluations = batch_evaluate(
-                [
-                    (
-                        self.servers[server_index].capacity_of(self.attribute),
-                        groups[server_index],
-                    )
-                    for server_index in used
-                ]
-            )
-        else:
-            evaluations = [
-                self.evaluator.evaluate_group(
+        evaluations = self.evaluator.evaluate_groups(
+            [
+                (
+                    self.servers[server_index].capacity_of(self.attribute),
                     groups[server_index],
-                    self.servers[server_index],
-                    self.attribute,
                 )
                 for server_index in used
             ]
+        )
         return dict(zip(used, evaluations))
 
     # ------------------------------------------------------------------
     # Batched evaluation through the execution engine
     # ------------------------------------------------------------------
-    def _worker_payload(self):
-        """The broadcastable evaluator state, when the evaluator has one.
-
-        Composite (multi-attribute) evaluators do not expose a payload;
-        batches then evaluate inline in the driver, which keeps the
-        search correct (just not parallel) for them.
-        """
-        payload_factory = getattr(self.evaluator, "worker_payload", None)
-        return payload_factory() if payload_factory is not None else None
-
     def _evaluate_batch(
         self,
         assignments: Sequence[Assignment],
         session: ExecutorSession,
-        parents: Sequence[tuple[EvaluatedAssignment, ...]] | None = None,
     ) -> list[EvaluatedAssignment]:
         """Evaluate assignments, fanning uncached subsets out first.
 
@@ -420,54 +391,32 @@ class GeneticPlacementSearch:
         :meth:`PlacementEvaluator.install` before the ordinary cached
         evaluation path scores each assignment. Results are
         bit-identical to evaluating one by one.
-
-        ``parents`` (aligned with ``assignments``) supplies each child's
-        parent evaluations for warm-started brackets when the config
-        enables them.
         """
         validated = [self._validate_assignment(tuple(a)) for a in assignments]
-        self._prime_cache(validated, session, parents)
+        self._prime_cache(validated, session)
         return [self.evaluate(assignment) for assignment in validated]
 
     def _prime_cache(
         self,
         assignments: Sequence[Assignment],
         session: ExecutorSession,
-        parents: Sequence[tuple[EvaluatedAssignment, ...]] | None = None,
     ) -> None:
-        if not (
-            hasattr(self.evaluator, "cache_key")
-            and hasattr(self.evaluator, "install")
-            and self._worker_payload() is not None
-        ):
-            return
-        pending: dict[object, GroupItem] = {}
-        for position, assignment in enumerate(assignments):
+        # Insertion-ordered set of the (limit, rows) keys no cache holds.
+        pending: dict[GroupKey, None] = {}
+        for assignment in assignments:
             groups: dict[int, list[int]] = {}
             for workload_index, server_index in enumerate(assignment):
                 groups.setdefault(server_index, []).append(workload_index)
             for server_index, indices in groups.items():
-                server = self.servers[server_index]
-                key = self.evaluator.cache_key(indices, server, self.attribute)
-                if self.evaluator.is_cached(key):
-                    continue
-                limit, rows = (
-                    server.capacity_of(self.attribute),
-                    tuple(sorted(indices)),
+                key = self.evaluator.cache_key(
+                    indices, self.servers[server_index], self.attribute
                 )
-                probe = self._probe_for(parents, position, server_index)
-                if key in pending:
-                    previous = pending[key][2]
-                    if probe is not None and (
-                        previous is None or probe > previous
-                    ):
-                        pending[key] = (limit, rows, probe)
-                    continue
-                pending[key] = (limit, rows, probe)
+                if not self.evaluator.is_cached(key):
+                    pending[key] = None
         if not pending:
             return
         keys = list(pending)
-        items = [pending[key] for key in keys]
+        items: list[GroupItem] = [(limit, rows, None) for limit, rows in keys]
         parallelism = max(1, int(getattr(session, "parallelism", 1)))
         chunks = split_chunks(items, min(len(items), parallelism))
         chunk_results = session.map(evaluate_groups_worker, chunks)
@@ -484,34 +433,6 @@ class GeneticPlacementSearch:
                 instrumentation.count(name, value)
         instrumentation.count("placement.group_evaluations", len(pending))
 
-    def _probe_for(
-        self,
-        parents: Sequence[tuple[EvaluatedAssignment, ...]] | None,
-        position: int,
-        server_index: int,
-    ) -> Optional[float]:
-        """A warm-start capacity guess from the child's parents.
-
-        The largest fitting required-capacity any parent measured for
-        the same server is a good first probe for the child's subset
-        there: crossover children share most of a parent's server
-        contents. Required capacity is *not* monotone in the workload
-        subset (adding a fully-served workload can lower the binding
-        theta ratio's denominator share), so the guess is only ever used
-        as a kernel-verified probe, never as an unverified bracket edge.
-        """
-        if not self.config.warm_start_brackets or parents is None:
-            return None
-        if position >= len(parents):
-            return None
-        candidates = [
-            parent.evaluations[server_index].required
-            for parent in parents[position]
-            if server_index in parent.evaluations
-            and parent.evaluations[server_index].fits
-        ]
-        return max(candidates) if candidates else None
-
     # ------------------------------------------------------------------
     # Evolution operators
     # ------------------------------------------------------------------
@@ -524,25 +445,19 @@ class GeneticPlacementSearch:
         population = sorted(population, key=lambda member: member.score, reverse=True)
         next_population = population[: self.config.elite_count]
         children: list[Assignment] = []
-        child_parents: list[tuple[EvaluatedAssignment, ...]] = []
         while len(next_population) + len(children) < self.config.population_size:
             parent_a = self._tournament(population, rng)
-            parents: tuple[EvaluatedAssignment, ...] = (parent_a,)
             if rng.random() < self.config.crossover_probability:
                 parent_b = self._tournament(population, rng)
                 child = self._crossover(
                     parent_a.assignment, parent_b.assignment, rng
                 )
-                parents = (parent_a, parent_b)
             else:
                 child = parent_a.assignment
             if rng.random() < self.config.mutation_probability:
                 child = self._mutate(child, rng)
             children.append(child)
-            child_parents.append(parents)
-        next_population.extend(
-            self._evaluate_batch(children, session, child_parents)
-        )
+        next_population.extend(self._evaluate_batch(children, session))
         return next_population
 
     def _tournament(

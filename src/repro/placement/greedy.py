@@ -73,30 +73,21 @@ def _greedy_place(
     order = np.argsort(-evaluator.peak_allocations(), kind="stable")
     groups: dict[int, list[int]] = {}
     assignment = [-1] * evaluator.n_workloads
-    # All of one workload's candidate (used server + workload) subsets
-    # are independent searches, so evaluate them as one batch when the
-    # evaluator can (one simultaneous bisection instead of a Python loop
-    # per server). Results are identical either way — the batch path
-    # shares the scalar path's cache.
-    batch_evaluate = getattr(evaluator, "evaluate_groups", None)
 
     for workload_index in (int(index) for index in order):
         used = sorted(groups)
-        candidates = [groups[server_index] + [workload_index] for server_index in used]
-        if batch_evaluate is not None:
-            evaluations = batch_evaluate(
-                [
-                    (servers[server_index].capacity_of(attribute), candidate)
-                    for server_index, candidate in zip(used, candidates)
-                ]
-            )
-        else:
-            evaluations = [
-                evaluator.evaluate_group(
-                    candidate, servers[server_index], attribute
+        # All of one workload's candidate (used server + workload)
+        # subsets are independent searches: one simultaneous bisection
+        # instead of a Python loop per server.
+        evaluations = evaluator.evaluate_groups(
+            [
+                (
+                    servers[server_index].capacity_of(attribute),
+                    groups[server_index] + [workload_index],
                 )
-                for server_index, candidate in zip(used, candidates)
+                for server_index in used
             ]
+        )
         feasible = [
             (server_index, evaluation.required)
             for server_index, evaluation in zip(used, evaluations)

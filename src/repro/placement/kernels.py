@@ -26,20 +26,17 @@ it every bracket and every required capacity — is bit-identical to
 :func:`~repro.placement.required_capacity.required_capacity`. Search
 results carry ``report=None``: measuring an
 :class:`~repro.placement.simulator.AccessReport` needs the exact FIFO
-drain, which no decision does;
-:meth:`~repro.placement.evaluation.PlacementEvaluator.search_result`
-(the scalar path) reports, and :func:`evaluate_capacities` /
-:meth:`BatchSimulator.evaluate_rows` remain the exact batched
-measurements.
+drain, which no decision does — the scalar path
+(:meth:`SingleServerSimulator.evaluate`,
+:meth:`~repro.placement.evaluation.PlacementEvaluator.search_result`)
+is the only source of one.
 
-Warm starts are *probes*, not bracket clamps. Required capacity is
-monotone in **capacity** (more capacity can only help — this is what
-makes bisection sound) but **not** in the workload subset: adding a
-workload that is fully satisfied in the binding slot raises that slot's
-satisfied/requested ratio, so a superset can legitimately need *less*
-capacity than one of its subsets. A parent evaluation therefore only
-yields a guess, and :func:`required_capacity_batch` spends one decision
-row verifying each guess before trusting it as a bracket.
+Required capacity is monotone in **capacity** (more capacity can only
+help — this is what makes bisection sound) but **not** in the workload
+subset: adding a workload that is fully satisfied in the binding slot
+raises that slot's satisfied/requested ratio, so a superset can
+legitimately need *less* capacity than one of its subsets. That is why
+no search starts from another subset's answer.
 """
 
 from __future__ import annotations
@@ -55,7 +52,7 @@ from repro.placement.required_capacity import (
     DEFAULT_TOLERANCE,
     RequiredCapacityResult,
 )
-from repro.placement.simulator import AccessReport, SingleServerSimulator
+from repro.placement.simulator import SingleServerSimulator
 from repro.traces.calendar import DAYS_PER_WEEK, TraceCalendar
 from repro.units import CpuShares
 
@@ -71,52 +68,6 @@ _THETA_SLACK = 1e-12
 _TILE_BYTES = 1 << 20
 
 
-@dataclass(frozen=True)
-class BatchAccessReport:
-    """Exact access statistics for K (trace row, capacity) pairings.
-
-    The arrays all share one leading axis; :meth:`report` materialises
-    one row as a scalar :class:`~repro.placement.simulator.AccessReport`.
-    """
-
-    capacities: np.ndarray
-    cos1_fits: np.ndarray
-    cos1_peaks: np.ndarray
-    theta_measured: np.ndarray
-    max_deferred_slots: np.ndarray
-    cos2_demand_totals: np.ndarray
-    cos2_satisfied_on_request: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.capacities.shape[0])
-
-    def satisfies(
-        self, commitment: CoSCommitment, calendar: TraceCalendar
-    ) -> np.ndarray:
-        """Vectorised :meth:`AccessReport.satisfies` over every row."""
-        deadline = commitment.deadline_slots(calendar)
-        theta_ok = ~(self.theta_measured < commitment.theta - _THETA_SLACK)
-        return (
-            self.cos1_fits
-            & theta_ok
-            & (self.max_deferred_slots <= deadline)
-        )
-
-    def report(self, row: int) -> AccessReport:
-        """Row ``row`` as a scalar :class:`AccessReport`."""
-        return AccessReport(
-            capacity=float(self.capacities[row]),
-            cos1_fits=bool(self.cos1_fits[row]),
-            cos1_peak=float(self.cos1_peaks[row]),
-            theta_measured=float(self.theta_measured[row]),
-            max_deferred_slots=int(self.max_deferred_slots[row]),
-            cos2_demand_total=float(self.cos2_demand_totals[row]),
-            cos2_satisfied_on_request=float(
-                self.cos2_satisfied_on_request[row]
-            ),
-        )
-
-
 def _theta_rows(
     satisfied_now: np.ndarray,
     requested: np.ndarray,
@@ -128,8 +79,6 @@ def _theta_rows(
     The minimum over weeks and slots-of-day of satisfied / requested,
     with no-request slots counting as fully satisfied. Same reduction
     order as the scalar path (day axis first, then the min).
-    ``requested``/``positive`` may be broadcastable (one trace against
-    K capacities).
     """
     rows = satisfied_now.shape[0]
     satisfied_view = satisfied_now.reshape(
@@ -156,57 +105,6 @@ def _fifo_backlog(deficits: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     floor = np.minimum(prefix, 0.0, out=scratch)
     np.minimum.accumulate(floor, axis=-1, out=floor)
     return np.subtract(prefix, floor, out=prefix)
-
-
-def _batched_metrics(
-    cos1: np.ndarray,
-    cos2: np.ndarray,
-    peaks: np.ndarray,
-    requested: np.ndarray,
-    positive: np.ndarray,
-    arrivals_cum: np.ndarray,
-    totals: np.ndarray,
-    capacities: np.ndarray,
-    calendar: TraceCalendar,
-) -> BatchAccessReport:
-    """The exact (K, T) measurement behind both reporting entry points.
-
-    ``cos1``/``cos2``/``requested``/``positive``/``arrivals_cum`` may be
-    broadcast views (a single trace against K capacities). Every
-    backlogged row pays the FIFO drain (one ``searchsorted``), which is
-    why the capacity search decides with :meth:`BatchSimulator.decide`
-    instead and never calls this.
-    """
-    rows = capacities.shape[0]
-    caps_col = capacities[:, None]
-    cos1_fits = peaks <= capacities + _EPSILON
-    granted_cos1 = np.minimum(cos1, caps_col)
-    available = np.maximum(0.0, caps_col - granted_cos1)
-    satisfied_now = np.minimum(cos2, available)
-    theta = _theta_rows(satisfied_now, requested, positive, calendar)
-    backlog = _fifo_backlog(cos2 - available, scratch=available)
-    max_backlog = backlog.max(axis=-1, initial=0.0)
-
-    max_deferred = np.zeros(rows, dtype=np.int64)
-    slot_index = np.arange(backlog.shape[-1])
-    for row in np.nonzero(max_backlog > _EPSILON)[0]:
-        arrivals = arrivals_cum[row, 1:]
-        served = arrivals - backlog[row]
-        first_served = np.searchsorted(
-            served, arrivals - _EPSILON, side="left"
-        )
-        waits = first_served - slot_index
-        max_deferred[row] = max(0, int(waits.max()))
-
-    return BatchAccessReport(
-        capacities=capacities,
-        cos1_fits=cos1_fits,
-        cos1_peaks=np.broadcast_to(peaks, (rows,)),
-        theta_measured=theta,
-        max_deferred_slots=max_deferred,
-        cos2_demand_totals=np.broadcast_to(totals, (rows,)),
-        cos2_satisfied_on_request=satisfied_now.sum(axis=-1),
-    )
 
 
 def _theta_threshold_rows(
@@ -307,41 +205,6 @@ def _theta_threshold_rows(
     return np.maximum(out, 0.0)
 
 
-def evaluate_capacities(
-    simulator: SingleServerSimulator, capacities: np.ndarray
-) -> BatchAccessReport:
-    """Measure one aggregate trace at K candidate capacities at once.
-
-    The multi-capacity kernel behind
-    :meth:`SingleServerSimulator.evaluate_batch`: row ``i`` is
-    bit-identical to ``simulator.evaluate(capacities[i])``.
-    """
-    caps = np.asarray(capacities, dtype=float)
-    if caps.ndim != 1:
-        raise SimulationError(
-            f"capacities must be a 1-D array, got shape {caps.shape}"
-        )
-    if caps.size and float(caps.min()) <= 0:
-        raise SimulationError(
-            f"capacity must be > 0, got {float(caps.min())}"
-        )
-    rows = caps.shape[0]
-    length = simulator.calendar.n_observations
-    return _batched_metrics(
-        cos1=np.broadcast_to(simulator._cos1, (rows, length)),
-        cos2=np.broadcast_to(simulator._cos2, (rows, length)),
-        peaks=np.asarray(simulator._cos1_peak, dtype=float),
-        requested=simulator._theta_requested[None, :, :],
-        positive=simulator._theta_positive[None, :, :],
-        arrivals_cum=np.broadcast_to(
-            simulator._cos2_arrivals_cum, (rows, length + 1)
-        ),
-        totals=np.asarray(simulator._cos2_total, dtype=float),
-        capacities=caps,
-        calendar=simulator.calendar,
-    )
-
-
 class BatchSimulator:
     """N stacked aggregate traces, each evaluable at its own capacity.
 
@@ -349,7 +212,7 @@ class BatchSimulator:
     :class:`SingleServerSimulator` objects: the capacity-independent
     precomputation (peaks, theta denominators) happens once here,
     vectorised over the stack; a row's arrival cumsum is filled in the
-    first time a deadline check or an exact report needs it.
+    first time a deadline check needs it.
     """
 
     def __init__(
@@ -467,28 +330,6 @@ class BatchSimulator:
             )
         return index, caps
 
-    def evaluate_rows(
-        self, rows: Optional[np.ndarray], capacities: np.ndarray
-    ) -> BatchAccessReport:
-        """Exact reports for ``rows`` (``None`` = all) at their capacities.
-
-        Row ``i`` is bit-identical to
-        ``simulator_for(rows[i]).evaluate(capacities[i])``.
-        """
-        index, caps = self._pairings(rows, capacities)
-        cos2 = self._cos2[index]
-        return _batched_metrics(
-            cos1=self._cos1[index],
-            cos2=cos2,
-            peaks=self.peaks[index],
-            requested=self._requested[index],
-            positive=self._positive[index],
-            arrivals_cum=self._arrivals(index),
-            totals=cos2.sum(axis=1),
-            capacities=caps,
-            calendar=self.calendar,
-        )
-
     def decide(
         self,
         rows: Optional[np.ndarray],
@@ -601,7 +442,6 @@ class BatchSearchStats(NamedTuple):
     rows: int
     kernel_calls: int = 0
     bracket_iterations: int = 0
-    probe_hits: int = 0
     fused_rows: int = 0
     f32_retries: int = 0
     row_evaluations: int = 0
@@ -613,7 +453,6 @@ KERNEL_COUNTERS = (
     "kernel.rows",
     "kernel.calls",
     "kernel.bracket_iterations",
-    "kernel.probe_hits",
     "kernel.fused_rows",
     "kernel.f32_retries",
     "kernel.row_evaluations",
@@ -634,15 +473,14 @@ def required_capacity_batch(
     capacity_limits: np.ndarray,
     commitment: CoSCommitment,
     tolerance: CpuShares = DEFAULT_TOLERANCE,
-    probes: Optional[np.ndarray] = None,
     mode: str = "bisect",
 ) -> BatchSearchResult:
     """Simultaneous capacity search over every row of ``batch``.
 
     ``mode="bisect"`` carries the low/high brackets of all pending rows
     as parallel arrays; each iteration halves every still-open bracket
-    with one :meth:`BatchSimulator.decide` call. Without ``probes`` the
-    ``fits`` and ``required_capacity`` of row ``i`` are bit-identical to
+    with one :meth:`BatchSimulator.decide` call. The ``fits`` and
+    ``required_capacity`` of row ``i`` are bit-identical to
     ``required_capacity(..., capacity_limit=capacity_limits[i])`` on the
     row's aggregate trace. Every result's ``report`` is ``None``: the
     search only decides (see the module docstring).
@@ -655,15 +493,6 @@ def required_capacity_batch(
     ``tolerance`` of the scalar path (they are no longer bit-identical:
     the analytic candidate is the exact constraint boundary rather than
     a bisection grid point).
-
-    ``probes`` (optional, ``NaN`` = none) are warm-start capacity
-    guesses, e.g. a parent assignment's required capacity for a similar
-    subset. Each guess costs two decision rows in one call: a guess
-    ``g`` that satisfies the commitment while ``g - tolerance`` does not
-    finishes that row's search immediately; otherwise the verified side
-    tightens the bracket. Probed rows stay within ``tolerance`` of the
-    true minimum but may differ from the scalar path by up to
-    ``tolerance``.
     """
     limits = np.asarray(capacity_limits, dtype=float)
     n = batch.n_rows
@@ -686,7 +515,6 @@ def required_capacity_batch(
     row_evaluations = 0
     backlog_rows = 0
     bracket_iterations = 0
-    probe_hits = 0
 
     def satisfied(rows: np.ndarray, capacities: np.ndarray) -> np.ndarray:
         """One decision step over ``rows`` (none is not a step)."""
@@ -746,28 +574,6 @@ def required_capacity_batch(
     if mode != "analytic":
         settle(satisfied(rows, low), low)
 
-    # Warm-start probes: verify each guess (and its tolerance sibling)
-    # with one decision call, then bracket on the verified side.
-    if probes is not None and rows.size:
-        guesses = np.asarray(probes, dtype=float)[rows]
-        usable = np.isfinite(guesses)
-        usable &= (guesses > low) & (guesses < high)
-        probed = np.nonzero(usable)[0]
-        guess = guesses[probed]
-        sibling = np.maximum(guess - tolerance, low[probed])
-        verdicts = satisfied(
-            np.concatenate([rows[probed], rows[probed]]),
-            np.concatenate([guess, sibling]),
-        )
-        guess_ok, sibling_ok = verdicts[: probed.size], verdicts[probed.size :]
-        high[probed] = np.where(
-            guess_ok, np.where(sibling_ok, sibling, guess), high[probed]
-        )
-        low[probed] = np.where(
-            guess_ok, np.where(sibling_ok, low[probed], sibling), guess
-        )
-        probe_hits = int((guess_ok & ~sibling_ok).sum())
-
     # Simultaneous bisection: one decision call per iteration.
     while rows.size:
         settle(~(high - low > tolerance), high)
@@ -792,7 +598,6 @@ def required_capacity_batch(
             rows=n,
             kernel_calls=kernel_calls,
             bracket_iterations=bracket_iterations,
-            probe_hits=probe_hits,
             row_evaluations=row_evaluations,
             backlog_rows=backlog_rows,
         ),

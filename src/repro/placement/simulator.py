@@ -22,7 +22,6 @@ reference model these aggregates are tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -30,9 +29,6 @@ from repro.core.cos import CoSCommitment
 from repro.exceptions import SimulationError
 from repro.traces.allocation import CoSAllocationPair
 from repro.traces.calendar import TraceCalendar
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.placement.kernels import BatchAccessReport
 
 _EPSILON = 1e-9
 
@@ -132,17 +128,6 @@ class SingleServerSimulator:
             cos2_demand_total=self._cos2_total,
             cos2_satisfied_on_request=float(satisfied_now.sum()),
         )
-
-    def evaluate_batch(self, capacities: Sequence[float] | np.ndarray) -> "BatchAccessReport":
-        """Measure access statistics at K candidate capacities at once.
-
-        One vectorised ``(K, T)`` pass over the aggregate trace; row
-        ``i`` of the result is bit-identical to
-        ``self.evaluate(capacities[i])``.
-        """
-        from repro.placement.kernels import evaluate_capacities
-
-        return evaluate_capacities(self, np.asarray(capacities, dtype=float))
 
     def _measure_theta(self, satisfied_now: np.ndarray) -> float:
         """The paper's theta: min over weeks and slots of day.

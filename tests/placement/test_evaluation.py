@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 
 from repro.core.cos import CoSCommitment
+from repro.engine import ExecutionEngine
+from repro.engine.dispatch import split_chunks
 from repro.exceptions import PlacementError
-from repro.placement.evaluation import PlacementEvaluator
+from repro.placement.evaluation import (
+    KERNELS,
+    PlacementEvaluator,
+    ServerEvaluation,
+    evaluate_groups_worker,
+)
+from repro.placement.kernels import KERNEL_COUNTERS, BatchSearchStats
 from repro.resources.server import ServerSpec
 from repro.traces.allocation import AllocationTrace, CoSAllocationPair
 from repro.traces.calendar import TraceCalendar
@@ -101,3 +109,68 @@ class TestSearchResult:
         assert result.fits
         assert result.report is not None
         assert result.report.theta_measured >= 0.9
+
+
+class TestBenchmarkWorkerContract:
+    """What ``benchmarks/record/tracing.py`` pins of the worker path.
+
+    The benchmark of record builds ``(limit, rows, None)`` triples
+    itself, chunks them with ``split_chunks`` and maps
+    :func:`evaluate_groups_worker` over a session for whatever kernel
+    the framework runs, and reads the ``kernel.fused_rows`` /
+    ``kernel.f32_retries`` counters the stats are folded into. A change
+    to the item shape, the ``(evaluations, stats)`` return or those
+    counter names must fail here, not first in the ``perf-smoke`` job.
+    """
+
+    LIMIT = 16.0
+    GROUPS = [(0, 1), (2, 3), (0, 2, 4), (1,), (0, 1, 2, 3, 4)]
+
+    @pytest.fixture
+    def pairs(self, cal):
+        rng = np.random.default_rng(11)
+        n = cal.n_observations
+        return [
+            CoSAllocationPair(
+                f"app{index}",
+                AllocationTrace(f"app{index}.cos1", rng.gamma(2.0, 0.8, n), cal),
+                AllocationTrace(f"app{index}.cos2", rng.gamma(1.5, 1.0, n), cal),
+            )
+            for index in range(5)
+        ]
+
+    def _evaluator(self, pairs, kernel):
+        return PlacementEvaluator(
+            pairs, CoSCommitment(theta=0.95), tolerance=0.01, kernel=kernel
+        )
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_triples_through_the_worker(self, pairs, kernel):
+        payload = self._evaluator(pairs, kernel).worker_payload()
+        items = [(self.LIMIT, group, None) for group in self.GROUPS]
+        chunks = split_chunks(items, 2)
+        with ExecutionEngine.serial() as engine:
+            with engine.session(payload) as session:
+                results = session.map(evaluate_groups_worker, chunks)
+        reference = self._evaluator(pairs, "batch").evaluate_groups(
+            [(self.LIMIT, group) for group in self.GROUPS]
+        )
+        assert len(results) == len(chunks)
+        solved = []
+        for chunk, (evaluations, stats) in zip(chunks, results):
+            assert len(evaluations) == len(chunk)
+            assert isinstance(stats, BatchSearchStats)
+            assert len(stats) == len(KERNEL_COUNTERS)
+            # Drivers fold the stats into counters by position.
+            counters = dict(zip(KERNEL_COUNTERS, stats))
+            assert counters["kernel.rows"] == len(chunk)
+            assert (counters["kernel.fused_rows"] > 0) == (kernel == "fused")
+            assert counters["kernel.f32_retries"] == 0
+            solved.extend(evaluations)
+        for ours, batch in zip(solved, reference):
+            assert isinstance(ours, ServerEvaluation)
+            assert ours.fits == batch.fits
+            if kernel == "analytic" and batch.fits:
+                assert abs(ours.required - batch.required) <= 0.01 + 1e-9
+            else:
+                assert ours.required == batch.required

@@ -6,6 +6,8 @@ the seeded sampling guard on combinatorial sweeps, the spare-sizing
 curve, and checkpoint resume of domain sweeps.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.cos import PoolCommitments
@@ -313,6 +315,46 @@ class TestRepairFirstAcrossScopes:
         )
         assert full_search.repaired == 0
         assert feasible_labels(repair_first) >= feasible_labels(full_search)
+
+
+class TestUnknownWorkload:
+    """A normal plan naming a workload no demand trace backs is refused.
+
+    Every entry point sweeps through ``FailurePlanner._sweep``, which is
+    where the check lives: the repair path would otherwise drop the
+    stranger from every what-if and report the sweep fully supported.
+    """
+
+    @pytest.mark.parametrize("relax_all", [False, True])
+    @pytest.mark.parametrize(
+        "method, kwargs",
+        [
+            pytest.param("plan", {}, id="plan"),
+            pytest.param("plan_scope", {"scope": "rack"}, id="rack"),
+            pytest.param("plan_scope", {"scope": "server:2"}, id="server:2"),
+            pytest.param("plan_degraded", {}, id="degraded"),
+            pytest.param(
+                "spare_sizing_curve",
+                {"scopes": ["rack"], "max_spares": 1},
+                id="spare_curve",
+            ),
+        ],
+    )
+    def test_every_entry_point_raises(self, setup, method, kwargs, relax_all):
+        demands, policy, pool, normal, planner = setup
+        host = next(iter(normal.assignment))
+        haunted = replace(
+            normal,
+            assignment={
+                **normal.assignment,
+                host: normal.assignment[host] + ("ghost",),
+            },
+        )
+        with pytest.raises(PlacementError, match=r"unknown workloads.*ghost"):
+            getattr(planner, method)(
+                demands, policy, pool, haunted,
+                relax_all=relax_all, algorithm="first_fit", **kwargs,
+            )
 
 
 class TestSamplingGuard:

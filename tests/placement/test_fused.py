@@ -2,8 +2,8 @@
 
 The fused kernel's contract is the strongest one in the repo: its
 ``fits``/``required_capacity`` answers are **bit-identical** to
-:func:`required_capacity_batch` in bisect mode over the same subsets —
-probes included — because every float32 decision that influenced a
+:func:`required_capacity_batch` in bisect mode over the same subsets,
+because every float32 decision that influenced a
 bracket is retroactively validated by one float64 endpoint check, and
 rows that fail validation fall back to the batch kernel itself. The
 hypothesis suites here pin that equivalence down, the compression tests
@@ -23,8 +23,6 @@ from repro.core.cos import CoSCommitment
 from repro.exceptions import SimulationError
 from repro.placement import fused as fused_module
 from repro.placement.fused import (
-    GroupTranslation,
-    TranslationCache,
     _compress_row,
     _late_rows_numpy,
     fused_required_capacity,
@@ -115,89 +113,6 @@ class TestBitIdentityWithBatch:
         assert stats.rows == len(subsets)
         assert stats.fused_rows + stats.f32_retries <= stats.rows
 
-    @settings(max_examples=25, deadline=None)
-    @given(workload_matrices(), commitments, st.data())
-    def test_matches_batch_with_probes(self, matrices, commitment, data):
-        cos1, cos2 = matrices
-        subsets = data.draw(subset_lists(cos1.shape[0]))
-        limits = np.full(len(subsets), LIMIT)
-        probes = np.asarray(
-            [
-                data.draw(
-                    st.one_of(
-                        st.just(float("nan")),
-                        st.floats(
-                            min_value=0.5,
-                            max_value=LIMIT,
-                            allow_nan=False,
-                            width=32,
-                        ),
-                    )
-                )
-                for _ in subsets
-            ]
-        )
-        reference = required_capacity_batch(
-            BatchSimulator.from_subsets(cos1, cos2, subsets, CAL),
-            limits,
-            commitment,
-            tolerance=TOLERANCE,
-            probes=probes,
-        )
-        result = fused_required_capacity(
-            cos1,
-            cos2,
-            subsets,
-            CAL,
-            limits,
-            commitment,
-            tolerance=TOLERANCE,
-            probes=probes,
-        )
-        assert_plans_identical(reference, result)
-
-    @settings(max_examples=25, deadline=None)
-    @given(workload_matrices(), commitments, st.data())
-    def test_cached_translations_do_not_change_answers(
-        self, matrices, commitment, data
-    ):
-        cos1, cos2 = matrices
-        subsets = data.draw(subset_lists(cos1.shape[0]))
-        limits = np.full(len(subsets), LIMIT)
-        cache = TranslationCache()
-        cold = fused_required_capacity(
-            cos1,
-            cos2,
-            subsets,
-            CAL,
-            limits,
-            commitment,
-            tolerance=TOLERANCE,
-            cache=cache,
-            fingerprint="fp",
-        )
-        warm = fused_required_capacity(
-            cos1,
-            cos2,
-            subsets,
-            CAL,
-            limits,
-            commitment,
-            tolerance=TOLERANCE,
-            cache=cache,
-            fingerprint="fp",
-        )
-        assert_plans_identical(cold, warm)
-        # Every subset that fit was fully translated and cached by the
-        # cold run (peak-screened and theta-killed rows never are), so
-        # the warm run must hit on each distinct one of them.
-        fitting = {
-            subset
-            for subset, result in zip(subsets, cold.results)
-            if result.fits
-        }
-        assert cache.hits >= len(fitting)
-
     def test_peak_screen_rows_short_circuit(self):
         cos1 = np.full((1, N), 30.0)
         cos2 = np.zeros((1, N))
@@ -259,11 +174,7 @@ class TestCompression:
             cos1, cos2, [tuple(range(cos1.shape[0]))], CAL
         )
         translation = translate_rows(
-            batch,
-            [tuple(range(cos1.shape[0]))],
-            np.array([0]),
-            commitment,
-            TOLERANCE,
+            batch, np.array([0]), commitment, TOLERANCE
         )[0]
         total = cos1.sum(axis=0) + cos2.sum(axis=0)
         arrivals = np.concatenate([[0.0], np.cumsum(cos2.sum(axis=0))])
@@ -388,39 +299,6 @@ class TestVerificationFallback:
         )
 
 
-class TestTranslationCache:
-    def _translation(self, rows):
-        empty = np.zeros(0, dtype=np.float32)
-        return GroupTranslation(
-            rows=rows,
-            peak=1.0,
-            theta_cap=1.0,
-            low0=1.0,
-            totals=empty,
-            guards=empty,
-        )
-
-    def test_hit_and_miss_accounting(self):
-        cache = TranslationCache()
-        assert cache.get("fp", (0, 1)) is None
-        cache.put("fp", (0, 1), self._translation((0, 1)))
-        assert cache.get("fp", (0, 1)) is not None
-        assert cache.get("other", (0, 1)) is None
-        assert cache.hits == 1 and cache.misses == 2
-
-    def test_fifo_eviction_respects_bound(self):
-        cache = TranslationCache(max_entries=2)
-        for i in range(4):
-            cache.put("fp", (i,), self._translation((i,)))
-        assert len(cache) == 2
-        assert cache.get("fp", (0,)) is None
-        assert cache.get("fp", (3,)) is not None
-
-    def test_rejects_nonpositive_bound(self):
-        with pytest.raises(SimulationError):
-            TranslationCache(max_entries=0)
-
-
 def _variable_pairs(cal, seed=11, n_apps=5):
     from repro.traces.allocation import AllocationTrace, CoSAllocationPair
 
@@ -476,7 +354,6 @@ class TestEvaluatorIntegration:
             "kernel.rows",
             "kernel.calls",
             "kernel.bracket_iterations",
-            "kernel.probe_hits",
             "kernel.fused_rows",
             "kernel.f32_retries",
             "kernel.row_evaluations",
@@ -503,7 +380,6 @@ class TestEvaluatorIntegration:
         driver = self._evaluator("fused")
         reference = driver.evaluate_groups(self.ITEMS)
         payload = pickle.loads(pickle.dumps(driver.worker_payload()))
-        assert payload.fingerprint == driver.content_fingerprint()
         items = tuple(
             (limit, tuple(sorted(rows)), None) for limit, rows in self.ITEMS
         )
@@ -512,28 +388,3 @@ class TestEvaluatorIntegration:
         for ref, fus in zip(reference, evaluations):
             assert ref.fits == fus.fits
             assert ref.required == fus.required
-        # The lazily attached worker-side memo never crosses a process
-        # boundary: re-pickling drops it.
-        assert not hasattr(
-            pickle.loads(pickle.dumps(payload)), "_fused_translations"
-        )
-
-    def test_fingerprint_tracks_translation_inputs(self):
-        first = self._evaluator("fused")
-        second = self._evaluator("fused")
-        assert first.content_fingerprint() == second.content_fingerprint()
-        from repro.placement.evaluation import PlacementEvaluator
-
-        different = PlacementEvaluator(
-            _variable_pairs(CAL),
-            CoSCommitment(theta=0.95, deadline_minutes=360.0),
-            tolerance=TOLERANCE * 2,
-            kernel="fused",
-        )
-        assert (
-            different.content_fingerprint() != first.content_fingerprint()
-        )
-
-    def test_batch_payload_carries_no_fingerprint(self):
-        payload = self._evaluator("batch").worker_payload()
-        assert payload.fingerprint is None

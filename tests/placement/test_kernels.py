@@ -1,20 +1,19 @@
 """Property tests for the batched capacity-search kernels.
 
 The kernels' contract comes in two strengths and both are pinned down
-here with hypothesis:
+here with hypothesis, against the scalar oracle
+(:meth:`SingleServerSimulator.evaluate`, reached row by row through
+:meth:`BatchSimulator.simulator_for`):
 
-* the multi-capacity kernel (:func:`evaluate_capacities`) and the
-  multi-row kernel (:meth:`BatchSimulator.evaluate_rows`) report
-  **bit-identically** to the scalar :meth:`SingleServerSimulator.evaluate`
-  path; the decision function (:meth:`BatchSimulator.decide`) returns
-  the oracle's ``satisfies`` verdict on every row, gated and tiled or
-  not; and :func:`required_capacity_batch` in its default
-  ``mode="bisect"`` without probes returns the scalar search's ``fits``
-  and ``required_capacity`` bit for bit (its results carry no report);
-* the accelerated paths (``mode="analytic"``, warm-start probes) only
-  promise *tolerance-equivalent* answers — same fits verdict, required
-  capacity within the search tolerance, and every returned capacity
-  verified to satisfy the commitment by a fresh scalar measurement.
+* the decision function (:meth:`BatchSimulator.decide`) returns the
+  oracle's ``satisfies`` verdict on every row, gated and tiled or not;
+  and :func:`required_capacity_batch` in its default ``mode="bisect"``
+  returns the scalar search's ``fits`` and ``required_capacity`` bit
+  for bit (its results carry no report);
+* ``mode="analytic"`` only promises *tolerance-equivalent* answers —
+  same fits verdict, required capacity within the search tolerance, and
+  every returned capacity verified to satisfy the commitment by a fresh
+  scalar measurement.
 """
 
 from __future__ import annotations
@@ -29,11 +28,7 @@ from hypothesis import strategies as st
 from repro.core.cos import CoSCommitment
 from repro.exceptions import SimulationError
 from repro.placement import kernels
-from repro.placement.kernels import (
-    BatchSimulator,
-    evaluate_capacities,
-    required_capacity_batch,
-)
+from repro.placement.kernels import BatchSimulator, required_capacity_batch
 from repro.placement.required_capacity import required_capacity
 from repro.placement.simulator import SingleServerSimulator
 from repro.traces.calendar import TraceCalendar
@@ -83,68 +78,6 @@ def scalar_reports(cos1, cos2, capacities):
     ]
 
 
-def assert_report_rows_identical(batch_report, reports):
-    for row, scalar in enumerate(reports):
-        assert batch_report.report(row) == scalar
-
-
-class TestEvaluateCapacities:
-    """One trace at K capacities == K scalar evaluations, bitwise."""
-
-    @settings(max_examples=50, deadline=None)
-    @given(traces(), st.lists(capacity_values, min_size=1, max_size=6))
-    def test_matches_scalar_elementwise(self, trace, capacities):
-        cos1, cos2 = trace
-        simulator = SingleServerSimulator(cos1, cos2, CAL)
-        batch = simulator.evaluate_batch(capacities)
-        assert len(batch) == len(capacities)
-        assert_report_rows_identical(
-            batch, [simulator.evaluate(cap) for cap in capacities]
-        )
-
-    def test_rejects_nonpositive_and_non_1d(self):
-        simulator = SingleServerSimulator(np.ones(N), np.ones(N), CAL)
-        with pytest.raises(SimulationError):
-            evaluate_capacities(simulator, np.array([1.0, 0.0]))
-        with pytest.raises(SimulationError):
-            evaluate_capacities(simulator, np.ones((2, 2)))
-
-
-class TestEvaluateRows:
-    """N stacked traces, each at its own capacity, == N scalar sims."""
-
-    @settings(max_examples=50, deadline=None)
-    @given(trace_stacks(), st.data())
-    def test_matches_scalar_per_row(self, stack, data):
-        cos1, cos2 = stack
-        rows = cos1.shape[0]
-        capacities = np.asarray(
-            data.draw(
-                st.lists(capacity_values, min_size=rows, max_size=rows)
-            ),
-            float,
-        )
-        batch = BatchSimulator(cos1, cos2, CAL)
-        report = batch.evaluate_rows(None, capacities)
-        assert_report_rows_identical(
-            report, scalar_reports(cos1, cos2, capacities)
-        )
-
-    @settings(max_examples=25, deadline=None)
-    @given(trace_stacks(min_rows=2, max_rows=3), commitments)
-    def test_gated_rows_agree_on_satisfies(self, stack, commitment):
-        """A gate may drop a row only when the oracle fails it too."""
-        cos1, cos2 = stack
-        rows = cos1.shape[0]
-        capacities = np.full(rows, 2.0)
-        batch = BatchSimulator(cos1, cos2, CAL)
-        verdicts, backlog_rows = batch.decide(None, capacities, commitment)
-        assert 0 <= backlog_rows <= rows
-        scalars = scalar_reports(cos1, cos2, capacities)
-        for row, scalar in enumerate(scalars):
-            assert bool(verdicts[row]) == scalar.satisfies(commitment, CAL)
-
-
 class TestDecisionDeadline:
     """The pass/fail deferral check must match the exact FIFO drain."""
 
@@ -160,11 +93,28 @@ class TestDecisionDeadline:
             float,
         )
         batch = BatchSimulator(cos1, cos2, CAL)
-        exact = batch.evaluate_rows(None, capacities)
+        exact = [
+            batch.simulator_for(row)
+            .evaluate(capacity)
+            .satisfies(commitment, CAL)
+            for row, capacity in enumerate(capacities)
+        ]
         quick, _ = batch.decide(None, capacities, commitment)
-        np.testing.assert_array_equal(
-            quick, exact.satisfies(commitment, CAL)
-        )
+        np.testing.assert_array_equal(quick, exact)
+
+    @settings(max_examples=25, deadline=None)
+    @given(trace_stacks(min_rows=2, max_rows=3), commitments)
+    def test_gated_rows_agree_on_satisfies(self, stack, commitment):
+        """A gate may drop a row only when the oracle fails it too."""
+        cos1, cos2 = stack
+        rows = cos1.shape[0]
+        capacities = np.full(rows, 2.0)
+        batch = BatchSimulator(cos1, cos2, CAL)
+        verdicts, backlog_rows = batch.decide(None, capacities, commitment)
+        assert 0 <= backlog_rows <= rows
+        scalars = scalar_reports(cos1, cos2, capacities)
+        for row, scalar in enumerate(scalars):
+            assert bool(verdicts[row]) == scalar.satisfies(commitment, CAL)
 
 
 # --- the decision function against the oracle, on the hostile corners ---
@@ -263,7 +213,8 @@ class TestDecisionFunction:
             assert 0 <= backlog_rows <= len(capacities)
 
     def test_row_subset_and_order_are_respected(self):
-        """`rows` may repeat and reorder stack rows (probe stacking)."""
+        """`rows` may repeat and reorder stack rows (the fused kernel's
+        verification stacks both bracket edges of one row)."""
         cos1 = np.stack([np.full(N, 1.0), np.full(N, 3.0)])
         cos2 = np.stack([np.full(N, 1.0), np.zeros(N)])
         batch = BatchSimulator(cos1, cos2, CAL)
@@ -287,7 +238,7 @@ class TestDecisionFunction:
 
 
 class TestRequiredCapacityBatchBisect:
-    """Default mode, no probes: bit-identical to the scalar search."""
+    """Default mode: bit-identical to the scalar search."""
 
     @settings(max_examples=50, deadline=None)
     @given(trace_stacks(), commitments)
@@ -389,8 +340,9 @@ class TestRequiredCapacityBatchAnalytic:
         thresholds = batch.theta_thresholds(theta)
         assert thresholds.shape == (cos1.shape[0],)
         capacities = np.maximum(thresholds * (1.0 + 1e-12) + 1e-9, 1e-6)
-        report = batch.evaluate_rows(None, capacities)
-        assert np.all(report.theta_measured >= theta - 1e-12)
+        for row, capacity in enumerate(capacities):
+            measured = batch.simulator_for(row).evaluate(capacity)
+            assert measured.theta_measured >= theta - 1e-12
 
     def test_thresholds_are_cached_per_theta(self):
         batch = BatchSimulator(np.ones((1, N)), np.ones((1, N)), CAL)
@@ -402,64 +354,4 @@ class TestRequiredCapacityBatchAnalytic:
             required_capacity_batch(
                 batch, np.array([LIMIT]), CoSCommitment(theta=0.9),
                 mode="newton",
-            )
-
-
-class TestWarmStartProbes:
-    """Probed searches stay within tolerance and are always verified."""
-
-    @settings(max_examples=25, deadline=None)
-    @given(trace_stacks(min_rows=2, max_rows=3), commitments, st.data())
-    def test_probed_results_within_tolerance(self, stack, commitment, data):
-        cos1, cos2 = stack
-        rows = cos1.shape[0]
-        batch = BatchSimulator(cos1, cos2, CAL)
-        limits = np.full(rows, LIMIT)
-        plain = required_capacity_batch(
-            batch, limits, commitment, tolerance=TOLERANCE
-        )
-        # Perturbed copies of the true answers stand in for the parent
-        # generation's warm starts; NaN marks rows with no guess.
-        probes = np.full(rows, np.nan)
-        for row, result in enumerate(plain.results):
-            if result.fits and data.draw(st.booleans()):
-                probes[row] = result.required_capacity + data.draw(
-                    st.floats(-0.5, 0.5, allow_nan=False, width=32)
-                )
-        probed = required_capacity_batch(
-            batch, limits, commitment, tolerance=TOLERANCE, probes=probes
-        )
-        for row in range(rows):
-            assert probed.results[row].fits == plain.results[row].fits
-            if not plain.results[row].fits:
-                continue
-            assert (
-                abs(
-                    probed.results[row].required_capacity
-                    - plain.results[row].required_capacity
-                )
-                <= TOLERANCE + 1e-9
-            )
-            measured = SingleServerSimulator(
-                cos1[row], cos2[row], CAL
-            ).evaluate(probed.results[row].required_capacity)
-            assert measured.satisfies(commitment, CAL)
-
-    @settings(max_examples=25, deadline=None)
-    @given(trace_stacks(), commitments)
-    def test_nan_probes_are_bit_identical_to_no_probes(
-        self, stack, commitment
-    ):
-        cos1, cos2 = stack
-        rows = cos1.shape[0]
-        batch = BatchSimulator(cos1, cos2, CAL)
-        limits = np.full(rows, LIMIT)
-        plain = required_capacity_batch(batch, limits, commitment)
-        ignored = required_capacity_batch(
-            batch, limits, commitment, probes=np.full(rows, np.nan)
-        )
-        for row in range(rows):
-            assert (
-                ignored.results[row].required_capacity
-                == plain.results[row].required_capacity
             )
