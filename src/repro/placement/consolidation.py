@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Literal, Mapping, Optional, Sequence
 
 from repro.engine import Checkpointer, ExecutionEngine
-from repro.exceptions import PlacementError
+from repro.exceptions import InfeasiblePlacementError, PlacementError
 from repro.placement.correlation import correlation_aware_seed
 from repro.placement.evaluation import KERNELS, PlacementEvaluator
 from repro.placement.genetic import (
@@ -239,15 +239,24 @@ class Consolidator:
                 ]
                 # Mixing anti-correlated workloads onto servers is a
                 # strong starting point (Section VIII); a pool too tight
-                # for that ordering simply goes without the seed.
+                # for that ordering goes without the seed, and says so.
+                # Counted on every genetic consolidation, zero included,
+                # so counter sets stay comparable across runs.
+                skipped = 0
                 try:
                     extra_seeds.append(
                         correlation_aware_seed(
                             evaluator, self.pool, self.attribute
                         )
                     )
-                except PlacementError:
-                    pass
+                except InfeasiblePlacementError as error:
+                    skipped = 1
+                    instrumentation.event(
+                        "placement.correlation_seed_skipped", reason=str(error)
+                    )
+                instrumentation.count(
+                    "placement.correlation_seed_skipped", skipped
+                )
                 carried = self._assignment_from_previous(evaluator, previous)
                 if carried is not None:
                     extra_seeds.insert(0, carried)

@@ -13,7 +13,9 @@ This module provides:
 * :func:`correlation_aware_seed` — a greedy assignment that orders
   workloads by peak and places each on the used server whose current
   occupants it is *least* correlated with (among feasible servers),
-  opening a new server only when none fits.
+  opening a new server only when none fits. The placement loop itself
+  is :func:`repro.placement.greedy._greedy_place`; this module only
+  supplies the matrix and the ``choose`` policy.
 
 The seed plugs into the genetic search via ``extra_seeds``; the ablation
 benchmark measures what the correlation signal buys over plain
@@ -24,8 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.exceptions import InfeasiblePlacementError
 from repro.placement.evaluation import PlacementEvaluator
+from repro.placement.greedy import _greedy_place
 from repro.resources.pool import ResourcePool
 
 Assignment = tuple[int, ...]
@@ -37,7 +39,7 @@ def allocation_correlation_matrix(evaluator: PlacementEvaluator) -> np.ndarray:
     Constant series (zero variance) correlate 0 with everything: they
     neither help nor hurt coincident peaks.
     """
-    totals = evaluator._cos1 + evaluator._cos2
+    totals = evaluator.total_allocations()
     n = totals.shape[0]
     centered = totals - totals.mean(axis=1, keepdims=True)
     norms = np.linalg.norm(centered, axis=1)
@@ -63,51 +65,20 @@ def correlation_aware_seed(
     attribute: str = "cpu",
 ) -> Assignment:
     """Greedy placement preferring the least-correlated feasible server."""
-    servers = list(pool.servers)
     correlation = allocation_correlation_matrix(evaluator)
-    order = np.argsort(-evaluator.peak_allocations(), kind="stable")
-    groups: dict[int, list[int]] = {}
-    assignment = [-1] * evaluator.n_workloads
 
-    for workload_index in (int(index) for index in order):
-        best_server = None
-        best_score = np.inf
-        for server_index in sorted(groups):
-            candidate = groups[server_index] + [workload_index]
-            evaluation = evaluator.evaluate_group(
-                candidate, servers[server_index], attribute
-            )
-            if not evaluation.fits:
-                continue
-            occupants = groups[server_index]
-            mean_correlation = float(
-                np.mean([correlation[workload_index, other] for other in occupants])
-            )
-            if mean_correlation < best_score:
-                best_score = mean_correlation
-                best_server = server_index
-        if best_server is None:
-            best_server = _open_server(
-                evaluator, servers, groups, workload_index, attribute
-            )
-        groups.setdefault(best_server, []).append(workload_index)
-        assignment[workload_index] = best_server
-    return tuple(assignment)
+    def choose(
+        workload_index: int,
+        feasible: list[tuple[int, float]],
+        current_groups: dict[int, list[int]],
+    ) -> int:
+        # Least mean correlation with the occupants; ``min`` keeps the
+        # first (lowest-index) server among equal means.
+        return min(
+            feasible,
+            key=lambda item: correlation[
+                workload_index, current_groups[item[0]]
+            ].mean(),
+        )[0]
 
-
-def _open_server(
-    evaluator: PlacementEvaluator,
-    servers,
-    groups: dict[int, list[int]],
-    workload_index: int,
-    attribute: str,
-) -> int:
-    for server_index, server in enumerate(servers):
-        if server_index in groups:
-            continue
-        if evaluator.evaluate_group([workload_index], server, attribute).fits:
-            return server_index
-    raise InfeasiblePlacementError(
-        f"workload {evaluator.names[workload_index]!r} fits on no "
-        "remaining server"
-    )
+    return _greedy_place(evaluator, pool, choose, attribute)

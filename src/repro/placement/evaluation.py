@@ -256,6 +256,7 @@ class PlacementEvaluator:
         self._cos1 = np.vstack([pair.cos1.values for pair in self.pairs])
         self._cos2 = np.vstack([pair.cos2.values for pair in self.pairs])
         self._cache: dict[GroupKey, ServerEvaluation] = {}
+        self._peaks: Optional[np.ndarray] = None
 
     @property
     def n_workloads(self) -> int:
@@ -267,9 +268,19 @@ class PlacementEvaluator:
         except KeyError:
             raise PlacementError(f"unknown workload {name!r}") from None
 
+    def total_allocations(self) -> np.ndarray:
+        """Per-workload CoS1 + CoS2 allocation series (a fresh matrix)."""
+        return self._cos1 + self._cos2
+
     def peak_allocations(self) -> np.ndarray:
-        """Per-workload peak total allocation (the C_peak contributions)."""
-        return (self._cos1 + self._cos2).max(axis=1)
+        """Per-workload peak total allocation (the C_peak contributions).
+
+        Computed once per evaluator; the array is read-only.
+        """
+        if self._peaks is None:
+            self._peaks = self.total_allocations().max(axis=1)
+            self._peaks.setflags(write=False)
+        return self._peaks
 
     def evaluate_group(
         self,
@@ -278,15 +289,9 @@ class PlacementEvaluator:
         attribute: str = "cpu",
     ) -> ServerEvaluation:
         """Required capacity of the workloads ``indices`` on ``server``."""
-        key = self.cache_key(indices, server, attribute)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self._count("placement.cache_hits")
-            return cached
-        self._count("placement.cache_misses")
-        evaluation = self._evaluate_key(key)
-        self._cache[key] = evaluation
-        return evaluation
+        return self.evaluate_groups(
+            [(server.capacity_of(attribute), indices)]
+        )[0]
 
     def evaluate_groups(
         self, items: Sequence[tuple[float, Sequence[int]]]
@@ -296,7 +301,7 @@ class PlacementEvaluator:
         Cache-hitting items are answered from the memo; the misses are
         stacked into one :class:`BatchSimulator` and solved by a single
         simultaneous bisection, then installed in the cache. Results
-        are identical to calling :meth:`evaluate_group` one by one.
+        are identical to asking for the items one by one.
         """
         keys = [
             (float(limit), self._canonical_rows(rows))
@@ -375,32 +380,6 @@ class PlacementEvaluator:
         if rows and (rows[0] < 0 or rows[-1] >= self.n_workloads):
             raise PlacementError(f"workload indices out of range: {indices}")
         return rows
-
-    def _evaluate_key(self, key: GroupKey) -> ServerEvaluation:
-        limit, rows = key
-        if not rows:
-            return ServerEvaluation(fits=True, required=0.0, utilization=0.0)
-        if self.kernel != "scalar":
-            evaluations, stats = _evaluate_items_batched(
-                self._cos1,
-                self._cos2,
-                self.calendar,
-                self.commitment,
-                self.tolerance,
-                [(limit, rows, None)],
-                kernel=self.kernel,
-            )
-            self.record_search_stats(stats)
-            return evaluations[0]
-        return _evaluate_rows(
-            self._cos1,
-            self._cos2,
-            self.calendar,
-            self.commitment,
-            self.tolerance,
-            rows,
-            limit,
-        )
 
     def _solve_missing(
         self, missing: Sequence[GroupKey]

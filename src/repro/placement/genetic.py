@@ -327,7 +327,10 @@ class GeneticPlacementSearch:
 
     def evaluate(self, assignment: Assignment) -> EvaluatedAssignment:
         """Score one assignment (cached per server-content subset)."""
-        assignment = self._validate_assignment(assignment)
+        return self._score(self._validate_assignment(assignment))
+
+    def _score(self, assignment: Assignment) -> EvaluatedAssignment:
+        """:meth:`evaluate` for an already validated assignment."""
         groups: dict[int, list[int]] = {}
         for workload_index, server_index in enumerate(assignment):
             groups.setdefault(server_index, []).append(workload_index)
@@ -394,7 +397,7 @@ class GeneticPlacementSearch:
         """
         validated = [self._validate_assignment(tuple(a)) for a in assignments]
         self._prime_cache(validated, session)
-        return [self.evaluate(assignment) for assignment in validated]
+        return [self._score(assignment) for assignment in validated]
 
     def _prime_cache(
         self,

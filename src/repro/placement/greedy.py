@@ -11,6 +11,11 @@ limit):
 * **best-fit decreasing** — each workload placed on the feasible server
   whose required capacity would become largest (tightest fit), packing
   servers hot before opening new ones.
+
+:func:`_greedy_place` is the one placement loop: the two baselines here
+and :func:`repro.placement.correlation.correlation_aware_seed` differ
+only in the ``choose`` policy they hand it, and every step of the loop
+reaches the kernel as one batch.
 """
 
 from __future__ import annotations
@@ -34,7 +39,9 @@ def first_fit_decreasing(
     """Place each workload (largest peak first) on the first fitting server."""
 
     def choose(
-        feasible: list[tuple[int, float]], current_groups: dict[int, list[int]]
+        workload_index: int,
+        feasible: list[tuple[int, float]],
+        current_groups: dict[int, list[int]],
     ) -> int:
         return feasible[0][0]
 
@@ -49,7 +56,9 @@ def best_fit_decreasing(
     """Place each workload on the feasible server it fills tightest."""
 
     def choose(
-        feasible: list[tuple[int, float]], current_groups: dict[int, list[int]]
+        workload_index: int,
+        feasible: list[tuple[int, float]],
+        current_groups: dict[int, list[int]],
     ) -> int:
         return max(feasible, key=lambda item: item[1])[0]
 
@@ -59,7 +68,7 @@ def best_fit_decreasing(
 def _greedy_place(
     evaluator: PlacementEvaluator,
     pool: ResourcePool,
-    choose: Callable[[list[tuple[int, float]], dict[int, list[int]]], int],
+    choose: Callable[[int, list[tuple[int, float]], dict[int, list[int]]], int],
     attribute: str,
 ) -> Assignment:
     """Shared greedy skeleton.
@@ -67,7 +76,9 @@ def _greedy_place(
     Workloads are taken in decreasing order of peak total allocation.
     For each, every *already-used* server is tested first; if none fits,
     the next unused server is opened. ``choose`` picks among the feasible
-    used servers given ``(server_index, required_capacity)`` candidates.
+    used servers given the workload's index, the
+    ``(server_index, required_capacity)`` candidates in server order and
+    the current groups.
     """
     servers = list(pool.servers)
     order = np.argsort(-evaluator.peak_allocations(), kind="stable")
@@ -94,7 +105,7 @@ def _greedy_place(
             if evaluation.fits
         ]
         if feasible:
-            target = choose(feasible, groups)
+            target = choose(workload_index, feasible, groups)
         else:
             target = _open_new_server(
                 evaluator, servers, groups, workload_index, attribute

@@ -277,15 +277,18 @@ class BatchSimulator:
         """Aggregate per-workload matrices over each subset's rows.
 
         ``subsets`` lists the (sorted) workload row indices of each
-        batch row, exactly as the scalar path sums them.
+        batch row. Member rows are added into the batch row one by one
+        in subset order — the additions, and their order, of the scalar
+        path's ``matrix[subset].sum(axis=0)``, without the gathered copy.
         """
         length = calendar.n_observations
         cos1 = np.empty((len(subsets), length), dtype=float)
         cos2 = np.empty((len(subsets), length), dtype=float)
-        for row, subset in enumerate(subsets):
-            index = np.asarray(subset, dtype=int)
-            cos1[row] = cos1_matrix[index].sum(axis=0)
-            cos2[row] = cos2_matrix[index].sum(axis=0)
+        for matrix, out in ((cos1_matrix, cos1), (cos2_matrix, cos2)):
+            for row, subset in zip(out, subsets):
+                row[:] = matrix[subset[0]] if len(subset) else 0.0
+                for member in subset[1:]:
+                    row += matrix[member]
         return cls(cos1, cos2, calendar)
 
     @property
@@ -384,8 +387,10 @@ class BatchSimulator:
         # ``index`` is an integer array, so these are private copies the
         # passes below overwrite in place.
         cos2 = self._cos2[index]
+        # max(0, c - cos1) is the scalar path's max(0, c - min(cos1, c))
+        # float for float: the same subtraction where cos1 <= c, +0.0
+        # either way where it is not.
         available = self._cos1[index]
-        np.minimum(available, caps_col, out=available)
         np.subtract(caps_col, available, out=available)
         np.maximum(0.0, available, out=available)
         theta = _theta_rows(

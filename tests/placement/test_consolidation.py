@@ -137,3 +137,61 @@ class TestPreviousPlanSeeding:
         )
         result = consolidator.consolidate(pairs, previous=stale)
         assert result.servers_used >= 1
+
+
+class TestCorrelationSeedSkip:
+    """Only "the pool is too tight for that ordering" drops the seed."""
+
+    def test_infeasible_seed_is_skipped_and_counted(
+        self, pairs, consolidator, monkeypatch
+    ):
+        from repro.exceptions import InfeasiblePlacementError
+        from repro.placement import consolidation
+        from repro.placement.evaluation import PlacementEvaluator
+        from repro.placement.genetic import GeneticPlacementSearch
+        from repro.placement.greedy import (
+            best_fit_decreasing,
+            first_fit_decreasing,
+        )
+
+        def too_tight(evaluator, pool, attribute):
+            raise InfeasiblePlacementError("too tight for that ordering")
+
+        monkeypatch.setattr(consolidation, "correlation_aware_seed", too_tight)
+        result = consolidator.consolidate(pairs)
+
+        evaluator = PlacementEvaluator(pairs, consolidator.commitment)
+        two_seed = GeneticPlacementSearch(
+            evaluator, consolidator.pool, consolidator.config
+        ).run(
+            first_fit_decreasing(evaluator, consolidator.pool),
+            extra_seeds=[best_fit_decreasing(evaluator, consolidator.pool)],
+        )
+        assert result.search.best.assignment == two_seed.best.assignment
+        assert result.search.history == two_seed.history
+        instrumentation = consolidator.engine.instrumentation
+        assert instrumentation.counters()[
+            "placement.correlation_seed_skipped"
+        ] == 1
+        assert [
+            event.fields["reason"]
+            for event in instrumentation.events()
+            if event.name == "placement.correlation_seed_skipped"
+        ] == ["too tight for that ordering"]
+
+    def test_counter_reads_zero_when_the_seed_is_used(self, pairs, consolidator):
+        consolidator.consolidate(pairs)
+        counters = consolidator.engine.instrumentation.counters()
+        assert counters["placement.correlation_seed_skipped"] == 0
+
+    def test_other_placement_errors_propagate(
+        self, pairs, consolidator, monkeypatch
+    ):
+        from repro.placement import consolidation
+
+        def boom(evaluator, pool, attribute):
+            raise PlacementError("boom")
+
+        monkeypatch.setattr(consolidation, "correlation_aware_seed", boom)
+        with pytest.raises(PlacementError, match="boom"):
+            consolidator.consolidate(pairs)

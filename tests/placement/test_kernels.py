@@ -132,13 +132,25 @@ def hostile_rows(draw, length):
     """One (cos1, cos2) row from the corners the gates must survive."""
     kind = draw(
         st.sampled_from(
-            ["random", "all_zero", "constant_cos2", "cos1_only", "bursty"]
+            [
+                "random",
+                "all_zero",
+                "constant_cos2",
+                "cos1_only",
+                "bursty",
+                "cos1_plateau",
+            ]
         )
     )
     series = st.lists(levels, min_size=length, max_size=length)
     cos1 = np.asarray(draw(series), float)
     if kind == "all_zero":
         cos1 = cos2 = np.zeros(length)
+    elif kind == "cos1_plateau":
+        # Every slot sits at the peak, so a capacity at (or 1e-9 under)
+        # the peak leaves c - cos1 at zero (or below) in all of them.
+        cos1 = np.full(length, draw(levels))
+        cos2 = np.asarray(draw(series), float)
     elif kind == "cos1_only":
         cos2 = np.zeros(length)
     elif kind == "constant_cos2":
@@ -165,9 +177,11 @@ def decision_cases(draw):
     capacities = np.empty(rows)
     for row in range(rows):
         peak = float(cos1[row].max())
+        # Exactly at some slot's CoS1 value, the peak's or a lower one.
+        at_a_slot = float(cos1[row][draw(st.integers(0, length - 1))])
         capacity = draw(
             st.one_of(
-                st.sampled_from([peak, peak + 1e-9, peak - 1e-9]),
+                st.sampled_from([peak, peak + 1e-9, peak - 1e-9, at_a_slot]),
                 capacity_values,
             )
         )
@@ -235,6 +249,68 @@ class TestDecisionFunction:
             batch.decide(None, np.array([1.0]), commitment)
         with pytest.raises(SimulationError, match="capacity must be > 0"):
             batch.decide(None, np.array([1.0, 0.0]), commitment)
+
+
+# --- aggregation: in-place row sums against the scalar oracle's ---
+
+#: 1-hour, 30- and 5-minute slots over one week.
+AGGREGATION_CALENDARS = tuple(
+    TraceCalendar(weeks=1, slot_minutes=minutes) for minutes in (60, 30, 5)
+)
+
+
+@st.composite
+def aggregation_cases(draw):
+    """(calendar, matrix, sorted subsets) over magnitudes 1e-9 ... 1e6."""
+    calendar = draw(st.sampled_from(AGGREGATION_CALENDARS))
+    n = draw(st.integers(min_value=1, max_value=64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = 10.0 ** rng.uniform(-9.0, 6.0, size=(n, calendar.n_observations))
+    for row in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        matrix[row] = 0.0
+    subsets = draw(
+        st.lists(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+            .map(sorted)
+            .map(tuple),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return calendar, matrix, subsets
+
+
+class TestFromSubsetsAggregation:
+    """`from_subsets` adds rows in place; the oracle sums a gathered copy.
+
+    Both must be the same float64 additions in the same order
+    (``PlacementEvaluator._simulator_for`` / ``_evaluate_rows`` are the
+    oracle's side), on every numpy the suite runs under: exact equality,
+    no tolerance.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(aggregation_cases())
+    def test_rows_equal_the_gathered_sum(self, case):
+        calendar, matrix, subsets = case
+        other = matrix[::-1] * 0.5
+        batch = BatchSimulator.from_subsets(matrix, other, subsets, calendar)
+        for row, subset in enumerate(subsets):
+            index = np.asarray(subset)
+            assert np.array_equal(batch._cos1[row], matrix[index].sum(axis=0))
+            assert np.array_equal(batch._cos2[row], other[index].sum(axis=0))
+
+    def test_whole_matrix_and_singletons(self):
+        calendar = AGGREGATION_CALENDARS[0]
+        rng = np.random.default_rng(5)
+        matrix = rng.uniform(0.0, 4.0, size=(64, calendar.n_observations))
+        subsets = [tuple(range(64)), (7,), (0, 63)]
+        batch = BatchSimulator.from_subsets(matrix, matrix, subsets, calendar)
+        for row, subset in enumerate(subsets):
+            expected = matrix[np.asarray(subset)].sum(axis=0)
+            assert np.array_equal(batch._cos1[row], expected)
+        # A singleton is a copy, not a view of the caller's matrix.
+        assert not np.shares_memory(batch._cos1, matrix)
 
 
 class TestRequiredCapacityBatchBisect:

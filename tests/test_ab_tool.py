@@ -1,0 +1,80 @@
+"""The pure parts of ``tools/ab.py``: run ordering and summary arithmetic.
+
+No benchmark runs here; the tool is loaded from its file because
+``tools/`` is a directory of scripts, not a package.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "ab.py"
+
+
+@pytest.fixture(scope="module")
+def ab():
+    spec = importlib.util.spec_from_file_location("ropus_tools_ab", _PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestRunOrder:
+    def test_odd_seeds_parent_first_even_seeds_change_first(self, ab):
+        assert ab.run_order(3) == [
+            (1, "parent"), (1, "change"),
+            (2, "change"), (2, "parent"),
+            (3, "parent"), (3, "change"),
+        ]
+
+    def test_each_side_runs_every_seed_once(self, ab):
+        order = ab.run_order(10)
+        for side in ab.SIDES:
+            assert sorted(s for s, ran in order if ran == side) == list(range(1, 11))
+        # Each side goes first in half of the pairs.
+        assert [side for _, side in order[::2]].count("parent") == 5
+
+
+class TestSummarize:
+    def test_a_clear_gain(self, ab):
+        parent = [1.30, 1.20, 1.00, 1.50, 1.00, 1.40, 1.10, 1.20, 1.30, 1.20]
+        change = [value * 0.7 for value in parent]
+        summary = ab.summarize(parent, change, "lower")
+        assert (summary["wins"], summary["losses"], summary["ties"]) == (10, 0, 0)
+        assert summary["parent"][1] == pytest.approx(1.20)
+        assert summary["change"][1] == pytest.approx(0.84)
+        assert summary["relative"] == pytest.approx(-0.30)
+        assert summary["parent_iqr"] == pytest.approx(
+            summary["parent"][2] - summary["parent"][0]
+        )
+        assert summary["gain"]
+
+    def test_nine_of_ten_is_enough_eight_is_not(self, ab):
+        parent = [10.0 + 0.01 * i for i in range(10)]
+        change = [value - 1.0 for value in parent]
+        change[0] = parent[0] + 0.5
+        assert ab.summarize(parent, change, "lower")["gain"]
+        change[1] = parent[1] + 0.5
+        summary = ab.summarize(parent, change, "lower")
+        assert summary["wins"] == 8 and not summary["gain"]
+
+    def test_a_difference_inside_the_parents_spread_is_no_gain(self, ab):
+        parent = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
+        change = [value - 0.1 for value in parent]
+        summary = ab.summarize(parent, change, "lower")
+        assert summary["wins"] == 10
+        assert not summary["gain"]
+
+    def test_ties_count_for_neither_side(self, ab):
+        summary = ab.summarize([45.0] * 10, [45.0] * 10, "lower")
+        assert (summary["wins"], summary["losses"], summary["ties"]) == (0, 0, 10)
+        assert summary["relative"] == 0.0
+        assert not summary["gain"]
+
+    def test_higher_is_better_flips_the_direction(self, ab):
+        parent = [0.90, 0.91, 0.92, 0.90, 0.91, 0.92, 0.90, 0.91, 0.92, 0.90]
+        change = [1.0] * 10
+        assert ab.summarize(parent, change, "higher")["gain"]
+        flipped = ab.summarize(parent, change, "lower")
+        assert flipped["losses"] == 10 and not flipped["gain"]
