@@ -87,7 +87,6 @@ from repro.placement.failure import (
     SpareSizingCurve,
 )
 from repro.placement.genetic import GeneticSearchConfig
-from repro.resources.container import ResourceContainer
 from repro.resources.pool import ResourcePool
 from repro.resources.server import ServerSpec, homogeneous_servers
 from repro.traces.allocation import AllocationTrace, CoSAllocationPair
@@ -134,7 +133,6 @@ __all__ = [
     "QoSTranslator",
     "ROpus",
     "ROpusError",
-    "ResourceContainer",
     "ResourcePool",
     "RollingPlanReport",
     "SerialExecutor",

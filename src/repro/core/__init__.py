@@ -24,11 +24,6 @@ from repro.core.degradation import (
     new_max_demand,
     realized_cap_reduction,
 )
-from repro.core.epoch_limited import (
-    EpochBudgetResult,
-    count_epochs_per_period,
-    enforce_epoch_budget,
-)
 from repro.core.framework import CapacityPlan, ROpus
 from repro.core.manager import (
     CapacityManager,
@@ -48,7 +43,6 @@ __all__ = [
     "CapacityPlan",
     "CoSCommitment",
     "DegradedSpec",
-    "EpochBudgetResult",
     "PoolCommitments",
     "QoSPolicy",
     "QoSRange",
@@ -57,8 +51,6 @@ __all__ = [
     "RollingPlanReport",
     "TranslationResult",
     "breakpoint_fraction",
-    "count_epochs_per_period",
-    "enforce_epoch_budget",
     "enforce_time_limited_degradation",
     "max_cap_reduction_bound",
     "new_max_demand",

@@ -632,17 +632,14 @@ class ROpus:
                 key_prefix=f"scope:{scope}",
             )
         if policy.degraded_factor is not None:
-            label = (
-                f"degraded:{policy.degraded_scope}"
-                f"@{policy.degraded_factor:g}"
-            )
-            domain_reports[label] = planner.plan_degraded(
+            label = f"degraded:server@{policy.degraded_factor:g}"
+            domain_reports[label] = planner.plan_scope(
                 context.demands,
                 context.policies,
                 self.pool,
                 context.consolidation,
-                factor=policy.degraded_factor,
-                scope=policy.degraded_scope,
+                scope="server",
+                degraded_factor=policy.degraded_factor,
                 relax_all=context.relax_all_on_failure,
                 algorithm=context.algorithm,
                 key_prefix=label,
@@ -655,7 +652,6 @@ class ROpus:
                 context.policies,
                 self.pool,
                 context.consolidation,
-                scopes=policy.spare_scopes,
                 max_spares=policy.max_spares,
                 relax_all=context.relax_all_on_failure,
                 algorithm=context.algorithm,

@@ -81,17 +81,11 @@ class DegradedSpec:
     t_degr_minutes:
         Optional limit on *contiguous* degraded time. ``None`` means no
         time-contiguity constraint.
-    epochs_per_day:
-        Optional budget on the *number* of degraded epochs (maximal
-        contiguous degraded runs) intersecting any one day — the
-        enhancement the paper's footnote 2 suggests. ``None`` disables
-        the budget.
     """
 
     m_degr_percent: Percent
     u_degr: Fraction01
     t_degr_minutes: Optional[float] = None
-    epochs_per_day: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.m_degr_percent < 100.0:
@@ -105,11 +99,6 @@ class DegradedSpec:
         if self.t_degr_minutes is not None and self.t_degr_minutes <= 0:
             raise QoSSpecificationError(
                 f"T_degr must be > 0 minutes when given, got {self.t_degr_minutes}"
-            )
-        if self.epochs_per_day is not None and self.epochs_per_day < 0:
-            raise QoSSpecificationError(
-                f"epochs_per_day must be >= 0 when given, "
-                f"got {self.epochs_per_day}"
             )
 
     @property
@@ -174,10 +163,6 @@ class ApplicationQoS:
     @property
     def t_degr_minutes(self) -> Optional[float]:
         return self.degraded.t_degr_minutes if self.degraded is not None else None
-
-    @property
-    def epochs_per_day(self) -> Optional[int]:
-        return self.degraded.epochs_per_day if self.degraded is not None else None
 
     def with_degraded(self, degraded: Optional[DegradedSpec]) -> "ApplicationQoS":
         return ApplicationQoS(self.acceptable, degraded)

@@ -26,7 +26,6 @@ import numpy as np
 from repro.core.cos import PoolCommitments
 from repro.core.degradation import new_max_demand, realized_cap_reduction
 from repro.engine import ExecutionEngine
-from repro.core.epoch_limited import EpochBudgetResult, enforce_epoch_budget
 from repro.core.partition import breakpoint_fraction, partition_demand
 from repro.core.qos import ApplicationQoS
 from repro.core.time_limited import (
@@ -36,7 +35,6 @@ from repro.core.time_limited import (
     expected_utilization,
 )
 from repro.exceptions import TranslationError
-from repro.resources.container import ResourceContainer
 from repro.units import CpuShares, Fraction01, Slots
 from repro.traces.allocation import AllocationTrace, CoSAllocationPair
 from repro.traces.ops import longest_run_above
@@ -64,8 +62,6 @@ class TranslationResult:
         Longest remaining contiguous degraded stretch.
     time_limited:
         Details of the ``T_degr`` iteration, when it ran.
-    epoch_budget:
-        Details of the per-day epoch-budget iteration, when it ran.
     """
 
     pair: CoSAllocationPair
@@ -76,7 +72,6 @@ class TranslationResult:
     degraded_fraction: Fraction01
     longest_degraded_run_slots: Slots
     time_limited: Optional[TimeLimitedResult] = None
-    epoch_budget: Optional[EpochBudgetResult] = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.breakpoint <= 1.0:
@@ -159,20 +154,6 @@ class QoSTranslator:
             )
             cap = time_limited.d_new_max
 
-        epoch_budget: EpochBudgetResult | None = None
-        if qos.epochs_per_day is not None and qos.m_degr_percent > 0:
-            epoch_budget = enforce_epoch_budget(
-                demand.values,
-                initial_cap=cap,
-                breakpoint_fraction=p,
-                theta=theta,
-                u_low=qos.u_low,
-                u_high=qos.u_high,
-                max_epochs_per_period=qos.epochs_per_day,
-                period_slots=demand.calendar.slots_per_day,
-            )
-            cap = epoch_budget.d_new_max
-
         cos1_demand, cos2_demand = partition_demand(
             demand.values, cap, p * cap
         )
@@ -217,15 +198,7 @@ class QoSTranslator:
                 degraded_mask.astype(float), 0.5
             ),
             time_limited=time_limited,
-            epoch_budget=epoch_budget,
         )
-
-    def translate_container(
-        self, container: ResourceContainer, qos: ApplicationQoS
-    ) -> ResourceContainer:
-        """Attach translated allocation traces to a container."""
-        result = self.translate(container.demand, qos)
-        return container.with_allocation(result.pair)
 
     def translate_items(
         self, items: Sequence[tuple[DemandTrace, ApplicationQoS]]

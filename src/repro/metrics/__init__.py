@@ -13,24 +13,14 @@ from repro.metrics.access import measure_theta, theta_by_slot
 from repro.metrics.capacity import CapacityCase, capacity_case
 from repro.metrics.compliance import ComplianceReport, check_compliance
 from repro.metrics.report import render_capacity_table, render_compliance_table
-from repro.metrics.utilization import (
-    ServerUtilizationSummary,
-    consolidation_utilization,
-    pool_balance,
-    server_utilization,
-)
 
 __all__ = [
     "CapacityCase",
     "ComplianceReport",
-    "ServerUtilizationSummary",
     "capacity_case",
     "check_compliance",
-    "consolidation_utilization",
     "measure_theta",
-    "pool_balance",
     "render_capacity_table",
     "render_compliance_table",
-    "server_utilization",
     "theta_by_slot",
 ]

@@ -23,12 +23,11 @@ sub-pools by demand-shape class):
   guaranteed share multiplex poorly and should be planned together).
 
 Clustering is deterministic and seeded: features are normalised, a tiny
-seeded jitter breaks distance ties reproducibly, and the linkage itself
-is either SciPy's average-linkage hierarchy (when SciPy is importable —
-it is *not* a hard dependency) or an in-repo greedy agglomerative
-merge with index-ordered tie-breaking. Either way, the same seed and
-the same traces produce identical clusters across processes and runs
-within one environment.
+seeded jitter breaks distance ties reproducibly, and the linkage is an
+in-repo average-linkage agglomerative merge with index-ordered
+tie-breaking (SciPy's ``linkage`` / ``fcluster`` is the oracle its
+tests compare against, not a dependency). The same seed and the same
+traces produce identical clusters across processes and runs.
 """
 
 from __future__ import annotations
@@ -41,14 +40,6 @@ import numpy as np
 from repro.exceptions import PlacementError
 from repro.traces.trace import DemandTrace
 from repro.util.rng import derive_rng
-
-#: Clustering backends selectable on :func:`cluster_workloads`.
-#:
-#: * ``"auto"`` — SciPy average linkage when importable, else the
-#:   in-repo greedy agglomerative merge;
-#: * ``"agglomerative"`` — always the in-repo implementation;
-#: * ``"scipy"`` — require SciPy (raises when unavailable).
-METHODS = ("auto", "agglomerative", "scipy")
 
 #: Column order of the feature matrix.
 FEATURE_NAMES = (
@@ -95,9 +86,9 @@ class ClusteringResult:
 
     ``labels`` aligns with the feature rows (one label per workload) and
     is canonically renumbered: cluster 0 is the cluster of the first
-    workload, cluster 1 the next previously-unseen one, and so on — so
-    label values are stable regardless of the backend's internal
-    numbering.
+    workload, cluster 1 the next previously-unseen one, and so on.
+    ``method`` is ``"agglomerative"``, or ``"trivial"`` when every
+    workload is its own cluster.
     """
 
     names: tuple[str, ...]
@@ -200,18 +191,13 @@ def cluster_workloads(
     n_clusters: int,
     *,
     seed: Optional[int] = None,
-    method: str = "auto",
 ) -> ClusteringResult:
     """Partition workloads into ``n_clusters`` demand-shape clusters.
 
-    Deterministic for a fixed ``(features, n_clusters, seed, method)``:
-    the seed only feeds the tie-breaking jitter, so it decides which of
+    Deterministic for a fixed ``(features, n_clusters, seed)``: the
+    seed only feeds the tie-breaking jitter, so it decides which of
     several equally-similar groupings is returned, reproducibly.
     """
-    if method not in METHODS:
-        raise PlacementError(
-            f"unknown clustering method {method!r}; expected one of {METHODS}"
-        )
     n_workloads = len(features.names)
     if not 1 <= n_clusters <= n_workloads:
         raise PlacementError(
@@ -225,18 +211,8 @@ def cluster_workloads(
         labels = list(range(n_workloads))
         method_used = "trivial"
     else:
-        scipy_linkage = None if method == "agglomerative" else _scipy_linkage()
-        if method == "scipy" and scipy_linkage is None:
-            raise PlacementError(
-                "clustering method 'scipy' requested but scipy is not "
-                "importable; use method='agglomerative'"
-            )
-        if scipy_linkage is not None:
-            labels = scipy_linkage(matrix, n_clusters)
-            method_used = "scipy"
-        else:
-            labels = _greedy_agglomerative(matrix, n_clusters)
-            method_used = "agglomerative"
+        labels = _greedy_agglomerative(matrix, n_clusters)
+        method_used = "agglomerative"
     return ClusteringResult(
         names=features.names,
         labels=_canonical_labels(labels),
@@ -244,22 +220,6 @@ def cluster_workloads(
         method=method_used,
         seed=seed,
     )
-
-
-def _scipy_linkage():
-    """SciPy's average-linkage clusterer, or ``None`` when unavailable."""
-    try:
-        from scipy.cluster.hierarchy import fcluster, linkage
-    except ImportError:
-        return None
-
-    def _cluster(matrix: np.ndarray, n_clusters: int) -> list[int]:
-        merged = linkage(matrix, method="average")
-        return [
-            int(label) for label in fcluster(merged, n_clusters, "maxclust")
-        ]
-
-    return _cluster
 
 
 def _greedy_agglomerative(matrix: np.ndarray, n_clusters: int) -> list[int]:
@@ -315,7 +275,7 @@ def _greedy_agglomerative(matrix: np.ndarray, n_clusters: int) -> list[int]:
 
 
 def _canonical_labels(labels: Sequence[int]) -> tuple[int, ...]:
-    """Renumber labels by first occurrence (backend-independent values)."""
+    """Renumber labels by first occurrence."""
     mapping: dict[int, int] = {}
     canonical = []
     for label in labels:
@@ -327,7 +287,6 @@ def _canonical_labels(labels: Sequence[int]) -> tuple[int, ...]:
 
 __all__ = [
     "FEATURE_NAMES",
-    "METHODS",
     "ClusteringResult",
     "WorkloadFeatures",
     "cluster_workloads",

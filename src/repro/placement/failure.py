@@ -21,23 +21,24 @@ workload finds no home. A repaired case reports
 ``result.algorithm == "repair"``; the ``failure.repaired`` /
 ``failure.replanned`` counters say how often each branch ran.
 
-Scenario families (one :class:`FaultScenario` each):
+Scenario families, one per scope spec of :meth:`FailurePlanner.plan_scope`
+(each case a :class:`FaultScenario`):
 
-* **single-server loss** (:meth:`FailurePlanner.plan`) — the paper's
-  sweep: remove one used server at a time;
-* **k-concurrent loss** (:meth:`FailurePlanner.plan_multi`) — every
-  combination of ``k`` used servers, globally or drawn *within* one
-  rack/zone (correlated faults); combinatorial spaces beyond
+* ``"server"`` — the paper's sweep (:meth:`FailurePlanner.plan`):
+  remove one used server at a time;
+* ``"server:k"`` / ``"rack:k"`` / ``"zone:k"`` — every combination of
+  ``k`` used servers (the paper's "can be extended to multiple node
+  failures", Section III), globally or drawn *within* one rack/zone
+  (correlated faults); combinatorial spaces beyond
   :data:`MAX_EXHAUSTIVE_CASES` are sampled with a deterministic seeded
   draw instead of refused;
-* **whole-domain loss** (:meth:`FailurePlanner.plan_domains`) — every
-  rack or zone that hosts workloads fails at once (the
-  :class:`~repro.resources.server.ServerSpec` topology labels define
-  the domains);
-* **degraded servers** (:meth:`FailurePlanner.plan_degraded`) — the
-  servers of a domain *survive* with their capacity limits scaled by a
-  factor in ``(0, 1)`` rather than disappearing; their residents still
-  fall back to failure-mode QoS for the repair window.
+* ``"rack"`` / ``"zone"`` — every rack or zone that hosts workloads
+  fails at once (the :class:`~repro.resources.server.ServerSpec`
+  topology labels define the domains);
+* any of the three specs without a ``:k``, with ``degraded_factor`` —
+  the servers of a domain *survive* with their capacity limits scaled
+  by a factor in ``(0, 1)`` rather than disappearing; their residents
+  still fall back to failure-mode QoS for the repair window.
 
 :meth:`FailurePlanner.spare_sizing_curve` searches, per failure scope,
 for the smallest number of cloned spare servers that makes the sweep
@@ -357,27 +358,23 @@ class FailureSweepPolicy:
     The single-server sweep always runs (it is the paper's baseline
     report); ``scopes`` adds domain-scoped sweeps on top (see
     :func:`parse_scope` for the spec grammar). ``degraded_factor``
-    additionally sweeps degraded-server scenarios at ``degraded_scope``
-    granularity; ``spare_curve`` runs the spare-sizing search over
-    ``spare_scopes`` (defaulting to the granularities the pool's
-    topology actually has). ``max_cases``/``sample_seed`` bound the
-    combinatorial sweeps (``None`` means
-    :data:`MAX_EXHAUSTIVE_CASES` / seed ``0``).
+    additionally sweeps every used server degraded to that share of its
+    capacity; ``spare_curve`` runs the spare-sizing search over the
+    granularities the pool's topology actually has.
+    ``max_cases``/``sample_seed`` bound the combinatorial sweeps
+    (``None`` means :data:`MAX_EXHAUSTIVE_CASES` / seed ``0``).
     """
 
     scopes: tuple[str, ...] = ("rack",)
     degraded_factor: Optional[float] = None
-    degraded_scope: str = "server"
     spare_curve: bool = False
-    spare_scopes: Optional[tuple[str, ...]] = None
     max_spares: int = 4
     max_cases: Optional[int] = None
     sample_seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        for scope in self.scopes + (self.spare_scopes or ()):
+        for scope in self.scopes:
             parse_scope(scope)
-        parse_scope(self.degraded_scope)
         if self.degraded_factor is not None and not (
             0.0 < self.degraded_factor < 1.0
         ):
@@ -802,7 +799,32 @@ class FailurePlanner:
         algorithm: str = "genetic",
         key_prefix: str = "",
     ) -> FailureReport:
-        """Run the what-if for every server used by the normal plan.
+        """The paper's sweep: one what-if per server the normal plan uses.
+
+        See :meth:`plan_scope` (this is its ``scope="server"``) for the
+        parameters.
+        """
+        return self.plan_scope(
+            demands, policies, pool, normal_result, scope="server",
+            relax_all=relax_all, algorithm=algorithm, key_prefix=key_prefix,
+        )
+
+    def plan_scope(
+        self,
+        demands: Sequence[DemandTrace],
+        policies: Mapping[str, QoSPolicy] | QoSPolicy,
+        pool,
+        normal_result: ConsolidationResult,
+        *,
+        scope: str,
+        degraded_factor: Optional[float] = None,
+        relax_all: bool = False,
+        algorithm: str = "genetic",
+        max_cases: Optional[int] = None,
+        sample_seed: Optional[int] = None,
+        key_prefix: str = "",
+    ) -> FailureReport:
+        """Run the what-if for every scenario of one scope spec.
 
         Parameters
         ----------
@@ -815,77 +837,118 @@ class FailurePlanner:
             The pool the normal plan was computed for.
         normal_result:
             The normal-mode consolidation to perturb.
+        scope:
+            Which scenarios to sweep (see :func:`parse_scope` and
+            :meth:`_scenarios`).
+        degraded_factor:
+            Sweep the scope's domains *degraded* instead of lost: their
+            servers stay in the pool with every capacity limit
+            multiplied by the factor (see
+            :meth:`~repro.resources.pool.ResourcePool.with_degraded`),
+            their residents switch to failure-mode QoS as if the
+            servers had died. Not defined for ``:k`` subsets.
         relax_all:
             Apply failure-mode QoS to every application during the
-            what-if instead of only those hosted on the failed server.
+            what-if instead of only those hosted on the faulted servers.
+        max_cases / sample_seed:
+            When a ``:k`` combination space exceeds ``max_cases``
+            (default :data:`MAX_EXHAUSTIVE_CASES`) the sweep evaluates a
+            deterministic sample of ``max_cases`` combinations drawn
+            from a generator seeded by ``sample_seed`` (falling back to
+            the search config's seed, then ``0``) instead of refusing
+            or exploding.
         """
-        items = [
-            (
-                FaultScenario(failed_servers=(failed_server,)),
-                tuple(sorted(set(hosted))),
-            )
-            for failed_server, hosted in normal_result.assignment.items()
-        ]
+        items = self._scenarios(
+            scope, pool, normal_result, degraded_factor, max_cases, sample_seed
+        )
         return self._sweep(
             items, demands, policies, pool, normal_result, relax_all,
             algorithm, key_prefix=key_prefix,
         )
 
-    def plan_multi(
+    def _scenarios(
         self,
-        demands: Sequence[DemandTrace],
-        policies: Mapping[str, QoSPolicy] | QoSPolicy,
+        scope: str,
         pool,
         normal_result: ConsolidationResult,
-        *,
-        concurrent_failures: int = 2,
-        relax_all: bool = False,
-        algorithm: str = "genetic",
-        within_domain: Optional[str] = None,
-        max_cases: Optional[int] = None,
-        sample_seed: Optional[int] = None,
-        key_prefix: str = "",
-    ) -> FailureReport:
-        """What-if combinations of ``concurrent_failures`` used servers.
+        degraded_factor: Optional[float],
+        max_cases: Optional[int],
+        sample_seed: Optional[int],
+    ) -> list[tuple[FaultScenario, tuple[str, ...]]]:
+        """The ``(scenario, affected workloads)`` items of one scope spec.
 
-        The paper notes the single-failure scenario "can be extended to
-        multiple node failures" (Section III). With ``within_domain``
-        set to ``"rack"`` or ``"zone"``, combinations are drawn per
-        domain — the correlated-fault model where concurrent losses
-        cluster inside a failure domain.
-
-        The number of cases grows combinatorially; when the combination
-        space exceeds ``max_cases`` (default
-        :data:`MAX_EXHAUSTIVE_CASES`) the sweep evaluates a
-        deterministic sample of ``max_cases`` combinations drawn from a
-        generator seeded by ``sample_seed`` (falling back to the search
-        config's seed, then ``0``) instead of refusing or exploding.
+        This generator is all that differs between sweeps (the module
+        docstring lists the families). Only domains hosting a workload
+        are swept: losing an idle one leaves the running assignment
+        untouched, exactly like the single sweep's unused servers.
         """
-        if concurrent_failures < 1:
-            raise PlacementError(
-                f"concurrent_failures must be >= 1, got {concurrent_failures}"
+        base, k = parse_scope(scope)
+        assignment = normal_result.assignment
+
+        def hosted(servers: Sequence[str]) -> tuple[str, ...]:
+            return tuple(
+                sorted(
+                    {
+                        name
+                        for server in servers
+                        for name in assignment.get(server, ())
+                    }
+                )
             )
-        used_servers = list(normal_result.assignment)
-        if concurrent_failures > len(used_servers):
+
+        if degraded_factor is not None:
+            if ":" in scope:
+                raise PlacementError(
+                    f"failure scope {scope!r}: a degraded sweep takes whole "
+                    "domains ('server', 'rack' or 'zone'), not k-subsets"
+                )
+            if not 0.0 < degraded_factor < 1.0:
+                raise PlacementError(
+                    "degraded capacity factor must be in (0, 1), "
+                    f"got {degraded_factor}"
+                )
+        elif base == "server" and k == 1:
+            return [
+                (FaultScenario(failed_servers=(server,)), hosted((server,)))
+                for server in assignment
+            ]
+        if degraded_factor is not None or k is None:
+            items = []
+            for label, members in pool.domains(base).items():
+                affected = hosted(members)
+                if not affected:
+                    continue
+                domain = label if base != "server" else None
+                if degraded_factor is None:
+                    scenario = FaultScenario(
+                        failed_servers=tuple(members), kind=base, domain=domain
+                    )
+                else:
+                    scenario = FaultScenario(
+                        degraded=tuple(
+                            (server, degraded_factor) for server in members
+                        ),
+                        kind=base,
+                        domain=domain,
+                    )
+                items.append((scenario, affected))
+            return items
+        used_servers = list(assignment)
+        if k > len(used_servers):
             raise PlacementError(
-                f"cannot fail {concurrent_failures} of "
-                f"{len(used_servers)} used servers"
+                f"cannot fail {k} of {len(used_servers)} used servers"
             )
-        kind = "server" if within_domain is None else within_domain
-        if within_domain is None:
+        if base == "server":
             groups: list[tuple[Optional[str], list[str]]] = [
                 (None, used_servers)
             ]
         else:
-            used = set(used_servers)
             groups = [
-                (label, [name for name in members if name in used])
-                for label, members in pool.domains(within_domain).items()
+                (label, [name for name in members if name in assignment])
+                for label, members in pool.domains(base).items()
             ]
             groups = [
-                (label, members)
-                for label, members in groups
-                if len(members) >= concurrent_failures
+                (label, members) for label, members in groups if len(members) >= k
             ]
             if not groups:
                 # No domain concentrates k used servers, so there is no
@@ -893,170 +956,16 @@ class FailurePlanner:
                 # all-supported (unlike the global draw above, where
                 # asking for more failures than used servers exist is a
                 # caller error).
-                return FailureReport(cases=())
-        combos = self._combinations(
-            groups, concurrent_failures, max_cases, sample_seed
-        )
-        items = []
-        for domain, combo in combos:
-            affected = {
-                name
-                for server in combo
-                for name in normal_result.assignment[server]
-            }
-            items.append(
-                (
-                    FaultScenario(
-                        failed_servers=combo, kind=kind, domain=domain
-                    ),
-                    tuple(sorted(affected)),
-                )
+                return []
+        return [
+            (
+                FaultScenario(failed_servers=combo, kind=base, domain=domain),
+                hosted(combo),
             )
-        return self._sweep(
-            items, demands, policies, pool, normal_result, relax_all,
-            algorithm, key_prefix=key_prefix,
-        )
-
-    def plan_domains(
-        self,
-        demands: Sequence[DemandTrace],
-        policies: Mapping[str, QoSPolicy] | QoSPolicy,
-        pool,
-        normal_result: ConsolidationResult,
-        *,
-        scope: str = "rack",
-        relax_all: bool = False,
-        algorithm: str = "genetic",
-        key_prefix: str = "",
-    ) -> FailureReport:
-        """Whole-domain loss: every rack (or zone) fails at once.
-
-        Only domains hosting at least one workload of the normal plan
-        are swept (losing an idle domain leaves the running assignment
-        untouched, exactly like the single sweep's unused servers).
-        """
-        if scope not in ("rack", "zone"):
-            raise PlacementError(
-                f"domain scope must be 'rack' or 'zone', got {scope!r}"
+            for domain, combo in self._combinations(
+                groups, k, max_cases, sample_seed
             )
-        items = []
-        for label, members in pool.domains(scope).items():
-            affected = {
-                name
-                for server in members
-                for name in normal_result.assignment.get(server, ())
-            }
-            if not affected:
-                continue
-            items.append(
-                (
-                    FaultScenario(
-                        failed_servers=tuple(members),
-                        kind=scope,
-                        domain=label,
-                    ),
-                    tuple(sorted(affected)),
-                )
-            )
-        return self._sweep(
-            items, demands, policies, pool, normal_result, relax_all,
-            algorithm, key_prefix=key_prefix,
-        )
-
-    def plan_degraded(
-        self,
-        demands: Sequence[DemandTrace],
-        policies: Mapping[str, QoSPolicy] | QoSPolicy,
-        pool,
-        normal_result: ConsolidationResult,
-        *,
-        factor: float = 0.5,
-        scope: str = "server",
-        relax_all: bool = False,
-        algorithm: str = "genetic",
-        key_prefix: str = "",
-    ) -> FailureReport:
-        """Degraded-server what-ifs: domains survive at scaled capacity.
-
-        Each swept domain's servers stay in the pool with every capacity
-        limit multiplied by ``factor`` (see
-        :meth:`~repro.resources.pool.ResourcePool.with_degraded`); the
-        workloads hosted there switch to failure-mode QoS for the
-        repair window, exactly as if the servers had died — except the
-        degraded capacity is still available to the re-plan.
-        """
-        if not 0.0 < factor < 1.0:
-            raise PlacementError(
-                f"degraded capacity factor must be in (0, 1), got {factor}"
-            )
-        base, _ = parse_scope(scope)
-        items = []
-        for label, members in pool.domains(base).items():
-            affected = {
-                name
-                for server in members
-                for name in normal_result.assignment.get(server, ())
-            }
-            if not affected:
-                continue
-            items.append(
-                (
-                    FaultScenario(
-                        degraded=tuple(
-                            (server, factor) for server in members
-                        ),
-                        kind=base,
-                        domain=label if base != "server" else None,
-                    ),
-                    tuple(sorted(affected)),
-                )
-            )
-        return self._sweep(
-            items, demands, policies, pool, normal_result, relax_all,
-            algorithm, key_prefix=key_prefix,
-        )
-
-    def plan_scope(
-        self,
-        demands: Sequence[DemandTrace],
-        policies: Mapping[str, QoSPolicy] | QoSPolicy,
-        pool,
-        normal_result: ConsolidationResult,
-        *,
-        scope: str,
-        relax_all: bool = False,
-        algorithm: str = "genetic",
-        max_cases: Optional[int] = None,
-        sample_seed: Optional[int] = None,
-        key_prefix: str = "",
-    ) -> FailureReport:
-        """Dispatch one scope spec (see :func:`parse_scope`) to a sweep."""
-        base, k = parse_scope(scope)
-        if base == "server":
-            if k == 1:
-                return self.plan(
-                    demands, policies, pool, normal_result,
-                    relax_all=relax_all, algorithm=algorithm,
-                    key_prefix=key_prefix,
-                )
-            return self.plan_multi(
-                demands, policies, pool, normal_result,
-                concurrent_failures=k or 2, relax_all=relax_all,
-                algorithm=algorithm, max_cases=max_cases,
-                sample_seed=sample_seed, key_prefix=key_prefix,
-            )
-        if k is None:
-            return self.plan_domains(
-                demands, policies, pool, normal_result, scope=base,
-                relax_all=relax_all, algorithm=algorithm,
-                key_prefix=key_prefix,
-            )
-        return self.plan_multi(
-            demands, policies, pool, normal_result,
-            concurrent_failures=k, relax_all=relax_all,
-            algorithm=algorithm, within_domain=base, max_cases=max_cases,
-            sample_seed=sample_seed, key_prefix=key_prefix,
-        )
+        ]
 
     def spare_sizing_curve(
         self,
@@ -1142,8 +1051,6 @@ class FailurePlanner:
         Each spare lives in its own singleton rack/zone so a spare is
         never lost together with the domain it is meant to replace.
         """
-        from repro.resources.server import ServerSpec
-
         existing = set(pool.names())
         spares = []
         index = 0

@@ -49,6 +49,9 @@ from repro.util.rng import derive_rng
 
 Assignment = tuple[int, ...]
 
+#: Probability that a child is mutated after selection / crossover.
+_MUTATION_PROBABILITY = 0.8
+
 
 @dataclass(frozen=True)
 class GeneticSearchConfig:
@@ -59,7 +62,6 @@ class GeneticSearchConfig:
     stall_generations: int = 12
     elite_count: int = 2
     crossover_probability: float = 0.6
-    mutation_probability: float = 0.8
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -81,8 +83,6 @@ class GeneticSearchConfig:
             )
         if not 0.0 <= self.crossover_probability <= 1.0:
             raise PlacementError("crossover_probability must be in [0, 1]")
-        if not 0.0 <= self.mutation_probability <= 1.0:
-            raise PlacementError("mutation_probability must be in [0, 1]")
 
 
 @dataclass
@@ -457,7 +457,7 @@ class GeneticPlacementSearch:
                 )
             else:
                 child = parent_a.assignment
-            if rng.random() < self.config.mutation_probability:
+            if rng.random() < _MUTATION_PROBABILITY:
                 child = self._mutate(child, rng)
             children.append(child)
         next_population.extend(self._evaluate_batch(children, session))

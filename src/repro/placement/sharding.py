@@ -74,8 +74,6 @@ class ShardingPolicy:
     refine_rounds: int = 2
     min_servers_per_shard: int = 2
     target_workloads_per_shard: int = 24
-    cluster_method: str = "auto"
-    max_moves_per_round: Optional[int] = None
 
     def __post_init__(self) -> None:
         if isinstance(self.shards, str):
@@ -422,7 +420,6 @@ class HierarchicalPlanner:
                 features,
                 n_shards,
                 seed=self.policy.cluster_seed,
-                method=self.policy.cluster_method,
             )
         self.engine.instrumentation.count("placement.clusters", n_shards)
         return self._clustering
@@ -984,9 +981,7 @@ class HierarchicalPlanner:
         merge move (a mis-clustered singleton migrates to wherever its
         marginal cost is lowest and its old sub-pool goes idle).
         """
-        cap = self.policy.max_moves_per_round
-        if cap is None:
-            cap = max(1, len(self._names) // 8)
+        cap = max(1, len(self._names) // 8)
         touched: set[str] = set()
         applied: list[tuple[int, int, int]] = []
         for gain, row, source, target, target_server in moves:

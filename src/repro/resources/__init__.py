@@ -1,34 +1,20 @@
-"""Resource-pool substrate: servers, containers, workload managers.
+"""Resource-pool substrate: servers, pools, the slot-level scheduler.
 
 Models the execution environment R-Opus manages: a pool of multi-CPU
-servers (:class:`ServerSpec`, :class:`ResourcePool`), resource containers
-binding one application workload each (:class:`ResourceContainer`), the
-burst-factor workload manager with two allocation priorities
-(:class:`WorkloadManager`), and a slot-level capacity scheduler that
-grants CoS1 before CoS2 (:class:`CapacityScheduler`).
+servers (:class:`ServerSpec`, :class:`ResourcePool`) and a slot-level
+capacity scheduler that grants CoS1 before CoS2
+(:class:`CapacityScheduler`) — the independent reference the trace
+simulator is tested against.
 """
 
-from repro.resources.container import ResourceContainer
-from repro.resources.feedback import (
-    ClosedLoopResult,
-    calibrate_burst_factor,
-    simulate_closed_loop,
-)
 from repro.resources.pool import ResourcePool
 from repro.resources.scheduler import CapacityScheduler, SchedulerResult
 from repro.resources.server import ServerSpec, homogeneous_servers
-from repro.resources.workload_manager import WorkloadManager, WorkloadManagerConfig
 
 __all__ = [
     "CapacityScheduler",
-    "ClosedLoopResult",
-    "ResourceContainer",
     "ResourcePool",
     "SchedulerResult",
     "ServerSpec",
-    "WorkloadManager",
-    "WorkloadManagerConfig",
-    "calibrate_burst_factor",
     "homogeneous_servers",
-    "simulate_closed_loop",
 ]

@@ -14,7 +14,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from repro.exceptions import CalendarMismatchError, TraceError
+from repro.exceptions import TraceError
 from repro.traces.calendar import TraceCalendar
 from repro.traces.trace import DemandTrace
 
@@ -184,35 +184,4 @@ def allocation_from_demand(
         demand.values * burst_factor,
         demand.calendar,
         demand.attribute,
-    )
-
-
-def aggregate_pairs(
-    pairs: Sequence[CoSAllocationPair], name: str = "aggregate"
-) -> CoSAllocationPair:
-    """Sum several workloads' per-CoS requirements slot-by-slot.
-
-    This is the series a server must satisfy when all ``pairs`` are placed
-    on it. Raises :class:`TraceError` on an empty input because an
-    aggregate needs a calendar to live on.
-    """
-    if not pairs:
-        raise TraceError("cannot aggregate an empty collection of pairs")
-    calendar = pairs[0].calendar
-    attribute = pairs[0].attribute
-    cos1_sum = np.zeros(calendar.n_observations)
-    cos2_sum = np.zeros(calendar.n_observations)
-    for pair in pairs:
-        calendar.require_compatible(pair.calendar)
-        if pair.attribute != attribute:
-            raise CalendarMismatchError(
-                f"pair {pair.name!r} has attribute {pair.attribute!r}, "
-                f"expected {attribute!r}"
-            )
-        cos1_sum += pair.cos1.values
-        cos2_sum += pair.cos2.values
-    return CoSAllocationPair(
-        name,
-        AllocationTrace(f"{name}.cos1", cos1_sum, calendar, attribute),
-        AllocationTrace(f"{name}.cos2", cos2_sum, calendar, attribute),
     )

@@ -142,16 +142,6 @@ class TestTranslateMany:
             translator_60.translate_many(demands, case_study_qos())
 
 
-class TestContainers:
-    def test_translate_container(self, cal, translator_60):
-        from repro.resources.container import ResourceContainer
-
-        demand = spiky_trace(cal)
-        container = ResourceContainer("spiky", demand)
-        translated = translator_60.translate_container(container, case_study_qos())
-        assert translated.is_translated
-
-
 class TestInternalGuarantees:
     def test_worst_case_ceiling_respected_across_thetas(self, cal):
         """Utilization never exceeds U_degr under the worst-case model,

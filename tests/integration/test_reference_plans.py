@@ -8,13 +8,19 @@ servers, ``GeneticSearchConfig(seed=2006)``, theta 0.95, tolerance
 0.01, the case study's normal / failure QoS policy, a serial engine.
 Every bit-identical kernel must produce the recorded ``plan_hash``.
 
+Two ``failure_scopes_*`` shapes add what those four never reach: the
+k-subset sweeps (global and within-rack, exhaustive and sampled), the
+degraded-server sweep and the spare-sizing curve (:data:`WIDE_SWEEP`),
+once on a pool too tight to repair and once on one with room.
+
 The literals were produced by running exactly this module's
-:func:`reference_plan` at the parent commit of the PR that added the
-file (186f219, before any other edit of that PR) and printing
-``plan.plan_hash()``; all three kernels agreed on every shape. A PR
-that only refactors must leave them alone. A PR that legitimately moves
-a plan (a new placement algorithm, a policy change) edits the literal
-and says so in CHANGES.md.
+:func:`reference_plan` at the parent commit of the PR that added them
+(186f219 for the four quick shapes, 462a1b8 for the two
+``failure_scopes_*`` ones, before any other edit of that PR) and
+printing ``plan.plan_hash()``; all three kernels agreed on every shape.
+A PR that only refactors must leave them alone. A PR that legitimately
+moves a plan (a new placement algorithm, a policy change) edits the
+literal and says so in CHANGES.md.
 
 Required capacities are bisection grid points, so the hashes do not
 hang on the last bit of a float sum; a Python / numpy pair that
@@ -35,6 +41,17 @@ from repro.workloads.ensemble import scaled_ensemble
 
 SEED = 2006
 
+#: Every scope-spec family in one policy, capped so both branches of
+#: the k-subset draw (exhaustive / seeded sample) run at tier-1 size.
+WIDE_SWEEP = dict(
+    scopes=("rack", "server:2", "rack:2"),
+    degraded_factor=0.5,
+    spare_curve=True,
+    max_spares=2,
+    max_cases=4,
+    sample_seed=SEED,
+)
+
 #: shape name -> (ensemble / pool / mode, recorded ``plan_hash``).
 REFERENCE_PLANS = {
     "paper_failover": (
@@ -53,13 +70,39 @@ REFERENCE_PLANS = {
         dict(n_apps=4, weeks=8, slot_minutes=30, servers=4),
         "85e056f8c62f1bb43e51d7964d2125cee8992705d6f27405dbd5f2f7edfe0f13",
     ),
+    # Every server used: no what-if repairs, ``server:2`` is sampled and
+    # ``rack:2`` exhaustive, the curve needs 1 spare (server), 2 (rack).
+    "failure_scopes_tight": (
+        dict(
+            n_apps=12, weeks=2, slot_minutes=60, servers=6, racks=3,
+            sweep=WIDE_SWEEP,
+        ),
+        "174a14320fd5239994859de10551dec8611c679f5190b7b37d78f3442604b73c",
+    ),
+    # Three idle servers: every what-if repairs, both k-subset sweeps
+    # are sampled, no spares needed.
+    "failure_scopes_roomy": (
+        dict(
+            n_apps=16, weeks=2, slot_minutes=60, servers=9, racks=3,
+            sweep=WIDE_SWEEP,
+        ),
+        "ace8dfdaebb2c6739344e0f84da38c410b9d0645fcc479bf16040625d1436f99",
+    ),
 }
 
 
 def reference_plan(
-    kernel, *, n_apps, weeks, slot_minutes, servers, racks=None, sharding="off"
+    kernel,
+    *,
+    n_apps,
+    weeks,
+    slot_minutes,
+    servers,
+    racks=None,
+    sharding="off",
+    sweep=None,
 ):
-    """Plan one shape; racks switch on the server and rack failure sweeps."""
+    """Plan one shape; racks switch on the failure sweeps of ``sweep``."""
     demands = scaled_ensemble(
         n_apps, seed=SEED, weeks=weeks, slot_minutes=slot_minutes
     )
@@ -78,7 +121,9 @@ def reference_plan(
         sharding=sharding,
         cluster_seed=SEED,
         failure_policy=(
-            FailureSweepPolicy(scopes=("rack",)) if plan_failures else None
+            FailureSweepPolicy(**(sweep or {"scopes": ("rack",)}))
+            if plan_failures
+            else None
         ),
     )
     return framework.plan(demands, policy, plan_failures=plan_failures)
@@ -94,5 +139,11 @@ def test_plan_hash_matches_the_recorded_literal(shape, kernel):
         # The hash covers both sweeps, not just the normal plan.
         assert plan.failure_report.cases
         assert plan.domain_reports["rack"].cases
+    if "sweep" in spec:
+        assert set(plan.domain_reports) == {
+            "rack", "server:2", "rack:2", "degraded:server@0.5"
+        }
+        assert all(report.cases for report in plan.domain_reports.values())
+        assert plan.spare_curve is not None
     if spec.get("sharding") == "auto":
         assert plan.sharding is not None

@@ -5,16 +5,24 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import PlacementError
 from repro.placement.clustering import (
+    _JITTER_SCALE,
     FEATURE_NAMES,
     ClusteringResult,
     WorkloadFeatures,
+    _canonical_labels,
+    _greedy_agglomerative,
     cluster_workloads,
     demand_shape_features,
 )
+from repro.placement.sharding import ShardingPolicy
 from repro.traces.calendar import TraceCalendar
+from repro.util.rng import derive_rng
+from repro.workloads.ensemble import scaled_ensemble
 from repro.workloads.generator import WorkloadGenerator, WorkloadSpec
 from repro.workloads.patterns import batch_window_pattern, business_hours_pattern
 
@@ -138,16 +146,12 @@ class TestClusterWorkloads:
     def test_agglomerative_fallback_matches_partition_contract(
         self, features
     ):
-        result = cluster_workloads(features, 2, seed=5, method="agglomerative")
+        result = cluster_workloads(features, 2, seed=5)
         assert result.method == "agglomerative"
         assert set(result.labels) == {0, 1}
-        # The in-repo fallback must also separate the two families.
+        # The in-repo linkage must also separate the two families.
         assert len(set(result.labels[:6])) == 1
         assert len(set(result.labels[6:])) == 1
-
-    def test_unknown_method_rejected(self, features):
-        with pytest.raises(PlacementError):
-            cluster_workloads(features, 2, method="kmeans")
 
     def test_out_of_range_k_rejected(self, features):
         with pytest.raises(PlacementError):
@@ -170,19 +174,18 @@ from tests.placement.test_clustering import _two_family_demands
 from repro.placement.clustering import cluster_workloads, demand_shape_features
 
 features = demand_shape_features(_two_family_demands())
-result = cluster_workloads(features, 3, seed=42, method={method!r})
+result = cluster_workloads(features, 3, seed=42)
 print(",".join(str(label) for label in result.labels))
 """
 
 
 class TestCrossProcessDeterminism:
-    @pytest.mark.parametrize("method", ["auto", "agglomerative"])
     def test_labels_identical_across_process_boundaries(
-        self, features, method, repo_paths
+        self, features, repo_paths
     ):
         src_path, repo_root = repo_paths
-        local = cluster_workloads(features, 3, seed=42, method=method)
-        script = _SUBPROCESS_SCRIPT.format(src_path=src_path, method=method)
+        local = cluster_workloads(features, 3, seed=42)
+        script = _SUBPROCESS_SCRIPT.format(src_path=src_path)
         completed = subprocess.run(
             [sys.executable, "-c", script],
             capture_output=True,
@@ -204,6 +207,73 @@ def repo_paths():
     src_path = os.path.dirname(os.path.dirname(repro.__file__))
     repo_root = os.path.dirname(src_path)
     return src_path, repo_root
+
+
+@pytest.fixture(scope="module")
+def scipy_labels():
+    """SciPy's average linkage cut into ``k`` clusters, canonical labels."""
+    hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+
+    def labels(matrix, k):
+        merged = hierarchy.linkage(matrix, "average")
+        return _canonical_labels(
+            [int(label) for label in hierarchy.fcluster(merged, k, "maxclust")]
+        )
+
+    return labels
+
+
+def _jittered(matrix, seed):
+    """The matrix :func:`cluster_workloads` hands the linkage for ``seed``."""
+    return matrix + derive_rng(seed).normal(0.0, _JITTER_SCALE, size=matrix.shape)
+
+
+class TestScipyOracle:
+    """SciPy's ``linkage`` / ``fcluster`` is the reference the in-repo
+    average linkage is held to — it was the production path wherever
+    SciPy happened to be importable, and ``pool_sharded`` was measured
+    through it."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 7])
+    def test_two_family_fixture(self, features, scipy_labels, k):
+        matrix = _jittered(features.matrix, 42)
+        assert _canonical_labels(
+            _greedy_agglomerative(matrix, k)
+        ) == scipy_labels(matrix, k)
+
+    @pytest.mark.parametrize("family", [2006, 2007])
+    def test_benchmark_ensembles_at_the_auto_shard_count(
+        self, scipy_labels, family
+    ):
+        """``pool_sharded``'s inputs: 156 apps on 72 servers, clustered
+        with the family as the seed."""
+        demands = scaled_ensemble(156, seed=family, weeks=1, slot_minutes=30)
+        shards = ShardingPolicy("auto").resolved_shards(len(demands), 72)
+        features = demand_shape_features(demands)
+        assert cluster_workloads(
+            features, shards, seed=family
+        ).labels == scipy_labels(_jittered(features.matrix, family), shards)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_jittered_grid_matrices(self, scipy_labels, data):
+        """Grid points tie in distance by the dozen; the seeded jitter
+        is what makes the dendrogram unique, as in production."""
+        n = data.draw(st.integers(2, 40), label="n")
+        k = data.draw(st.integers(1, n - 1), label="k")
+        grid = data.draw(
+            st.lists(
+                st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+                min_size=n,
+                max_size=n,
+            ),
+            label="grid",
+        )
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        matrix = _jittered(np.asarray(grid, dtype=float), seed)
+        assert _canonical_labels(
+            _greedy_agglomerative(matrix, k)
+        ) == scipy_labels(matrix, k)
 
 
 class TestResultValidation:

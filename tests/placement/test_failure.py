@@ -313,7 +313,7 @@ class TestFallback:
         demands, policy, pool, normal = flat
         engine = ExecutionEngine.serial()
         planner = FailurePlanner(translator, config=SEARCH_CONFIG, engine=engine)
-        report = planner.plan_domains(
+        report = planner.plan_scope(
             demands, policy, pool, normal, scope="rack"
         )
         lost_r0, lost_r1 = report.cases
@@ -329,8 +329,8 @@ class TestFallback:
         evicted, ``b`` (3) stays, and ``a`` goes where it fits."""
         demands, policy, pool, normal = flat
         planner = FailurePlanner(translator, config=SEARCH_CONFIG)
-        report = planner.plan_degraded(
-            demands, policy, pool, normal, factor=0.5
+        report = planner.plan_scope(
+            demands, policy, pool, normal, scope="server", degraded_factor=0.5
         )
         case = report.case_for("degraded:s0@0.5")
         assert case.repaired

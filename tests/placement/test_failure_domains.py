@@ -109,7 +109,7 @@ class TestFaultScenario:
 class TestDomainSweeps:
     def test_rack_loss_cases(self, setup):
         demands, policy, pool, normal, planner = setup
-        report = planner.plan_domains(
+        report = planner.plan_scope(
             demands, policy, pool, normal, scope="rack", algorithm="first_fit"
         )
         used_racks = {
@@ -128,7 +128,7 @@ class TestDomainSweeps:
 
     def test_zone_loss_cases(self, setup):
         demands, policy, pool, normal, planner = setup
-        report = planner.plan_domains(
+        report = planner.plan_scope(
             demands, policy, pool, normal, scope="zone", algorithm="first_fit"
         )
         assert all(case.kind == "zone" for case in report.cases)
@@ -137,7 +137,7 @@ class TestDomainSweeps:
     def test_rejects_unknown_scope(self, setup):
         demands, policy, pool, normal, planner = setup
         with pytest.raises(PlacementError):
-            planner.plan_domains(demands, policy, pool, normal, scope="pod")
+            planner.plan_scope(demands, policy, pool, normal, scope="pod")
 
     def test_plan_scope_dispatch(self, setup):
         demands, policy, pool, normal, planner = setup
@@ -151,21 +151,11 @@ class TestDomainSweeps:
         assert {c.label for c in via_scope.cases} == {
             c.label for c in single.cases
         }
-        racks = planner.plan_domains(
-            demands, policy, pool, normal, scope="rack", algorithm="first_fit"
-        )
-        via_scope = planner.plan_scope(
-            demands, policy, pool, normal, scope="rack", algorithm="first_fit"
-        )
-        assert {c.label for c in via_scope.cases} == {
-            c.label for c in racks.cases
-        }
 
     def test_correlated_within_domain(self, setup):
         demands, policy, pool, normal, planner = setup
-        report = planner.plan_multi(
-            demands, policy, pool, normal,
-            concurrent_failures=2, within_domain="rack",
+        report = planner.plan_scope(
+            demands, policy, pool, normal, scope="rack:2",
             algorithm="first_fit",
         )
         for case in report.cases:
@@ -176,9 +166,8 @@ class TestDomainSweeps:
         demands, policy, pool, normal, planner = setup
         # No rack holds three used servers (two per rack), so the
         # correlated 3-failure sweep has no cases — trivially absorbed.
-        report = planner.plan_multi(
-            demands, policy, pool, normal,
-            concurrent_failures=3, within_domain="rack",
+        report = planner.plan_scope(
+            demands, policy, pool, normal, scope="rack:3",
             algorithm="first_fit",
         )
         assert report.cases == ()
@@ -188,8 +177,9 @@ class TestDomainSweeps:
 class TestDegradedServers:
     def test_degraded_servers_stay_in_pool(self, setup):
         demands, policy, pool, normal, planner = setup
-        report = planner.plan_degraded(
-            demands, policy, pool, normal, factor=0.5, algorithm="first_fit"
+        report = planner.plan_scope(
+            demands, policy, pool, normal, scope="server",
+            degraded_factor=0.5, algorithm="first_fit",
         )
         assert len(report.cases) == normal.servers_used
         for case in report.cases:
@@ -204,9 +194,9 @@ class TestDegradedServers:
 
     def test_degraded_rack_scope(self, setup):
         demands, policy, pool, normal, planner = setup
-        report = planner.plan_degraded(
+        report = planner.plan_scope(
             demands, policy, pool, normal,
-            factor=0.5, scope="rack", algorithm="first_fit",
+            scope="rack", degraded_factor=0.5, algorithm="first_fit",
         )
         for case in report.cases:
             assert case.kind == "rack"
@@ -219,18 +209,32 @@ class TestDegradedServers:
         demands, policy, pool, normal, planner = setup
         for factor in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(PlacementError):
-                planner.plan_degraded(
-                    demands, policy, pool, normal, factor=factor
+                planner.plan_scope(
+                    demands, policy, pool, normal,
+                    scope="server", degraded_factor=factor,
                 )
+
+    @pytest.mark.parametrize("scope", ["server:2", "rack:2"])
+    def test_rejects_k_subset_scope(self, setup, scope):
+        """Degrading is defined for whole domains; a ``:k`` spec used to
+        be swept as its whole domain under the k-subset's name."""
+        demands, policy, pool, normal, planner = setup
+        with pytest.raises(PlacementError, match=scope):
+            planner.plan_scope(
+                demands, policy, pool, normal,
+                scope=scope, degraded_factor=0.5,
+            )
 
     def test_gentler_degradation_no_worse(self, setup):
         """Keeping more surviving capacity never loses feasibility."""
         demands, policy, pool, normal, planner = setup
-        harsh = planner.plan_degraded(
-            demands, policy, pool, normal, factor=0.3, algorithm="first_fit"
+        harsh = planner.plan_scope(
+            demands, policy, pool, normal, scope="server",
+            degraded_factor=0.3, algorithm="first_fit",
         )
-        gentle = planner.plan_degraded(
-            demands, policy, pool, normal, factor=0.9, algorithm="first_fit"
+        gentle = planner.plan_scope(
+            demands, policy, pool, normal, scope="server",
+            degraded_factor=0.9, algorithm="first_fit",
         )
         assert len(gentle.infeasible_cases) <= len(harsh.infeasible_cases)
 
@@ -240,14 +244,12 @@ class TestRepairFirstAcrossScopes:
 
     def _sweep(self, planner, setup, scope, relax_all):
         demands, policy, pool, normal, _ = setup
+        factor = None
         if scope.startswith("degraded@"):
-            return planner.plan_degraded(
-                demands, policy, pool, normal,
-                factor=float(scope.partition("@")[2]), scope="rack",
-                relax_all=relax_all, algorithm="first_fit",
-            )
+            scope, factor = "rack", float(scope.partition("@")[2])
         return planner.plan_scope(
             demands, policy, pool, normal, scope=scope,
+            degraded_factor=factor,
             relax_all=relax_all, algorithm="first_fit",
         )
 
@@ -332,7 +334,11 @@ class TestUnknownWorkload:
             pytest.param("plan", {}, id="plan"),
             pytest.param("plan_scope", {"scope": "rack"}, id="rack"),
             pytest.param("plan_scope", {"scope": "server:2"}, id="server:2"),
-            pytest.param("plan_degraded", {}, id="degraded"),
+            pytest.param(
+                "plan_scope",
+                {"scope": "server", "degraded_factor": 0.5},
+                id="degraded",
+            ),
             pytest.param(
                 "spare_sizing_curve",
                 {"scopes": ["rack"], "max_spares": 1},
@@ -364,9 +370,9 @@ class TestSamplingGuard:
         sampling_planner = FailurePlanner(
             planner.translator, config=SEARCH, engine=engine
         )
-        report = sampling_planner.plan_multi(
+        report = sampling_planner.plan_scope(
             demands, policy, pool, normal,
-            concurrent_failures=2, max_cases=5, sample_seed=7,
+            scope="server:2", max_cases=5, sample_seed=7,
             algorithm="first_fit",
         )
         assert len(report.cases) == 5
@@ -380,9 +386,9 @@ class TestSamplingGuard:
         exhaustive_planner = FailurePlanner(
             planner.translator, config=SEARCH, engine=engine
         )
-        exhaustive_planner.plan_multi(
+        exhaustive_planner.plan_scope(
             demands, policy, pool, normal,
-            concurrent_failures=2, algorithm="first_fit",
+            scope="server:2", algorithm="first_fit",
         )
         counters = engine.instrumentation.counters()
         assert counters.get("failure.sweep_exhaustive", 0) >= 1
@@ -392,9 +398,9 @@ class TestSamplingGuard:
         demands, policy, pool, normal, planner = setup
         labels = []
         for _ in range(2):
-            report = planner.plan_multi(
+            report = planner.plan_scope(
                 demands, policy, pool, normal,
-                concurrent_failures=2, max_cases=4, sample_seed=11,
+                scope="server:2", max_cases=4, sample_seed=11,
                 algorithm="first_fit",
             )
             labels.append(tuple(case.label for case in report.cases))
@@ -404,9 +410,9 @@ class TestSamplingGuard:
         demands, policy, pool, normal, planner = setup
         picks = set()
         for seed in range(4):
-            report = planner.plan_multi(
+            report = planner.plan_scope(
                 demands, policy, pool, normal,
-                concurrent_failures=2, max_cases=3, sample_seed=seed,
+                scope="server:2", max_cases=3, sample_seed=seed,
                 algorithm="first_fit",
             )
             picks.add(tuple(case.label for case in report.cases))

@@ -54,8 +54,8 @@ class TestPlanMulti:
         demands, policy, pool, normal, planner = setup
         if normal.servers_used < 2:
             pytest.skip("needs at least two used servers")
-        report = planner.plan_multi(
-            demands, policy, pool, normal, concurrent_failures=2
+        report = planner.plan_scope(
+            demands, policy, pool, normal, scope="server:2"
         )
         assert len(report.cases) == math.comb(normal.servers_used, 2)
 
@@ -63,8 +63,8 @@ class TestPlanMulti:
         demands, policy, pool, normal, planner = setup
         if normal.servers_used < 2:
             pytest.skip("needs at least two used servers")
-        report = planner.plan_multi(
-            demands, policy, pool, normal, concurrent_failures=2
+        report = planner.plan_scope(
+            demands, policy, pool, normal, scope="server:2"
         )
         for case in report.cases:
             servers = case.failed_servers
@@ -82,8 +82,8 @@ class TestPlanMulti:
     def test_single_failure_special_case_matches_plan(self, setup):
         demands, policy, pool, normal, planner = setup
         single = planner.plan(demands, policy, pool, normal)
-        multi = planner.plan_multi(
-            demands, policy, pool, normal, concurrent_failures=1
+        multi = planner.plan_scope(
+            demands, policy, pool, normal, scope="server:1"
         )
         assert {case.label for case in single.cases} == {
             case.label for case in multi.cases
@@ -92,16 +92,16 @@ class TestPlanMulti:
     def test_rejects_bad_counts(self, setup):
         demands, policy, pool, normal, planner = setup
         with pytest.raises(PlacementError):
-            planner.plan_multi(
-                demands, policy, pool, normal, concurrent_failures=0
+            planner.plan_scope(
+                demands, policy, pool, normal, scope="server:0"
             )
         with pytest.raises(PlacementError):
-            planner.plan_multi(
+            planner.plan_scope(
                 demands,
                 policy,
                 pool,
                 normal,
-                concurrent_failures=normal.servers_used + 1,
+                scope=f"server:{normal.servers_used + 1}",
             )
 
     def test_double_failure_harder_than_single(self, setup):
@@ -110,8 +110,8 @@ class TestPlanMulti:
         demands, policy, pool, normal, planner = setup
         if normal.servers_used < 2:
             pytest.skip("needs at least two used servers")
-        double = planner.plan_multi(
-            demands, policy, pool, normal, concurrent_failures=2
+        double = planner.plan_scope(
+            demands, policy, pool, normal, scope="server:2"
         )
         for case in double.cases:
             if case.result is not None:
@@ -125,9 +125,9 @@ class TestRepairFirstMulti:
         demands, policy, pool, normal, planner = setup
         if normal.servers_used < 2:
             pytest.skip("needs at least two used servers")
-        report = planner.plan_multi(
+        report = planner.plan_scope(
             demands, policy, pool, normal,
-            concurrent_failures=2, relax_all=relax_all,
+            scope="server:2", relax_all=relax_all,
         )
         assert report.repaired > 0
         for case in report.cases:
@@ -149,12 +149,12 @@ class TestRepairFirstMulti:
         demands, policy, pool, normal, planner = setup
         if normal.servers_used < 2:
             pytest.skip("needs at least two used servers")
-        repair_first = planner.plan_multi(
-            demands, policy, pool, normal, concurrent_failures=2
+        repair_first = planner.plan_scope(
+            demands, policy, pool, normal, scope="server:2"
         )
         repair_never_finds_a_home(monkeypatch)
         full_search = FailurePlanner(
             planner.translator, config=SEARCH
-        ).plan_multi(demands, policy, pool, normal, concurrent_failures=2)
+        ).plan_scope(demands, policy, pool, normal, scope="server:2")
         assert full_search.repaired == 0
         assert feasible_labels(repair_first) >= feasible_labels(full_search)

@@ -18,7 +18,6 @@ MODULES_WITH_DOCTESTS = [
     "repro.engine.instrumentation",
     "repro.resources.server",
     "repro.resources.pool",
-    "repro.resources.workload_manager",
     "repro.traces.calendar",
     "repro.traces.ops",
     "repro.util.floats",

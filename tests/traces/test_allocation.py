@@ -7,7 +7,6 @@ from repro.exceptions import TraceError
 from repro.traces.allocation import (
     AllocationTrace,
     CoSAllocationPair,
-    aggregate_pairs,
     allocation_from_demand,
 )
 from repro.traces.calendar import TraceCalendar
@@ -98,15 +97,3 @@ class TestAllocationFromDemand:
         demand = DemandTrace("w", np.ones(cal.n_observations), cal)
         with pytest.raises(TraceError):
             allocation_from_demand(demand, 0.0)
-
-
-class TestAggregatePairs:
-    def test_sums_both_classes(self, cal):
-        pairs = [make_pair(cal, "a", 1.0, 2.0), make_pair(cal, "b", 0.5, 1.5)]
-        total = aggregate_pairs(pairs)
-        assert total.cos1.peak() == pytest.approx(1.5)
-        assert total.cos2.peak() == pytest.approx(3.5)
-
-    def test_empty_rejected(self):
-        with pytest.raises(TraceError):
-            aggregate_pairs([])
