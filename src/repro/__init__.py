@@ -60,7 +60,6 @@ from repro.core.translation import QoSTranslator, TranslationResult
 from repro.engine import (
     ExecutionEngine,
     Instrumentation,
-    ParallelExecutor,
     SerialExecutor,
 )
 from repro.exceptions import (
@@ -122,7 +121,6 @@ __all__ = [
     "GeneticSearchConfig",
     "InfeasiblePlacementError",
     "Instrumentation",
-    "ParallelExecutor",
     "PartitionError",
     "PlacementConstraints",
     "PlacementError",

@@ -10,10 +10,10 @@ condensation of the call graph (Tarjan SCCs, fixpoint within each
 component).
 
 Two consumers read the result: **ROP013** — a transitively impure
-callable (ambient RNG, wall clock, global mutation) submitted to an
-``Executor`` / ``ResilientExecutor`` — and the typestate checker
-(ROP017–ROP020), which resolves callees through the same function
-index.
+callable (ambient RNG, wall clock, global mutation) submitted to a
+``SerialExecutor`` / ``ResilientExecutor`` session — and the typestate
+checker (ROP017–ROP020), which resolves callees through the same
+function index.
 
 Manual knowledge lives in :data:`KNOWN_EFFECTS` as *verified
 overrides*: each entry declares both what inference must derive for

@@ -138,11 +138,8 @@ KNOWN_PROTOCOLS: tuple[ResourceProtocol, ...] = (
         describe="executor/engine",
         acquire=frozenset(
             {
-                "repro.engine.executor.ParallelExecutor",
                 "repro.engine.core.ExecutionEngine.with_workers",
-                "repro.engine.core.ExecutionEngine.resilient",
                 "repro.engine.ExecutionEngine.with_workers",
-                "repro.engine.ExecutionEngine.resilient",
             }
         ),
         release_methods=frozenset({"close"}),

@@ -48,7 +48,6 @@ from repro.engine import (
     FaultPlan,
     ResilienceConfig,
 )
-from repro.placement.evaluation import KERNELS
 from repro.placement.failure import FailureSweepPolicy
 from repro.placement.genetic import GeneticSearchConfig
 from repro.resources.pool import ResourcePool
@@ -84,7 +83,9 @@ def _add_common_qos_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="worker processes for fan-out stages (default: run serially)",
+        help="worker processes for fan-out stages; the pool retries, "
+             "respawns and degrades around lost workers "
+             "(default: run serially)",
     )
     parser.add_argument(
         "--timings", action="store_true",
@@ -92,25 +93,14 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--task-timeout", type=float, default=None, metavar="SECONDS",
-        help="stuck-worker deadline: respawn the pool and retry when no "
-             "work unit completes for this long (default: no deadline)",
+        help="configure recovery: a stuck-worker deadline — respawn the "
+             "pool and retry when no work unit completes for this long "
+             "(default: no deadline)",
     )
     parser.add_argument(
         "--max-retries", type=int, default=None,
-        help="retries per failing fan-out batch before degrading "
-             "(default 2 when resilience is enabled)",
-    )
-
-
-def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--kernel", choices=KERNELS, default="batch",
-        help="capacity-search kernel: 'batch' and 'fused' are "
-             "bit-identical to the scalar reference ('fused' solves a "
-             "whole generation in stacked float32 passes with float64 "
-             "verification), 'analytic' stays within the search "
-             "tolerance, 'scalar' is the paper's per-subset loop "
-             "(default: batch)",
+        help="configure recovery: retries per failing fan-out batch "
+             "before degrading pool -> serial (default 2)",
     )
 
 
@@ -182,8 +172,8 @@ def _engine(
 ) -> ExecutionEngine:
     """Build the engine the flags describe.
 
-    The plain backends are the default; any resilience knob (or an
-    injected fault plan) switches to the fault-tolerant executor.
+    ``--workers`` alone picks the backend; the resilience knobs (and an
+    injected fault plan) only fill in its recovery budget.
     """
     workers = getattr(args, "workers", None)
     task_timeout = getattr(args, "task_timeout", None)
@@ -195,7 +185,7 @@ def _engine(
         task_timeout_seconds=task_timeout,
         fault_plan=fault_plan,
     )
-    return ExecutionEngine.resilient(workers, config)
+    return ExecutionEngine.with_workers(workers, config)
 
 
 def _checkpointer(args: argparse.Namespace) -> Checkpointer | None:
@@ -311,7 +301,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
         sharding=args.shards,
         cluster_seed=args.cluster_seed,
         refine_rounds=args.refine_rounds,
-        kernel=args.kernel,
         failure_policy=_failure_policy(args),
     )
     policy = QoSPolicy(
@@ -429,7 +418,6 @@ def _chaos_plan(
         _pool(args),
         search_config=GeneticSearchConfig(seed=args.seed),
         engine=engine,
-        kernel=args.kernel,
         failure_policy=_failure_policy(args),
     )
     policy = QoSPolicy(
@@ -559,7 +547,6 @@ def _failure_outlook(args: argparse.Namespace) -> int:
         _pool(args),
         search_config=GeneticSearchConfig(seed=args.seed),
         engine=engine,
-        kernel=args.kernel,
         failure_policy=_failure_policy(args),
     )
     policy = QoSPolicy(
@@ -589,7 +576,6 @@ def cmd_outlook(args: argparse.Namespace) -> int:
         _pool(args),
         search_config=GeneticSearchConfig(seed=args.seed),
         engine=engine,
-        kernel=args.kernel,
     )
     manager = CapacityManager(framework)
     policy = QoSPolicy(normal=_qos(args))
@@ -660,7 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common_qos_arguments(plan)
     _add_engine_arguments(plan)
-    _add_kernel_argument(plan)
     plan.add_argument("--servers", type=int, default=12)
     plan.add_argument("--cpus", type=int, default=16)
     _add_topology_arguments(plan)
@@ -696,7 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common_qos_arguments(chaos)
     _add_engine_arguments(chaos)
-    _add_kernel_argument(chaos)
     chaos.add_argument("--servers", type=int, default=12)
     chaos.add_argument("--cpus", type=int, default=16)
     _add_topology_arguments(chaos)
@@ -750,7 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common_qos_arguments(outlook)
     _add_engine_arguments(outlook)
-    _add_kernel_argument(outlook)
     outlook.add_argument("--servers", type=int, default=12)
     outlook.add_argument("--cpus", type=int, default=16)
     _add_topology_arguments(outlook)

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core.cos import PoolCommitments
 from repro.core.degradation import new_max_demand, realized_cap_reduction
-from repro.engine import ExecutionEngine
+from repro.engine import ExecutionEngine, split_chunks
 from repro.core.partition import breakpoint_fraction, partition_demand
 from repro.core.qos import ApplicationQoS
 from repro.core.time_limited import (
@@ -107,16 +107,16 @@ class TranslationResult:
 
 def _translate_worker(
     commitments: PoolCommitments,
-    item: tuple[DemandTrace, ApplicationQoS],
-) -> TranslationResult:
-    """Executor work unit: translate one workload under one QoS mode.
+    chunk: Sequence[tuple[DemandTrace, ApplicationQoS]],
+) -> list[TranslationResult]:
+    """Executor work unit: translate one chunk of (demand, qos) items.
 
-    A pure function of the broadcast commitments and the (demand, qos)
-    item — no RNG, no shared mutable state — so serial and parallel
-    backends produce identical results.
+    A pure function of the broadcast commitments and the items — no
+    RNG, no shared mutable state — so serial and parallel backends
+    produce identical results.
     """
-    demand, qos = item
-    return QoSTranslator(commitments).translate(demand, qos)
+    translator = QoSTranslator(commitments)
+    return [translator.translate(demand, qos) for demand, qos in chunk]
 
 
 class QoSTranslator:
@@ -212,9 +212,16 @@ class QoSTranslator:
         """
         instrumentation = self.engine.instrumentation
         with instrumentation.stage("translation"):
-            results = self.engine.map(
-                _translate_worker, list(items), shared=self.commitments
-            )
+            # A single translation is cheaper than a pool round trip, so
+            # workloads travel in chunks — a few per worker, so that one
+            # chunk's results unpickle while the next is computed.
+            with self.engine.session(self.commitments) as session:
+                chunks = split_chunks(list(items), 4 * session.parallelism)
+                results = [
+                    result
+                    for chunk in session.map(_translate_worker, chunks)
+                    for result in chunk
+                ]
         instrumentation.count("translation.workloads", len(items))
         return results
 

@@ -3,29 +3,20 @@
 The engine subsystem decouples *what* the pipeline computes from *how*
 the embarrassingly parallel parts run and *what is measured* while they
 do. See :class:`ExecutionEngine` for the object threaded through the
-framework, :class:`SerialExecutor`/:class:`ParallelExecutor` for the
-backends, and :class:`Instrumentation` for stage timers, counters, and
-the structured event log.
+framework, :class:`SerialExecutor` and :class:`ResilientExecutor` (the
+one process-pool backend) for where work runs, and
+:class:`Instrumentation` for stage timers, counters, and the structured
+event log.
 """
 
 from repro.engine.broadcast import SharedMemoryHandle
 from repro.engine.checkpoint import Checkpointer
 from repro.engine.core import ExecutionEngine
 from repro.engine.dispatch import split_chunks
-from repro.engine.executor import (
-    Executor,
-    ExecutorSession,
-    ParallelExecutor,
-    SerialExecutor,
-    make_executor,
-)
+from repro.engine.executor import Executor, ExecutorSession, SerialExecutor
 from repro.engine.faults import FaultClock, FaultKind, FaultPlan
 from repro.engine.instrumentation import Event, Instrumentation, StageStats
-from repro.engine.resilience import (
-    ResilienceConfig,
-    ResilientExecutor,
-    make_resilient_executor,
-)
+from repro.engine.resilience import ResilienceConfig, ResilientExecutor
 
 __all__ = [
     "Checkpointer",
@@ -37,13 +28,10 @@ __all__ = [
     "FaultKind",
     "FaultPlan",
     "Instrumentation",
-    "ParallelExecutor",
     "ResilienceConfig",
     "ResilientExecutor",
     "SerialExecutor",
     "SharedMemoryHandle",
     "StageStats",
-    "make_executor",
-    "make_resilient_executor",
     "split_chunks",
 ]

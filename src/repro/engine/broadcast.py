@@ -1,6 +1,6 @@
 """Zero-copy broadcast of large array payloads to worker processes.
 
-The parallel executor broadcasts one immutable *shared payload* per
+The pool executor broadcasts one immutable *shared payload* per
 session (for placement work: the stacked per-workload cos1/cos2
 allocation matrices, by far the largest state in the pipeline). The
 default transport pickles the payload into every worker through the pool
@@ -18,7 +18,7 @@ How it composes:
 * :func:`publish` walks the payload (dataclasses, recursively), swaps
   every ndarray for an index slot, copies the arrays into one fresh
   segment, and returns the handle plus the driver-side segment to keep
-  alive; the caller (the parallel session) unlinks the segment on close.
+  alive; the caller (the pool session) unlinks the segment on close.
 * :func:`resolve` is its worker-side inverse, called once per process by
   the pool initializer. Attached segments are cached per process and the
   restored views are marked non-writeable, so a worker that mutates the
@@ -55,8 +55,8 @@ __all__ = ["SharedMemoryHandle", "publish", "release", "resolve"]
 # POSIX shared memory outlives the creating process: a segment whose
 # session never ran close() (worker crash unwound the stack, the driver
 # was interrupted mid-map) would otherwise survive in /dev/shm until
-# reboot. Every publish registers here; release() (the session close
-# path and the GC finalizer) unregisters; the atexit hook sweeps
+# reboot. Every publish registers here; release() (the session's close
+# and degrade paths) unregisters; the atexit hook sweeps
 # whatever is left when the interpreter exits.
 _PUBLISHED: dict[str, shared_memory.SharedMemory] = {}
 

@@ -16,13 +16,9 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.engine.executor import (
-    Executor,
-    ExecutorSession,
-    SerialExecutor,
-    make_executor,
-)
+from repro.engine.executor import Executor, ExecutorSession, SerialExecutor
 from repro.engine.instrumentation import Instrumentation
+from repro.engine.resilience import ResilienceConfig, ResilientExecutor
 
 
 class ExecutionEngine:
@@ -63,27 +59,21 @@ class ExecutionEngine:
     def with_workers(
         cls,
         workers: int | None,
+        config: Optional[ResilienceConfig] = None,
         instrumentation: Optional[Instrumentation] = None,
     ) -> "ExecutionEngine":
-        """Serial for ``workers in (None, 1)``, else a process-pool backend."""
-        return cls(make_executor(workers), instrumentation)
+        """Serial for ``workers in (None, 1)``, else the process pool.
 
-    @classmethod
-    def resilient(
-        cls,
-        workers: int | None = None,
-        config: "Any" = None,
-        instrumentation: Optional[Instrumentation] = None,
-    ) -> "ExecutionEngine":
-        """A fault-tolerant engine: retries, timeouts, degradation ladders.
-
-        ``config`` is a :class:`~repro.engine.resilience.ResilienceConfig`
-        (default-constructed when omitted). The import is local so plain
-        serial pipelines never pay for the recovery machinery.
+        The pool backend is the fault-tolerant one (retries, timeouts,
+        degradation ladders), so any worker count above one survives a
+        killed worker at the default budget; ``config`` only tunes that
+        budget or injects faults, and with one set the recovery
+        wrapper runs at any worker count (in the driver for
+        ``None``/``1``).
         """
-        from repro.engine.resilience import make_resilient_executor
-
-        return cls(make_resilient_executor(workers, config), instrumentation)
+        if config is None and workers in (None, 1):
+            return cls(SerialExecutor(), instrumentation)
+        return cls(ResilientExecutor(workers, config), instrumentation)
 
     def session(self, shared: "Any" = None) -> ExecutorSession:
         """Open an executor session and account its broadcast cost.
@@ -104,18 +94,6 @@ class ExecutionEngine:
         elif session.broadcast_mode == "pickle":
             self.instrumentation.count("broadcast.pickle_sessions")
         return session
-
-    def map(
-        self,
-        fn: "Any",
-        items: "Any",
-        *,
-        shared: "Any" = None,
-        chunksize: int | None = None,
-    ) -> list["Any"]:
-        """One-shot fan-out through :meth:`session` (so it is counted)."""
-        with self.session(shared) as session:
-            return session.map(fn, items, chunksize=chunksize)
 
     def close(self) -> None:
         self.executor.close()

@@ -2,9 +2,10 @@
 
 Chunking policy is a property of the *executor*, not of any one
 algorithm: every fan-out stage that batches independent work units
-(GA generation evaluation, shard-wave planning) wants the same shape —
-one contiguous, near-equal chunk per unit of session parallelism, so
-each worker runs a single batched solve over its whole share.
+(GA generation evaluation, translation, over-size shard splitting)
+wants the same shape — contiguous, near-equal chunks sized from the
+session's parallelism, so each worker runs a batched solve over its
+whole share.
 """
 
 from __future__ import annotations

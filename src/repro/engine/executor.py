@@ -6,9 +6,9 @@ routes through an :class:`Executor`. Two backends are provided:
 
 * :class:`SerialExecutor` (the default) runs work units inline and is
   bit-identical to the historical ``for`` loops;
-* :class:`ParallelExecutor` fans work units out over a
-  :class:`concurrent.futures.ProcessPoolExecutor` with chunked,
-  picklable work units.
+* :class:`~repro.engine.resilience.ResilientExecutor` fans picklable
+  work units out over a :class:`concurrent.futures.ProcessPoolExecutor`
+  and recovers from worker failure (the only pool backend).
 
 Work units are *pure functions of their inputs*: ``fn(shared, item)``
 where ``shared`` is an immutable payload broadcast once per session
@@ -21,14 +21,10 @@ driver process, so results are deterministic and backend-independent;
 from __future__ import annotations
 
 import os
-import weakref
 from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
-from typing import Any, Callable, Sequence, TypeVar
+from typing import Any, Callable, Iterator, Sequence, TypeVar
 
-from repro.engine.broadcast import publish, release, resolve
-from repro.exceptions import ConfigurationError
+from repro.engine.broadcast import resolve
 
 ItemT = TypeVar("ItemT")
 ResultT = TypeVar("ResultT")
@@ -60,10 +56,6 @@ def _install_shared(payload: Any) -> None:
     _WORKER_SHARED = resolve(payload)
 
 
-def _invoke_shared(fn: WorkFn, item: Any) -> Any:
-    return fn(_WORKER_SHARED, item)
-
-
 class ExecutorSession(ABC):
     """One fan-out context with a shared payload already broadcast.
 
@@ -81,14 +73,21 @@ class ExecutorSession(ABC):
     broadcast_bytes: int = 0
 
     @abstractmethod
-    def map(
-        self,
-        fn: WorkFn,
-        items: Sequence[Any],
-        *,
-        chunksize: int | None = None,
-    ) -> list[Any]:
+    def map(self, fn: WorkFn, items: Sequence[Any]) -> list[Any]:
         """Apply ``fn(shared, item)`` to every item, preserving order."""
+
+    def waves(self, fn: WorkFn, items: Sequence[Any]) -> Iterator[Any]:
+        """Map in parallelism-sized waves, yielding results in order.
+
+        A caller that checkpoints each result as it is yielded loses at
+        most the in-flight wave to a kill, and the resume picks up every
+        completed unit. One session spans all waves, so the payload
+        still broadcasts once.
+        """
+        items = list(items)
+        wave = self.parallelism
+        for start in range(0, len(items), wave):
+            yield from self.map(fn, items[start : start + wave])
 
     def close(self) -> None:  # pragma: no cover - overridden where needed
         pass
@@ -109,18 +108,6 @@ class Executor(ABC):
     def session(self, shared: Any = None) -> ExecutorSession:
         """Open a fan-out session with ``shared`` broadcast to workers."""
 
-    def map(
-        self,
-        fn: WorkFn,
-        items: Sequence[Any],
-        *,
-        shared: Any = None,
-        chunksize: int | None = None,
-    ) -> list[Any]:
-        """One-shot fan-out: open a session, map, close."""
-        with self.session(shared) as open_session:
-            return open_session.map(fn, items, chunksize=chunksize)
-
     def close(self) -> None:
         """Release any backend resources (sessions own theirs)."""
 
@@ -129,13 +116,7 @@ class _SerialSession(ExecutorSession):
     def __init__(self, shared: Any):
         self._shared = shared
 
-    def map(
-        self,
-        fn: WorkFn,
-        items: Sequence[Any],
-        *,
-        chunksize: int | None = None,
-    ) -> list[Any]:
+    def map(self, fn: WorkFn, items: Sequence[Any]) -> list[Any]:
         return [fn(self._shared, item) for item in items]
 
 
@@ -146,140 +127,3 @@ class SerialExecutor(Executor):
 
     def session(self, shared: Any = None) -> ExecutorSession:
         return _SerialSession(shared)
-
-
-class _ParallelSession(ExecutorSession):
-    def __init__(self, pool: ProcessPoolExecutor, workers: int):
-        self._pool = pool
-        self._workers = workers
-        self.parallelism = workers
-
-    def map(
-        self,
-        fn: WorkFn,
-        items: Sequence[Any],
-        *,
-        chunksize: int | None = None,
-    ) -> list[Any]:
-        items = list(items)
-        if not items:
-            return []
-        if chunksize is None:
-            # Amortise per-task IPC without starving workers: aim for a
-            # few chunks per worker so stragglers still balance.
-            chunksize = max(1, len(items) // (self._workers * 4))
-        return list(
-            self._pool.map(partial(_invoke_shared, fn), items, chunksize=chunksize)
-        )
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
-
-
-class ParallelExecutor(Executor):
-    """Fans work units out over a process pool.
-
-    Parameters
-    ----------
-    workers:
-        Number of worker processes; defaults to the CPU count. Work
-        functions and items must be picklable (module-level functions of
-        plain data), and must not depend on driver-side mutable state —
-        caches live in the driver and are reconciled after each map.
-    chunksize:
-        Default chunk size for :meth:`ExecutorSession.map`; ``None``
-        derives one from the batch size and worker count.
-    """
-
-    name = "parallel"
-
-    def __init__(self, workers: int | None = None, chunksize: int | None = None):
-        if workers is None:
-            workers = os.cpu_count() or 1
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-        self.chunksize = chunksize
-
-    def session(self, shared: Any = None) -> ExecutorSession:
-        # Publish the payload's arrays through shared memory when
-        # possible; workers then attach one physical copy instead of
-        # each unpickling their own (repro.engine.broadcast documents
-        # when this falls back to the plain pickle path).
-        broadcast, segment, shared_bytes = publish(shared)
-        # Between publishing the segment and handing both resources to
-        # the session object, a failure (pool spawn, session ctor)
-        # would otherwise strand them until interpreter exit — fatal
-        # for a long-running planner that opens sessions per request.
-        pool = None
-        try:
-            pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_install_shared,
-                initargs=(broadcast,),
-            )
-            return _ParallelSessionWithDefault(
-                pool, self.workers, self.chunksize, segment, shared_bytes
-            )
-        except BaseException:
-            try:
-                if pool is not None:
-                    pool.shutdown(wait=False)
-            finally:
-                if segment is not None:
-                    release(segment.name)
-            raise
-
-
-class _ParallelSessionWithDefault(_ParallelSession):
-    def __init__(
-        self,
-        pool: ProcessPoolExecutor,
-        workers: int,
-        chunksize: int | None,
-        segment: Any = None,
-        shared_bytes: int = 0,
-    ):
-        super().__init__(pool, workers)
-        self._default_chunksize = chunksize
-        self._segment = segment
-        self.broadcast_bytes = shared_bytes
-        self.broadcast_mode = "shared_memory" if segment is not None else "pickle"
-        # Sessions abandoned without close() (an exception unwound past
-        # the context manager, an aborted run) must not leak their
-        # /dev/shm segment: the finalizer releases it at GC time, and
-        # the broadcast module's atexit sweep covers interpreter exit.
-        self._release_segment = (
-            weakref.finalize(self, release, segment.name)
-            if segment is not None
-            else None
-        )
-
-    def close(self) -> None:
-        super().close()
-        if self._release_segment is not None:
-            # Workers have exited (shutdown waited), so releasing here
-            # drops the last reference to the segment.
-            self._release_segment()
-            self._release_segment = None
-            self._segment = None
-
-    def map(
-        self,
-        fn: WorkFn,
-        items: Sequence[Any],
-        *,
-        chunksize: int | None = None,
-    ) -> list[Any]:
-        if chunksize is None:
-            chunksize = self._default_chunksize
-        return super().map(fn, items, chunksize=chunksize)
-
-
-def make_executor(workers: int | None = None) -> Executor:
-    """Backend from a worker count: serial for ``None``/``1``, else parallel."""
-    if workers is not None and workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    if workers is None or workers == 1:
-        return SerialExecutor()
-    return ParallelExecutor(workers=workers)

@@ -1,11 +1,12 @@
 """Fault-tolerant execution: retries, timeouts, and degradation ladders.
 
-The plain :class:`~repro.engine.executor.ParallelExecutor` dies with the
+A bare :class:`concurrent.futures.ProcessPoolExecutor` dies with the
 first worker: a SIGKILLed process breaks the pool, a wedged worker
 blocks ``map`` forever, and either one kills a multi-hour planning run.
-:class:`ResilientExecutor` wraps the same fan-out contract
-(``fn(shared, item)`` work units, order-preserving ``map``) with the
-recovery machinery a performability framework owes itself:
+:class:`ResilientExecutor` — the only code in the package that owns a
+process pool — wraps the fan-out contract (``fn(shared, item)`` work
+units, order-preserving ``map``) with the recovery machinery a
+performability framework owes itself:
 
 * **bounded retries** with exponential backoff and *deterministic*
   jitter (seeded through :mod:`repro.util.rng`; no wall-clock
@@ -65,12 +66,19 @@ from repro.engine.faults import (
 )
 from repro.engine.instrumentation import Instrumentation
 from repro.exceptions import ConfigurationError, ResilienceError, ROpusError
-from repro.util.floats import is_zero
 
 #: Exit status an injected worker crash dies with (SIGKILL-alike: the
 #: pool observes an abrupt worker death, exactly as if the OOM killer
 #: or an operator's ``kill -9`` took the process).
 _CRASH_EXIT_STATUS = 139
+
+#: Retry ``k`` sleeps ``base * multiplier**k``, stretched by up to the
+#: jitter fraction; the stretch is drawn deterministically from the
+#: seed so two replicas of one run sleep identically.
+_BACKOFF_BASE_SECONDS = 0.05
+_BACKOFF_MULTIPLIER = 2.0
+_BACKOFF_JITTER = 0.25
+_JITTER_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -89,14 +97,6 @@ class ResilienceConfig:
         for this long, the pool is presumed wedged, its processes are
         killed, and the unfinished units are retried. ``None`` disables
         the deadline (the default: plain runs never pay a timer).
-    backoff_base_seconds / backoff_multiplier:
-        Retry ``k`` sleeps ``base * multiplier**k``, scaled by jitter.
-    backoff_jitter:
-        Fractional jitter amplitude: each delay is stretched by up to
-        this fraction, drawn deterministically from ``jitter_seed`` so
-        two replicas of one seeded run sleep identically.
-    jitter_seed:
-        Root seed of the jitter stream.
     fault_plan:
         Deterministic fault schedule to inject (``None``: no faults).
     sleep:
@@ -106,10 +106,6 @@ class ResilienceConfig:
 
     max_retries: int = 2
     task_timeout_seconds: Optional[float] = None
-    backoff_base_seconds: float = 0.05
-    backoff_multiplier: float = 2.0
-    backoff_jitter: float = 0.25
-    jitter_seed: int = 0
     fault_plan: Optional[FaultPlan] = None
     sleep: Callable[[float], None] = field(default=time.sleep, compare=False)
 
@@ -126,38 +122,25 @@ class ResilienceConfig:
                 "task_timeout_seconds must be > 0 when set, got "
                 f"{self.task_timeout_seconds}"
             )
-        if self.backoff_base_seconds < 0:
-            raise ConfigurationError("backoff_base_seconds must be >= 0")
-        if self.backoff_multiplier < 1.0:
-            raise ConfigurationError("backoff_multiplier must be >= 1")
-        if not 0.0 <= self.backoff_jitter <= 1.0:
-            raise ConfigurationError("backoff_jitter must be in [0, 1]")
 
     @property
     def plan(self) -> FaultPlan:
         return self.fault_plan if self.fault_plan is not None else FaultPlan.none()
 
 
-def backoff_delay(config: ResilienceConfig, retry_index: int) -> float:
+def backoff_delay(retry_index: int) -> float:
     """The (deterministically jittered) sleep before retry ``retry_index``.
 
-    >>> config = ResilienceConfig(backoff_jitter=0.0)
-    >>> backoff_delay(config, 0)
-    0.05
-    >>> backoff_delay(config, 2)
-    0.2
+    >>> 0.05 <= backoff_delay(0) <= 0.0625
+    True
+    >>> backoff_delay(2) == backoff_delay(2)
+    True
     """
     from repro.util.rng import SeedSequenceFactory
 
-    base = config.backoff_base_seconds * (
-        config.backoff_multiplier ** retry_index
-    )
-    if is_zero(config.backoff_jitter) or is_zero(base):
-        return base
-    rng = SeedSequenceFactory(config.jitter_seed).generator(
-        "backoff", retry_index
-    )
-    return base * (1.0 + config.backoff_jitter * float(rng.random()))
+    base = _BACKOFF_BASE_SECONDS * _BACKOFF_MULTIPLIER**retry_index
+    rng = SeedSequenceFactory(_JITTER_SEED).generator("backoff", retry_index)
+    return base * (1.0 + _BACKOFF_JITTER * float(rng.random()))
 
 
 # ----------------------------------------------------------------------
@@ -288,7 +271,20 @@ class _ResilientSession(ExecutorSession):
         self.broadcast_mode = (
             "shared_memory" if self._segment_name is not None else "pickle"
         )
-        self._pool = self._spawn_pool()
+        try:
+            self._pool = self._spawn_pool()
+        except BaseException:
+            # The constructor is unwinding, so nobody holds a session
+            # to close(): without this the published segment would sit
+            # in /dev/shm until interpreter exit — fatal for a
+            # long-running planner that opens sessions per request.
+            self._release_segment()
+            raise
+
+    def _release_segment(self) -> None:
+        if self._segment_name is not None:
+            release(self._segment_name)
+            self._segment_name = None
 
     def _spawn_pool(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
@@ -319,9 +315,7 @@ class _ResilientSession(ExecutorSession):
 
     def _degrade_to_serial(self) -> None:
         self._kill_pool()
-        if self._segment_name is not None:
-            release(self._segment_name)
-            self._segment_name = None
+        self._release_segment()
         self._rung = "serial"
         self.parallelism = 1
         self._count("resilience.serial_fallbacks")
@@ -332,18 +326,10 @@ class _ResilientSession(ExecutorSession):
         self._pool = None
         if pool is not None:
             pool.shutdown(wait=True)
-        if self._segment_name is not None:
-            release(self._segment_name)
-            self._segment_name = None
+        self._release_segment()
 
     # -- the resilient map ---------------------------------------------
-    def map(
-        self,
-        fn: WorkFn,
-        items: Sequence[Any],
-        *,
-        chunksize: int | None = None,
-    ) -> list[Any]:
+    def map(self, fn: WorkFn, items: Sequence[Any]) -> list[Any]:
         items = list(items)
         if not items:
             return []
@@ -370,7 +356,7 @@ class _ResilientSession(ExecutorSession):
                     f"{self._config.max_retries} retries on the serial "
                     "fallback; giving up"
                 )
-            delay = backoff_delay(self._config, retries_this_rung)
+            delay = backoff_delay(retries_this_rung)
             retries_this_rung += 1
             self._count("resilience.retries")
             self._event(
@@ -380,8 +366,7 @@ class _ResilientSession(ExecutorSession):
                 items=len(pending),
                 delay_seconds=delay,
             )
-            if delay > 0:
-                self._config.sleep(delay)
+            self._config.sleep(delay)
         return [results[index] for index in range(len(items))]
 
     def _raise_fatal(self, outcome: _AttemptOutcome) -> None:
@@ -553,16 +538,8 @@ class ResilientExecutor(Executor):
         return _ResilientSession(self, shared)
 
 
-def make_resilient_executor(
-    workers: int | None = None, config: ResilienceConfig | None = None
-) -> Executor:
-    """A resilient backend, serial- or pool-backed by worker count."""
-    return ResilientExecutor(workers, config)
-
-
 __all__ = [
     "ResilienceConfig",
     "ResilientExecutor",
     "backoff_delay",
-    "make_resilient_executor",
 ]

@@ -1197,23 +1197,17 @@ class FailurePlanner:
                     restored=len(restored),
                     pending=len(pending),
                 )
-            # Map in parallelism-sized waves so each wave's cases are
-            # checkpointed as soon as they exist: a kill mid-sweep
-            # loses at most the in-flight wave, and the resume picks up
-            # every completed case. (One session spans all waves, so
-            # the payload still broadcasts once.)
+            # Each wave's cases are checkpointed as soon as they exist:
+            # a kill mid-sweep loses at most the in-flight wave, and
+            # the resume picks up every completed case.
             computed: list[FailureCase] = []
             if pending:
                 with self.engine.session(payload) as session:
-                    wave = max(1, int(getattr(session, "parallelism", 1)))
-                    for start in range(0, len(pending), wave):
-                        batch = pending[start : start + wave]
-                        for case in session.map(
-                            _failure_case_worker,
-                            [item for _, item in batch],
-                        ):
-                            computed.append(case)
-                            self._save_case(case, key_prefix)
+                    for case in session.waves(
+                        _failure_case_worker, [item for _, item in pending]
+                    ):
+                        computed.append(case)
+                        self._save_case(case, key_prefix)
             cases: list[FailureCase] = [None] * len(items)  # type: ignore[list-item]
             for case_position, case in restored.items():
                 cases[case_position] = case

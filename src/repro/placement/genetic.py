@@ -420,8 +420,7 @@ class GeneticPlacementSearch:
             return
         keys = list(pending)
         items: list[GroupItem] = [(limit, rows, None) for limit, rows in keys]
-        parallelism = max(1, int(getattr(session, "parallelism", 1)))
-        chunks = split_chunks(items, min(len(items), parallelism))
+        chunks = split_chunks(items, session.parallelism)
         chunk_results = session.map(evaluate_groups_worker, chunks)
         instrumentation = self.engine.instrumentation
         cursor = 0

@@ -542,18 +542,12 @@ class HierarchicalPlanner:
             if pending:
                 payload = self._payload(algorithm)
                 with self.engine.session(payload) as session:
-                    wave = max(1, int(getattr(session, "parallelism", 1)))
-                    # One wave per parallelism slot: each completed
-                    # wave's shards are checkpointed before the next
-                    # wave starts, so a kill loses at most one wave.
-                    for batch in split_chunks(
-                        pending, max(1, -(-len(pending) // wave))
-                    ):
-                        for outcome in session.map(
-                            _shard_plan_worker, list(batch)
-                        ):
-                            outcomes.append(outcome)
-                            self._save_shard(checkpointer, outcome)
+                    # Each completed wave's shards are checkpointed
+                    # before the next wave starts, so a kill loses at
+                    # most one wave.
+                    for outcome in session.waves(_shard_plan_worker, pending):
+                        outcomes.append(outcome)
+                        self._save_shard(checkpointer, outcome)
             self._results = [None] * n_shards  # type: ignore[list-item]
             self._shard_seconds = [0.0] * n_shards
             for index, (result, seconds) in restored.items():

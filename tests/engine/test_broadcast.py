@@ -185,14 +185,11 @@ class TestSegmentLifecycle:
         assert name not in _PUBLISHED
 
     def test_session_close_releases_segment(self, payload):
-        from repro.engine.executor import ParallelExecutor
+        from repro.engine import ExecutionEngine
 
-        executor = ParallelExecutor(workers=2)
-        try:
-            with executor.session(shared=payload) as session:
+        with ExecutionEngine.with_workers(2) as engine:
+            with engine.session(shared=payload) as session:
                 names = set(_PUBLISHED)
                 if session.broadcast_bytes:
                     assert names
-        finally:
-            executor.close()
         assert not (names & set(_PUBLISHED))

@@ -1,12 +1,14 @@
 """Tests for the pluggable execution backends."""
 
+import os
+
 import pytest
 
 from repro.engine import (
     ExecutionEngine,
-    ParallelExecutor,
+    ResilienceConfig,
+    ResilientExecutor,
     SerialExecutor,
-    make_executor,
 )
 from repro.exceptions import ConfigurationError
 
@@ -21,74 +23,119 @@ def _square(shared, item):
     return item * item
 
 
+def _exit_once_then_square(shared, item):
+    """Kill the worker on the first call only (gated on a flag file)."""
+    try:
+        os.unlink(shared)
+    except FileNotFoundError:
+        return item * item
+    os._exit(1)
+
+
+def _map(executor, work, items, shared=None):
+    with executor.session(shared) as session:
+        return session.map(work, items)
+
+
 class TestSerialExecutor:
     def test_map_preserves_order(self):
-        executor = SerialExecutor()
-        assert executor.map(_square, [3, 1, 2]) == [9, 1, 4]
+        assert _map(SerialExecutor(), _square, [3, 1, 2]) == [9, 1, 4]
 
     def test_shared_payload_reaches_work_units(self):
         executor = SerialExecutor()
-        assert executor.map(_add_offset, [1, 2], shared=10) == [11, 12]
+        assert _map(executor, _add_offset, [1, 2], shared=10) == [11, 12]
 
     def test_empty_items(self):
-        assert SerialExecutor().map(_square, []) == []
+        assert _map(SerialExecutor(), _square, []) == []
 
     def test_session_reuse(self):
         with SerialExecutor().session(shared=100) as session:
             assert session.map(_add_offset, [1]) == [101]
             assert session.map(_add_offset, [2]) == [102]
 
+    def test_waves_yield_every_result_in_order(self):
+        with SerialExecutor().session(shared=1) as session:
+            assert list(session.waves(_add_offset, [3, 1, 2])) == [4, 2, 3]
+            assert list(session.waves(_add_offset, [])) == []
+
 
 class TestParallelExecutor:
+    """The one pool backend, reached the way callers reach it."""
+
     def test_map_matches_serial(self):
         items = list(range(17))
-        executor = ParallelExecutor(workers=2)
-        try:
-            assert executor.map(_square, items) == [i * i for i in items]
-        finally:
-            executor.close()
+        with ExecutionEngine.with_workers(2) as engine:
+            assert _map(engine, _square, items) == [i * i for i in items]
 
     def test_shared_payload_broadcast(self):
-        executor = ParallelExecutor(workers=2)
-        assert executor.map(_add_offset, [1, 2, 3], shared=5) == [6, 7, 8]
+        with ExecutionEngine.with_workers(2) as engine:
+            assert _map(engine, _add_offset, [1, 2, 3], shared=5) == [6, 7, 8]
 
     def test_session_amortises_broadcast(self):
-        executor = ParallelExecutor(workers=2)
-        with executor.session(shared=1000) as session:
-            assert session.map(_add_offset, [1]) == [1001]
-            assert session.map(_add_offset, [2, 3]) == [1002, 1003]
+        with ExecutionEngine.with_workers(2) as engine:
+            with engine.session(shared=1000) as session:
+                assert session.map(_add_offset, [1]) == [1001]
+                assert session.map(_add_offset, [2, 3]) == [1002, 1003]
+        assert engine.instrumentation.counters()["broadcast.sessions"] == 1
 
     def test_empty_items(self):
-        executor = ParallelExecutor(workers=2)
-        with executor.session() as session:
-            assert session.map(_square, []) == []
+        with ExecutionEngine.with_workers(2) as engine:
+            with engine.session() as session:
+                assert session.map(_square, []) == []
 
-    def test_explicit_chunksize(self):
-        executor = ParallelExecutor(workers=2, chunksize=2)
-        assert executor.map(_square, [1, 2, 3, 4, 5]) == [1, 4, 9, 16, 25]
+    def test_waves_step_by_parallelism(self):
+        with ExecutionEngine.with_workers(2) as engine:
+            with engine.session(shared=10) as session:
+                assert session.parallelism == 2
+                results = list(session.waves(_add_offset, [1, 2, 3, 4, 5]))
+        assert results == [11, 12, 13, 14, 15]
 
     def test_rejects_nonpositive_workers(self):
         with pytest.raises(ConfigurationError):
-            ParallelExecutor(workers=0)
+            with ExecutionEngine.with_workers(0):
+                pass
+
+    def test_killed_worker_is_survived_without_resilience_flags(self, tmp_path):
+        # No config, no flags: the pool backend is the resilient one, so
+        # a worker that dies mid-map costs one respawn, not the run.
+        flag = tmp_path / "crash-once"
+        flag.touch()
+        with ExecutionEngine.with_workers(2) as engine:
+            results = _map(
+                engine, _exit_once_then_square, [1, 2, 3, 4], shared=str(flag)
+            )
+        assert results == [1, 4, 9, 16]
+        counters = engine.instrumentation.counters()
+        assert counters["resilience.pool_respawns"] == 1
 
 
 class TestMakeExecutor:
+    """``with_workers`` picks the backend from the worker count alone."""
+
     def test_none_is_serial(self):
-        assert isinstance(make_executor(None), SerialExecutor)
+        with ExecutionEngine.with_workers(None) as engine:
+            assert isinstance(engine.executor, SerialExecutor)
 
     def test_one_is_serial(self):
-        assert isinstance(make_executor(1), SerialExecutor)
+        with ExecutionEngine.with_workers(1) as engine:
+            assert isinstance(engine.executor, SerialExecutor)
 
     def test_many_is_parallel(self):
-        executor = make_executor(3)
-        assert isinstance(executor, ParallelExecutor)
-        assert executor.workers == 3
+        with ExecutionEngine.with_workers(3) as engine:
+            assert isinstance(engine.executor, ResilientExecutor)
+            assert engine.executor.workers == 3
+
+    def test_config_alone_selects_the_recovery_wrapper(self):
+        with ExecutionEngine.with_workers(None, ResilienceConfig()) as engine:
+            assert isinstance(engine.executor, ResilientExecutor)
+            with engine.session() as session:
+                assert session.parallelism == 1
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ConfigurationError):
-            make_executor(0)
-        with pytest.raises(ConfigurationError):
-            make_executor(-2)
+        for workers in (0, -2):
+            with pytest.raises(ConfigurationError):
+                with ExecutionEngine.with_workers(workers):
+                    pass
 
 
 class TestExecutionEngine:
@@ -103,7 +150,7 @@ class TestExecutionEngine:
         with ExecutionEngine.with_workers(1) as engine:
             assert engine.executor.name == "serial"
         with ExecutionEngine.with_workers(2) as engine:
-            assert engine.executor.name == "parallel"
+            assert engine.executor.name == "resilient"
 
     def test_repr_names_backend(self):
         assert "serial" in repr(ExecutionEngine.serial())

@@ -9,17 +9,19 @@ whole module stays fast.
 """
 
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from repro.engine import ExecutionEngine
 from repro.engine.faults import FaultPlan
 from repro.engine.instrumentation import Instrumentation
+from repro.engine import broadcast, resilience
 from repro.engine.resilience import (
     ResilienceConfig,
     ResilientExecutor,
     backoff_delay,
-    make_resilient_executor,
 )
 from repro.exceptions import (
     ConfigurationError,
@@ -45,10 +47,19 @@ def _no_sleep(_delay):
     return None
 
 
+@dataclass(frozen=True)
+class _ArrayPayload:
+    matrix: np.ndarray
+
+
 def _config(**overrides):
     overrides.setdefault("sleep", _no_sleep)
-    overrides.setdefault("backoff_base_seconds", 0.0)
     return ResilienceConfig(**overrides)
+
+
+def _map(executor, work, items, shared=None):
+    with executor.session(shared) as session:
+        return session.map(work, items)
 
 
 def _instrumented(executor):
@@ -66,10 +77,6 @@ class TestConfig:
             ResilienceConfig(max_retries=-1)
         with pytest.raises(ConfigurationError):
             ResilienceConfig(task_timeout_seconds=0.0)
-        with pytest.raises(ConfigurationError):
-            ResilienceConfig(backoff_multiplier=0.5)
-        with pytest.raises(ConfigurationError):
-            ResilienceConfig(backoff_jitter=1.5)
 
     def test_rejects_nonpositive_workers(self):
         with pytest.raises(ConfigurationError):
@@ -77,55 +84,52 @@ class TestConfig:
 
 
 class TestBackoff:
-    def test_no_jitter_is_pure_exponential(self):
-        config = ResilienceConfig(backoff_jitter=0.0)
-        assert backoff_delay(config, 0) == pytest.approx(0.05)
-        assert backoff_delay(config, 1) == pytest.approx(0.10)
-        assert backoff_delay(config, 2) == pytest.approx(0.20)
+    def test_no_jitter_is_pure_exponential(self, monkeypatch):
+        monkeypatch.setattr(resilience, "_BACKOFF_JITTER", 0.0)
+        assert backoff_delay(0) == pytest.approx(0.05)
+        assert backoff_delay(1) == pytest.approx(0.10)
+        assert backoff_delay(2) == pytest.approx(0.20)
 
-    def test_jitter_is_deterministic_per_seed(self):
-        config = ResilienceConfig(jitter_seed=3)
-        replica = ResilienceConfig(jitter_seed=3)
-        other = ResilienceConfig(jitter_seed=4)
-        delays = [backoff_delay(config, k) for k in range(4)]
-        assert delays == [backoff_delay(replica, k) for k in range(4)]
-        assert delays != [backoff_delay(other, k) for k in range(4)]
+    def test_jitter_is_deterministic_per_seed(self, monkeypatch):
+        delays = [backoff_delay(k) for k in range(4)]
+        assert delays == [backoff_delay(k) for k in range(4)]
+        monkeypatch.setattr(resilience, "_JITTER_SEED", 4)
+        assert delays != [backoff_delay(k) for k in range(4)]
 
     def test_jitter_bounded_by_amplitude(self):
-        config = ResilienceConfig(backoff_jitter=0.25)
         for retry in range(8):
             base = 0.05 * 2.0**retry
-            delay = backoff_delay(config, retry)
+            delay = backoff_delay(retry)
             assert base <= delay <= base * 1.25
 
     def test_injected_sleeper_records_exact_sequence(self):
         recorded = []
         config = ResilienceConfig(
             max_retries=2,
-            backoff_jitter=0.0,
             fault_plan=FaultPlan.of(corrupt_result=[0, 1]),
             sleep=recorded.append,
         )
         executor = ResilientExecutor(config=config)
-        assert executor.map(_double, [5]) == [10]
-        assert recorded == [pytest.approx(0.05), pytest.approx(0.10)]
+        assert _map(executor, _double, [5]) == [10]
+        assert recorded == [backoff_delay(0), backoff_delay(1)]
+        assert 0.05 <= recorded[0] <= 0.0625 and 0.10 <= recorded[1] <= 0.125
 
 
 class TestSerialRung:
     def test_plain_map_matches_serial_semantics(self):
         executor = ResilientExecutor(config=_config())
-        assert executor.map(_double, [3, 1, 2]) == [6, 2, 4]
-        assert executor.map(_double, []) == []
+        assert _map(executor, _double, [3, 1, 2]) == [6, 2, 4]
+        assert _map(executor, _double, []) == []
 
     def test_shared_payload_reaches_work_units(self):
         executor = ResilientExecutor(config=_config())
-        assert executor.map(_add_offset, [1, 2], shared=10) == [11, 12]
+        assert _map(executor, _add_offset, [1, 2], shared=10) == [11, 12]
 
     def test_simulated_crash_is_retried(self):
         config = _config(fault_plan=FaultPlan.of(worker_crash=[0]))
         executor = ResilientExecutor(config=config)
         instrumentation = _instrumented(executor)
-        assert executor.map(_double, [1, 2, 3]) == [2, 4, 6]
+        assert _map(executor, _double, [1, 2, 3]) == [2, 4, 6]
         counters = instrumentation.counters()
         assert counters["resilience.retries"] == 1
         assert counters["resilience.faults_injected"] == 1
@@ -134,14 +138,14 @@ class TestSerialRung:
         config = _config(fault_plan=FaultPlan.of(corrupt_result=[1]))
         executor = ResilientExecutor(config=config)
         instrumentation = _instrumented(executor)
-        assert executor.map(_double, [1, 2]) == [2, 4]
+        assert _map(executor, _double, [1, 2]) == [2, 4]
         assert instrumentation.counters()["resilience.corrupt_results"] == 1
 
     def test_simulated_hang_counts_deadline(self):
         config = _config(fault_plan=FaultPlan.of(worker_hang=[0]))
         executor = ResilientExecutor(config=config)
         instrumentation = _instrumented(executor)
-        assert executor.map(_double, [9]) == [18]
+        assert _map(executor, _double, [9]) == [18]
         assert instrumentation.counters()["resilience.deadline_exceeded"] == 1
 
     def test_persistent_fault_exhausts_budget(self):
@@ -152,14 +156,14 @@ class TestSerialRung:
         )
         executor = ResilientExecutor(config=config)
         with pytest.raises(ResilienceError):
-            executor.map(_double, [1])
+            _map(executor, _double, [1])
 
     def test_domain_error_is_fatal_not_retried(self):
         config = _config()
         executor = ResilientExecutor(config=config)
         instrumentation = _instrumented(executor)
         with pytest.raises(InfeasiblePlacementError):
-            executor.map(_raise_domain_error, [1])
+            _map(executor, _raise_domain_error, [1])
         assert "resilience.retries" not in instrumentation.counters()
 
     def test_fatal_error_stops_the_batch_early(self):
@@ -171,8 +175,9 @@ class TestSerialRung:
 
         executor = ResilientExecutor(config=_config())
         with pytest.raises(InfeasiblePlacementError):
-            # In-process harness: picklability is irrelevant here.
-            executor.map(fn, [1, 2, 3])  # ropus: ignore[ROP004]
+            with executor.session() as session:
+                # In-process harness: picklability is irrelevant here.
+                session.map(fn, [1, 2, 3])  # ropus: ignore[ROP004]
         # map() discards partial results on a fatal error, so the rest
         # of the batch is never evaluated.
         assert calls == [1]
@@ -186,8 +191,9 @@ class TestSerialRung:
 
         executor = ResilientExecutor(config=_config())
         with pytest.raises(KeyboardInterrupt):
-            # In-process harness: picklability is irrelevant here.
-            executor.map(fn, [1, 2, 3])  # ropus: ignore[ROP004]
+            with executor.session() as session:
+                # In-process harness: picklability is irrelevant here.
+                session.map(fn, [1, 2, 3])  # ropus: ignore[ROP004]
         assert calls == [1]
 
     def test_retries_draw_fresh_occurrences(self):
@@ -197,7 +203,7 @@ class TestSerialRung:
         config = _config(fault_plan=FaultPlan.of(worker_crash=[1, 3]))
         executor = ResilientExecutor(config=config)
         instrumentation = _instrumented(executor)
-        assert executor.map(_double, [1, 2, 3]) == [2, 4, 6]
+        assert _map(executor, _double, [1, 2, 3]) == [2, 4, 6]
         assert instrumentation.counters()["resilience.retries"] == 2
 
 
@@ -214,7 +220,7 @@ class TestParallelRung:
         config = _config(fault_plan=FaultPlan.of(worker_crash=[0]))
         executor = ResilientExecutor(workers=2, config=config)
         instrumentation = _instrumented(executor)
-        assert executor.map(_double, [1, 2, 3, 4]) == [2, 4, 6, 8]
+        assert _map(executor, _double, [1, 2, 3, 4]) == [2, 4, 6, 8]
         counters = instrumentation.counters()
         assert counters["resilience.pool_respawns"] >= 1
         assert counters["resilience.retries"] >= 1
@@ -229,7 +235,7 @@ class TestParallelRung:
         )
         executor = ResilientExecutor(workers=2, config=config)
         instrumentation = _instrumented(executor)
-        assert executor.map(_double, [7]) == [14]
+        assert _map(executor, _double, [7]) == [14]
         counters = instrumentation.counters()
         assert counters["resilience.deadline_exceeded"] >= 1
         assert counters["resilience.pool_respawns"] >= 1
@@ -249,7 +255,7 @@ class TestParallelRung:
         config = _config(fault_plan=FaultPlan.of(corrupt_result=[0]))
         executor = ResilientExecutor(workers=2, config=config)
         instrumentation = _instrumented(executor)
-        assert executor.map(_double, [5, 6]) == [10, 12]
+        assert _map(executor, _double, [5, 6]) == [10, 12]
         assert instrumentation.counters()["resilience.corrupt_results"] == 1
 
     def test_ladder_degrades_to_serial_and_completes(self):
@@ -262,14 +268,14 @@ class TestParallelRung:
         )
         executor = ResilientExecutor(workers=2, config=config)
         instrumentation = _instrumented(executor)
-        assert executor.map(_double, [8]) == [16]
+        assert _map(executor, _double, [8]) == [16]
         counters = instrumentation.counters()
         assert counters["resilience.serial_fallbacks"] == 1
 
     def test_domain_error_propagates_from_pool(self):
         executor = ResilientExecutor(workers=2, config=_config())
         with pytest.raises(InfeasiblePlacementError):
-            executor.map(_raise_domain_error, [1])
+            _map(executor, _raise_domain_error, [1])
 
     def test_pool_broken_on_submit_recovers_without_waiting(self):
         # A pool that breaks while accepting work: the attempt must
@@ -293,18 +299,30 @@ class TestParallelRung:
         assert counters["resilience.retries"] == 1
 
 
+    def test_failed_pool_spawn_releases_the_published_segment(
+        self, monkeypatch
+    ):
+        # Publishing succeeds, the spawn does not: the constructor
+        # unwinds with nobody to close() the session, so it must drop
+        # the /dev/shm segment itself.
+        def _no_pool(*args, **kwargs):
+            raise OSError("cannot fork")
+
+        monkeypatch.setattr(resilience, "ProcessPoolExecutor", _no_pool)
+        payload = _ArrayPayload(np.arange(4096, dtype=np.float64))
+        executor = ResilientExecutor(workers=2, config=_config())
+        with pytest.raises(OSError, match="cannot fork"):
+            executor.session(payload)
+        assert not broadcast._PUBLISHED
+
+
 class TestEngineIntegration:
     def test_resilient_engine_wires_instrumentation(self):
         config = _config(fault_plan=FaultPlan.of(corrupt_result=[0]))
-        with ExecutionEngine.resilient(config=config) as engine:
+        with ExecutionEngine.with_workers(None, config) as engine:
             assert engine.executor.name == "resilient"
             with engine.session() as session:
                 assert session.map(_double, [4]) == [8]
         assert engine.instrumentation.counters()[
             "resilience.corrupt_results"
         ] == 1
-
-    def test_make_resilient_executor(self):
-        executor = make_resilient_executor(2)
-        assert isinstance(executor, ResilientExecutor)
-        assert executor.workers == 2

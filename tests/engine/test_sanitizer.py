@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import sanitizer
-from repro.engine.executor import make_executor
+from repro.engine import ExecutionEngine
 from repro.exceptions import DeterminismViolation, ROpusError
 
 
@@ -101,31 +101,31 @@ class TestPoolWiring:
         monkeypatch.setenv(sanitizer.ENV_FLAG, "1")
 
     def test_clean_work_runs_sanitized(self, sanitized_env):
-        executor = make_executor(workers=2)
-        with executor.session(100) as session:
-            parallel = list(session.map(_clean_worker, [1, 2, 3]))
+        with ExecutionEngine.with_workers(2) as engine:
+            with engine.session(100) as session:
+                parallel = list(session.map(_clean_worker, [1, 2, 3]))
         serial = [_clean_worker(100, item) for item in [1, 2, 3]]
         assert parallel == serial
 
     def test_wall_clock_worker_raises(self, sanitized_env):
-        executor = make_executor(workers=2)
-        with pytest.raises(DeterminismViolation):
-            with executor.session(0) as session:
-                # The impure worker is the point: the sanitizer must
-                # catch at runtime what ROP013 catches statically.
-                list(session.map(_wall_clock_worker, [1]))  # ropus: ignore[ROP013]
+        with ExecutionEngine.with_workers(2) as engine:
+            with pytest.raises(DeterminismViolation):
+                with engine.session(0) as session:
+                    # The impure worker is the point: the sanitizer must
+                    # catch at runtime what ROP013 catches statically.
+                    list(session.map(_wall_clock_worker, [1]))  # ropus: ignore[ROP013]
 
     def test_ambient_rng_worker_raises(self, sanitized_env):
-        executor = make_executor(workers=2)
-        with pytest.raises(DeterminismViolation):
-            with executor.session(0) as session:
-                # The impure worker is the point (see above).
-                list(session.map(_ambient_rng_worker, [1]))  # ropus: ignore[ROP013]
+        with ExecutionEngine.with_workers(2) as engine:
+            with pytest.raises(DeterminismViolation):
+                with engine.session(0) as session:
+                    # The impure worker is the point (see above).
+                    list(session.map(_ambient_rng_worker, [1]))  # ropus: ignore[ROP013]
 
     def test_driver_process_stays_unpatched(self, sanitized_env):
-        executor = make_executor(workers=2)
-        with executor.session(0) as session:
-            list(session.map(_clean_worker, [1]))
+        with ExecutionEngine.with_workers(2) as engine:
+            with engine.session(0) as session:
+                list(session.map(_clean_worker, [1]))
         # The sanitizer armed the workers, never the driver.
         assert not sanitizer.installed()
         assert time.time() > 0

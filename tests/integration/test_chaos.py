@@ -61,11 +61,14 @@ class TestChaosEquivalence:
     def test_seeded_faults_do_not_change_the_plan(self, demands, policy):
         baseline = _framework().plan(demands, policy, plan_failures=False)
 
+        # A serial-rung run of this problem makes eight worker
+        # invocations (four translation chunks, four GA batches), so
+        # the rates are set for the seed-11 schedule to land in them.
         fault_plan = FaultPlan.seeded(
-            11, horizon=4096, crash_rate=0.01, corrupt_rate=0.01
+            11, horizon=4096, crash_rate=0.05, corrupt_rate=0.05
         )
         config = ResilienceConfig(fault_plan=fault_plan, sleep=_no_sleep)
-        with ExecutionEngine.resilient(config=config) as chaotic_engine:
+        with ExecutionEngine.with_workers(None, config) as chaotic_engine:
             chaotic = _framework(engine=chaotic_engine).plan(
                 demands, policy, plan_failures=False
             )
@@ -79,7 +82,7 @@ class TestChaosEquivalence:
         config = ResilienceConfig(
             fault_plan=FaultPlan.of(corrupt_result=[0]), sleep=_no_sleep
         )
-        with ExecutionEngine.resilient(config=config) as engine:
+        with ExecutionEngine.with_workers(None, config) as engine:
             plan = _framework(engine=engine).plan(
                 demands, policy, plan_failures=False
             )
@@ -89,8 +92,8 @@ class TestChaosEquivalence:
     def test_fault_free_resilient_run_reports_no_recovery(
         self, demands, policy
     ):
-        with ExecutionEngine.resilient(
-            config=ResilienceConfig(sleep=_no_sleep)
+        with ExecutionEngine.with_workers(
+            None, ResilienceConfig(sleep=_no_sleep)
         ) as engine:
             plan = _framework(engine=engine).plan(
                 demands, policy, plan_failures=False

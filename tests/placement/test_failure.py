@@ -7,7 +7,11 @@ from repro.core.cos import PoolCommitments
 from repro.core.qos import QoSPolicy, case_study_qos
 from repro.core.translation import QoSTranslator
 from repro.exceptions import PlacementError
-from repro.engine import ExecutionEngine
+from repro.engine import (
+    ExecutionEngine,
+    FaultPlan,
+    ResilienceConfig,
+)
 from repro.placement.consolidation import Consolidator
 from repro.placement.evaluation import PlacementEvaluator
 from repro.placement.failure import FailurePlanner
@@ -28,6 +32,10 @@ from tests.placement.failure_checks import (
 SEARCH_CONFIG = GeneticSearchConfig(
     seed=0, max_generations=10, stall_generations=3, population_size=10
 )
+
+
+def _no_sleep(_delay):
+    return None
 
 
 @pytest.fixture
@@ -250,6 +258,30 @@ class TestRepairFirst:
         ) == case_view(
             fresh.plan(demands, policies, pool, normal, relax_all=True)
         )
+
+    def test_pooled_sweep_recovers_from_injected_faults(
+        self, demands, translator, policy
+    ):
+        """A worker killed mid-wave and a corrupted case cost a respawn
+        and two retries, never a decision."""
+        pool = ResourcePool(homogeneous_servers(6, cpus=8))
+        normal = normal_plan(translator, demands, policy, pool)
+        expected = FailurePlanner(translator, config=SEARCH_CONFIG).plan(
+            demands, policy, pool, normal
+        )
+        assert len(expected.cases) >= 4  # waves past both scheduled faults
+        config = ResilienceConfig(
+            fault_plan=FaultPlan.of(worker_crash=[1], corrupt_result=[4]),
+            sleep=_no_sleep,
+        )
+        with ExecutionEngine.with_workers(2, config) as engine:
+            recovered = FailurePlanner(
+                translator, config=SEARCH_CONFIG, engine=engine
+            ).plan(demands, policy, pool, normal)
+        assert case_view(recovered) == case_view(expected)
+        counters = engine.instrumentation.counters()
+        assert counters["resilience.pool_respawns"] >= 1
+        assert counters["resilience.corrupt_results"] == 1
 
 
 class TestFallback:

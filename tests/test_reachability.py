@@ -6,6 +6,7 @@ tests. A module only the tests reach is dead weight — delete it with
 its tests — unless it is listed here with the reason it stays.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -46,3 +47,47 @@ def test_no_module_is_reached_by_tests_only(tests_only):
 
 def test_allow_list_is_not_stale(tests_only):
     assert REFERENCE_MODULES.keys() - tests_only == set()
+
+
+# The two acquisitions analysis/typestate/protocols.py and leaktrack
+# exist to police each have exactly one home. A second pool backend (or
+# a second shared-memory publisher) growing back fails here, by module.
+_SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+
+def _called_name(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _modules_calling(name, predicate=lambda call: True):
+    found = set()
+    for path in sorted(_SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if any(
+            isinstance(node, ast.Call)
+            and _called_name(node) == name
+            and predicate(node)
+            for node in ast.walk(tree)
+        ):
+            found.add(path.relative_to(_SRC).as_posix())
+    return found
+
+
+def _creates_segment(call):
+    return any(
+        keyword.arg == "create"
+        and isinstance(keyword.value, ast.Constant)
+        and keyword.value.value is True
+        for keyword in call.keywords
+    )
+
+
+def test_one_module_owns_a_process_pool():
+    assert _modules_calling("ProcessPoolExecutor") == {"engine/resilience.py"}
+
+
+def test_one_module_creates_shared_memory():
+    assert _modules_calling("SharedMemory", _creates_segment) == {
+        "engine/broadcast.py"
+    }
