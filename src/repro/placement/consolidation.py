@@ -16,14 +16,21 @@ from typing import Literal, Mapping, Optional, Sequence
 
 from repro.engine import Checkpointer, ExecutionEngine
 from repro.exceptions import InfeasiblePlacementError, PlacementError
-from repro.placement.correlation import correlation_aware_seed
+from repro.placement.correlation import least_correlated_choice
 from repro.placement.evaluation import KERNELS, PlacementEvaluator
 from repro.placement.genetic import (
     GeneticPlacementSearch,
     GeneticSearchConfig,
     GeneticSearchResult,
 )
-from repro.placement.greedy import best_fit_decreasing, first_fit_decreasing
+from repro.placement.greedy import (
+    _greedy_place,
+    best_fit_choice,
+    best_fit_decreasing,
+    first_fit_choice,
+    first_fit_decreasing,
+    placed,
+)
 from repro.resources.pool import ResourcePool
 from repro.traces.allocation import CoSAllocationPair
 
@@ -233,27 +240,33 @@ class Consolidator:
                 )
                 search = None
             elif algorithm == "genetic":
-                seed = first_fit_decreasing(evaluator, self.pool, self.attribute)
-                extra_seeds = [
-                    best_fit_decreasing(evaluator, self.pool, self.attribute)
-                ]
+                # The three seeds in lock-step: one batch per workload.
+                first_fit, best_fit, correlated = _greedy_place(
+                    evaluator,
+                    self.pool,
+                    (
+                        first_fit_choice,
+                        best_fit_choice,
+                        least_correlated_choice(evaluator),
+                    ),
+                    self.attribute,
+                )
+                seed = placed(first_fit)
+                extra_seeds = [placed(best_fit)]
                 # Mixing anti-correlated workloads onto servers is a
                 # strong starting point (Section VIII); a pool too tight
                 # for that ordering goes without the seed, and says so.
                 # Counted on every genetic consolidation, zero included,
                 # so counter sets stay comparable across runs.
                 skipped = 0
-                try:
-                    extra_seeds.append(
-                        correlation_aware_seed(
-                            evaluator, self.pool, self.attribute
-                        )
-                    )
-                except InfeasiblePlacementError as error:
+                if isinstance(correlated, InfeasiblePlacementError):
                     skipped = 1
                     instrumentation.event(
-                        "placement.correlation_seed_skipped", reason=str(error)
+                        "placement.correlation_seed_skipped",
+                        reason=str(correlated),
                     )
+                else:
+                    extra_seeds.append(correlated)
                 instrumentation.count(
                     "placement.correlation_seed_skipped", skipped
                 )

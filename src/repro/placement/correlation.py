@@ -15,7 +15,8 @@ This module provides:
   occupants it is *least* correlated with (among feasible servers),
   opening a new server only when none fits. The placement loop itself
   is :func:`repro.placement.greedy._greedy_place`; this module only
-  supplies the matrix and the ``choose`` policy.
+  supplies the matrix and the ``choose`` policy
+  (:func:`least_correlated_choice`).
 
 The seed plugs into the genetic search via ``extra_seeds``; the ablation
 benchmark measures what the correlation signal buys over plain
@@ -27,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.placement.evaluation import PlacementEvaluator
-from repro.placement.greedy import _greedy_place
+from repro.placement.greedy import Choose, _greedy_place, placed
 from repro.resources.pool import ResourcePool
 
 Assignment = tuple[int, ...]
@@ -59,12 +60,8 @@ def allocation_correlation_matrix(evaluator: PlacementEvaluator) -> np.ndarray:
     return matrix
 
 
-def correlation_aware_seed(
-    evaluator: PlacementEvaluator,
-    pool: ResourcePool,
-    attribute: str = "cpu",
-) -> Assignment:
-    """Greedy placement preferring the least-correlated feasible server."""
+def least_correlated_choice(evaluator: PlacementEvaluator) -> Choose:
+    """The correlation seed's policy over ``evaluator``'s workloads."""
     correlation = allocation_correlation_matrix(evaluator)
 
     def choose(
@@ -81,4 +78,14 @@ def correlation_aware_seed(
             ].mean(),
         )[0]
 
-    return _greedy_place(evaluator, pool, choose, attribute)
+    return choose
+
+
+def correlation_aware_seed(
+    evaluator: PlacementEvaluator,
+    pool: ResourcePool,
+    attribute: str = "cpu",
+) -> Assignment:
+    """Greedy placement preferring the least-correlated feasible server."""
+    policy = least_correlated_choice(evaluator)
+    return placed(*_greedy_place(evaluator, pool, (policy,), attribute))

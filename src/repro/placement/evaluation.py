@@ -18,6 +18,11 @@ Two execution shapes are supported:
   bracket simultaneously with
   :func:`~repro.placement.kernels.required_capacity_batch` — same
   results, one lock-step array program instead of N Python loops.
+  Before any subset is aggregated, the *witness screen*
+  (:func:`_witness_rejects`) judges each at its limit on a few slots
+  only: the theta constraint is a conjunction over theta groups, so one
+  group that fails it — among the members' hottest — proves the subset
+  does not fit, and the kernel never sees it.
 
 For parallel backends the evaluator exposes a picklable
 :class:`EvaluationPayload` (the matrices plus commitment parameters) and
@@ -39,6 +44,8 @@ from repro.core.cos import CoSCommitment
 from repro.exceptions import PlacementError
 from repro.placement.fused import fused_required_capacity
 from repro.placement.kernels import (
+    _EPSILON,
+    _THETA_SLACK,
     KERNEL_COUNTERS,
     BatchSearchStats,
     BatchSimulator,
@@ -52,7 +59,7 @@ from repro.placement.required_capacity import (
 from repro.placement.simulator import SingleServerSimulator
 from repro.resources.server import ServerSpec
 from repro.traces.allocation import CoSAllocationPair
-from repro.traces.calendar import TraceCalendar
+from repro.traces.calendar import DAYS_PER_WEEK, TraceCalendar
 
 #: Capacity-search implementations selectable on the evaluator.
 #:
@@ -64,6 +71,12 @@ from repro.traces.calendar import TraceCalendar
 #:   see :mod:`repro.placement.fused`);
 #: * ``"scalar"`` — the paper's per-subset binary search (reference).
 KERNELS = ("batch", "analytic", "fused", "scalar")
+
+#: Theta groups per workload the witness screen checks (a theta group is
+#: one slot-of-day across the seven days of one week). Fixed by the sweep
+#: in DESIGN.md section 9; it only changes how many rows the kernel is
+#: spared, never a result.
+_WITNESS_GROUPS = 3
 
 
 def _solver_mode(kernel: str) -> str:
@@ -110,15 +123,109 @@ class EvaluationPayload:
     commitment: CoSCommitment
     tolerance: float
     kernel: str = "batch"
+    #: :func:`witness_slots` of the matrices; ``None`` for ``"scalar"``.
+    witness: Optional[np.ndarray] = None
+
+
+_REJECTED = ServerEvaluation(
+    fits=False, required=float("inf"), utilization=float("inf")
+)
+
+
+def witness_slots(
+    cos1: np.ndarray, cos2: np.ndarray, calendar: TraceCalendar
+) -> np.ndarray:
+    """Slot indices of each workload's hottest theta groups, ``(n, k, 7)``.
+
+    Groups are ranked by the workload's peak total allocation over the
+    group's seven slots (ties: earliest group first); ``k`` is
+    :data:`_WITNESS_GROUPS`, or every group of a shorter calendar. Built
+    one workload at a time, so no ``(n, T)`` temporary.
+    """
+    weeks, per_day = calendar.weeks, calendar.slots_per_day
+    k = min(_WITNESS_GROUPS, weeks * per_day)
+    days = np.arange(DAYS_PER_WEEK) * per_day
+    table = np.empty((cos1.shape[0], k, DAYS_PER_WEEK), dtype=np.intp)
+    for row, (first, second) in enumerate(zip(cos1, cos2)):
+        peaks = (first + second).reshape(weeks, DAYS_PER_WEEK, per_day).max(axis=1)
+        peaks = peaks.ravel()
+        # Only groups at or above the k-th largest peak can rank; sorting
+        # just those (stably, in group order) keeps the ties' order.
+        kth = np.partition(peaks, peaks.size - k)[peaks.size - k]
+        contenders = np.nonzero(peaks >= kth)[0]
+        hottest = contenders[np.argsort(-peaks[contenders], kind="stable")[:k]]
+        week, slot = np.divmod(hottest, per_day)
+        table[row] = (week * (DAYS_PER_WEEK * per_day) + slot)[:, None] + days
+    return table
+
+
+def _witness_rejects(
+    cos1: np.ndarray,
+    cos2: np.ndarray,
+    witness: np.ndarray,
+    subsets: Sequence[Sequence[int]],
+    limits: np.ndarray,
+    commitment: CoSCommitment,
+) -> np.ndarray:
+    """Which subsets a witness group proves infeasible at their limit.
+
+    Each subset is judged on its members' witness groups only: the
+    members' values at those slots are added in subset order (the
+    additions of :meth:`BatchSimulator.from_subsets`), then a row is
+    rejected if a slot's CoS1 exceeds the limit (so does the CoS1 peak)
+    or a group's satisfied / requested ratio falls below the theta floor
+    (so does the minimum over all groups) — the floats
+    :meth:`BatchSimulator.decide` computes at those slots, by the same
+    operations in the same order, so a rejected row is one ``decide``
+    rejects at its limit. Days sit on the middle axis, as in
+    :func:`~repro.placement.kernels._theta_rows`.
+    """
+    sizes = np.fromiter((len(rows) for rows in subsets), dtype=np.intp)
+    # Longest subsets first, so the rows that have a member at a given
+    # position are a prefix; short subsets repeat their first member's
+    # groups, so every row has the same group count.
+    order = np.argsort(-sizes, kind="stable")
+    sizes = sizes[order]
+    width = int(sizes[0])
+    members = np.array(
+        [
+            tuple(rows) + (rows[0],) * (width - len(rows))
+            for rows in (subsets[index] for index in order)
+        ],
+        dtype=np.intp,
+    )
+    slots = witness[members].reshape(len(subsets), -1, DAYS_PER_WEEK)
+    slots = slots.transpose(0, 2, 1)
+    # Flat offsets into the C-contiguous matrices: one ``take`` per gather.
+    offsets = members * cos1.shape[1]
+    flat1, flat2 = cos1.reshape(-1), cos2.reshape(-1)
+    index = offsets[:, :1, None] + slots
+    cos1_at = flat1.take(index)
+    cos2_at = flat2.take(index)
+    for position in range(1, width):
+        count = int(np.count_nonzero(sizes > position))
+        index = offsets[:count, position, None, None] + slots[:count]
+        cos1_at[:count] += flat1.take(index)
+        cos2_at[:count] += flat2.take(index)
+    caps = limits[order][:, None, None]
+    over_peak = (cos1_at > caps + _EPSILON).any(axis=(1, 2))
+    available = np.subtract(caps, cos1_at, out=cos1_at)
+    np.maximum(0.0, available, out=available)
+    satisfied = np.minimum(cos2_at, available).sum(axis=1)
+    requested = cos2_at.sum(axis=1)
+    ratios = np.ones_like(requested)
+    np.divide(satisfied, requested, out=ratios, where=requested > 0)
+    below_theta = (ratios < commitment.theta - _THETA_SLACK).any(axis=1)
+    rejected = np.empty(len(subsets), dtype=bool)
+    rejected[order] = over_peak | below_theta
+    return rejected
 
 
 def _evaluation_from_result(
     result: RequiredCapacityResult, limit: float
 ) -> ServerEvaluation:
     if not result.fits:
-        return ServerEvaluation(
-            fits=False, required=float("inf"), utilization=float("inf")
-        )
+        return _REJECTED
     return ServerEvaluation(
         fits=True,
         required=result.required_capacity,
@@ -157,29 +264,55 @@ def _evaluate_items_batched(
     commitment: CoSCommitment,
     tolerance: float,
     items: Sequence[GroupItem],
+    witness: np.ndarray,
     kernel: str = "batch",
 ) -> tuple[list[ServerEvaluation], BatchSearchStats]:
-    """Solve every item's capacity search in one batched kernel solve."""
+    """Solve every item's capacity search in one batched kernel solve.
+
+    Items the witness screen rejects are answered ``fits=False`` — what
+    the kernel's at-limit screen would say — without being aggregated;
+    the survivors go to the kernel. ``stats.rows`` still counts every
+    item, ``stats.witness_rejects`` the ones the kernel was spared.
+    """
     subsets = [rows for _, rows, _ in items]
     limits = np.asarray([limit for limit, _, _ in items], dtype=float)
-    if kernel == "fused":
-        solved = fused_required_capacity(
-            cos1, cos2, subsets, calendar, limits, commitment, tolerance=tolerance
-        )
-    else:
-        batch = BatchSimulator.from_subsets(cos1, cos2, subsets, calendar)
-        solved = required_capacity_batch(
-            batch,
-            limits,
-            commitment,
-            tolerance=tolerance,
-            mode=_solver_mode(kernel),
-        )
-    evaluations = [
-        _evaluation_from_result(result, float(limit))
-        for result, limit in zip(solved.results, limits)
-    ]
-    return evaluations, solved.stats
+    # A non-positive limit is the kernel's error to raise, not a reject.
+    rejected = _witness_rejects(
+        cos1, cos2, witness, subsets, limits, commitment
+    ) & (limits > 0)
+    evaluations = [_REJECTED] * len(items)
+    survivors = np.nonzero(~rejected)[0]
+    stats = BatchSearchStats(rows=0)
+    if survivors.size:
+        kept = [subsets[index] for index in survivors]
+        kept_limits = limits[survivors]
+        if kernel == "fused":
+            solved = fused_required_capacity(
+                cos1,
+                cos2,
+                kept,
+                calendar,
+                kept_limits,
+                commitment,
+                tolerance=tolerance,
+            )
+        else:
+            batch = BatchSimulator.from_subsets(cos1, cos2, kept, calendar)
+            solved = required_capacity_batch(
+                batch,
+                kept_limits,
+                commitment,
+                tolerance=tolerance,
+                mode=_solver_mode(kernel),
+            )
+        for index, result, limit in zip(
+            survivors.tolist(), solved.results, kept_limits.tolist()
+        ):
+            evaluations[index] = _evaluation_from_result(result, limit)
+        stats = solved.stats
+    return evaluations, stats._replace(
+        rows=len(items), witness_rejects=len(items) - int(survivors.size)
+    )
 
 
 def evaluate_groups_worker(
@@ -216,6 +349,7 @@ def evaluate_groups_worker(
         payload.commitment,
         payload.tolerance,
         items,
+        payload.witness,
         kernel=payload.kernel,
     )
     return tuple(evaluations_list), stats
@@ -255,6 +389,11 @@ class PlacementEvaluator:
             self.calendar.require_compatible(pair.calendar)
         self._cos1 = np.vstack([pair.cos1.values for pair in self.pairs])
         self._cos2 = np.vstack([pair.cos2.values for pair in self.pairs])
+        self._witness = (
+            None
+            if kernel == "scalar"
+            else witness_slots(self._cos1, self._cos2, self.calendar)
+        )
         self._cache: dict[GroupKey, ServerEvaluation] = {}
         self._peaks: Optional[np.ndarray] = None
 
@@ -301,7 +440,9 @@ class PlacementEvaluator:
         Cache-hitting items are answered from the memo; the misses are
         stacked into one :class:`BatchSimulator` and solved by a single
         simultaneous bisection, then installed in the cache. Results
-        are identical to asking for the items one by one.
+        are identical to asking for the items one by one, and so are
+        the counters: a key repeated within the batch is a hit, so hits
+        plus misses is the number of items asked.
         """
         keys = [
             (float(limit), self._canonical_rows(rows))
@@ -309,9 +450,9 @@ class PlacementEvaluator:
         ]
         missing: dict[GroupKey, None] = {}
         for key in keys:
-            if key in self._cache:
+            if key in self._cache or key in missing:
                 self._count("placement.cache_hits")
-            elif key not in missing:
+            else:
                 self._count("placement.cache_misses")
                 missing[key] = None
         for key, evaluation in zip(missing, self._solve_missing(list(missing))):
@@ -357,6 +498,7 @@ class PlacementEvaluator:
             commitment=self.commitment,
             tolerance=self.tolerance,
             kernel=self.kernel,
+            witness=self._witness,
         )
 
     def search_result(
@@ -393,6 +535,7 @@ class PlacementEvaluator:
                 self.commitment,
                 self.tolerance,
                 nonempty,
+                self._witness,
                 kernel=self.kernel,
             )
             self.record_search_stats(stats)

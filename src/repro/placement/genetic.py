@@ -198,7 +198,11 @@ class GeneticPlacementSearch:
                 while (
                     len(population) + len(pending) < self.config.population_size
                 ):
-                    pending.append(self._mutate(seed_assignment, rng))
+                    pending.append(
+                        self._mutate(
+                            seed_assignment, rng, population[0].evaluations
+                        )
+                    )
                 population.extend(self._evaluate_batch(pending, session))
 
                 best_feasible = self._best_feasible(population)
@@ -449,15 +453,18 @@ class GeneticPlacementSearch:
         children: list[Assignment] = []
         while len(next_population) + len(children) < self.config.population_size:
             parent_a = self._tournament(population, rng)
+            # An uncrossed child is its parent, evaluations included.
+            held: Optional[dict[int, ServerEvaluation]] = parent_a.evaluations
             if rng.random() < self.config.crossover_probability:
                 parent_b = self._tournament(population, rng)
                 child = self._crossover(
                     parent_a.assignment, parent_b.assignment, rng
                 )
+                held = None
             else:
                 child = parent_a.assignment
             if rng.random() < _MUTATION_PROBABILITY:
-                child = self._mutate(child, rng)
+                child = self._mutate(child, rng, held)
             children.append(child)
         next_population.extend(self._evaluate_batch(children, session))
         return next_population
@@ -484,21 +491,29 @@ class GeneticPlacementSearch:
             for index in range(len(parent_a))
         )
 
-    def _mutate(self, assignment: Assignment, rng: np.random.Generator) -> Assignment:
+    def _mutate(
+        self,
+        assignment: Assignment,
+        rng: np.random.Generator,
+        evaluations: Optional[dict[int, ServerEvaluation]] = None,
+    ) -> Assignment:
         """Empty a poorly utilised server onto the other used servers.
 
         The victim server is drawn with probability proportional to
         ``1 - f(U)`` across used servers (the paper's mutation bias); its
         workloads are scattered over the remaining used servers, or a
-        random server when none remain.
+        random server when none remain. ``evaluations`` are the
+        assignment's per-server evaluations when the caller already
+        holds them (an evaluated member), so none is asked again.
         """
         used = sorted(set(assignment))
         if not used:
             return assignment
-        groups: dict[int, list[int]] = {}
-        for workload_index, server_index in enumerate(assignment):
-            groups.setdefault(server_index, []).append(workload_index)
-        evaluations = self._evaluate_used_servers(groups)
+        if evaluations is None:
+            groups: dict[int, list[int]] = {}
+            for workload_index, server_index in enumerate(assignment):
+                groups.setdefault(server_index, []).append(workload_index)
+            evaluations = self._evaluate_used_servers(groups)
         weights = np.array(
             [
                 1.0 - self._utilization_weight(evaluations[server_index], server_index)

@@ -15,7 +15,9 @@ limit):
 :func:`_greedy_place` is the one placement loop: the two baselines here
 and :func:`repro.placement.correlation.correlation_aware_seed` differ
 only in the ``choose`` policy they hand it, and every step of the loop
-reaches the kernel as one batch.
+reaches the kernel as one batch. Handed several policies, it advances
+them in lock-step — the genetic search's three seeds share each step's
+batch (:meth:`repro.placement.consolidation.Consolidator.consolidate`).
 """
 
 from __future__ import annotations
@@ -31,21 +33,37 @@ from repro.resources.pool import ResourcePool
 Assignment = tuple[int, ...]
 
 
+#: A placement policy: ``(workload_index, feasible, groups) -> server``,
+#: where ``feasible`` lists the ``(server_index, required_capacity)``
+#: candidates that fit, in server order.
+Choose = Callable[[int, list[tuple[int, float]], dict[int, list[int]]], int]
+
+
+def first_fit_choice(
+    workload_index: int,
+    feasible: list[tuple[int, float]],
+    current_groups: dict[int, list[int]],
+) -> int:
+    """The first fitting used server."""
+    return feasible[0][0]
+
+
+def best_fit_choice(
+    workload_index: int,
+    feasible: list[tuple[int, float]],
+    current_groups: dict[int, list[int]],
+) -> int:
+    """The fitting used server whose required capacity becomes largest."""
+    return max(feasible, key=lambda item: item[1])[0]
+
+
 def first_fit_decreasing(
     evaluator: PlacementEvaluator,
     pool: ResourcePool,
     attribute: str = "cpu",
 ) -> Assignment:
     """Place each workload (largest peak first) on the first fitting server."""
-
-    def choose(
-        workload_index: int,
-        feasible: list[tuple[int, float]],
-        current_groups: dict[int, list[int]],
-    ) -> int:
-        return feasible[0][0]
-
-    return _greedy_place(evaluator, pool, choose, attribute)
+    return placed(*_greedy_place(evaluator, pool, (first_fit_choice,), attribute))
 
 
 def best_fit_decreasing(
@@ -54,66 +72,98 @@ def best_fit_decreasing(
     attribute: str = "cpu",
 ) -> Assignment:
     """Place each workload on the feasible server it fills tightest."""
+    return placed(*_greedy_place(evaluator, pool, (best_fit_choice,), attribute))
 
-    def choose(
-        workload_index: int,
-        feasible: list[tuple[int, float]],
-        current_groups: dict[int, list[int]],
-    ) -> int:
-        return max(feasible, key=lambda item: item[1])[0]
 
-    return _greedy_place(evaluator, pool, choose, attribute)
+def placed(outcome: Assignment | InfeasiblePlacementError) -> Assignment:
+    """One policy's outcome of :func:`_greedy_place`: its assignment, or
+    its error raised."""
+    if isinstance(outcome, InfeasiblePlacementError):
+        raise outcome
+    return outcome
 
 
 def _greedy_place(
     evaluator: PlacementEvaluator,
     pool: ResourcePool,
-    choose: Callable[[int, list[tuple[int, float]], dict[int, list[int]]], int],
+    policies: Sequence[Choose],
     attribute: str,
-) -> Assignment:
-    """Shared greedy skeleton.
+) -> list[Assignment | InfeasiblePlacementError]:
+    """Shared greedy skeleton, one placement per policy, in lock-step.
 
     Workloads are taken in decreasing order of peak total allocation.
     For each, every *already-used* server is tested first; if none fits,
-    the next unused server is opened. ``choose`` picks among the feasible
+    the next unused server is opened. A policy picks among the feasible
     used servers given the workload's index, the
     ``(server_index, required_capacity)`` candidates in server order and
-    the current groups.
+    its current groups.
+
+    Every policy places the same workload at the same step, so one
+    ``evaluate_groups`` batch per workload carries the candidates of
+    every live policy (identical candidates are solved once). A policy
+    that runs out of servers stops there: its outcome is the
+    :class:`InfeasiblePlacementError` it would have raised alone, and
+    the others carry on. Returns one outcome per policy, in order; each
+    is what the policy placed alone would return or raise.
     """
     servers = list(pool.servers)
     order = np.argsort(-evaluator.peak_allocations(), kind="stable")
-    groups: dict[int, list[int]] = {}
-    assignment = [-1] * evaluator.n_workloads
+    groups: list[dict[int, list[int]]] = [{} for _ in policies]
+    assignments = [[-1] * evaluator.n_workloads for _ in policies]
+    errors: dict[int, InfeasiblePlacementError] = {}
+    live = list(range(len(policies)))
 
     for workload_index in (int(index) for index in order):
-        used = sorted(groups)
         # All of one workload's candidate (used server + workload)
         # subsets are independent searches: one simultaneous bisection
-        # instead of a Python loop per server.
+        # instead of a Python loop per server and policy.
+        candidates = [
+            (policy, server_index)
+            for policy in live
+            for server_index in sorted(groups[policy])
+        ]
         evaluations = evaluator.evaluate_groups(
             [
                 (
                     servers[server_index].capacity_of(attribute),
-                    groups[server_index] + [workload_index],
+                    groups[policy][server_index] + [workload_index],
                 )
-                for server_index in used
+                for policy, server_index in candidates
             ]
         )
-        feasible = [
-            (server_index, evaluation.required)
-            for server_index, evaluation in zip(used, evaluations)
-            if evaluation.fits
-        ]
-        if feasible:
-            target = choose(workload_index, feasible, groups)
-        else:
-            target = _open_new_server(
-                evaluator, servers, groups, workload_index, attribute
-            )
-        groups.setdefault(target, []).append(workload_index)
-        assignment[workload_index] = target
+        feasible: dict[int, list[tuple[int, float]]] = {
+            policy: [] for policy in live
+        }
+        for (policy, server_index), evaluation in zip(candidates, evaluations):
+            if evaluation.fits:
+                feasible[policy].append((server_index, evaluation.required))
+        for policy in live:
+            try:
+                if feasible[policy]:
+                    target = policies[policy](
+                        workload_index, feasible[policy], groups[policy]
+                    )
+                else:
+                    target = _open_new_server(
+                        evaluator,
+                        servers,
+                        groups[policy],
+                        workload_index,
+                        attribute,
+                    )
+            except InfeasiblePlacementError as error:
+                errors[policy] = error
+                continue
+            groups[policy].setdefault(target, []).append(workload_index)
+            assignments[policy][workload_index] = target
+        live = [policy for policy in live if policy not in errors]
+        if not live:
+            break
 
-    return tuple(assignment)
+    return [
+        errors[policy] if policy in errors else tuple(assignments[policy])
+        for policy in range(len(policies))
+    ]
 
 
 def _open_new_server(

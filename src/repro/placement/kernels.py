@@ -65,7 +65,7 @@ _THETA_SLACK = 1e-12
 #: the working set is a small multiple of this; see DESIGN.md section 9
 #: for how the value was chosen. Fixed: the tile only changes how many
 #: rows one pass touches, never a decision.
-_TILE_BYTES = 1 << 20
+_TILE_BYTES = 1 << 18
 
 
 def _theta_rows(
@@ -439,6 +439,9 @@ class BatchSearchStats(NamedTuple):
     stay zero outside the fused kernel (:mod:`repro.placement.fused`):
     they count rows settled by the float32 fast path and rows that
     failed its float64 verification and re-ran on this batch kernel.
+    ``witness_rejects`` counts the rows the evaluator's witness screen
+    (:func:`repro.placement.evaluation._witness_rejects`) answered
+    before aggregation; ``rows`` includes them, the other fields do not.
     Every field is recorded uniformly by every kernel mode so counter
     sets stay comparable across runs. A plain tuple of ints, so workers
     ship it as is.
@@ -451,6 +454,7 @@ class BatchSearchStats(NamedTuple):
     f32_retries: int = 0
     row_evaluations: int = 0
     backlog_rows: int = 0
+    witness_rejects: int = 0
 
 
 #: Instrumentation counter of each :class:`BatchSearchStats` field.
@@ -462,6 +466,7 @@ KERNEL_COUNTERS = (
     "kernel.f32_retries",
     "kernel.row_evaluations",
     "kernel.backlog_rows",
+    "kernel.witness_rejects",
 )
 
 

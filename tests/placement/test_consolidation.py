@@ -154,10 +154,14 @@ class TestCorrelationSeedSkip:
             first_fit_decreasing,
         )
 
-        def too_tight(evaluator, pool, attribute):
+        # The seeds run in lock-step, so the correlation seed fails where
+        # its policy does: at its first placement among used servers.
+        def too_tight(workload_index, feasible, groups):
             raise InfeasiblePlacementError("too tight for that ordering")
 
-        monkeypatch.setattr(consolidation, "correlation_aware_seed", too_tight)
+        monkeypatch.setattr(
+            consolidation, "least_correlated_choice", lambda evaluator: too_tight
+        )
         result = consolidator.consolidate(pairs)
 
         evaluator = PlacementEvaluator(pairs, consolidator.commitment)
@@ -189,9 +193,11 @@ class TestCorrelationSeedSkip:
     ):
         from repro.placement import consolidation
 
-        def boom(evaluator, pool, attribute):
+        def boom(workload_index, feasible, groups):
             raise PlacementError("boom")
 
-        monkeypatch.setattr(consolidation, "correlation_aware_seed", boom)
+        monkeypatch.setattr(
+            consolidation, "least_correlated_choice", lambda evaluator: boom
+        )
         with pytest.raises(PlacementError, match="boom"):
             consolidator.consolidate(pairs)

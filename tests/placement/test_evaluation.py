@@ -1,22 +1,36 @@
 """Tests for the shared placement evaluator."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.cos import CoSCommitment
+from repro.core.cos import CoSCommitment, PoolCommitments
+from repro.core.qos import case_study_qos
+from repro.core.translation import QoSTranslator
 from repro.engine import ExecutionEngine
 from repro.engine.dispatch import split_chunks
+from repro.engine.instrumentation import Instrumentation
 from repro.exceptions import PlacementError
+from repro.placement import evaluation
 from repro.placement.evaluation import (
     KERNELS,
     PlacementEvaluator,
     ServerEvaluation,
     evaluate_groups_worker,
+    witness_slots,
 )
-from repro.placement.kernels import KERNEL_COUNTERS, BatchSearchStats
+from repro.placement.kernels import (
+    KERNEL_COUNTERS,
+    BatchSearchStats,
+    BatchSimulator,
+)
 from repro.resources.server import ServerSpec
 from repro.traces.allocation import AllocationTrace, CoSAllocationPair
 from repro.traces.calendar import TraceCalendar
+from repro.workloads.ensemble import scaled_ensemble
 
 
 @pytest.fixture
@@ -102,6 +116,25 @@ class TestEvaluateGroup:
         with pytest.raises(PlacementError):
             evaluator.evaluate_group([99], ServerSpec("s", 16))
 
+    def test_repeated_key_in_one_batch_counts_as_a_hit(self, cal):
+        pairs = [
+            constant_pair(cal, "a", 1.0, 2.0),
+            constant_pair(cal, "b", 0.5, 1.0),
+        ]
+        instrumentation = Instrumentation()
+        evaluator = PlacementEvaluator(
+            pairs, CoSCommitment(theta=0.9), instrumentation=instrumentation
+        )
+        items = [(16.0, [0, 1]), (16.0, [1, 0]), (8.0, [0]), (16.0, [0, 1])]
+        evaluator.evaluate_groups(items)
+        counters = instrumentation.counters()
+        assert counters["placement.cache_misses"] == 2
+        assert counters["placement.cache_hits"] == 2
+        assert (
+            counters["placement.cache_hits"] + counters["placement.cache_misses"]
+            == len(items)
+        )
+
 
 class TestSearchResult:
     def test_full_report_available(self, evaluator):
@@ -174,3 +207,177 @@ class TestBenchmarkWorkerContract:
                 assert abs(ours.required - batch.required) <= 0.01 + 1e-9
             else:
                 assert ours.required == batch.required
+
+
+# --- the witness screen: a proof of infeasibility, never a guess ---
+
+#: A single-week and a multi-week calendar (28 and 42 observations).
+WITNESS_CALENDARS = (
+    TraceCalendar(weeks=1, slot_minutes=360),
+    TraceCalendar(weeks=3, slot_minutes=720),
+)
+
+
+@st.composite
+def witness_cases(draw):
+    """(calendar, cos1, cos2, subsets, limits, commitment) on the corners.
+
+    Workloads are all-zero, CoS1-only, CoS2 with request-free slots
+    (theta groups with zero requests), or random over magnitudes
+    1e-3 ... 1e3; subsets hold 1 to 64 members; limits differ within
+    the batch and sit on the subset's CoS1 peak (± 1e-9), its total
+    peak or in between; deadlines include 0 (deadline-bound rows).
+    """
+    calendar = draw(st.sampled_from(WITNESS_CALENDARS))
+    length = calendar.n_observations
+    n = draw(st.integers(min_value=1, max_value=64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cos1 = 10.0 ** rng.uniform(-3.0, 3.0, size=(n, length))
+    cos2 = 10.0 ** rng.uniform(-3.0, 3.0, size=(n, length))
+    for row in range(n):
+        kind = draw(
+            st.sampled_from(["random", "all_zero", "cos1_only", "gappy_cos2"])
+        )
+        if kind == "all_zero":
+            cos1[row] = cos2[row] = 0.0
+        elif kind == "cos1_only":
+            cos2[row] = 0.0
+        elif kind == "gappy_cos2":
+            cos2[row, rng.random(length) < 0.5] = 0.0
+    subsets = draw(
+        st.lists(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+            .map(sorted)
+            .map(tuple),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    batch = BatchSimulator.from_subsets(cos1, cos2, subsets, calendar)
+    limits = np.empty(len(subsets))
+    for row in range(len(subsets)):
+        peak = float(batch._cos1[row].max())
+        total = float((batch._cos1[row] + batch._cos2[row]).max())
+        limit = draw(
+            st.sampled_from(
+                [
+                    peak,
+                    peak + 1e-9,
+                    peak - 1e-9,
+                    total,
+                    (peak + total) / 2,
+                    total * draw(st.floats(0.1, 2.0)),
+                ]
+            )
+        )
+        limits[row] = limit if limit > 0 else 0.125
+    slot = calendar.slot_minutes
+    commitment = CoSCommitment(
+        theta=draw(st.sampled_from([0.5, 0.9, 0.95, 1.0 - 1e-9, 1.0])),
+        deadline_minutes=draw(st.sampled_from([0.0, slot, 2.0 * length * slot])),
+    )
+    return calendar, cos1, cos2, subsets, limits, commitment
+
+
+class TestWitnessScreen:
+    """Every row the witness rejects, ``decide`` rejects at its limit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(witness_cases())
+    def test_rejects_only_what_decide_rejects(self, case):
+        calendar, cos1, cos2, subsets, limits, commitment = case
+        rejected = evaluation._witness_rejects(
+            cos1,
+            cos2,
+            witness_slots(cos1, cos2, calendar),
+            subsets,
+            limits,
+            commitment,
+        )
+        batch = BatchSimulator.from_subsets(cos1, cos2, subsets, calendar)
+        verdicts, _ = batch.decide(None, limits, commitment)
+        assert not np.any(rejected & verdicts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(witness_cases())
+    def test_every_group_as_witness_is_the_peak_and_theta_gates(self, case):
+        """With every theta group a witness and no deadline to miss, the
+        screen and ``decide`` must agree row for row — float for float."""
+        calendar, cos1, cos2, subsets, limits, commitment = case
+        slot = calendar.slot_minutes
+        no_deadline = CoSCommitment(
+            theta=commitment.theta,
+            deadline_minutes=2.0 * calendar.n_observations * slot,
+        )
+        with mock.patch.object(evaluation, "_WITNESS_GROUPS", 10**6):
+            witness = witness_slots(cos1, cos2, calendar)
+        assert witness.shape[1] == calendar.weeks * calendar.slots_per_day
+        rejected = evaluation._witness_rejects(
+            cos1, cos2, witness, subsets, limits, no_deadline
+        )
+        batch = BatchSimulator.from_subsets(cos1, cos2, subsets, calendar)
+        verdicts, _ = batch.decide(None, limits, no_deadline)
+        np.testing.assert_array_equal(rejected, ~verdicts)
+
+    def test_table_ranks_groups_by_peak_total(self):
+        calendar = TraceCalendar(weeks=2, slot_minutes=360)
+        cos1 = np.zeros((1, calendar.n_observations))
+        cos2 = np.zeros((1, calendar.n_observations))
+        # Week 1, slot 2 is hottest (on day 5), then week 0, slot 1.
+        cos2[0, 28 + 5 * 4 + 2] = 9.0
+        cos1[0, 3 * 4 + 1] = 5.0
+        witness = witness_slots(cos1, cos2, calendar)
+        assert witness.shape == (1, evaluation._WITNESS_GROUPS, 7)
+        assert witness[0, 0].tolist() == [28 + day * 4 + 2 for day in range(7)]
+        assert witness[0, 1].tolist() == [day * 4 + 1 for day in range(7)]
+
+
+def _ensemble_pairs(seed=2006, n_apps=18):
+    demands = scaled_ensemble(n_apps, seed=seed, weeks=1, slot_minutes=60)
+    translator = QoSTranslator(PoolCommitments.of(theta=0.95))
+    qos = case_study_qos(m_degr_percent=0)
+    return [translator.translate(demand, qos).pair for demand in demands]
+
+
+@pytest.mark.parametrize("kernel", ["batch", "fused"])
+def test_witness_off_gives_identical_evaluations(kernel, monkeypatch):
+    """Screening changes which rows reach the kernel, never an answer."""
+    pairs = _ensemble_pairs()
+    rng = np.random.default_rng(7)
+    items = [
+        (
+            float(rng.choice([8.0, 16.0, 24.0])),
+            sorted(rng.choice(len(pairs), size=int(size), replace=False)),
+        )
+        for size in rng.integers(1, 9, size=200)
+    ]
+
+    def solve():
+        instrumentation = Instrumentation()
+        evaluator = PlacementEvaluator(
+            pairs,
+            PoolCommitments.of(theta=0.95).cos2,
+            kernel=kernel,
+            instrumentation=instrumentation,
+        )
+        return evaluator.evaluate_groups(items), instrumentation.counters()
+
+    screened, with_witness = solve()
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            evaluation,
+            "_witness_rejects",
+            lambda cos1, cos2, witness, subsets, *rest: np.zeros(
+                len(subsets), dtype=bool
+            ),
+        )
+        unscreened, without = solve()
+    assert screened == unscreened
+    rejects = with_witness["kernel.witness_rejects"]
+    assert rejects > 0 and without["kernel.witness_rejects"] == 0
+    assert rejects <= sum(not evaluation.fits for evaluation in screened)
+    assert with_witness["kernel.rows"] == without["kernel.rows"]
+    for name in ("kernel.bracket_iterations", "kernel.backlog_rows"):
+        assert with_witness[name] == without[name]
+    saved = without["kernel.row_evaluations"] - with_witness["kernel.row_evaluations"]
+    assert 0 <= saved <= rejects

@@ -91,3 +91,57 @@ def test_one_module_creates_shared_memory():
     assert _modules_calling("SharedMemory", _creates_segment) == {
         "engine/broadcast.py"
     }
+
+
+# The witness screen sits in front of the kernel's aggregation and
+# nowhere near the oracle that checks the kernel: every aggregation in
+# the production path goes through the one screened function, and the
+# scalar reference never consults the screen.
+def _tree(relative):
+    path = _SRC / relative
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _functions(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+
+
+def _mentions_witness(node):
+    return any(
+        "witness" in name.lower()
+        for child in ast.walk(node)
+        for name in (
+            getattr(child, "id", None),
+            getattr(child, "attr", None),
+            getattr(child, "name", None),
+        )
+        if isinstance(name, str)
+    )
+
+
+def test_only_the_screened_function_aggregates_subsets():
+    callers = set()
+    for path in sorted(_SRC.rglob("*.py")):
+        relative = path.relative_to(_SRC).as_posix()
+        if relative == "placement/fused.py":
+            continue
+        for function in _functions(_tree(relative)):
+            if any(
+                isinstance(node, ast.Call) and _called_name(node) == "from_subsets"
+                for node in ast.walk(function)
+            ):
+                callers.add((relative, function.name))
+    assert callers == {("placement/evaluation.py", "_evaluate_items_batched")}
+
+
+def test_the_scalar_oracle_never_references_the_witness():
+    evaluation = {
+        function.name: function
+        for function in _functions(_tree("placement/evaluation.py"))
+    }
+    for name in ("_evaluate_rows", "search_result", "_simulator_for"):
+        assert not _mentions_witness(evaluation[name]), name
+    for module in ("placement/simulator.py", "placement/required_capacity.py"):
+        assert not _mentions_witness(_tree(module)), module
