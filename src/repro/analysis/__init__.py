@@ -1,17 +1,13 @@
 """Static analysis for the R-Opus pipeline's unwritten invariants.
 
 The execution engine's correctness contract — deterministic RNG flow,
-picklable work units, tolerance-based metric comparisons, resources
-released on every path — cannot be expressed in tests alone, so this
-package enforces it at review time with a custom AST linter:
+picklable work units, tolerance-based metric comparisons — cannot be
+expressed in tests alone, so this package enforces it at review time
+with a custom AST linter:
 
 * :mod:`repro.analysis.rules` — one :class:`Rule` per invariant
-  (ROP001-ROP006, ROP011, ROP013, ROP017-ROP020), registered in a
-  global registry;
-* :mod:`repro.analysis.effects` — the call-graph effect fixpoint
-  behind ROP013;
-* :mod:`repro.analysis.typestate` — the resource-lifecycle checker
-  behind ROP017-ROP020, over the CFGs of :mod:`repro.analysis.cfg`;
+  (ROP001-ROP006, ROP011), each a plain per-module visitor registered
+  in a global registry;
 * :mod:`repro.analysis.runner` — file walking, rule execution, inline
   ``# ropus: ignore`` handling, exit codes;
 * :mod:`repro.analysis.reporters` — text, JSON, and SARIF 2.1.0 for
@@ -33,7 +29,6 @@ from repro.analysis.reporters import (
 )
 from repro.analysis.rules import (
     ModuleContext,
-    ProjectRule,
     Rule,
     iter_rule_classes,
     register,
@@ -46,7 +41,6 @@ __all__ = [
     "AnalysisResult",
     "Finding",
     "ModuleContext",
-    "ProjectRule",
     "Rule",
     "Severity",
     "analyze_paths",

@@ -1,10 +1,7 @@
-"""Runtime resource-leak tracker: the dynamic half of ROP017.
+"""Runtime resource-leak tracker.
 
-The static typestate analysis (:mod:`repro.analysis.typestate`) proves
-what it can see; this module catches what it cannot — resources
-acquired behind dynamic dispatch, in third-party code, or on paths the
-analyzer never modelled. Under ``ROPUS_LEAKTRACK=1`` the tracker
-monkey-patches the same acquire points the protocol table names:
+Under ``ROPUS_LEAKTRACK=1`` the tracker monkey-patches the acquire
+points of the resources that outlive a careless caller:
 
 * ``multiprocessing.shared_memory.SharedMemory`` created with
   ``create=True`` (attaching workers are not acquisitions), released
@@ -17,11 +14,12 @@ monkey-patches the same acquire points the protocol table names:
 Every tracked acquisition records the call stack of the acquire site.
 :func:`report` lists resources still open; an ``atexit`` hook prints
 the report to stderr at interpreter exit, and the test suite's
-conftest calls :func:`report` at pytest-session close. The tracker
-never raises and never alters program behaviour — it is a diagnostic,
-mirroring the determinism sanitizer's install/uninstall discipline
-(:mod:`repro.analysis.sanitizer`) so tests can arm and disarm it
-freely within one process.
+conftest calls :func:`report` at pytest-session close and fails the
+session when it lists anything. The tracker itself never raises and
+never alters program behaviour — it is a diagnostic, mirroring the
+determinism sanitizer's install/uninstall discipline
+(:mod:`repro.analysis.sanitizer`) so tests can arm and disarm it freely
+within one process.
 """
 
 from __future__ import annotations

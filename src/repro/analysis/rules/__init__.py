@@ -7,19 +7,16 @@ runner and the reporters consult.
 
 from repro.analysis.rules import (  # noqa: F401  (imported for registration)
     bare_assert,
-    effect_rules,
     executor_submission,
     float_equality,
     mutable_default,
     naked_rng,
-    typestate_rules,
     unvalidated_boundary,
     wall_clock,
 )
 from repro.analysis.rules.base import (
     ImportMap,
     ModuleContext,
-    ProjectRule,
     Rule,
     dotted_name,
     iter_rule_classes,
@@ -30,7 +27,6 @@ from repro.analysis.rules.base import (
 __all__ = [
     "ImportMap",
     "ModuleContext",
-    "ProjectRule",
     "Rule",
     "dotted_name",
     "iter_rule_classes",

@@ -18,7 +18,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, ClassVar, Iterator
+from typing import ClassVar, Iterator
 
 from repro.analysis.findings import Finding, Severity
 
@@ -132,10 +132,6 @@ class Rule(ast.NodeVisitor):
     #: The sanctioned equivalent of :attr:`example_bad`.
     example_good: ClassVar[str] = ""
     default_severity: ClassVar[Severity] = Severity.ERROR
-    #: ``module`` rules visit one file at a time; ``project`` rules
-    #: (see :class:`ProjectRule`) run once over the whole analyzed
-    #: tree after every module has been parsed.
-    scope: ClassVar[str] = "module"
 
     def __init__(self, context: ModuleContext) -> None:
         self.context = context
@@ -160,48 +156,6 @@ class Rule(ast.NodeVisitor):
                 path=self.context.display_path,
                 line=getattr(node, "lineno", 1),
                 column=getattr(node, "col_offset", 0) + 1,
-                rule=self.rule_id,
-                message=message,
-                hint=self.hint,
-                severity=self.default_severity,
-            )
-        )
-
-
-class ProjectRule(Rule):
-    """Base class for interprocedural (whole-project) checks.
-
-    A project rule is constructed once per analysis run with a
-    :class:`repro.analysis.effects.project.ProjectContext` — every
-    parsed module plus the lazily computed effect inference — and
-    returns findings that may anchor anywhere in the tree. Inline
-    ``# ropus: ignore`` suppression still applies, keyed on the file
-    each finding lands in.
-    """
-
-    scope: ClassVar[str] = "project"
-
-    def __init__(self, project: Any) -> None:  # ProjectContext
-        self.project = project
-        self.findings: list[Finding] = []
-
-    def check(self) -> list[Finding]:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def report_at(
-        self,
-        *,
-        path: str,
-        line: int,
-        column: int,
-        message: str,
-    ) -> None:
-        """Record one violation at an explicit location."""
-        self.findings.append(
-            Finding(
-                path=path,
-                line=line,
-                column=column,
                 rule=self.rule_id,
                 message=message,
                 hint=self.hint,

@@ -1,11 +1,10 @@
 """Analysis driver: file discovery, rule execution, suppression, CLI.
 
 ``python -m repro.analysis src`` (or ``ropus lint``) walks the given
-paths, parses every ``.py`` file once, runs each enabled module rule's
-visitor over the tree, then runs the project-scope rules (ROP013+,
-built on the interprocedural effect engine) over the whole parsed set,
-and finally drops findings silenced by an inline ``# ropus: ignore`` /
-``# ropus: ignore[ROP001]`` comment on the flagged line.
+paths, parses every ``.py`` file once, runs each enabled rule's
+visitor over the tree, and drops findings silenced by an inline
+``# ropus: ignore`` / ``# ropus: ignore[ROP001]`` comment on the flagged
+line.
 
 Exit codes: ``0`` clean, ``1`` at least one error-severity finding,
 ``2`` configuration/usage failure.
@@ -28,7 +27,7 @@ from repro.analysis.config import (
 )
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.reporters import render_json, render_sarif, render_text
-from repro.analysis.rules.base import ModuleContext, Rule, iter_rule_classes
+from repro.analysis.rules.base import ModuleContext, iter_rule_classes
 from repro.exceptions import ConfigurationError
 
 #: Inline suppression marker: ``# ropus: ignore`` silences every rule on
@@ -105,7 +104,7 @@ def _inline_suppressed(finding: Finding, source_lines: list[str]) -> bool:
     return finding.rule in listed
 
 
-def _parse_module(path: Path) -> tuple[ModuleContext | None, Finding | None]:
+def _parse_module(path: Path) -> ModuleContext | Finding:
     """Parse one file into a ModuleContext, or a ROP000 finding."""
     display = _display_path(path)
     source = path.read_text(encoding="utf-8")
@@ -113,7 +112,7 @@ def _parse_module(path: Path) -> tuple[ModuleContext | None, Finding | None]:
     try:
         tree = ast.parse(source, filename=str(path))
     except SyntaxError as error:
-        return None, Finding(
+        return Finding(
             path=display,
             line=error.lineno or 1,
             column=(error.offset or 0) + 1,
@@ -121,55 +120,21 @@ def _parse_module(path: Path) -> tuple[ModuleContext | None, Finding | None]:
             message=f"file does not parse: {error.msg}",
             hint="fix the syntax error; no rules were run",
         )
-    return (
-        ModuleContext(
-            path=path,
-            display_path=display,
-            tree=tree,
-            source_lines=source_lines,
-        ),
-        None,
+    return ModuleContext(
+        path=path, display_path=display, tree=tree, source_lines=source_lines
     )
 
 
-def _run_module_rules(
+def _run_rules(
     context: ModuleContext, config: AnalysisConfig
 ) -> list[Finding]:
     raw: list[Finding] = []
     for rule_class in iter_rule_classes():
-        if rule_class.scope != "module":
-            continue
         if not config.rule_enabled(rule_class.rule_id):
             continue
         if not rule_class.applies_to(context):
             continue
         raw.extend(rule_class(context).check())
-    return raw
-
-
-def _run_project_rules(
-    contexts: Sequence[ModuleContext], config: AnalysisConfig
-) -> list[Finding]:
-    """Run every enabled project-scope rule over the parsed set.
-
-    The effect inference inside :class:`ProjectContext` is lazy, so a
-    run with every project rule deselected never builds the call graph.
-    """
-    rule_classes: list[type[Rule]] = [
-        rule_class
-        for rule_class in iter_rule_classes()
-        if rule_class.scope == "project"
-        and config.rule_enabled(rule_class.rule_id)
-    ]
-    if not rule_classes or not contexts:
-        return []
-
-    from repro.analysis.effects.project import ProjectContext
-
-    project = ProjectContext(list(contexts))
-    raw: list[Finding] = []
-    for rule_class in rule_classes:
-        raw.extend(rule_class(project).check())  # type: ignore[call-arg]
     return raw
 
 
@@ -179,31 +144,24 @@ def analyze_paths(
     """Analyze files/directories and apply inline suppressions."""
     config = config if config is not None else AnalysisConfig()
     files = iter_python_files([Path(path) for path in paths], config)
-    raw: list[Finding] = []
-    contexts: list[ModuleContext] = []
-    sources: dict[str, list[str]] = {}
+    findings: list[Finding] = []
+    suppressed = 0
     for path in files:
-        context, parse_error = _parse_module(path)
-        if context is None:
-            if parse_error is not None:
-                raw.append(parse_error)
+        context = _parse_module(path)
+        if isinstance(context, Finding):
+            findings.append(context)
             continue
-        contexts.append(context)
-        sources[context.display_path] = context.source_lines
-        raw.extend(_run_module_rules(context, config))
-
-    raw.extend(_run_project_rules(contexts, config))
-
-    findings = [
-        finding
-        for finding in raw
-        if not _inline_suppressed(
-            finding, sources.get(finding.path, [])
-        )
-    ]
+        raw = _run_rules(context, config)
+        kept = [
+            finding
+            for finding in raw
+            if not _inline_suppressed(finding, context.source_lines)
+        ]
+        suppressed += len(raw) - len(kept)
+        findings.extend(kept)
     return AnalysisResult(
         findings=tuple(sorted(findings, key=Finding.sort_key)),
-        suppressed_inline=len(raw) - len(findings),
+        suppressed_inline=suppressed,
         files_analyzed=len(files),
     )
 

@@ -1,8 +1,9 @@
-"""Runtime determinism sanitizer: the dynamic half of ROP013.
+"""Runtime determinism sanitizer: the dynamic half of ROP001/ROP002.
 
-The static effect analysis proves what it can see; this module catches
-what it cannot (effects behind dynamic dispatch, C extensions, code
-the analyzer never parsed). Under ``ROPUS_SANITIZE=1`` every pool
+Those rules flag an ambient clock or RNG read where it is written; this
+module catches the reads that reach a work unit however they get there
+(through helpers, dynamic dispatch, C extensions, code the analyzer
+never parsed). Under ``ROPUS_SANITIZE=1`` every pool
 worker arms the sanitizer in its initializer
 (:func:`repro.engine.executor._install_shared`), monkey-patching the
 process-ambient nondeterminism entry points so that any work unit

@@ -82,5 +82,5 @@ class DeterminismViolation(ROpusError):
     Raised by :mod:`repro.analysis.sanitizer` (armed in pool workers
     under ``ROPUS_SANITIZE=1``) when a work unit reads the wall clock
     or draws from process-ambient RNG state — the dynamic counterpart
-    of the static ROP013 rule.
+    of the static ROP001/ROP002 rules.
     """

@@ -1,10 +1,10 @@
-"""The test-suite engine leak ROP017 caught once ``tests/`` was linted.
+"""The test-suite engine leak found once ``tests/`` was linted.
 
 This mirrors the chaos/broadcast/resilience tests as they stood before
-the typestate rules gated the test tree: a process-pool engine is
-built, the assertion runs, and ``close()`` comes last — so a *failing*
-assertion (or a raising ``map``) skips the close and strands the worker
-pool for the rest of the session. The fixed shape (see
+the test tree was checked for it: a process-pool engine is built, the
+assertion runs, and ``close()`` comes last — so a *failing* assertion
+(or a raising ``map``) skips the close and strands the worker pool for
+the rest of the session. The fixed shape (see
 ``regression_engine_assert_fixed.py``) uses the engine as a context
 manager.
 """

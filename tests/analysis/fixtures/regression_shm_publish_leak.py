@@ -1,4 +1,4 @@
-"""The shared-memory publish leak ROP017 exists to catch.
+"""The shared-memory publish leak of the pre-fault-tolerance broadcast.
 
 This mirrors ``repro.engine.broadcast.publish`` as it stood before the
 fault-tolerance PR fixed it: the segment was created and populated

@@ -1,11 +1,10 @@
-"""The worker-side global cache ROP013 caught in ``placement.failure``.
+"""The worker-side global cache once found in ``placement.failure``.
 
-This mirrors the failure sweep as it stood when the effect rules were
-introduced: the submitted worker looks pure, but the helper it calls
-memoises per-payload state in a module-global dict. Serially that is
-harmless; under a process pool a forked worker inherits a warm cache, a
-spawned one starts cold, and a reused worker carries state from one
-payload into the next. The fixed shape (see
+This mirrors the failure sweep as it stood then: the submitted worker
+looks pure, but the helper it calls memoises per-payload state in a
+module-global dict. Serially that is harmless; under a process pool a
+forked worker inherits a warm cache, a spawned one starts cold, and a
+reused worker carries state from one payload into the next. The fixed shape (see
 ``regression_worker_cache_fixed.py``) hangs the scratch off the payload
 instance instead.
 """

@@ -4,15 +4,24 @@ Every rule must fire on its ``bad_*`` fixture and stay silent on its
 ``good_*`` fixture; the good fixtures double as regression tests for
 the false-positive traps each rule deliberately avoids (local names
 shadowing modules, sort-key lambdas, injectable clock defaults, ...).
+The ``regression_*`` fixture pairs are the last three classes here.
 """
 
 from __future__ import annotations
 
+import ast
+import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.analysis import AnalysisConfig, analyze_paths, registered_rules
+from repro.analysis import analyze_paths, registered_rules
+from tests.analysis.invariant_checks import (
+    module_state_mutations,
+    stranded_segments,
+    unowned_pool_bindings,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -24,11 +33,6 @@ RULE_FIXTURES = [
     ("ROP005", "bad_bare_assert.py", "good_bare_assert.py"),
     ("ROP006", "bad_mutable_default.py", "good_mutable_default.py"),
     ("ROP011", "bad_unvalidated_boundary.py", "good_unvalidated_boundary.py"),
-    ("ROP013", "bad_impure_submission.py", "good_impure_submission.py"),
-    ("ROP017", "bad_resource_leak.py", "good_resource_leak.py"),
-    ("ROP018", "bad_use_after_release.py", "good_use_after_release.py"),
-    ("ROP019", "bad_double_release.py", "good_double_release.py"),
-    ("ROP020", "bad_unowned_resource.py", "good_unowned_resource.py"),
 ]
 
 
@@ -96,80 +100,78 @@ class TestSpecificDetections:
         assert any("'u_high'" in message for message in messages)
 
 
+# The three first-party bugs the retired fixpoint engines caught (ROP013's
+# worker cache, ROP017's publish leak and engine-assert leak), each
+# pinned by a cheaper check on its regression shape. The same checks run
+# over the shipped tree in tests/test_reachability.py and
+# tests/engine/test_broadcast.py.
+
+
+def _fixture_tree(name):
+    return ast.parse((FIXTURES / name).read_text(encoding="utf-8"))
+
+
+def _fixture_module(name):
+    spec = importlib.util.spec_from_file_location(
+        f"ropus_fixture_{Path(name).stem}", FIXTURES / name
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestShmPublishLeakRegression:
     """The pre-fault-tolerance ``broadcast.publish`` shm leak.
 
     The segment used to be created and populated before any owner knew
     about it; a view copy raising mid-loop stranded the ``/dev/shm``
-    segment. ROP017 flags the historical shape on its exception paths,
-    and the fixed shape (registry store immediately after creation)
-    passes clean — the retroactive proof the typestate pass would have
-    caught the bug.
+    segment. Run with that copy failing, the historical shape leaves
+    its segment unowned and the fixed shape (registry store immediately
+    after creation) leaves it in the registry.
     """
 
+    ARRAYS = [np.arange(8.0), np.ones(4)]
+
     def test_historical_publish_shape_is_flagged(self):
-        result = analyze_paths(
-            [FIXTURES / "regression_shm_publish_leak.py"]
-        )
-        rop017 = [f for f in result.findings if f.rule == "ROP017"]
-        assert len(rop017) == 1
-        assert "SharedMemory segment" in rop017[0].message
-        assert "exception path" in rop017[0].message
+        module = _fixture_module("regression_shm_publish_leak.py")
+        assert len(stranded_segments(module, self.ARRAYS)) == 1
 
     def test_fixed_publish_shape_is_clean(self):
-        result = analyze_paths(
-            [FIXTURES / "regression_shm_publish_fixed.py"]
-        )
-        assert result.findings == ()
+        module = _fixture_module("regression_shm_publish_fixed.py")
+        assert stranded_segments(module, self.ARRAYS) == []
 
 
 class TestWorkerGlobalCacheRegression:
     """The ``_SWEEP_SCRATCH`` bug: a submitted worker's helper memoised
     per-payload state in a module-global dict.
 
-    The worker itself never touches the global, so no module-scope rule
-    could see it; ROP013 flags the submission through the call-graph
-    fixpoint. The fixed shape hangs the scratch off the payload.
+    Module state mutated from a function is the whole shape; the fixed
+    shape hangs the scratch off the payload.
     """
 
     def test_historical_worker_cache_is_flagged(self):
-        result = analyze_paths(
-            [FIXTURES / "regression_worker_cache_global.py"]
-        )
-        assert [f.rule for f in result.findings] == ["ROP013"]
-        message = result.findings[0].message
-        assert "'_failure_case_worker'" in message
-        assert "mutates-global" in message
-        assert "_SWEEP_SCRATCH" in message
+        tree = _fixture_tree("regression_worker_cache_global.py")
+        assert module_state_mutations(tree) == {"_SWEEP_SCRATCH"}
 
     def test_payload_attached_cache_is_clean(self):
-        result = analyze_paths(
-            [FIXTURES / "regression_worker_cache_fixed.py"]
-        )
-        assert result.findings == ()
+        tree = _fixture_tree("regression_worker_cache_fixed.py")
+        assert module_state_mutations(tree) == set()
 
 
 class TestEngineAssertLeakRegression:
     """Engines the test suite leaked on assertion-failure paths.
 
     ``close()`` after the ``assert`` is skipped when the assertion
-    fails; ROP017 flags the exception path. Linted the way CI lints
-    ``tests/``: pytest modules are exempt from ROP005 by file name,
-    which a fixture cannot carry without being collected.
+    fails. An engine bound by assignment and not returned is the shape;
+    the fixed shape opens it with ``with``.
     """
 
-    CONFIG = AnalysisConfig(ignore=frozenset({"ROP005"}))
-
     def test_close_after_assert_is_flagged(self):
-        result = analyze_paths(
-            [FIXTURES / "regression_engine_assert_leak.py"], self.CONFIG
-        )
-        assert [f.rule for f in result.findings] == ["ROP017"]
-        assert "executor/engine" in result.findings[0].message
-        assert "exception path" in result.findings[0].message
+        tree = _fixture_tree("regression_engine_assert_leak.py")
+        assert unowned_pool_bindings(tree) == [
+            ("check_parallel_matches_serial", 20)
+        ]
 
     def test_context_managed_engine_is_clean(self):
-        result = analyze_paths(
-            [FIXTURES / "regression_engine_assert_fixed.py"], self.CONFIG
-        )
-        assert result.findings == ()
+        tree = _fixture_tree("regression_engine_assert_fixed.py")
+        assert unowned_pool_bindings(tree) == []

@@ -167,7 +167,7 @@ class TestExitCodes:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("ROP001", "ROP004", "ROP017"):
+        for rule_id in ("ROP001", "ROP004", "ROP011"):
             assert rule_id in out
 
     def test_module_entry_point(self):
@@ -201,9 +201,9 @@ class TestExitCodes:
 
 class TestExplain:
     def test_explain_prints_the_rule_card(self, capsys):
-        assert main(["--explain", "ROP017"]) == 0
+        assert main(["--explain", "ROP004"]) == 0
         out = capsys.readouterr().out
-        assert "ROP017: resource-leak-on-path [error]" in out
+        assert "ROP004: no-unpicklable-work-unit [error]" in out
         assert "Why it matters:" in out
         assert "Flagged:" in out
         assert "Sanctioned:" in out

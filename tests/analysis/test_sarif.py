@@ -26,12 +26,12 @@ def _sample_findings() -> list[Finding]:
             path="src/repro/sample/worker.py",
             line=42,
             column=7,
-            rule="ROP013",
+            rule="ROP004",
             message=(
-                "'draw_worker' is submitted to an executor but is "
-                "transitively impure: ambient-rng."
+                "lambda submitted to an executor; work units must be "
+                "module-level functions"
             ),
-            hint="thread a derived generator through the arguments",
+            hint="define the work unit at module level",
             severity=Severity.ERROR,
         ),
         Finding(
@@ -61,7 +61,7 @@ class TestGoldenLog:
         rules = run["tool"]["driver"]["rules"]
         rule_ids = [rule["id"] for rule in rules]
         assert rule_ids == sorted(rule_ids)
-        assert {"ROP013", "ROP017", "ROP020"} <= set(rule_ids)
+        assert {"ROP001", "ROP004", "ROP011"} <= set(rule_ids)
         for rule in rules:
             assert rule["name"]
             assert rule["shortDescription"]["text"]

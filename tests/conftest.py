@@ -18,10 +18,10 @@ from repro.workloads.generator import WorkloadGenerator, WorkloadSpec
 def pytest_sessionstart(session):
     """Arm the runtime leak tracker when ``ROPUS_LEAKTRACK=1``.
 
-    The tracker wraps the protocol-table acquire points (shared-memory
-    create, pool spawn, temp dirs) and records acquisition stacks; the
-    sessionfinish hook below prints anything still open so the CI smoke
-    job surfaces leaks the static ROP017 analysis cannot see.
+    The tracker wraps the acquire points (shared-memory create, pool
+    spawn, temp dirs) and records acquisition stacks; the sessionfinish
+    hook below prints anything still open and fails an otherwise green
+    session, which makes CI's ``runtime-checks`` job a leak gate.
     """
     from repro.analysis.leaktrack import maybe_install
 
@@ -31,8 +31,8 @@ def pytest_sessionstart(session):
 def pytest_sessionfinish(session, exitstatus):
     from repro.analysis import leaktrack
 
-    if leaktrack.installed():
-        leaktrack.report()
+    if leaktrack.installed() and leaktrack.report() and exitstatus == 0:
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED
 
 
 @pytest.fixture(autouse=True)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from repro.engine import broadcast
 from repro.engine.broadcast import (
     _ATTACHED,
     _PUBLISHED,
@@ -23,6 +24,7 @@ from repro.engine.broadcast import (
     release,
     resolve,
 )
+from tests.analysis.invariant_checks import stranded_segments
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,7 @@ class TestPublish:
     def test_falls_back_to_pickle_when_nothing_to_share(self, value):
         # Nothing shareable: publish returns segment=None, so there is
         # no resource to release on this path.
-        shared, segment, nbytes = publish(value)  # ropus: ignore[ROP017]
+        shared, segment, nbytes = publish(value)
         assert shared is value
         assert segment is None
         assert nbytes == 0
@@ -162,6 +164,12 @@ class TestSegmentLifecycle:
             _cleanup(segment)
             _PUBLISHED.pop(segment.name, None)
 
+    def test_segment_is_owned_before_it_is_filled(self, payload):
+        # The publish-leak shape of tests/analysis/test_rules.py: a
+        # failure while copying into a fresh segment must find the
+        # segment already in the registry.
+        assert stranded_segments(broadcast, payload) == []
+
     def test_release_unlinks_and_is_idempotent(self, payload):
         shared, segment, _ = publish(payload)
         name = segment.name
@@ -178,7 +186,7 @@ class TestSegmentLifecycle:
     def test_atexit_sweep_releases_leftovers(self, payload):
         # Deliberately leave the segment to the registry sweep — the
         # sweep being exercised *is* the release.
-        shared, segment, _ = publish(payload)  # ropus: ignore[ROP017]
+        shared, segment, _ = publish(payload)
         name = segment.name
         assert name in _PUBLISHED
         _release_all_published()

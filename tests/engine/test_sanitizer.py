@@ -1,9 +1,9 @@
 """Runtime determinism-sanitizer coverage.
 
-Static analysis (ROP013) and the sanitizer police the same contract
-from opposite sides; the last test here closes the loop by driving a
-violating work unit through a real process pool and asserting the
-violation surfaces as :class:`DeterminismViolation`, not as silent
+The per-site rules ROP001/ROP002 and the sanitizer police the same
+contract from opposite sides; the pool tests here close the loop by
+driving a violating work unit through a real process pool and asserting
+the violation surfaces as :class:`DeterminismViolation`, not as silent
 nondeterminism.
 """
 
@@ -112,15 +112,15 @@ class TestPoolWiring:
             with pytest.raises(DeterminismViolation):
                 with engine.session(0) as session:
                     # The impure worker is the point: the sanitizer must
-                    # catch at runtime what ROP013 catches statically.
-                    list(session.map(_wall_clock_worker, [1]))  # ropus: ignore[ROP013]
+                    # stop it at runtime.
+                    list(session.map(_wall_clock_worker, [1]))
 
     def test_ambient_rng_worker_raises(self, sanitized_env):
         with ExecutionEngine.with_workers(2) as engine:
             with pytest.raises(DeterminismViolation):
                 with engine.session(0) as session:
                     # The impure worker is the point (see above).
-                    list(session.map(_ambient_rng_worker, [1]))  # ropus: ignore[ROP013]
+                    list(session.map(_ambient_rng_worker, [1]))
 
     def test_driver_process_stays_unpatched(self, sanitized_env):
         with ExecutionEngine.with_workers(2) as engine:

@@ -193,7 +193,7 @@ class TestLint:
 
     def test_lint_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
-        assert "ROP017" in capsys.readouterr().out
+        assert "ROP011" in capsys.readouterr().out
 
 
 class TestResilienceKnobs:

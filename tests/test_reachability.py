@@ -12,6 +12,13 @@ from pathlib import Path
 
 import pytest
 
+from tests.analysis.invariant_checks import (
+    called_name,
+    functions,
+    module_state_mutations,
+    unowned_pool_bindings,
+)
+
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "ledger.py"
 
 #: Tests-only modules that stay, and why.
@@ -49,15 +56,12 @@ def test_allow_list_is_not_stale(tests_only):
     assert REFERENCE_MODULES.keys() - tests_only == set()
 
 
-# The two acquisitions analysis/typestate/protocols.py and leaktrack
-# exist to police each have exactly one home. A second pool backend (or
-# a second shared-memory publisher) growing back fails here, by module.
-_SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
-
-
-def _called_name(call):
-    func = call.func
-    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+# Process pools and shared-memory segments, two of the acquisitions the
+# leak tracker patches, each have exactly one home. A second pool
+# backend (or a second shared-memory publisher) growing back fails here,
+# by module.
+_REPO = Path(__file__).resolve().parents[1]
+_SRC = _REPO / "src" / "repro"
 
 
 def _modules_calling(name, predicate=lambda call: True):
@@ -66,7 +70,7 @@ def _modules_calling(name, predicate=lambda call: True):
         tree = ast.parse(path.read_text(), filename=str(path))
         if any(
             isinstance(node, ast.Call)
-            and _called_name(node) == name
+            and called_name(node) == name
             and predicate(node)
             for node in ast.walk(tree)
         ):
@@ -102,12 +106,6 @@ def _tree(relative):
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def _functions(tree):
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
-
 def _mentions_witness(node):
     return any(
         "witness" in name.lower()
@@ -127,9 +125,9 @@ def test_only_the_screened_function_aggregates_subsets():
         relative = path.relative_to(_SRC).as_posix()
         if relative == "placement/fused.py":
             continue
-        for function in _functions(_tree(relative)):
+        for function in functions(_tree(relative)):
             if any(
-                isinstance(node, ast.Call) and _called_name(node) == "from_subsets"
+                isinstance(node, ast.Call) and called_name(node) == "from_subsets"
                 for node in ast.walk(function)
             ):
                 callers.add((relative, function.name))
@@ -139,9 +137,68 @@ def test_only_the_screened_function_aggregates_subsets():
 def test_the_scalar_oracle_never_references_the_witness():
     evaluation = {
         function.name: function
-        for function in _functions(_tree("placement/evaluation.py"))
+        for function in functions(_tree("placement/evaluation.py"))
     }
     for name in ("_evaluate_rows", "search_result", "_simulator_for"):
         assert not _mentions_witness(evaluation[name]), name
     for module in ("placement/simulator.py", "placement/required_capacity.py"):
         assert not _mentions_witness(_tree(module)), module
+
+
+# The checks tests/analysis/test_rules.py pins on the regression
+# fixtures of the worker-cache and engine-assert bugs, over the tree.
+
+#: Module-level state functions mutate on purpose, and why.
+MODULE_STATE = {
+    ("engine/broadcast.py", "_PUBLISHED"): (
+        "driver-side registry of live segments: owning a segment from "
+        "the line after its creation is the publish-leak fix, and the "
+        "atexit sweep releases what is left"
+    ),
+    ("engine/broadcast.py", "_ATTACHED"): (
+        "segments this process attached to, kept referenced so the "
+        "resolved views' buffers stay mapped"
+    ),
+    ("engine/executor.py", "_WORKER_SHARED"): (
+        "the payload the pool initializer installs once per worker, so "
+        "the maps of one session do not re-pickle it"
+    ),
+    ("analysis/rules/base.py", "_REGISTRY"): (
+        "the rule registry, filled by @register when the rules import"
+    ),
+    ("analysis/sanitizer.py", "_SAVED"): (
+        "the originals uninstall() restores"
+    ),
+    ("analysis/leaktrack.py", "_SAVED"): (
+        "the originals uninstall() restores"
+    ),
+    ("analysis/leaktrack.py", "_LIVE"): (
+        "the tracker's per-process book of open resources"
+    ),
+    ("analysis/leaktrack.py", "counters"): (
+        "the tracker's per-process acquire/release tallies"
+    ),
+}
+
+
+def test_module_state_is_mutated_only_where_allowed():
+    mutated = set()
+    for path in sorted(_SRC.rglob("*.py")):
+        relative = path.relative_to(_SRC).as_posix()
+        mutated |= {
+            (relative, name) for name in module_state_mutations(_tree(relative))
+        }
+    assert mutated == MODULE_STATE.keys()
+
+
+def test_pool_owners_are_opened_with_with():
+    unowned = {}
+    for root in ("src", "tests", "benchmarks", "examples"):
+        for path in sorted((_REPO / root).rglob("*.py")):
+            relative = path.relative_to(_REPO).as_posix()
+            if relative.startswith("tests/analysis/fixtures/"):
+                continue
+            tree = ast.parse(path.read_text(), filename=str(path))
+            if bindings := unowned_pool_bindings(tree):
+                unowned[relative] = bindings
+    assert unowned == {}
