@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.exceptions import CapacityError, TraceError
+from repro.exceptions import CapacityError
 from repro.traces.allocation import AllocationTrace
 from repro.units import CpuShares, Probability
 
@@ -49,36 +49,3 @@ def measure_theta(
     ratios = theta_by_slot(allocation, capacity)
     return float(ratios.min()) if ratios.size else 1.0
 
-
-def required_capacity_for_theta(
-    allocation: AllocationTrace,
-    theta: Probability,
-    capacity_limit: CpuShares,
-    tolerance: float = 0.01,
-) -> CpuShares | None:
-    """Smallest capacity achieving ``theta`` for one allocation series.
-
-    This is the single-CoS special case of the required-capacity search:
-    monotone in capacity, so a binary search applies. Returns ``None``
-    when even ``capacity_limit`` cannot reach ``theta``.
-    """
-    if not 0 < theta <= 1:
-        raise TraceError(f"theta must be in (0, 1], got {theta}")
-    if capacity_limit <= 0:
-        raise CapacityError(
-            f"capacity_limit must be > 0, got {capacity_limit}"
-        )
-    if tolerance <= 0:
-        raise CapacityError(f"tolerance must be > 0, got {tolerance}")
-    if measure_theta(allocation, capacity_limit) < theta:
-        return None
-    low, high = tolerance, float(capacity_limit)
-    if measure_theta(allocation, low) >= theta:
-        return low
-    while high - low > tolerance:
-        mid = (low + high) / 2.0
-        if measure_theta(allocation, mid) >= theta:
-            high = mid
-        else:
-            low = mid
-    return high

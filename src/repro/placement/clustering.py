@@ -215,7 +215,7 @@ def cluster_workloads(
         method_used = "agglomerative"
     return ClusteringResult(
         names=features.names,
-        labels=_canonical_labels(labels),
+        labels=tuple(labels),
         n_clusters=n_clusters,
         method=method_used,
         seed=seed,
@@ -272,17 +272,6 @@ def _greedy_agglomerative(matrix: np.ndarray, n_clusters: int) -> list[int]:
         for row in cluster:
             labels[row] = label
     return labels
-
-
-def _canonical_labels(labels: Sequence[int]) -> tuple[int, ...]:
-    """Renumber labels by first occurrence."""
-    mapping: dict[int, int] = {}
-    canonical = []
-    for label in labels:
-        if label not in mapping:
-            mapping[label] = len(mapping)
-        canonical.append(mapping[label])
-    return tuple(canonical)
 
 
 __all__ = [

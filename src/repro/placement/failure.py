@@ -12,7 +12,9 @@ Repair-first what-ifs (:func:`_repair_assignment`): a what-if is a delta
 on the normal assignment, not a new assignment. Survivors keep their
 residents; each displaced workload goes to the used survivor it fills
 tightest, and an idle survivor (or spare) is opened only when no used
-one fits. Residents of a *degraded* server stay while their group fits
+one fits — the greedy placement loop
+(:func:`repro.placement.greedy._greedy_place`) started from the
+survivors. Residents of a *degraded* server stay while their group fits
 the scaled limit and are otherwise evicted largest-peak-first until the
 rest fits. The full greedy-seed + genetic search over every workload is
 the fallback, reached only when repair cannot finish — a survivor's own
@@ -50,16 +52,9 @@ default; pass ``relax_all=True`` to apply failure-mode QoS to every
 application during the what-if (the cheaper, pool-wide degraded posture
 used in the paper's case-study discussion of Table I).
 
-Fan-out: every what-if case is independent — translate the ensemble
-under the case's QoS mix, repair (or re-plan) on the surviving capacity
-— so the sweep maps cases through the execution engine. Each work unit
-is a pure function of a broadcast :class:`_FailureSweepPayload`
-(commitments, pool, demands, policies, the normal assignment, search
-config) and its ``(scenario, affected workloads)`` item; a fallback
-search runs serially inside the worker with its own deterministic seeded
-search, so results are identical across backends. Completed cases are
-checkpointed per wave under keys derived from the scenario's structured
-fields, so killed sweeps resume.
+A sweep runs its cases one by one in the planner's process (a repaired
+case costs hundredths of a second, too little to ship to a worker) and
+checkpoints each as it completes, so a killed sweep loses at most one.
 """
 
 from __future__ import annotations
@@ -69,13 +64,13 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from repro.core.cos import PoolCommitments
 from repro.core.qos import QoSPolicy
 from repro.engine import Checkpointer, ExecutionEngine
-from repro.exceptions import PlacementError
+from repro.exceptions import InfeasiblePlacementError, PlacementError
 from repro.placement.consolidation import ConsolidationResult, Consolidator
 from repro.placement.evaluation import PlacementEvaluator
 from repro.placement.genetic import GeneticSearchConfig
+from repro.placement.greedy import _greedy_place, least_slack_choice
 from repro.resources.pool import DOMAIN_KINDS, ResourcePool
 from repro.resources.server import ServerSpec
 from repro.traces.allocation import CoSAllocationPair
@@ -392,39 +387,6 @@ class FailureSweepPolicy:
             )
 
 
-@dataclass(frozen=True)
-class _FailureSweepPayload:
-    """Picklable state broadcast once per failure sweep.
-
-    Carries commitments rather than the driver's translator so engines
-    (which may hold live process pools) never cross process boundaries.
-    ``normal_assignment`` is the running plan every what-if repairs.
-    """
-
-    commitments: PoolCommitments
-    config: GeneticSearchConfig | None
-    tolerance: float
-    attribute: str
-    pool: ResourcePool
-    demands: tuple[DemandTrace, ...]
-    policies: Mapping[str, QoSPolicy] | QoSPolicy
-    relax_all: bool
-    algorithm: str
-    normal_assignment: Mapping[str, tuple[str, ...]]
-    kernel: str = "batch"
-    share_cache: bool = True
-
-    def __getstate__(self) -> dict:
-        # The attached scratch (see ``_scratch_for``) holds live
-        # evaluators; it must never cross a process boundary.
-        state = dict(self.__dict__)
-        state.pop("_scratch", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-
-
 def _policy_for(
     policies: Mapping[str, QoSPolicy] | QoSPolicy, name: str
 ) -> QoSPolicy:
@@ -439,60 +401,56 @@ def _policy_for(
 
 
 class _SweepScratch:
-    """Process-local state shared by the what-if cases of one planner.
+    """State shared by the what-if cases of one planner.
 
     Holds what every case needs and none should rebuild — a translator
-    on the broadcast commitments and the demand lookup — plus, when the
-    payload shares its cache, two memos of pure functions of the
-    payload: a workload's failure-mode translation does not depend on
-    which server failed, and with ``relax_all`` every case degrades the
-    same ensemble — so the cases share one translation table and, per
-    distinct QoS mix, one :class:`PlacementEvaluator` whose
-    required-capacity memo carries over from case to case. Neither
-    depends on the pool, the scope or the scenario (degraded servers
-    and spares only change server *limits*, which key the evaluator's
-    memo), so one scratch serves every sweep a planner runs over the
-    same demands and policies: the rack sweep finds the survivor groups
-    the server sweep solved. Sharing changes no results (cache hits
-    return exactly what a fresh solve would), it only removes
-    re-derivation; on the serial backend the scratch is the planner's
-    own, parallel workers build one per broadcast payload and share
-    whatever cases land in the same process.
+    on the planner's commitments and the demand lookup — plus, when the
+    planner shares its cache, two memos of pure functions of the
+    sweep's inputs: a workload's failure-mode translation does not
+    depend on which server failed, and with ``relax_all`` every case
+    degrades the same ensemble — so the cases share one translation
+    table and, per distinct QoS mix, one :class:`PlacementEvaluator`
+    whose required-capacity memo carries over from case to case.
+    Neither depends on the pool, the scope or the scenario (degraded
+    servers and spares only change server *limits*, which key the
+    evaluator's memo), so one scratch serves every sweep a planner runs
+    over the same demands and policies: the rack sweep finds the
+    survivor groups the server sweep solved. Sharing changes no results
+    (cache hits return exactly what a fresh solve would), it only
+    removes re-derivation. The evaluators count into the planner's
+    instrumentation, so ``kernel.*`` and ``placement.cache_*`` include
+    the what-ifs.
     """
 
-    def __init__(self, payload: _FailureSweepPayload) -> None:
+    def __init__(self, planner: FailurePlanner, demands, policies) -> None:
         from repro.core.translation import QoSTranslator
 
-        self.commitments = payload.commitments
-        self.tolerance = payload.tolerance
-        self.kernel = payload.kernel
-        self.share_cache = payload.share_cache
-        self.demands = payload.demands
+        self.commitments = planner.translator.commitments
+        self.tolerance = planner.tolerance
+        self.kernel = planner.kernel
+        self.share_cache = planner.share_cache
+        self.instrumentation = planner.engine.instrumentation
+        self.demands = tuple(demands)
         #: A copy, so a caller editing its policy map between two
         #: sweeps is handed a fresh scratch rather than stale memos.
         self.policies = (
-            payload.policies
-            if isinstance(payload.policies, QoSPolicy)
-            else dict(payload.policies)
+            policies if isinstance(policies, QoSPolicy) else dict(policies)
         )
         self.translator = QoSTranslator(self.commitments)
         self.demand_by_name = {demand.name: demand for demand in self.demands}
         self.translations: dict = {}
         self.evaluators: dict = {}
 
-    def serves(self, payload: _FailureSweepPayload) -> bool:
-        """Whether the memos were derived from this payload's inputs."""
+    def serves(self, planner: FailurePlanner, demands, policies) -> bool:
+        """Whether the memos were derived from these inputs."""
         return (
-            payload.commitments == self.commitments
-            and payload.tolerance == self.tolerance
-            and payload.kernel == self.kernel
-            and payload.share_cache == self.share_cache
-            and len(payload.demands) == len(self.demands)
-            and all(
-                theirs is ours
-                for theirs, ours in zip(payload.demands, self.demands)
-            )
-            and payload.policies == self.policies
+            planner.translator.commitments == self.commitments
+            and planner.tolerance == self.tolerance
+            and planner.kernel == self.kernel
+            and planner.share_cache == self.share_cache
+            and len(demands) == len(self.demands)
+            and all(theirs is ours for theirs, ours in zip(demands, self.demands))
+            and policies == self.policies
         )
 
     def evaluator_for(
@@ -510,6 +468,7 @@ class _SweepScratch:
                 self.commitments.cos2,
                 tolerance=self.tolerance,
                 kernel=self.kernel,
+                instrumentation=self.instrumentation,
             )
             if self.share_cache:
                 self.evaluators[mix] = evaluator
@@ -528,41 +487,26 @@ class _SweepScratch:
         return pair
 
 
-def _scratch_for(payload: _FailureSweepPayload) -> _SweepScratch:
-    """The payload's scratch, attached to the payload itself.
-
-    On the serial backend the driver hands the payload over by
-    reference with its planner's scratch already attached (see
-    :meth:`FailurePlanner._sweep`). Each worker process instead
-    unpickles its own payload copy (broadcast once per session, the
-    scratch dropped), so attaching a fresh scratch to that copy keeps
-    it process-local without any module-level registry — its lifetime
-    is exactly the payload's. ``object.__setattr__`` is the sanctioned
-    escape hatch for caching on a frozen dataclass.
-    """
-    scratch = getattr(payload, "_scratch", None)
-    if scratch is None:
-        scratch = _SweepScratch(payload)
-        object.__setattr__(payload, "_scratch", scratch)
-    return scratch
-
-
 def _repair_assignment(
     evaluator: PlacementEvaluator,
-    servers: Sequence[ServerSpec],
+    pool: ResourcePool,
     attribute: str,
     normal_assignment: Mapping[str, Sequence[str]],
     degraded: Sequence[str],
-) -> list[int] | None:
-    """The normal assignment repaired onto the surviving ``servers``.
+) -> Sequence[int] | None:
+    """The normal assignment repaired onto the surviving ``pool``.
 
     Workloads whose server survived stay put; the displaced ones — their
-    server is gone, or a degraded server evicted them — are best-fitted
-    largest peak allocation first. Returns the server index per
-    workload, or ``None`` when repair cannot finish: an undegraded
-    survivor's residents no longer fit under the evaluator's QoS mix,
-    or a displaced workload fits on no survivor.
+    server is gone, or a degraded server evicted them — are placed by
+    :func:`~repro.placement.greedy._greedy_place` from that start,
+    largest peak allocation first, each on the used survivor it leaves
+    the least slack (:func:`~repro.placement.greedy.least_slack_choice`).
+    Returns the server index per workload, or ``None`` when repair
+    cannot finish: an undegraded survivor's residents no longer fit
+    under the evaluator's QoS mix, or a displaced workload fits on no
+    survivor.
     """
+    servers = pool.servers
     index_of = {name: index for index, name in enumerate(evaluator.names)}
     survivor_of = {server.name: index for index, server in enumerate(servers)}
     limits = [server.capacity_of(attribute) for server in servers]
@@ -601,113 +545,16 @@ def _repair_assignment(
         if kept:
             groups[survivor] = kept
 
-    assignment = [-1] * evaluator.n_workloads
+    start = [-1] * evaluator.n_workloads
     for survivor, residents in groups.items():
         for workload in residents:
-            assignment[workload] = survivor
-    displaced = sorted(
-        (
-            workload
-            for workload, survivor in enumerate(assignment)
-            if survivor < 0
-        ),
-        key=largest_first,
+            start[workload] = survivor
+    (repaired,) = _greedy_place(
+        evaluator, pool, (least_slack_choice(limits),), attribute, start=start
     )
-    for workload in displaced:
-        used = sorted(groups)
-        evaluations = evaluator.evaluate_groups(
-            [(limits[survivor], groups[survivor] + [workload]) for survivor in used]
-        )
-        fitting = [
-            (limits[survivor] - evaluation.required, survivor)
-            for survivor, evaluation in zip(used, evaluations)
-            if evaluation.fits
-        ]
-        if fitting:
-            _, target = min(fitting)
-        else:
-            idle = [
-                survivor
-                for survivor in range(len(servers))
-                if survivor not in groups
-            ]
-            alone = evaluator.evaluate_groups(
-                [(limits[survivor], [workload]) for survivor in idle]
-            )
-            target = next(
-                (
-                    survivor
-                    for survivor, evaluation in zip(idle, alone)
-                    if evaluation.fits
-                ),
-                None,
-            )
-            if target is None:
-                return None
-        groups.setdefault(target, []).append(workload)
-        assignment[workload] = target
-    return assignment
-
-
-def _evaluate_failure(
-    payload: _FailureSweepPayload,
-    scenario: FaultScenario,
-    affected: tuple[str, ...],
-) -> FailureCase:
-    """One what-if: repair the normal plan, re-plan only as the fallback."""
-    surviving = payload.pool
-    if scenario.failed_servers:
-        surviving = surviving.without(*scenario.failed_servers)
-    if scenario.degraded:
-        surviving = surviving.with_degraded(dict(scenario.degraded))
-    consolidator = Consolidator(
-        surviving,
-        payload.commitments.cos2,
-        config=payload.config,
-        tolerance=payload.tolerance,
-        attribute=payload.attribute,
-        kernel=payload.kernel,
-    )
-    evaluator = _scratch_for(payload).evaluator_for(affected, payload.relax_all)
-    assignment = _repair_assignment(
-        evaluator,
-        surviving.servers,
-        payload.attribute,
-        payload.normal_assignment,
-        [name for name, _ in scenario.degraded],
-    )
-    result: ConsolidationResult | None
-    if assignment is not None:
-        # Every used server is re-decided against its limit here; an
-        # unfit group raises rather than being reported as absorbed.
-        result = consolidator._build_result(
-            evaluator, assignment, "repair", None
-        )
-    else:
-        try:
-            result = consolidator.consolidate_with_evaluator(
-                evaluator, algorithm=payload.algorithm
-            )
-        except PlacementError:
-            result = None
-    return FailureCase(
-        failed_servers=scenario.failed_servers,
-        feasible=result is not None,
-        affected_workloads=affected,
-        result=result,
-        kind=scenario.kind,
-        domain=scenario.domain,
-        degraded=scenario.degraded,
-    )
-
-
-def _failure_case_worker(
-    payload: _FailureSweepPayload,
-    item: tuple[FaultScenario, tuple[str, ...]],
-) -> FailureCase:
-    """Executor work unit: evaluate one failure what-if end to end."""
-    scenario, affected = item
-    return _evaluate_failure(payload, scenario, affected)
+    if isinstance(repaired, InfeasiblePlacementError):
+        return None
+    return repaired
 
 
 def _case_to_payload(case: FailureCase) -> dict:
@@ -780,6 +627,7 @@ class FailurePlanner:
         self.config = config
         self.tolerance = tolerance
         self.attribute = attribute
+        #: Read for its instrumentation only: what-ifs run in-process.
         self.engine = engine if engine is not None else ExecutionEngine.serial()
         self.kernel = kernel
         self.share_cache = share_cache
@@ -1145,7 +993,7 @@ class FailurePlanner:
         algorithm: str,
         key_prefix: str = "",
     ) -> FailureReport:
-        """Evaluate every what-if case through the execution engine."""
+        """Evaluate every what-if case, one by one, in this process."""
         known = {demand.name for demand in demands}
         missing = [
             name
@@ -1157,69 +1005,97 @@ class FailurePlanner:
             raise PlacementError(
                 f"normal plan references unknown workloads: {missing}"
             )
-        payload = _FailureSweepPayload(
-            commitments=self.translator.commitments,
-            config=self.config,
-            tolerance=self.tolerance,
-            attribute=self.attribute,
-            pool=pool,
-            demands=tuple(demands),
-            policies=policies,
-            relax_all=relax_all,
-            algorithm=algorithm,
-            normal_assignment={
-                server: tuple(names)
-                for server, names in normal_result.assignment.items()
-            },
-            kernel=self.kernel,
-            share_cache=self.share_cache,
-        )
-        # In-process cases (the serial backend, a pool degraded to
-        # serial) find the planner's scratch on the payload; it is
-        # dropped when the payload is pickled for worker processes.
-        if self._scratch is None or not self._scratch.serves(payload):
-            self._scratch = _SweepScratch(payload)
-        object.__setattr__(payload, "_scratch", self._scratch)
+        if self._scratch is None or not self._scratch.serves(
+            self, demands, policies
+        ):
+            self._scratch = _SweepScratch(self, demands, policies)
         instrumentation = self.engine.instrumentation
         with instrumentation.stage("failure_planning"):
-            restored: dict[int, FailureCase] = {}
-            pending: list[tuple[int, object]] = []
-            for position, item in enumerate(items):
-                case = self._load_case(item[0].label, key_prefix)
-                if case is not None:
-                    restored[position] = case
-                else:
-                    pending.append((position, item))
+            cases = [
+                self._load_case(scenario.label, key_prefix)
+                for scenario, _ in items
+            ]
+            restored = sum(case is not None for case in cases)
             if restored:
-                instrumentation.count("failure.case_resumes", len(restored))
+                instrumentation.count("failure.case_resumes", restored)
                 instrumentation.event(
                     "failure.cases_resumed",
-                    restored=len(restored),
-                    pending=len(pending),
+                    restored=restored,
+                    pending=len(items) - restored,
                 )
-            # Each wave's cases are checkpointed as soon as they exist:
-            # a kill mid-sweep loses at most the in-flight wave, and
-            # the resume picks up every completed case.
-            computed: list[FailureCase] = []
-            if pending:
-                with self.engine.session(payload) as session:
-                    for case in session.waves(
-                        _failure_case_worker, [item for _, item in pending]
-                    ):
-                        computed.append(case)
-                        self._save_case(case, key_prefix)
-            cases: list[FailureCase] = [None] * len(items)  # type: ignore[list-item]
-            for case_position, case in restored.items():
-                cases[case_position] = case
-            for (case_position, _), case in zip(pending, computed):
-                cases[case_position] = case
+            # Each case is checkpointed as soon as it exists: a kill
+            # mid-sweep loses at most the case in flight.
+            for position, (scenario, affected) in enumerate(items):
+                if cases[position] is None:
+                    cases[position] = self._evaluate_case(
+                        scenario, affected, pool, normal_result.assignment,
+                        relax_all, algorithm,
+                    )
+                    self._save_case(cases[position], key_prefix)
         report = FailureReport(cases=tuple(cases))
         instrumentation.count("failure.cases", len(items))
         # Counted here, from computed and checkpoint-restored cases
-        # alike, so serial, pooled and resumed runs report the same.
+        # alike, so fresh and resumed runs report the same.
         instrumentation.count("failure.repaired", report.repaired)
         instrumentation.count("failure.replanned", report.replanned)
         return report
+
+    def _evaluate_case(
+        self,
+        scenario: FaultScenario,
+        affected: tuple[str, ...],
+        pool,
+        normal_assignment: Mapping[str, Sequence[str]],
+        relax_all: bool,
+        algorithm: str,
+    ) -> FailureCase:
+        """One what-if: repair the normal plan, re-plan only as the fallback."""
+        surviving = pool
+        if scenario.failed_servers:
+            surviving = surviving.without(*scenario.failed_servers)
+        if scenario.degraded:
+            surviving = surviving.with_degraded(dict(scenario.degraded))
+        # The fallback search keeps its own serial engine, so no
+        # ``placement`` stage nests inside ``failure_planning``.
+        consolidator = Consolidator(
+            surviving,
+            self.translator.commitments.cos2,
+            config=self.config,
+            tolerance=self.tolerance,
+            attribute=self.attribute,
+            kernel=self.kernel,
+        )
+        evaluator = self._scratch.evaluator_for(affected, relax_all)
+        assignment = _repair_assignment(
+            evaluator,
+            surviving,
+            self.attribute,
+            normal_assignment,
+            [name for name, _ in scenario.degraded],
+        )
+        result: ConsolidationResult | None
+        if assignment is not None:
+            # Every used server is re-decided against its limit here; an
+            # unfit group raises rather than being reported as absorbed.
+            result = consolidator._build_result(
+                evaluator, assignment, "repair", None
+            )
+        else:
+            try:
+                result = consolidator.consolidate_with_evaluator(
+                    evaluator, algorithm=algorithm
+                )
+            except PlacementError:
+                result = None
+        return FailureCase(
+            failed_servers=scenario.failed_servers,
+            feasible=result is not None,
+            affected_workloads=affected,
+            result=result,
+            kind=scenario.kind,
+            domain=scenario.domain,
+            degraded=scenario.degraded,
+        )
 
     def _case_key(self, label: str, key_prefix: str = "") -> str:
         if key_prefix:

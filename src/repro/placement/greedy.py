@@ -12,12 +12,15 @@ limit):
   whose required capacity would become largest (tightest fit), packing
   servers hot before opening new ones.
 
-:func:`_greedy_place` is the one placement loop: the two baselines here
-and :func:`repro.placement.correlation.correlation_aware_seed` differ
-only in the ``choose`` policy they hand it, and every step of the loop
-reaches the kernel as one batch. Handed several policies, it advances
-them in lock-step — the genetic search's three seeds share each step's
-batch (:meth:`repro.placement.consolidation.Consolidator.consolidate`).
+:func:`_greedy_place` is the one placement loop: the two baselines here,
+:func:`repro.placement.correlation.correlation_aware_seed` and the
+failure what-ifs' repair (:func:`repro.placement.failure._repair_assignment`,
+which starts it from the normal plan's survivors with
+:func:`least_slack_choice`) differ only in the ``choose`` policy and the
+starting assignment they hand it, and every step of the loop reaches the
+kernel as one batch. Handed several policies, it advances them in
+lock-step — the genetic search's three seeds share each step's batch
+(:meth:`repro.placement.consolidation.Consolidator.consolidate`).
 """
 
 from __future__ import annotations
@@ -57,6 +60,26 @@ def best_fit_choice(
     return max(feasible, key=lambda item: item[1])[0]
 
 
+def least_slack_choice(limits: Sequence[float]) -> Choose:
+    """The repair's policy: the fitting used server left with the least
+    ``limit - required``, given every server's limit.
+
+    On equal limits this is :func:`best_fit_choice`; on a degraded or
+    mixed pool a smaller server can be the tighter fit at a lower
+    required capacity, so the two differ.
+    """
+
+    def choose(
+        workload_index: int,
+        feasible: list[tuple[int, float]],
+        current_groups: dict[int, list[int]],
+    ) -> int:
+        # ``min`` keeps the first (lowest-index) server among equal slacks.
+        return min(feasible, key=lambda item: limits[item[0]] - item[1])[0]
+
+    return choose
+
+
 def first_fit_decreasing(
     evaluator: PlacementEvaluator,
     pool: ResourcePool,
@@ -88,9 +111,13 @@ def _greedy_place(
     pool: ResourcePool,
     policies: Sequence[Choose],
     attribute: str,
+    start: Sequence[int] | None = None,
 ) -> list[Assignment | InfeasiblePlacementError]:
     """Shared greedy skeleton, one placement per policy, in lock-step.
 
+    ``start`` is a starting assignment, a server index per workload with
+    −1 meaning "to place" (by default every workload is): its placed
+    workloads stay put and only the others are placed.
     Workloads are taken in decreasing order of peak total allocation.
     For each, every *already-used* server is tested first; if none fits,
     the next unused server is opened. A policy picks among the feasible
@@ -108,12 +135,21 @@ def _greedy_place(
     """
     servers = list(pool.servers)
     order = np.argsort(-evaluator.peak_allocations(), kind="stable")
-    groups: list[dict[int, list[int]]] = [{} for _ in policies]
-    assignments = [[-1] * evaluator.n_workloads for _ in policies]
+    if start is None:
+        start = [-1] * evaluator.n_workloads
+    residents: dict[int, list[int]] = {}
+    for workload_index, server_index in enumerate(start):
+        if server_index >= 0:
+            residents.setdefault(server_index, []).append(workload_index)
+    groups = [
+        {server: list(group) for server, group in residents.items()}
+        for _ in policies
+    ]
+    assignments = [list(start) for _ in policies]
     errors: dict[int, InfeasiblePlacementError] = {}
     live = list(range(len(policies)))
 
-    for workload_index in (int(index) for index in order):
+    for workload_index in (int(index) for index in order if start[index] < 0):
         # All of one workload's candidate (used server + workload)
         # subsets are independent searches: one simultaneous bisection
         # instead of a Python loop per server and policy.

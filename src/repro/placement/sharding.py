@@ -12,7 +12,7 @@ containers. This module implements the hierarchical tier on top of it:
 3. **place** each shard independently through the existing
    :class:`~repro.placement.consolidation.Consolidator` — shards are
    embarrassingly parallel, so they fan out through the execution
-   engine exactly like failure what-ifs, and each completed shard is
+   engine, and each completed shard is
    journaled through the checkpoint layer so a killed run resumes the
    finished shards instead of replanning them;
 4. **refine** across shards: migrate workloads to the shard where their

@@ -11,10 +11,8 @@ the demand series (:class:`DemandTrace`), per-CoS allocation series
 from repro.traces.allocation import AllocationTrace, CoSAllocationPair
 from repro.traces.calendar import SlotIndex, TraceCalendar
 from repro.traces.ops import (
-    aggregate_traces,
     contiguous_runs_above,
     longest_run_above,
-    normalize_to_peak,
     percentile_profile,
     slice_weeks,
     trace_percentile,
@@ -42,11 +40,9 @@ __all__ = [
     "TraceIssue",
     "TraceQualityReport",
     "TraceRepairReport",
-    "aggregate_traces",
     "quarantine_series",
     "contiguous_runs_above",
     "longest_run_above",
-    "normalize_to_peak",
     "percentile_profile",
     "slice_weeks",
     "trace_percentile",

@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.exceptions import TraceError
 from repro.traces.calendar import TraceCalendar
-from repro.traces.trace import DemandTrace
 
 ArrayLike = Union[Sequence[float], np.ndarray]
 
@@ -166,22 +165,3 @@ class CoSAllocationPair:
             f"peak_total={self.peak_allocation():.3f})"
         )
 
-
-def allocation_from_demand(
-    demand: DemandTrace, burst_factor: float, name: str | None = None
-) -> AllocationTrace:
-    """Build an allocation trace as ``burst_factor × demand``.
-
-    This is the workload-manager contract from Section II: the allocation
-    granted for an interval is the product of the burst factor and the
-    measured demand, steering utilization-of-allocation toward
-    ``1 / burst_factor``.
-    """
-    if burst_factor <= 0:
-        raise TraceError(f"burst factor must be > 0, got {burst_factor}")
-    return AllocationTrace(
-        name if name is not None else demand.name,
-        demand.values * burst_factor,
-        demand.calendar,
-        demand.attribute,
-    )

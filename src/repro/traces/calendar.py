@@ -4,14 +4,12 @@ The paper characterises each workload with ``W`` weeks of observations,
 ``7`` days per week and ``T`` slots per day measured every ``m`` minutes
 (Section IV). For 5-minute intervals ``T = 288``. The resource access
 probability theta is computed *per slot of day, per week*, so the calendar
-must be able to map between flat observation indices and
-``(week, day, slot)`` coordinates cheaply in both directions.
+maps a flat series onto ``(week, day, slot)`` coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -76,15 +74,6 @@ class TraceCalendar:
         """Total flat length of any trace on this calendar."""
         return self.weeks * self.slots_per_week
 
-    def flat_index(self, index: SlotIndex) -> int:
-        """Map ``(week, day, slot)`` coordinates to a flat array index."""
-        self._check_coords(index)
-        return (
-            index.week * self.slots_per_week
-            + index.day * self.slots_per_day
-            + index.slot
-        )
-
     def coordinates(self, flat: int) -> SlotIndex:
         """Map a flat array index back to ``(week, day, slot)`` coordinates."""
         if not 0 <= flat < self.n_observations:
@@ -94,11 +83,6 @@ class TraceCalendar:
         week, within_week = divmod(flat, self.slots_per_week)
         day, slot = divmod(within_week, self.slots_per_day)
         return SlotIndex(week=week, day=day, slot=slot)
-
-    def iter_slots(self) -> Iterator[SlotIndex]:
-        """Yield every observation coordinate in flat order."""
-        for flat in range(self.n_observations):
-            yield self.coordinates(flat)
 
     def slot_of_day_view(self, values: np.ndarray) -> np.ndarray:
         """Reshape a flat series to ``(weeks, days, slots_per_day)``.
@@ -138,14 +122,4 @@ class TraceCalendar:
         if not self.compatible_with(other):
             raise CalendarMismatchError(
                 f"calendar {self} is incompatible with {other}"
-            )
-
-    def _check_coords(self, index: SlotIndex) -> None:
-        if not 0 <= index.week < self.weeks:
-            raise TraceError(f"week {index.week} out of range [0, {self.weeks})")
-        if not 0 <= index.day < DAYS_PER_WEEK:
-            raise TraceError(f"day {index.day} out of range [0, {DAYS_PER_WEEK})")
-        if not 0 <= index.slot < self.slots_per_day:
-            raise TraceError(
-                f"slot {index.slot} out of range [0, {self.slots_per_day})"
             )

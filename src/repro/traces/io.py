@@ -245,6 +245,3 @@ def traces_from_json(text: str) -> list[DemandTrace]:
 def save_traces_json(traces: Sequence[DemandTrace], path: PathLike) -> None:
     Path(path).write_text(traces_to_json(traces))
 
-
-def load_traces_json(path: PathLike) -> list[DemandTrace]:
-    return traces_from_json(Path(path).read_text())

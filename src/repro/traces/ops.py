@@ -3,17 +3,17 @@
 These are the low-level numeric operations the QoS translation and the
 compliance metrics are built from: percentile profiles, contiguous-run
 detection (for the ``T_degr`` time-limited degradation constraint), and
-element-wise aggregation.
+whole-week windows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from repro.exceptions import CalendarMismatchError, TraceError
+from repro.exceptions import TraceError
 from repro.traces.trace import DemandTrace
 
 
@@ -84,32 +84,6 @@ def percentile_profile(
     return profile
 
 
-def normalize_to_peak(trace: DemandTrace) -> DemandTrace:
-    """Return the trace rescaled so its peak is 1 (identity for zero traces)."""
-    peak = trace.peak()
-    if peak == 0:
-        return trace
-    return trace.scaled(1.0 / peak)
-
-
-def aggregate_traces(traces: Sequence[DemandTrace], name: str = "aggregate") -> DemandTrace:
-    """Element-wise sum of several demand traces on a common calendar."""
-    if not traces:
-        raise TraceError("cannot aggregate an empty collection of traces")
-    calendar = traces[0].calendar
-    attribute = traces[0].attribute
-    total = np.zeros(calendar.n_observations)
-    for trace in traces:
-        calendar.require_compatible(trace.calendar)
-        if trace.attribute != attribute:
-            raise CalendarMismatchError(
-                f"trace {trace.name!r} has attribute {trace.attribute!r}, "
-                f"expected {attribute!r}"
-            )
-        total += trace.values
-    return DemandTrace(name, total, calendar, attribute)
-
-
 def slice_weeks(trace: DemandTrace, start_week: int, n_weeks: int) -> DemandTrace:
     """Extract a whole-week window of a trace as a new trace.
 
@@ -137,30 +111,3 @@ def slice_weeks(trace: DemandTrace, start_week: int, n_weeks: int) -> DemandTrac
         trace.name, trace.values[start:stop], window_calendar, trace.attribute
     )
 
-
-def fraction_above(values: np.ndarray, threshold: float) -> float:
-    """Fraction of observations strictly above ``threshold``."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        return 0.0
-    return float(np.count_nonzero(values > threshold)) / values.size
-
-
-def smallest_in_runs_exceeding(
-    values: np.ndarray, threshold: float, max_run_length: int
-) -> float | None:
-    """Smallest value inside any above-threshold run longer than allowed.
-
-    This implements the selection step of the paper's ``T_degr`` trace
-    analysis: among the first run of more than ``R`` contiguous degraded
-    observations, find ``D_min_degr``, the smallest demand, which is the
-    cheapest observation to promote back to acceptable performance.
-    Returns ``None`` when every run is within ``max_run_length``.
-    """
-    if max_run_length < 0:
-        raise TraceError(f"max_run_length must be >= 0, got {max_run_length}")
-    values = np.asarray(values, dtype=float)
-    for run in contiguous_runs_above(values, threshold):
-        if run.length > max_run_length:
-            return float(values[run.start : run.stop].min())
-    return None

@@ -157,12 +157,6 @@ class DemandTrace:
             raise TraceError(f"scale factor must be >= 0, got {factor}")
         return self.with_values(self._values * factor)
 
-    def clipped(self, ceiling: float) -> "DemandTrace":
-        """Return a trace with observations capped at ``ceiling``."""
-        if ceiling < 0:
-            raise TraceError(f"ceiling must be >= 0, got {ceiling}")
-        return self.with_values(np.minimum(self._values, ceiling))
-
     def mapped(self, transform: Callable[[np.ndarray], np.ndarray]) -> "DemandTrace":
         """Return a trace with ``transform`` applied to the value array."""
         return self.with_values(transform(self._values.copy()))

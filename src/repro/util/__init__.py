@@ -5,8 +5,6 @@ from repro.util.rng import SeedSequenceFactory, derive_rng
 from repro.util.tables import format_table
 from repro.util.validation import (
     require_fraction,
-    require_in_range,
-    require_non_negative,
     require_positive,
     require_probability,
 )
@@ -20,8 +18,6 @@ __all__ = [
     "is_zero",
     "isclose",
     "require_fraction",
-    "require_in_range",
-    "require_non_negative",
     "require_positive",
     "require_probability",
 ]

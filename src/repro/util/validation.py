@@ -66,18 +66,6 @@ def require_positive(value: SupportsFloat, name: str) -> float:
     return result
 
 
-def require_non_negative(value: SupportsFloat, name: str) -> float:
-    """Return ``value`` as float, requiring it to be >= 0.
-
-    Half-open domain ``[0, inf)``: zero is a valid amount (no demand,
-    no allocation), unlike :func:`require_positive`.
-    """
-    result = _as_float(value, name)
-    if result < 0:
-        raise ValueError(f"{name} must be >= 0, got {result}")
-    return result
-
-
 def require_probability(value: SupportsFloat, name: str) -> Probability:
     """Return ``value`` as float, requiring 0 <= value <= 1.
 
@@ -111,26 +99,3 @@ def require_fraction(value: SupportsFloat, name: str) -> Fraction01:
         raise ValueError(f"{name} must be in (0, 1), got {result}")
     return result
 
-
-def require_in_range(
-    value: SupportsFloat,
-    name: str,
-    low: float,
-    high: float,
-    *,
-    inclusive: bool = True,
-) -> float:
-    """Return ``value`` as float, requiring it to lie within ``[low, high]``.
-
-    With ``inclusive=False`` the bounds are exclusive on both ends.
-    """
-    result = _as_float(value, name)
-    if inclusive:
-        ok = low <= result <= high
-        bounds = f"[{low}, {high}]"
-    else:
-        ok = low < result < high
-        bounds = f"({low}, {high})"
-    if not ok:
-        raise ValueError(f"{name} must be in {bounds}, got {result}")
-    return result

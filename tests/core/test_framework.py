@@ -84,6 +84,21 @@ class TestPlan:
         assert plan.failure_report is None
         assert plan.spare_server_needed is None
 
+    def test_failure_sweeps_count_their_kernel_work(self, demands, policy):
+        """The what-ifs' repair and fallback solves reach the plan's
+        ``kernel.*`` counters: a plan with sweeps reports more rows."""
+        rows = {}
+        for plan_failures in (False, True):
+            framework = ROpus(
+                PoolCommitments.of(theta=0.9),
+                ResourcePool(homogeneous_servers(5, cpus=16)),
+                search_config=FAST_SEARCH,
+            )
+            framework.plan(demands, policy, plan_failures=plan_failures)
+            counters = framework.engine.instrumentation.counters()
+            rows[plan_failures] = counters["kernel.rows"]
+        assert rows[True] > rows[False]
+
     def test_greedy_algorithm_plan(self, framework, demands, policy):
         plan = framework.plan(
             demands, policy, plan_failures=False, algorithm="first_fit"

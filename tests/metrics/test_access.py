@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import CapacityError, TraceError
-from repro.metrics.access import (
-    measure_theta,
-    required_capacity_for_theta,
-    theta_by_slot,
-)
+from repro.exceptions import CapacityError
+from repro.metrics.access import measure_theta, theta_by_slot
 from repro.traces.allocation import AllocationTrace
 from repro.traces.calendar import TraceCalendar
 
@@ -82,33 +78,3 @@ class TestMeasureTheta:
         )
         assert measure_theta(allocation, 3.0) == 1.0
 
-
-class TestRequiredCapacityForTheta:
-    def test_constant_demand(self, cal):
-        allocation = AllocationTrace(
-            "a", np.full(cal.n_observations, 4.0), cal
-        )
-        required = required_capacity_for_theta(allocation, 0.5, 16.0)
-        assert required == pytest.approx(2.0, abs=0.02)
-
-    def test_theta_one_needs_peak(self, cal):
-        values = np.ones(cal.n_observations)
-        values[3] = 7.0
-        allocation = AllocationTrace("a", values, cal)
-        required = required_capacity_for_theta(allocation, 1.0, 16.0)
-        assert required == pytest.approx(7.0, abs=0.02)
-
-    def test_none_when_limit_insufficient(self, cal):
-        allocation = AllocationTrace(
-            "a", np.full(cal.n_observations, 100.0), cal
-        )
-        assert required_capacity_for_theta(allocation, 0.99, 16.0) is None
-
-    def test_rejects_bad_inputs(self, cal):
-        allocation = AllocationTrace("a", np.ones(cal.n_observations), cal)
-        with pytest.raises(TraceError):
-            required_capacity_for_theta(allocation, 0.0, 16.0)
-        with pytest.raises(CapacityError):
-            required_capacity_for_theta(allocation, 0.9, 0.0)
-        with pytest.raises(CapacityError):
-            required_capacity_for_theta(allocation, 0.9, 16.0, tolerance=0)

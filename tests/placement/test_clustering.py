@@ -14,7 +14,6 @@ from repro.placement.clustering import (
     FEATURE_NAMES,
     ClusteringResult,
     WorkloadFeatures,
-    _canonical_labels,
     _greedy_agglomerative,
     cluster_workloads,
     demand_shape_features,
@@ -216,8 +215,11 @@ def scipy_labels():
 
     def labels(matrix, k):
         merged = hierarchy.linkage(matrix, "average")
-        return _canonical_labels(
-            [int(label) for label in hierarchy.fcluster(merged, k, "maxclust")]
+        # Renumbered by first occurrence, the in-repo linkage's order.
+        first_seen = {}
+        return tuple(
+            first_seen.setdefault(int(label), len(first_seen))
+            for label in hierarchy.fcluster(merged, k, "maxclust")
         )
 
     return labels
@@ -237,9 +239,7 @@ class TestScipyOracle:
     @pytest.mark.parametrize("k", [2, 3, 4, 7])
     def test_two_family_fixture(self, features, scipy_labels, k):
         matrix = _jittered(features.matrix, 42)
-        assert _canonical_labels(
-            _greedy_agglomerative(matrix, k)
-        ) == scipy_labels(matrix, k)
+        assert tuple(_greedy_agglomerative(matrix, k)) == scipy_labels(matrix, k)
 
     @pytest.mark.parametrize("family", [2006, 2007])
     def test_benchmark_ensembles_at_the_auto_shard_count(
@@ -271,9 +271,7 @@ class TestScipyOracle:
         )
         seed = data.draw(st.integers(0, 2**16), label="seed")
         matrix = _jittered(np.asarray(grid, dtype=float), seed)
-        assert _canonical_labels(
-            _greedy_agglomerative(matrix, k)
-        ) == scipy_labels(matrix, k)
+        assert tuple(_greedy_agglomerative(matrix, k)) == scipy_labels(matrix, k)
 
 
 class TestResultValidation:

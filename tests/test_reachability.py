@@ -91,6 +91,21 @@ def test_one_module_owns_a_process_pool():
     assert _modules_calling("ProcessPoolExecutor") == {"engine/resilience.py"}
 
 
+#: The modules that open an executor session, each a fan-out site with
+#: its "what workers buy" reading in DESIGN.md section 10. A new site
+#: adds itself here along with its reading.
+FAN_OUT_SITES = {
+    "core/translation.py",
+    "placement/genetic.py",
+    "placement/sharding.py",
+}
+
+
+def test_fan_out_sites_are_the_measured_ones():
+    # engine/core.py is the engine handing ``session`` on to its executor.
+    assert _modules_calling("session") - {"engine/core.py"} == FAN_OUT_SITES
+
+
 def test_one_module_creates_shared_memory():
     assert _modules_calling("SharedMemory", _creates_segment) == {
         "engine/broadcast.py"

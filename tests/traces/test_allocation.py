@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import TraceError
-from repro.traces.allocation import (
-    AllocationTrace,
-    CoSAllocationPair,
-    allocation_from_demand,
-)
+from repro.traces.allocation import AllocationTrace, CoSAllocationPair
 from repro.traces.calendar import TraceCalendar
-from repro.traces.trace import DemandTrace
 
 
 @pytest.fixture
@@ -81,19 +76,3 @@ class TestCoSAllocationPair:
         with pytest.raises(TraceError):
             CoSAllocationPair("w", cos1, cos2)
 
-
-class TestAllocationFromDemand:
-    def test_burst_factor_scales(self, cal):
-        demand = DemandTrace("w", np.full(cal.n_observations, 3.0), cal)
-        allocation = allocation_from_demand(demand, burst_factor=2.0)
-        assert allocation.peak() == 6.0
-
-    def test_paper_example(self, cal):
-        # Demand 2 CPUs, burst factor 2 -> allocation 4 CPUs (Section II).
-        demand = DemandTrace("w", np.full(cal.n_observations, 2.0), cal)
-        assert allocation_from_demand(demand, 2.0).values[0] == 4.0
-
-    def test_rejects_nonpositive_burst_factor(self, cal):
-        demand = DemandTrace("w", np.ones(cal.n_observations), cal)
-        with pytest.raises(TraceError):
-            allocation_from_demand(demand, 0.0)

@@ -35,15 +35,6 @@ class TestConstruction:
 
 
 class TestIndexing:
-    def test_flat_index_origin(self):
-        calendar = TraceCalendar(weeks=2, slot_minutes=60)
-        assert calendar.flat_index(SlotIndex(0, 0, 0)) == 0
-
-    def test_flat_index_round_trip_examples(self):
-        calendar = TraceCalendar(weeks=2, slot_minutes=60)
-        for flat in [0, 1, 23, 24, 167, 168, 335]:
-            assert calendar.flat_index(calendar.coordinates(flat)) == flat
-
     def test_coordinates_of_last_observation(self):
         calendar = TraceCalendar(weeks=2, slot_minutes=60)
         coords = calendar.coordinates(calendar.n_observations - 1)
@@ -56,27 +47,12 @@ class TestIndexing:
         with pytest.raises(TraceError):
             calendar.coordinates(-1)
 
-    def test_out_of_range_coordinates(self):
-        calendar = TraceCalendar(weeks=1, slot_minutes=60)
-        with pytest.raises(TraceError):
-            calendar.flat_index(SlotIndex(1, 0, 0))
-        with pytest.raises(TraceError):
-            calendar.flat_index(SlotIndex(0, 7, 0))
-        with pytest.raises(TraceError):
-            calendar.flat_index(SlotIndex(0, 0, 24))
-
-    def test_iter_slots_covers_everything_in_order(self):
-        calendar = TraceCalendar(weeks=1, slot_minutes=360)
-        slots = list(calendar.iter_slots())
-        assert len(slots) == calendar.n_observations
-        assert [calendar.flat_index(slot) for slot in slots] == list(
-            range(calendar.n_observations)
-        )
-
     @given(st.integers(min_value=0, max_value=4 * 7 * 288 - 1))
-    def test_round_trip_property(self, flat):
+    def test_coordinates_index_the_slot_of_day_view(self, flat):
         calendar = TraceCalendar(weeks=4, slot_minutes=5)
-        assert calendar.flat_index(calendar.coordinates(flat)) == flat
+        view = calendar.slot_of_day_view(np.arange(calendar.n_observations))
+        coords = calendar.coordinates(flat)
+        assert view[coords.week, coords.day, coords.slot] == flat
 
 
 class TestViews:

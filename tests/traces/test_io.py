@@ -7,7 +7,6 @@ from repro.exceptions import TraceError
 from repro.traces.calendar import TraceCalendar
 from repro.traces.io import (
     load_traces_csv,
-    load_traces_json,
     save_traces_csv,
     save_traces_json,
     traces_from_json,
@@ -73,7 +72,7 @@ class TestJsonRoundTrip:
     def test_file_round_trip(self, traces, tmp_path):
         path = tmp_path / "traces.json"
         save_traces_json(traces, path)
-        loaded = load_traces_json(path)
+        loaded = traces_from_json(path.read_text())
         assert [trace.name for trace in loaded] == [
             trace.name for trace in traces
         ]

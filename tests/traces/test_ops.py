@@ -5,17 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.exceptions import CalendarMismatchError, TraceError
+from repro.exceptions import TraceError
 from repro.traces.calendar import TraceCalendar
 from repro.traces.ops import (
     Run,
-    aggregate_traces,
     contiguous_runs_above,
-    fraction_above,
     longest_run_above,
-    normalize_to_peak,
     percentile_profile,
-    smallest_in_runs_exceeding,
 )
 from repro.traces.trace import DemandTrace
 
@@ -83,36 +79,6 @@ class TestLongestRun:
         assert longest_run_above(values, 1) == 3
 
 
-class TestSmallestInRunsExceeding:
-    def test_none_when_all_runs_short(self):
-        values = np.array([5, 0, 5, 5, 0.0])
-        assert smallest_in_runs_exceeding(values, 1, max_run_length=2) is None
-
-    def test_finds_min_of_first_long_run(self):
-        values = np.array([0, 5, 3, 4, 0, 9, 9, 9, 2.0])
-        # max_run_length=2: first violating run is [5, 3, 4].
-        assert smallest_in_runs_exceeding(values, 1, max_run_length=2) == 3.0
-
-    def test_zero_max_run_length(self):
-        values = np.array([0, 5.0, 0])
-        assert smallest_in_runs_exceeding(values, 1, max_run_length=0) == 5.0
-
-    def test_rejects_negative_max(self):
-        with pytest.raises(TraceError):
-            smallest_in_runs_exceeding(np.ones(3), 0.5, -1)
-
-
-class TestFractionAbove:
-    def test_empty(self):
-        assert fraction_above(np.empty(0), 1.0) == 0.0
-
-    def test_half(self):
-        assert fraction_above(np.array([0, 2, 0, 2.0]), 1.0) == 0.5
-
-    def test_strictness(self):
-        assert fraction_above(np.array([1.0, 1.0]), 1.0) == 0.0
-
-
 class TestPercentileProfile:
     def test_normalised_to_peak(self):
         cal = TraceCalendar(weeks=1, slot_minutes=60)
@@ -127,40 +93,3 @@ class TestPercentileProfile:
         trace = DemandTrace("w", np.zeros(cal.n_observations), cal)
         assert percentile_profile(trace, [97])[97.0] == 0.0
 
-
-class TestNormalizeAndAggregate:
-    def test_normalize_to_peak(self):
-        cal = TraceCalendar(weeks=1, slot_minutes=60)
-        values = np.full(cal.n_observations, 4.0)
-        trace = DemandTrace("w", values, cal)
-        assert normalize_to_peak(trace).peak() == 1.0
-
-    def test_normalize_zero_trace_identity(self):
-        cal = TraceCalendar(weeks=1, slot_minutes=60)
-        trace = DemandTrace("w", np.zeros(cal.n_observations), cal)
-        assert normalize_to_peak(trace) is trace
-
-    def test_aggregate_sums_elementwise(self):
-        cal = TraceCalendar(weeks=1, slot_minutes=60)
-        a = DemandTrace("a", np.full(cal.n_observations, 1.0), cal)
-        b = DemandTrace("b", np.full(cal.n_observations, 2.0), cal)
-        total = aggregate_traces([a, b])
-        assert total.peak() == 3.0
-        assert total.name == "aggregate"
-
-    def test_aggregate_empty_rejected(self):
-        with pytest.raises(TraceError):
-            aggregate_traces([])
-
-    def test_aggregate_mismatched_calendars_rejected(self):
-        a = DemandTrace("a", np.ones(168), TraceCalendar(1, 60))
-        b = DemandTrace("b", np.ones(336), TraceCalendar(2, 60))
-        with pytest.raises(CalendarMismatchError):
-            aggregate_traces([a, b])
-
-    def test_aggregate_mismatched_attributes_rejected(self):
-        cal = TraceCalendar(1, 60)
-        a = DemandTrace("a", np.ones(cal.n_observations), cal, attribute="cpu")
-        b = DemandTrace("b", np.ones(cal.n_observations), cal, attribute="mem")
-        with pytest.raises(CalendarMismatchError):
-            aggregate_traces([a, b])

@@ -108,12 +108,6 @@ class TestTransformations:
         with pytest.raises(TraceError):
             trace.scaled(-1.0)
 
-    def test_clipped(self, cal):
-        values = np.ones(cal.n_observations)
-        values[0] = 10.0
-        trace = DemandTrace("w", values, cal)
-        assert trace.clipped(3.0).peak() == 3.0
-
     def test_mapped(self, cal):
         trace = DemandTrace("w", np.ones(cal.n_observations), cal)
         doubled = trace.mapped(lambda v: v * 2)

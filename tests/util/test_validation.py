@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from repro.util.floats import METRIC_ATOL
 from repro.util.validation import (
     require_fraction,
-    require_in_range,
-    require_non_negative,
     require_positive,
     require_probability,
 )
@@ -38,15 +36,6 @@ class TestRequirePositive:
 
     def test_accepts_int(self):
         assert require_positive(3, "x") == 3.0
-
-
-class TestRequireNonNegative:
-    def test_accepts_zero(self):
-        assert require_non_negative(0, "x") == 0.0
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            require_non_negative(-0.001, "x")
 
 
 class TestRequireProbability:
@@ -106,17 +95,3 @@ class TestBoundaryConventions:
         with pytest.raises(ValueError):
             require_fraction(-0.0, "f")
 
-
-class TestRequireInRange:
-    def test_inclusive(self):
-        assert require_in_range(5, "x", 5, 10) == 5.0
-        assert require_in_range(10, "x", 5, 10) == 10.0
-
-    def test_exclusive(self):
-        with pytest.raises(ValueError):
-            require_in_range(5, "x", 5, 10, inclusive=False)
-        assert require_in_range(7, "x", 5, 10, inclusive=False) == 7.0
-
-    def test_error_message_names_parameter(self):
-        with pytest.raises(ValueError, match="pressure"):
-            require_in_range(0, "pressure", 1, 2)
