@@ -23,8 +23,8 @@ Subcommands
     Run the AST invariant linter (:mod:`repro.analysis`) over source
     trees; same engine as ``python -m repro.analysis``.
 ``chaos``
-    Run the planning pipeline under a seeded fault schedule (worker
-    crashes, hangs, corrupted results, broadcast failures) and report
+    Run the sharded planning pipeline under a seeded fault schedule
+    (worker crashes, hangs, corrupted results, broadcast failures) and report
     the recovery telemetry; ``--verify`` re-runs fault-free and checks
     the two plans hash identically.  With ``--racks``/``--zones`` and
     ``--domains`` the verification also covers the domain-scoped
@@ -46,6 +46,7 @@ from repro.engine import (
     Checkpointer,
     ExecutionEngine,
     FaultPlan,
+    Instrumentation,
     ResilienceConfig,
 )
 from repro.placement.failure import FailureSweepPolicy
@@ -80,17 +81,22 @@ def _add_common_qos_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes for fan-out stages; the pool retries, "
-             "respawns and degrades around lost workers "
-             "(default: run serially)",
-    )
+def _add_timings_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--timings", action="store_true",
         help="print per-stage timings and counters after the run",
     )
+
+
+def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
+    """Worker flags, for the subcommands that plan sharded (``plan``, ``chaos``)."""
+    parser.add_argument(
+        "--workers", type=int, default=None,
+        help="worker processes for the shard waves (plan --shards; chaos "
+             "always shards); the pool retries, respawns and degrades "
+             "around lost workers (default: run serially)",
+    )
+    _add_timings_argument(parser)
     parser.add_argument(
         "--task-timeout", type=float, default=None, metavar="SECONDS",
         help="configure recovery: a stuck-worker deadline — respawn the "
@@ -175,17 +181,15 @@ def _engine(
     ``--workers`` alone picks the backend; the resilience knobs (and an
     injected fault plan) only fill in its recovery budget.
     """
-    workers = getattr(args, "workers", None)
-    task_timeout = getattr(args, "task_timeout", None)
-    max_retries = getattr(args, "max_retries", None)
+    task_timeout, max_retries = args.task_timeout, args.max_retries
     if task_timeout is None and max_retries is None and fault_plan is None:
-        return ExecutionEngine.with_workers(workers)
+        return ExecutionEngine.with_workers(args.workers)
     config = ResilienceConfig(
         max_retries=max_retries if max_retries is not None else 2,
         task_timeout_seconds=task_timeout,
         fault_plan=fault_plan,
     )
-    return ExecutionEngine.with_workers(workers, config)
+    return ExecutionEngine.with_workers(args.workers, config)
 
 
 def _checkpointer(args: argparse.Namespace) -> Checkpointer | None:
@@ -205,8 +209,7 @@ def _shards_value(text: str) -> "int | str":
         ) from None
 
 
-def _print_timings(engine: ExecutionEngine) -> None:
-    instrumentation = engine.instrumentation
+def _print_timings(instrumentation: Instrumentation) -> None:
     stage_rows = [
         [stats.name, stats.calls, stats.total_seconds, stats.mean_seconds]
         for stats in instrumentation.stage_stats()
@@ -256,8 +259,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_translate(args: argparse.Namespace) -> int:
     demands = _load_demands(args)
-    engine = _engine(args)
-    translator = QoSTranslator(PoolCommitments.of(theta=args.theta), engine=engine)
+    translator = QoSTranslator(PoolCommitments.of(theta=args.theta))
     qos = _qos(args)
     results = translator.translate_many(demands, qos)
     rows = []
@@ -284,8 +286,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
         )
     )
     if args.timings:
-        _print_timings(engine)
-    engine.close()
+        _print_timings(translator.instrumentation)
     return 0
 
 
@@ -320,7 +321,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     ]
     print(format_table(["server", "workloads", "required CPU"], rows))
     if args.timings:
-        _print_timings(engine)
+        _print_timings(engine.instrumentation)
     engine.close()
     return 0
 
@@ -330,7 +331,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     from repro.metrics.report import render_capacity_table
 
     demands = _load_demands(args)
-    engine = _engine(args)
+    engine = ExecutionEngine.serial()
     cases = [
         ("1", 0.0, 0.60, None),
         ("2", 3.0, 0.60, 30.0),
@@ -361,7 +362,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
         )
     )
     if args.timings:
-        _print_timings(engine)
+        _print_timings(engine.instrumentation)
     engine.close()
     return 0
 
@@ -418,6 +419,9 @@ def _chaos_plan(
         _pool(args),
         search_config=GeneticSearchConfig(seed=args.seed),
         engine=engine,
+        # The shard waves are the only work that reaches workers, so
+        # the scheduled faults need a sharded plan to land on.
+        sharding="auto",
         failure_policy=_failure_policy(args),
     )
     policy = QoSPolicy(
@@ -461,7 +465,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     for name, value in sorted(plan.resilience_summary().items()):
         print(f"{name}: {value}")
     if args.timings:
-        _print_timings(engine)
+        _print_timings(engine.instrumentation)
     engine.close()
     if not args.verify:
         return 0
@@ -541,7 +545,7 @@ def _print_failure_outlook(plan: CapacityPlan) -> None:
 def _failure_outlook(args: argparse.Namespace) -> int:
     """Failure-tier outlook: domain sweeps and spare sizing for today's pool."""
     demands = _load_demands(args)
-    engine = _engine(args)
+    engine = ExecutionEngine.serial()
     framework = ROpus(
         PoolCommitments.of(theta=args.theta),
         _pool(args),
@@ -559,7 +563,7 @@ def _failure_outlook(args: argparse.Namespace) -> int:
     print()
     _print_failure_outlook(plan)
     if args.timings:
-        _print_timings(engine)
+        _print_timings(engine.instrumentation)
     engine.close()
     return 0
 
@@ -570,7 +574,7 @@ def cmd_outlook(args: argparse.Namespace) -> int:
     if _failure_policy(args) is not None:
         return _failure_outlook(args)
     demands = _load_demands(args)
-    engine = _engine(args)
+    engine = ExecutionEngine.serial()
     framework = ROpus(
         PoolCommitments.of(theta=args.theta),
         _pool(args),
@@ -614,7 +618,7 @@ def cmd_outlook(args: argparse.Namespace) -> int:
             "start procurement"
         )
     if args.timings:
-        _print_timings(engine)
+        _print_timings(engine.instrumentation)
     engine.close()
     return 0
 
@@ -638,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
         "translate", help="run the QoS translation over an ensemble"
     )
     _add_common_qos_arguments(translate)
-    _add_engine_arguments(translate)
+    _add_timings_argument(translate)
     translate.set_defaults(handler=cmd_translate)
 
     plan = subparsers.add_parser(
@@ -712,7 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
         "table1", help="reproduce the paper's Table I sweep"
     )
     _add_common_qos_arguments(table1)
-    _add_engine_arguments(table1)
+    _add_timings_argument(table1)
     table1.add_argument("--servers", type=int, default=14)
     table1.add_argument("--cpus", type=int, default=16)
     table1.set_defaults(handler=cmd_table1)
@@ -733,7 +737,7 @@ def build_parser() -> argparse.ArgumentParser:
         "outlook", help="long-term capacity outlook under demand growth"
     )
     _add_common_qos_arguments(outlook)
-    _add_engine_arguments(outlook)
+    _add_timings_argument(outlook)
     outlook.add_argument("--servers", type=int, default=12)
     outlook.add_argument("--cpus", type=int, default=16)
     _add_topology_arguments(outlook)

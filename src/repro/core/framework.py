@@ -172,11 +172,14 @@ class CapacityPlan:
     holds the run's counter increments (kernel decision steps, the
     rows they judged — ``kernel.row_evaluations`` — and how many of
     those reached the backlog pass — ``kernel.backlog_rows`` — bracket
-    iterations, the fused kernel's ``kernel.fused_rows`` fast-path rows
-    and ``kernel.f32_retries`` verification fallbacks, evaluation cache
-    hits/misses, bytes broadcast to workers, ...).
-    Every kernel mode records the full ``kernel.*`` set, zeros
-    included, so counter maps are comparable across modes and scales.
+    iterations, evaluation cache hits/misses, the shard waves'
+    ``broadcast.*`` sessions, ...). ``kernel.fused_rows`` and
+    ``kernel.f32_retries`` count the fused kernel's fast-path rows and
+    verification fallbacks and stay zero on every other kernel; every
+    mode records the full ``kernel.*`` set, zeros included, so counter
+    maps are comparable across modes and scales. A shard plan runs on
+    a consolidator of its own, whose counters do not come back on any
+    backend.
     ``sharding`` is the hierarchical tier's summary
     (shard count and sizes, migration rounds, per-shard timings) when
     the run was sharded, ``None`` otherwise.
@@ -409,7 +412,9 @@ class ROpus:
         #: single-server baseline (domain scopes, degraded servers, the
         #: spare-sizing curve). ``None`` keeps the historical behavior.
         self.failure_policy = failure_policy
-        self.translator = QoSTranslator(commitments, engine=self.engine)
+        self.translator = QoSTranslator(
+            commitments, instrumentation=self.engine.instrumentation
+        )
 
     def translate(
         self,

@@ -14,6 +14,11 @@ commitments. The pipeline is:
 4. split each observation's (capped) demand at ``p x D_new_max`` between
    CoS1 and CoS2 and scale by the burst factor ``1 / U_low`` to obtain
    allocation requirements.
+
+Translations are independent per workload and cost milliseconds each,
+so :meth:`QoSTranslator.translate_items` runs them in the planner's
+process: a worker pool lost time on every benchmark workload (DESIGN.md
+section 10).
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ import numpy as np
 
 from repro.core.cos import PoolCommitments
 from repro.core.degradation import new_max_demand, realized_cap_reduction
-from repro.engine import ExecutionEngine, split_chunks
 from repro.core.partition import breakpoint_fraction, partition_demand
 from repro.core.qos import ApplicationQoS
 from repro.core.time_limited import (
@@ -34,6 +38,7 @@ from repro.core.time_limited import (
     enforce_time_limited_degradation,
     expected_utilization,
 )
+from repro.engine.instrumentation import Instrumentation
 from repro.exceptions import TranslationError
 from repro.units import CpuShares, Fraction01, Slots
 from repro.traces.allocation import AllocationTrace, CoSAllocationPair
@@ -105,30 +110,18 @@ class TranslationResult:
         return self.pair.peak_allocation()
 
 
-def _translate_worker(
-    commitments: PoolCommitments,
-    chunk: Sequence[tuple[DemandTrace, ApplicationQoS]],
-) -> list[TranslationResult]:
-    """Executor work unit: translate one chunk of (demand, qos) items.
-
-    A pure function of the broadcast commitments and the items — no
-    RNG, no shared mutable state — so serial and parallel backends
-    produce identical results.
-    """
-    translator = QoSTranslator(commitments)
-    return [translator.translate(demand, qos) for demand, qos in chunk]
-
-
 class QoSTranslator:
     """Maps application demands onto the pool's two classes of service."""
 
     def __init__(
         self,
         commitments: PoolCommitments,
-        engine: ExecutionEngine | None = None,
+        instrumentation: Optional[Instrumentation] = None,
     ):
         self.commitments = commitments
-        self.engine = engine if engine is not None else ExecutionEngine.serial()
+        self.instrumentation = (
+            instrumentation if instrumentation is not None else Instrumentation()
+        )
 
     def translate(
         self, demand: DemandTrace, qos: ApplicationQoS
@@ -203,26 +196,15 @@ class QoSTranslator:
     def translate_items(
         self, items: Sequence[tuple[DemandTrace, ApplicationQoS]]
     ) -> list[TranslationResult]:
-        """Translate ``(demand, qos)`` pairs through the execution engine.
+        """Translate ``(demand, qos)`` pairs in order, in this process.
 
-        This is the fan-out entry point every batch path routes through:
-        per-application translations are independent, so the engine's
-        executor maps them in parallel when configured to. The engine's
-        instrumentation records the stage timing and workload count.
+        Every batch path routes through here, so the ``translation``
+        stage timing and the ``translation.workloads`` count cover all
+        of them.
         """
-        instrumentation = self.engine.instrumentation
-        with instrumentation.stage("translation"):
-            # A single translation is cheaper than a pool round trip, so
-            # workloads travel in chunks — a few per worker, so that one
-            # chunk's results unpickle while the next is computed.
-            with self.engine.session(self.commitments) as session:
-                chunks = split_chunks(list(items), 4 * session.parallelism)
-                results = [
-                    result
-                    for chunk in session.map(_translate_worker, chunks)
-                    for result in chunk
-                ]
-        instrumentation.count("translation.workloads", len(items))
+        with self.instrumentation.stage("translation"):
+            results = [self.translate(demand, qos) for demand, qos in items]
+        self.instrumentation.count("translation.workloads", len(items))
         return results
 
     def translate_many(

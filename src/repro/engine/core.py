@@ -2,11 +2,14 @@
 
 :class:`ExecutionEngine` is the object the :class:`~repro.core.framework.ROpus`
 facade threads down through translation, placement, and failure planning.
-It bundles the two cross-cutting concerns every compute layer shares:
+It bundles two concerns:
 
-* *where* fan-out work runs (:class:`~repro.engine.executor.Executor`);
+* *where* fan-out work runs (:class:`~repro.engine.executor.Executor`) —
+  only the hierarchical tier's shard waves open a session; translation,
+  GA generations and failure what-ifs run in the planner's process;
 * *what we learn* about the run
-  (:class:`~repro.engine.instrumentation.Instrumentation`).
+  (:class:`~repro.engine.instrumentation.Instrumentation`), which every
+  layer records into.
 
 The default engine is serial and always-instrumented, so existing code
 gains stage timings for free and parallelism is strictly opt-in.

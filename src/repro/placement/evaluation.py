@@ -12,8 +12,8 @@ Two execution shapes are supported:
 
 * the scalar path (``kernel="scalar"``) runs one subset's binary search
   at a time, exactly as the paper describes it;
-* the batch path (:meth:`PlacementEvaluator.evaluate_groups`,
-  :func:`evaluate_groups_worker`) stacks all cache-missing subsets into
+* the batch path (:meth:`PlacementEvaluator.evaluate_groups`) stacks
+  all cache-missing subsets into
   a :class:`~repro.placement.kernels.BatchSimulator` and solves every
   bracket simultaneously with
   :func:`~repro.placement.kernels.required_capacity_batch` — same
@@ -24,12 +24,12 @@ Two execution shapes are supported:
   group that fails it — among the members' hottest — proves the subset
   does not fit, and the kernel never sees it.
 
-For parallel backends the evaluator exposes a picklable
-:class:`EvaluationPayload` (the matrices plus commitment parameters) and
-the pure worker functions; workers stay stateless, compute only
-cache-missing subsets, and the driver reconciles results back into the
-single authoritative cache via :meth:`PlacementEvaluator.install`, so
-the memoisation design survives the fan-out.
+:meth:`PlacementEvaluator.evaluate_groups` is the one way to fill the
+cache, so every answer is counted as a ``placement.cache_hits`` or
+``placement.cache_misses``. The picklable :class:`EvaluationPayload`
+and :func:`evaluate_groups_worker` serve only the engine probe of
+``benchmarks/record/tracing.py``; they go in the benchmark PR that
+retires that probe.
 """
 
 from __future__ import annotations
@@ -101,9 +101,9 @@ class ServerEvaluation:
 GroupKey = tuple[float, tuple[int, ...]]
 
 #: One batched work item: (capacity limit, sorted rows, ``None``). The
-#: third slot carries nothing; ``benchmarks/record/tracing.py`` builds
-#: these triples itself, so the slot goes in the benchmark PR that
-#: retires that file's per-kernel solves (see CHANGES.md, PR 19).
+#: third slot carries nothing; ``benchmarks/record/tracing.py``'s engine
+#: probe builds these triples itself, so the slot goes in the benchmark
+#: PR that retires that probe.
 GroupItem = tuple[float, "tuple[int, ...]", None]
 
 
@@ -111,10 +111,12 @@ GroupItem = tuple[float, "tuple[int, ...]", None]
 class EvaluationPayload:
     """Everything a stateless worker needs to evaluate workload subsets.
 
-    Broadcast once per executor session; ``cos1``/``cos2`` are the
-    stacked per-workload allocation matrices — by far the largest part,
-    which is why the parallel backend publishes them zero-copy through
-    shared memory when it can (see :mod:`repro.engine.broadcast`).
+    Only ``benchmarks/record/tracing.py``'s engine probe broadcasts it
+    now (the planner evaluates in its own process); it goes in the
+    benchmark PR that retires that probe. ``cos1``/``cos2`` are the
+    stacked per-workload allocation matrices, which the parallel backend
+    publishes zero-copy through shared memory when it can (see
+    :mod:`repro.engine.broadcast`).
     """
 
     cos1: np.ndarray
@@ -321,10 +323,11 @@ def evaluate_groups_worker(
     """Executor work unit: a whole chunk of subsets in one kernel solve.
 
     Returns the evaluations in item order plus the solver's work stats
-    (in :data:`KERNEL_COUNTERS` order) so the driver can fold them into
-    its instrumentation.
-    Honours the payload's ``kernel`` selection — ``"scalar"`` runs the
-    per-subset reference loop instead (the benchmark's baseline arm).
+    (in :data:`KERNEL_COUNTERS` order). Honours the payload's ``kernel``
+    selection — ``"scalar"`` runs the per-subset reference loop instead.
+    No planning path calls it: it is the work unit of
+    ``benchmarks/record/tracing.py``'s engine probe, and goes in the
+    benchmark PR that retires that probe.
     """
     if not items:
         return (), BatchSearchStats(rows=0)
@@ -459,25 +462,6 @@ class PlacementEvaluator:
             self._cache[key] = evaluation
         return [self._cache[key] for key in keys]
 
-    def cache_key(
-        self, indices: Sequence[int], server: ServerSpec, attribute: str = "cpu"
-    ) -> GroupKey:
-        """The memoisation key for one (server, workload subset) pairing.
-
-        The subset is canonicalised (sorted, de-duplicated) here, once,
-        so every downstream consumer — the scalar path, the batch
-        kernel, worker shipping — reuses the same sorted tuple instead
-        of re-sorting per evaluation.
-        """
-        return (server.capacity_of(attribute), self._canonical_rows(indices))
-
-    def is_cached(self, key: GroupKey) -> bool:
-        return key in self._cache
-
-    def install(self, key: GroupKey, evaluation: ServerEvaluation) -> None:
-        """Merge a worker-computed evaluation into the driver-side cache."""
-        self._cache.setdefault(key, evaluation)
-
     def record_search_stats(self, stats: BatchSearchStats) -> None:
         """Fold one batch solve's work accounting into the counters.
 
@@ -490,7 +474,7 @@ class PlacementEvaluator:
             self._count(name, value)
 
     def worker_payload(self) -> EvaluationPayload:
-        """The picklable state a stateless worker needs (broadcast once)."""
+        """The picklable state a stateless worker needs (engine probe only)."""
         return EvaluationPayload(
             cos1=self._cos1,
             cos2=self._cos2,

@@ -17,12 +17,9 @@ The search tracks the best *feasible* assignment ever seen and returns
 it; when seeded with a feasible initial assignment (the consolidator uses
 a greedy first fit) the result can only improve on the seed.
 
-Fan-out: each generation's children are *generated* first (all RNG draws
-stay in the driver, in the historical order) and then *evaluated* as a
-batch through the engine's executor — only server-content subsets missing
-from the evaluator cache are shipped to workers, and their results are
-reconciled back into the single driver-side cache, so the memoisation
-that makes the search affordable is preserved under any backend.
+Each generation's children are drawn first and then evaluated as one
+batch: a single :meth:`PlacementEvaluator.evaluate_groups` call, so the
+generation's cache misses meet the kernel together.
 """
 
 from __future__ import annotations
@@ -32,17 +29,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.engine import Checkpointer, ExecutionEngine, ExecutorSession
-from repro.engine.dispatch import split_chunks
+from repro.engine import Checkpointer, ExecutionEngine
 from repro.exceptions import PlacementError
-from repro.placement.evaluation import (
-    GroupItem,
-    GroupKey,
-    PlacementEvaluator,
-    ServerEvaluation,
-    evaluate_groups_worker,
-)
-from repro.placement.kernels import KERNEL_COUNTERS
+from repro.placement.evaluation import PlacementEvaluator, ServerEvaluation
 from repro.placement.objective import server_score
 from repro.resources.pool import ResourcePool
 from repro.util.rng import derive_rng
@@ -176,67 +165,66 @@ class GeneticPlacementSearch:
             if checkpointer is not None
             else None
         )
-        with self.engine.session(self.evaluator.worker_payload()) as session:
-            if resume is not None:
-                population, best_feasible, history, stall, start_generation = (
-                    self._restore(resume, rng, session)
-                )
-                instrumentation.count("placement.ga_resumes")
-                instrumentation.event(
-                    "placement.ga_resumed", generation=start_generation
-                )
-            else:
-                population = [self.evaluate(seed_assignment)]
-                pending: list[Assignment] = []
-                for extra in extra_seeds:
-                    if (
-                        len(population) + len(pending)
-                        >= self.config.population_size
-                    ):
-                        break
-                    pending.append(self._validate_assignment(tuple(extra)))
-                while (
-                    len(population) + len(pending) < self.config.population_size
+        if resume is not None:
+            population, best_feasible, history, stall, start_generation = (
+                self._restore(resume, rng)
+            )
+            instrumentation.count("placement.ga_resumes")
+            instrumentation.event(
+                "placement.ga_resumed", generation=start_generation
+            )
+        else:
+            population = [self.evaluate(seed_assignment)]
+            pending: list[Assignment] = []
+            for extra in extra_seeds:
+                if (
+                    len(population) + len(pending)
+                    >= self.config.population_size
                 ):
-                    pending.append(
-                        self._mutate(
-                            seed_assignment, rng, population[0].evaluations
-                        )
-                    )
-                population.extend(self._evaluate_batch(pending, session))
-
-                best_feasible = self._best_feasible(population)
-                history = []
-                stall = 0
-                start_generation = 0
-            # Entry-checked loop (not `for ... break`) so a resume from
-            # a checkpoint written at the converged generation stops
-            # immediately instead of evolving one extra generation.
-            generation = start_generation
+                    break
+                pending.append(self._validate_assignment(tuple(extra)))
             while (
-                generation < self.config.max_generations
-                and stall < self.config.stall_generations
+                len(population) + len(pending) < self.config.population_size
             ):
-                generation += 1
-                population = self._next_generation(population, rng, session)
-                instrumentation.count("placement.ga_generations")
-                history.append(max(member.score for member in population))
-                candidate = self._best_feasible(population)
-                if candidate is not None and (
-                    best_feasible is None or candidate.score > best_feasible.score
-                ):
-                    best_feasible = candidate
-                    stall = 0
-                else:
-                    stall += 1
-                if checkpointer is not None:
-                    checkpointer.save(
-                        checkpoint_key,
-                        self._checkpoint_payload(
-                            generation, rng, population, best_feasible,
-                            stall, history,
-                        ),
+                pending.append(
+                    self._mutate(
+                        seed_assignment, rng, population[0].evaluations
                     )
+                )
+            population.extend(self._evaluate_batch(pending))
+
+            best_feasible = self._best_feasible(population)
+            history = []
+            stall = 0
+            start_generation = 0
+        # Entry-checked loop (not `for ... break`) so a resume from
+        # a checkpoint written at the converged generation stops
+        # immediately instead of evolving one extra generation.
+        generation = start_generation
+        while (
+            generation < self.config.max_generations
+            and stall < self.config.stall_generations
+        ):
+            generation += 1
+            population = self._next_generation(population, rng)
+            instrumentation.count("placement.ga_generations")
+            history.append(max(member.score for member in population))
+            candidate = self._best_feasible(population)
+            if candidate is not None and (
+                best_feasible is None or candidate.score > best_feasible.score
+            ):
+                best_feasible = candidate
+                stall = 0
+            else:
+                stall += 1
+            if checkpointer is not None:
+                checkpointer.save(
+                    checkpoint_key,
+                    self._checkpoint_payload(
+                        generation, rng, population, best_feasible,
+                        stall, history,
+                    ),
+                )
 
         if best_feasible is None:
             raise PlacementError(
@@ -286,7 +274,6 @@ class GeneticPlacementSearch:
         self,
         resume: dict,
         rng: np.random.Generator,
-        session: ExecutorSession,
     ) -> tuple[
         list[EvaluatedAssignment],
         EvaluatedAssignment | None,
@@ -310,7 +297,7 @@ class GeneticPlacementSearch:
         """
         try:
             population = self._evaluate_batch(
-                [tuple(member) for member in resume["population"]], session
+                [tuple(member) for member in resume["population"]]
             )
             best_feasible = (
                 self.evaluate(tuple(resume["best_feasible"]))
@@ -331,14 +318,52 @@ class GeneticPlacementSearch:
 
     def evaluate(self, assignment: Assignment) -> EvaluatedAssignment:
         """Score one assignment (cached per server-content subset)."""
-        return self._score(self._validate_assignment(assignment))
+        return self._evaluate_batch([assignment])[0]
 
-    def _score(self, assignment: Assignment) -> EvaluatedAssignment:
-        """:meth:`evaluate` for an already validated assignment."""
-        groups: dict[int, list[int]] = {}
-        for workload_index, server_index in enumerate(assignment):
-            groups.setdefault(server_index, []).append(workload_index)
-        evaluations = self._evaluate_used_servers(groups)
+    def _evaluate_batch(
+        self, assignments: Sequence[Assignment]
+    ) -> list[EvaluatedAssignment]:
+        """Validate and score assignments from one evaluator call."""
+        validated = [self._validate_assignment(tuple(a)) for a in assignments]
+        return [
+            self._score(assignment, groups, evaluations)
+            for assignment, (groups, evaluations) in zip(
+                validated, self._ask(validated)
+            )
+        ]
+
+    def _ask(
+        self, assignments: Sequence[Assignment]
+    ) -> list[tuple[dict[int, list[int]], dict[int, ServerEvaluation]]]:
+        """Each assignment's server groups and their evaluations.
+
+        Every group of every assignment goes into one
+        :meth:`PlacementEvaluator.evaluate_groups` call, so the cache
+        misses of a whole batch are solved in one kernel pass. Results
+        are bit-identical to asking one by one.
+        """
+        grouped = [_server_groups(assignment) for assignment in assignments]
+        answers = iter(
+            self.evaluator.evaluate_groups(
+                [
+                    (self.servers[server].capacity_of(self.attribute), rows)
+                    for groups in grouped
+                    for server, rows in groups.items()
+                ]
+            )
+        )
+        return [
+            (groups, {server: next(answers) for server in groups})
+            for groups in grouped
+        ]
+
+    def _score(
+        self,
+        assignment: Assignment,
+        groups: dict[int, list[int]],
+        evaluations: dict[int, ServerEvaluation],
+    ) -> EvaluatedAssignment:
+        """Score a validated assignment from its used servers' evaluations."""
         score = 0.0
         feasible = True
         for server_index, server in enumerate(self.servers):
@@ -360,85 +385,6 @@ class GeneticPlacementSearch:
             feasible=feasible,
         )
 
-    def _evaluate_used_servers(
-        self, groups: dict[int, list[int]]
-    ) -> dict[int, ServerEvaluation]:
-        """Evaluate every used server's group as one batch.
-
-        All of an assignment's server groups are independent searches,
-        so the evaluator solves the cache misses in one simultaneous
-        bisection.
-        """
-        used = sorted(server_index for server_index in groups if groups[server_index])
-        evaluations = self.evaluator.evaluate_groups(
-            [
-                (
-                    self.servers[server_index].capacity_of(self.attribute),
-                    groups[server_index],
-                )
-                for server_index in used
-            ]
-        )
-        return dict(zip(used, evaluations))
-
-    # ------------------------------------------------------------------
-    # Batched evaluation through the execution engine
-    # ------------------------------------------------------------------
-    def _evaluate_batch(
-        self,
-        assignments: Sequence[Assignment],
-        session: ExecutorSession,
-    ) -> list[EvaluatedAssignment]:
-        """Evaluate assignments, fanning uncached subsets out first.
-
-        Workers compute only the (server capacity, workload subset)
-        groups missing from the driver cache — the whole generation's
-        missing subsets form one batched capacity-search ladder — and
-        their results are merged back via
-        :meth:`PlacementEvaluator.install` before the ordinary cached
-        evaluation path scores each assignment. Results are
-        bit-identical to evaluating one by one.
-        """
-        validated = [self._validate_assignment(tuple(a)) for a in assignments]
-        self._prime_cache(validated, session)
-        return [self._score(assignment) for assignment in validated]
-
-    def _prime_cache(
-        self,
-        assignments: Sequence[Assignment],
-        session: ExecutorSession,
-    ) -> None:
-        # Insertion-ordered set of the (limit, rows) keys no cache holds.
-        pending: dict[GroupKey, None] = {}
-        for assignment in assignments:
-            groups: dict[int, list[int]] = {}
-            for workload_index, server_index in enumerate(assignment):
-                groups.setdefault(server_index, []).append(workload_index)
-            for server_index, indices in groups.items():
-                key = self.evaluator.cache_key(
-                    indices, self.servers[server_index], self.attribute
-                )
-                if not self.evaluator.is_cached(key):
-                    pending[key] = None
-        if not pending:
-            return
-        keys = list(pending)
-        items: list[GroupItem] = [(limit, rows, None) for limit, rows in keys]
-        chunks = split_chunks(items, session.parallelism)
-        chunk_results = session.map(evaluate_groups_worker, chunks)
-        instrumentation = self.engine.instrumentation
-        cursor = 0
-        for evaluations, stats in chunk_results:
-            for evaluation in evaluations:
-                self.evaluator.install(keys[cursor], evaluation)
-                cursor += 1
-            # Record the full BatchSearchStats set uniformly — zero
-            # increments included — so every kernel mode surfaces the
-            # same counter names in a plan's counter deltas.
-            for name, value in zip(KERNEL_COUNTERS, stats):
-                instrumentation.count(name, value)
-        instrumentation.count("placement.group_evaluations", len(pending))
-
     # ------------------------------------------------------------------
     # Evolution operators
     # ------------------------------------------------------------------
@@ -446,7 +392,6 @@ class GeneticPlacementSearch:
         self,
         population: list[EvaluatedAssignment],
         rng: np.random.Generator,
-        session: ExecutorSession,
     ) -> list[EvaluatedAssignment]:
         population = sorted(population, key=lambda member: member.score, reverse=True)
         next_population = population[: self.config.elite_count]
@@ -466,7 +411,7 @@ class GeneticPlacementSearch:
             if rng.random() < _MUTATION_PROBABILITY:
                 child = self._mutate(child, rng, held)
             children.append(child)
-        next_population.extend(self._evaluate_batch(children, session))
+        next_population.extend(self._evaluate_batch(children))
         return next_population
 
     def _tournament(
@@ -510,10 +455,7 @@ class GeneticPlacementSearch:
         if not used:
             return assignment
         if evaluations is None:
-            groups: dict[int, list[int]] = {}
-            for workload_index, server_index in enumerate(assignment):
-                groups.setdefault(server_index, []).append(workload_index)
-            evaluations = self._evaluate_used_servers(groups)
+            evaluations = self._ask([assignment])[0][1]
         weights = np.array(
             [
                 1.0 - self._utilization_weight(evaluations[server_index], server_index)
@@ -571,3 +513,11 @@ class GeneticPlacementSearch:
                     f"[0, {len(self.servers)})"
                 )
         return tuple(int(server_index) for server_index in assignment)
+
+
+def _server_groups(assignment: Assignment) -> dict[int, list[int]]:
+    """Server index -> its workload indices, servers in first-use order."""
+    groups: dict[int, list[int]] = {}
+    for workload_index, server_index in enumerate(assignment):
+        groups.setdefault(server_index, []).append(workload_index)
+    return groups

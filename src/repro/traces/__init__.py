@@ -15,7 +15,6 @@ from repro.traces.ops import (
     longest_run_above,
     percentile_profile,
     slice_weeks,
-    trace_percentile,
 )
 from repro.traces.trace import DemandTrace
 from repro.traces.validation import (
@@ -45,7 +44,6 @@ __all__ = [
     "longest_run_above",
     "percentile_profile",
     "slice_weeks",
-    "trace_percentile",
     "validate_ensemble",
     "validate_trace",
 ]

@@ -62,11 +62,6 @@ def longest_run_above(values: np.ndarray, threshold: float) -> int:
     return max(run.length for run in runs)
 
 
-def trace_percentile(trace: DemandTrace, percentile: float) -> float:
-    """``D_M%`` for a demand trace (delegates to the trace)."""
-    return trace.percentile(percentile)
-
-
 def percentile_profile(
     trace: DemandTrace, percentiles: Iterable[float]
 ) -> dict[float, float]:

@@ -3,7 +3,8 @@
 The engine contract: work units are pure functions, seeded RNG stays in
 the driver, so the executor backend must never change a planning result.
 These tests run the full translate -> place -> failure pipeline under
-both backends and require identical outputs.
+both backends and require identical outputs. The plans are sharded: the
+shard waves are the one stage that hands work to the pool.
 """
 
 import pytest
@@ -11,7 +12,6 @@ import pytest
 from repro.core.cos import PoolCommitments
 from repro.core.framework import ROpus
 from repro.core.qos import QoSPolicy, case_study_qos
-from repro.core.translation import QoSTranslator
 from repro.engine import ExecutionEngine
 from repro.placement.genetic import GeneticSearchConfig
 from repro.resources.pool import ResourcePool
@@ -48,6 +48,7 @@ def make_framework(engine, **kwargs):
         ResourcePool(homogeneous_servers(4, cpus=16)),
         search_config=FAST_SEARCH,
         engine=engine,
+        sharding=2,
         **kwargs,
     )
 
@@ -82,20 +83,19 @@ class TestBackendEquivalence:
 
         serial_summary = serial_plan.summary()
         parallel_summary = parallel_plan.summary()
-        # Wall-clock timings and execution telemetry (broadcast
-        # transport, kernel batching granularity) legitimately differ
-        # between backends; the planning quantities must not.
-        serial_summary.pop("stage_timings")
-        parallel_summary.pop("stage_timings")
+        # Wall-clock timings (stages and shards) and execution
+        # telemetry (broadcast transport, kernel batching granularity)
+        # legitimately differ between backends; the planning quantities
+        # must not.
+        for summary in (serial_summary, parallel_summary):
+            summary.pop("stage_timings")
+            summary["sharding"].pop("shard_seconds")
         serial_counters = serial_summary.pop("counters")
         parallel_counters = parallel_summary.pop("counters")
         assert serial_summary == parallel_summary
         # Both backends account their capacity-search work.
         assert serial_counters["kernel.calls"] > 0
         assert parallel_counters["kernel.calls"] > 0
-        # The parallel backend broadcast the allocation matrices
-        # zero-copy for the placement session.
-        assert parallel_counters.get("broadcast.bytes_shared", 0.0) > 0.0
 
     def test_failure_cases_identical(self, demands, policy):
         serial_plan = plan_with(ExecutionEngine.serial(), demands, policy)
@@ -117,28 +117,6 @@ class TestBackendEquivalence:
         assert case_view(serial_plan.failure_report) == case_view(
             parallel_plan.failure_report
         )
-
-    def test_translation_identical(self, demands, policy):
-        commitments = PoolCommitments.of(theta=0.9)
-        with ExecutionEngine.with_workers(2) as parallel_engine:
-            serial = QoSTranslator(commitments).translate_many(
-                demands, policy.normal
-            )
-            parallel = QoSTranslator(
-                commitments, engine=parallel_engine
-            ).translate_many(demands, policy.normal)
-        assert set(serial) == set(parallel)
-        for name in serial:
-            assert serial[name].d_new_max == parallel[name].d_new_max
-            assert serial[name].breakpoint == parallel[name].breakpoint
-            assert (
-                serial[name].pair.cos1.values
-                == parallel[name].pair.cos1.values
-            ).all()
-            assert (
-                serial[name].pair.cos2.values
-                == parallel[name].pair.cos2.values
-            ).all()
 
     def test_batch_kernel_parallel_matches_scalar_serial(
         self, demands, policy

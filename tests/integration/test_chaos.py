@@ -47,29 +47,37 @@ def policy():
     return QoSPolicy(normal=case_study_qos(m_degr_percent=3))
 
 
-def _framework(engine=None, checkpointer=None, search_config=FAST_SEARCH):
+def _framework(
+    engine=None, checkpointer=None, search_config=FAST_SEARCH, sharding="off"
+):
     return ROpus(
         PoolCommitments.of(theta=0.95),
         ResourcePool(homogeneous_servers(6, cpus=16)),
         search_config=search_config,
         engine=engine if engine is not None else ExecutionEngine.serial(),
         checkpointer=checkpointer,
+        sharding=sharding,
     )
+
+
+def _sharded(engine=None):
+    """The shard waves are the one stage that hands work to workers."""
+    return _framework(engine=engine, sharding=2)
 
 
 class TestChaosEquivalence:
     def test_seeded_faults_do_not_change_the_plan(self, demands, policy):
-        baseline = _framework().plan(demands, policy, plan_failures=False)
+        baseline = _sharded().plan(demands, policy, plan_failures=False)
 
-        # A serial-rung run of this problem makes eight worker
-        # invocations (four translation chunks, four GA batches), so
-        # the rates are set for the seed-11 schedule to land in them.
+        # A serial-rung run of this problem makes six worker invocations
+        # (the two shard plans, then the refinement's re-plans); the
+        # seed-11 schedule crashes invocation 2.
         fault_plan = FaultPlan.seeded(
             11, horizon=4096, crash_rate=0.05, corrupt_rate=0.05
         )
         config = ResilienceConfig(fault_plan=fault_plan, sleep=_no_sleep)
         with ExecutionEngine.with_workers(None, config) as chaotic_engine:
-            chaotic = _framework(engine=chaotic_engine).plan(
+            chaotic = _sharded(engine=chaotic_engine).plan(
                 demands, policy, plan_failures=False
             )
 
@@ -83,7 +91,7 @@ class TestChaosEquivalence:
             fault_plan=FaultPlan.of(corrupt_result=[0]), sleep=_no_sleep
         )
         with ExecutionEngine.with_workers(None, config) as engine:
-            plan = _framework(engine=engine).plan(
+            plan = _sharded(engine=engine).plan(
                 demands, policy, plan_failures=False
             )
         resilience = plan.summary()["resilience"]
@@ -95,7 +103,7 @@ class TestChaosEquivalence:
         with ExecutionEngine.with_workers(
             None, ResilienceConfig(sleep=_no_sleep)
         ) as engine:
-            plan = _framework(engine=engine).plan(
+            plan = _sharded(engine=engine).plan(
                 demands, policy, plan_failures=False
             )
         assert plan.resilience_summary() == {}

@@ -210,6 +210,16 @@ class TestResilienceKnobs:
         assert args.max_retries == 3
         assert args.checkpoint == "ckpt-dir"
 
+    @pytest.mark.parametrize("command", ["translate", "table1", "outlook"])
+    @pytest.mark.parametrize(
+        "flag", [["--workers", "2"], ["--task-timeout", "30"], ["--max-retries", "3"]]
+    )
+    def test_worker_flags_only_where_plans_shard(self, command, flag, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, *flag])
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert build_parser().parse_args([command, "--timings"]).timings
+
     def test_plan_with_checkpoint_prints_hash_and_resumes(
         self, tmp_path, capsys
     ):

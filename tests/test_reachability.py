@@ -3,7 +3,10 @@
 ``tools/ledger.py`` walks the import graph from the planner, the CLI,
 the benchmark of record, the paper-shape suite, the examples and the
 tests. A module only the tests reach is dead weight — delete it with
-its tests — unless it is listed here with the reason it stays.
+its tests — unless it is listed here with the reason it stays. At
+function grain, every top-level function is reached by something, and
+the ones only the benchmark of record and the tests reach are listed
+here with their reasons.
 """
 
 import ast
@@ -36,16 +39,44 @@ REFERENCE_MODULES = {
 }
 
 
+#: Top-level functions that, besides the tests, only the benchmark of
+#: record and ``tools/`` reach, and why each stays.
+RECORD_ONLY_FUNCTIONS = {
+    "repro.placement.evaluation:evaluate_groups_worker": (
+        "the work unit of benchmarks/record/tracing.py's engine probe; no "
+        "planning path fans GA batches out any more, so it goes in the "
+        "benchmark PR that retires that probe"
+    ),
+    "repro.workloads.ensemble:scaled_ensemble": (
+        "builds the benchmark of record's ensembles "
+        "(benchmarks/record/workloads.py)"
+    ),
+    "repro.workloads.ensemble:scaled_specs": (
+        "the workload specs scaled_ensemble generates from"
+    ),
+}
+
+
 @pytest.fixture(scope="module")
-def tests_only():
+def ledger_tool():
     spec = importlib.util.spec_from_file_location("ropus_tools_ledger", _PATH)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def tests_only(ledger_tool):
     return {
         name
-        for name, (_, kinds) in module.ledger().items()
+        for name, (_, kinds) in ledger_tool.ledger().items()
         if set(kinds) <= {"tests"}
     }
+
+
+@pytest.fixture(scope="module")
+def unshipped_functions(ledger_tool):
+    return ledger_tool.unshipped_functions()
 
 
 def test_no_module_is_reached_by_tests_only(tests_only):
@@ -54,6 +85,21 @@ def test_no_module_is_reached_by_tests_only(tests_only):
 
 def test_allow_list_is_not_stale(tests_only):
     assert REFERENCE_MODULES.keys() - tests_only == set()
+
+
+def test_record_only_functions_are_the_allowed_ones(unshipped_functions):
+    record_only = {
+        function
+        for function, kinds in unshipped_functions.items()
+        if "record" in kinds
+    }
+    assert record_only == RECORD_ONLY_FUNCTIONS.keys()
+
+
+def test_every_function_is_reached(unshipped_functions):
+    assert [
+        function for function, kinds in unshipped_functions.items() if not kinds
+    ] == []
 
 
 # Process pools and shared-memory segments, two of the acquisitions the
@@ -94,11 +140,7 @@ def test_one_module_owns_a_process_pool():
 #: The modules that open an executor session, each a fan-out site with
 #: its "what workers buy" reading in DESIGN.md section 10. A new site
 #: adds itself here along with its reading.
-FAN_OUT_SITES = {
-    "core/translation.py",
-    "placement/genetic.py",
-    "placement/sharding.py",
-}
+FAN_OUT_SITES = {"placement/sharding.py"}
 
 
 def test_fan_out_sites_are_the_measured_ones():
