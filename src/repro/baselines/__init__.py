@@ -7,14 +7,10 @@
   guaranteed class, forgoing statistical multiplexing entirely.
 """
 
-from repro.baselines.percentile_cap import (
-    degraded_run_profile,
-    percentile_cap_pair,
-)
+from repro.baselines.percentile_cap import degraded_run_profile
 from repro.baselines.single_cos import single_cos_pair
 
 __all__ = [
     "degraded_run_profile",
-    "percentile_cap_pair",
     "single_cos_pair",
 ]

@@ -5,59 +5,17 @@ percentile of its demand — e.g. provision for the 97th percentile and
 let the rest degrade. The paper's criticism (Section VIII) is that a
 bare percentile budget ignores *how the degraded measurements cluster*:
 a 3% budget can be spent as a single multi-hour outage. This module
-implements the baseline and the run-length analysis that exposes the
-difference against R-Opus's ``M_degr``/``T_degr`` semantics.
+implements the run-length analysis of a percentile cap, which exposes
+the difference against R-Opus's ``M_degr``/``T_degr`` semantics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.exceptions import QoSSpecificationError
-from repro.traces.allocation import AllocationTrace, CoSAllocationPair
 from repro.traces.ops import contiguous_runs_above
 from repro.traces.trace import DemandTrace
-
-
-def percentile_cap_pair(
-    demand: DemandTrace,
-    percentile: float,
-    burst_factor: float = 2.0,
-) -> CoSAllocationPair:
-    """Translate a workload by capping demand at a percentile.
-
-    All allocation rides in the guaranteed class (the baseline predates
-    multi-CoS pools); demand above the percentile cap is simply not
-    provisioned for.
-    """
-    if not 0 < percentile <= 100:
-        raise QoSSpecificationError(
-            f"percentile must be in (0, 100], got {percentile}"
-        )
-    if burst_factor <= 0:
-        raise QoSSpecificationError(
-            f"burst_factor must be > 0, got {burst_factor}"
-        )
-    cap = demand.percentile(percentile, method="higher")
-    capped = np.minimum(demand.values, cap)
-    calendar = demand.calendar
-    return CoSAllocationPair(
-        demand.name,
-        AllocationTrace(
-            f"{demand.name}.cos1",
-            capped * burst_factor,
-            calendar,
-            demand.attribute,
-        ),
-        AllocationTrace(
-            f"{demand.name}.cos2",
-            np.zeros(calendar.n_observations),
-            calendar,
-            demand.attribute,
-        ),
-    )
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,6 @@ The effective demand cap ``D_new_max`` is whichever is larger (formulas
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.qos import ApplicationQoS
 from repro.exceptions import QoSSpecificationError
 from repro.traces.trace import DemandTrace
@@ -80,24 +78,3 @@ def realized_cap_reduction(demand: DemandTrace, d_new_max: float) -> float:
         raise QoSSpecificationError(f"D_new_max must be >= 0, got {d_new_max}")
     return max(0.0, (d_max - d_new_max) / d_max)
 
-
-def degraded_fraction(
-    demand_values: np.ndarray,
-    utilization: np.ndarray,
-    u_high: float,
-) -> float:
-    """Fraction of observations with utilization above ``U_high``.
-
-    ``demand_values`` is accepted alongside the utilization series so
-    zero-demand slots (where utilization is 0 by convention) never count.
-    """
-    demand_values = np.asarray(demand_values, dtype=float)
-    utilization = np.asarray(utilization, dtype=float)
-    if demand_values.shape != utilization.shape:
-        raise QoSSpecificationError(
-            "demand and utilization series must have matching shapes"
-        )
-    if utilization.size == 0:
-        return 0.0
-    degraded = (utilization > u_high) & (demand_values > 0)
-    return float(np.count_nonzero(degraded)) / utilization.size

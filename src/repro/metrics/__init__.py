@@ -12,7 +12,7 @@
 from repro.metrics.access import measure_theta, theta_by_slot
 from repro.metrics.capacity import CapacityCase, capacity_case
 from repro.metrics.compliance import ComplianceReport, check_compliance
-from repro.metrics.report import render_capacity_table, render_compliance_table
+from repro.metrics.report import render_capacity_table
 
 __all__ = [
     "CapacityCase",
@@ -21,6 +21,5 @@ __all__ = [
     "check_compliance",
     "measure_theta",
     "render_capacity_table",
-    "render_compliance_table",
     "theta_by_slot",
 ]

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.metrics.capacity import CapacityCase
-from repro.metrics.compliance import ComplianceReport
 from repro.util.tables import format_table
 
 
@@ -38,28 +37,3 @@ def render_capacity_table(
     ]
     return format_table(headers, rows, title=title)
 
-
-def render_compliance_table(
-    reports: Sequence[ComplianceReport], title: str | None = None
-) -> str:
-    """Render per-workload compliance results."""
-    headers = [
-        "workload",
-        "acceptable %",
-        "degraded %",
-        "violations %",
-        "max run (min)",
-        "compliant",
-    ]
-    rows = [
-        [
-            report.workload,
-            100.0 * report.acceptable_fraction,
-            100.0 * report.degraded_fraction,
-            100.0 * report.violation_fraction,
-            report.longest_degraded_run_minutes,
-            report.compliant,
-        ]
-        for report in reports
-    ]
-    return format_table(headers, rows, title=title)

@@ -9,8 +9,7 @@ Components:
   smallest capacity satisfying the commitments;
 * :mod:`repro.placement.objective` — the consolidation score;
 * :mod:`repro.placement.genetic` — the genetic optimizing search;
-* :mod:`repro.placement.greedy` / :mod:`repro.placement.binpack` —
-  baseline placement algorithms;
+* :mod:`repro.placement.greedy` — the greedy baseline placements;
 * :mod:`repro.placement.consolidation` — the end-to-end consolidation
   exercise;
 * :mod:`repro.placement.failure` — failure what-if planning: single
@@ -52,7 +51,7 @@ from repro.placement.failure import (
 )
 from repro.placement.genetic import GeneticPlacementSearch, GeneticSearchConfig
 from repro.placement.greedy import best_fit_decreasing, first_fit_decreasing
-from repro.placement.objective import assignment_score, server_score
+from repro.placement.objective import server_score
 from repro.placement.required_capacity import required_capacity
 from repro.placement.sharding import (
     HierarchicalPlanner,
@@ -89,7 +88,6 @@ __all__ = [
     "demand_shape_features",
     "pair_shape_features",
     "partition_pool",
-    "assignment_score",
     "best_fit_decreasing",
     "correlation_aware_seed",
     "find_violations",

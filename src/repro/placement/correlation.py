@@ -38,12 +38,17 @@ def allocation_correlation_matrix(evaluator: PlacementEvaluator) -> np.ndarray:
     """Pairwise Pearson correlations of total allocation series.
 
     Constant series (zero variance) correlate 0 with everything: they
-    neither help nor hurt coincident peaks.
+    neither help nor hurt coincident peaks. The series are centred in
+    place and each norm is taken a row at a time, so the only ``(n, T)``
+    matrix is the fresh one ``total_allocations`` returns. Each norm is
+    ``np.linalg.norm(centered, axis=1)``'s float: the same pairwise sum
+    of squares. ``np.linalg.norm`` of a lone row is a BLAS dot whose last
+    bits differ, and those bits pick servers.
     """
-    totals = evaluator.total_allocations()
-    n = totals.shape[0]
-    centered = totals - totals.mean(axis=1, keepdims=True)
-    norms = np.linalg.norm(centered, axis=1)
+    centered = evaluator.total_allocations()
+    n = centered.shape[0]
+    centered -= centered.mean(axis=1, keepdims=True)
+    norms = np.array([np.sqrt(np.add.reduce(row * row)) for row in centered])
     matrix = np.zeros((n, n))
     for row in range(n):
         if norms[row] == 0:

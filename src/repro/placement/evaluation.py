@@ -13,11 +13,13 @@ Two execution shapes are supported:
 * the scalar path (``kernel="scalar"``) runs one subset's binary search
   at a time, exactly as the paper describes it;
 * the batch path (:meth:`PlacementEvaluator.evaluate_groups`) stacks
-  all cache-missing subsets into
+  the cache-missing subsets into
   a :class:`~repro.placement.kernels.BatchSimulator` and solves every
   bracket simultaneously with
   :func:`~repro.placement.kernels.required_capacity_batch` — same
-  results, one lock-step array program instead of N Python loops.
+  results, one lock-step array program instead of N Python loops. A
+  large batch is screened and solved in consecutive chunks that keep
+  its working memory under :data:`_BATCH_BYTES`.
   Before any subset is aggregated, the *witness screen*
   (:func:`_witness_rejects`) judges each at its limit on a few slots
   only: the theta constraint is a conjunction over theta groups, so one
@@ -35,7 +37,7 @@ retires that probe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -77,6 +79,24 @@ KERNELS = ("batch", "analytic", "fused", "scalar")
 #: in DESIGN.md section 9; it only changes how many rows the kernel is
 #: spared, never a result.
 _WITNESS_GROUPS = 3
+
+#: Bytes of working memory one batch solve may hold beyond the
+#: evaluator's own matrices — the batch-level counterpart of
+#: :data:`~repro.placement.kernels._TILE_BYTES`.
+#: :func:`_evaluate_items_batched` screens and solves its items in
+#: consecutive chunks, each sized so that both the chunk's witness-screen
+#: gathers and its aggregated rows stay under it. Fixed by the sweep in
+#: DESIGN.md section 9; rows never interact, so a chunk only changes how
+#: many ``decide`` calls a batch takes, never a result.
+_BATCH_BYTES = 8 << 20
+
+#: Float64 arrays per slot of one aggregated row: CoS1, CoS2 and the
+#: arrival cumsum :class:`BatchSimulator` fills on first use.
+_ROW_ARRAYS = 3
+
+#: Word-sized arrays the witness screen holds per gathered slot (the
+#: slot indices, the flat offsets, both sums and one gather's copies).
+_SCREEN_ARRAYS = 6
 
 
 def _solver_mode(kernel: str) -> str:
@@ -259,6 +279,31 @@ def _evaluate_rows(
     return _evaluation_from_result(result, limit)
 
 
+def _chunks(
+    items: Sequence[GroupItem], length: int, groups: int
+) -> Iterator[tuple[int, int]]:
+    """``(start, stop)`` of consecutive runs of ``items`` within budget.
+
+    A run of ``m`` items whose widest subset has ``w`` members costs
+    ``m × max(row, w × member)`` bytes: ``row`` for one aggregated row of
+    ``length`` slots, ``member`` for one member's witness gathers (the
+    screen pads every subset of the run to ``w``). Every run holds at
+    least one item, however long its rows.
+    """
+    row = _ROW_ARRAYS * 8 * (length + 1)
+    member = _SCREEN_ARRAYS * 8 * DAYS_PER_WEEK * groups
+    start = width = 0
+    for stop, (_, rows, _) in enumerate(items):
+        width = max(width, len(rows))
+        if stop > start and (stop + 1 - start) * max(
+            row, width * member
+        ) > _BATCH_BYTES:
+            yield start, stop
+            start, width = stop, len(rows)
+    if items:
+        yield start, len(items)
+
+
 def _evaluate_items_batched(
     cos1: np.ndarray,
     cos2: np.ndarray,
@@ -269,23 +314,33 @@ def _evaluate_items_batched(
     witness: np.ndarray,
     kernel: str = "batch",
 ) -> tuple[list[ServerEvaluation], BatchSearchStats]:
-    """Solve every item's capacity search in one batched kernel solve.
+    """Solve every item's capacity search, a budget-sized chunk at a time.
 
+    Each chunk (:func:`_chunks`, :data:`_BATCH_BYTES`) is screened, then
+    its survivors are aggregated and solved in one batched kernel solve.
     Items the witness screen rejects are answered ``fits=False`` — what
-    the kernel's at-limit screen would say — without being aggregated;
-    the survivors go to the kernel. ``stats.rows`` still counts every
-    item, ``stats.witness_rejects`` the ones the kernel was spared.
+    the kernel's at-limit screen would say — without being aggregated.
+    The chunks' stats are summed field by field: ``stats.rows`` counts
+    every item, ``stats.witness_rejects`` the ones the kernel was spared,
+    and only ``stats.kernel_calls`` depends on where the chunks split.
     """
-    subsets = [rows for _, rows, _ in items]
-    limits = np.asarray([limit for limit, _, _ in items], dtype=float)
-    # A non-positive limit is the kernel's error to raise, not a reject.
-    rejected = _witness_rejects(
-        cos1, cos2, witness, subsets, limits, commitment
-    ) & (limits > 0)
     evaluations = [_REJECTED] * len(items)
-    survivors = np.nonzero(~rejected)[0]
-    stats = BatchSearchStats(rows=0)
-    if survivors.size:
+    parts = [BatchSearchStats(rows=0)]
+    survived = 0
+    for start, stop in _chunks(
+        items, calendar.n_observations, witness.shape[1]
+    ):
+        chunk = items[start:stop]
+        subsets = [rows for _, rows, _ in chunk]
+        limits = np.asarray([limit for limit, _, _ in chunk], dtype=float)
+        # A non-positive limit is the kernel's error to raise, not a reject.
+        rejected = _witness_rejects(
+            cos1, cos2, witness, subsets, limits, commitment
+        ) & (limits > 0)
+        survivors = np.nonzero(~rejected)[0]
+        survived += int(survivors.size)
+        if not survivors.size:
+            continue
         kept = [subsets[index] for index in survivors]
         kept_limits = limits[survivors]
         if kernel == "fused":
@@ -307,13 +362,15 @@ def _evaluate_items_batched(
                 tolerance=tolerance,
                 mode=_solver_mode(kernel),
             )
+            # Free this chunk's rows before the next chunk aggregates.
+            del batch
         for index, result, limit in zip(
             survivors.tolist(), solved.results, kept_limits.tolist()
         ):
-            evaluations[index] = _evaluation_from_result(result, limit)
-        stats = solved.stats
-    return evaluations, stats._replace(
-        rows=len(items), witness_rejects=len(items) - int(survivors.size)
+            evaluations[start + index] = _evaluation_from_result(result, limit)
+        parts.append(solved.stats)
+    return evaluations, BatchSearchStats(*map(sum, zip(*parts)))._replace(
+        rows=len(items), witness_rejects=len(items) - survived
     )
 
 
@@ -329,8 +386,6 @@ def evaluate_groups_worker(
     ``benchmarks/record/tracing.py``'s engine probe, and goes in the
     benchmark PR that retires that probe.
     """
-    if not items:
-        return (), BatchSearchStats(rows=0)
     if payload.kernel == "scalar":
         evaluations = tuple(
             _evaluate_rows(
@@ -417,10 +472,17 @@ class PlacementEvaluator:
     def peak_allocations(self) -> np.ndarray:
         """Per-workload peak total allocation (the C_peak contributions).
 
-        Computed once per evaluator; the array is read-only.
+        Computed once per evaluator, a row at a time (no ``(n, T)``
+        temporary); the array is read-only.
         """
         if self._peaks is None:
-            self._peaks = self.total_allocations().max(axis=1)
+            self._peaks = np.array(
+                [
+                    (first + second).max()
+                    for first, second in zip(self._cos1, self._cos2)
+                ],
+                dtype=float,
+            )
             self._peaks.setflags(write=False)
         return self._peaks
 
@@ -441,8 +503,9 @@ class PlacementEvaluator:
         """Evaluate many ``(capacity limit, subset)`` items at once.
 
         Cache-hitting items are answered from the memo; the misses are
-        stacked into one :class:`BatchSimulator` and solved by a single
-        simultaneous bisection, then installed in the cache. Results
+        stacked into a :class:`BatchSimulator` and solved by simultaneous
+        bisection (in chunks within :data:`_BATCH_BYTES`), then installed
+        in the cache. Results
         are identical to asking for the items one by one, and so are
         the counters: a key repeated within the batch is a hit, so hits
         plus misses is the number of items asked.

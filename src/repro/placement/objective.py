@@ -22,8 +22,6 @@ a capacity-feasible assignment infeasible.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.exceptions import PlacementError
 from repro.resources.server import ServerSpec
 
@@ -75,21 +73,3 @@ def affinity_penalty(pair_count: int, weight: float) -> float:
         raise PlacementError(f"weight must be > 0, got {weight}")
     return float(weight * pair_count)
 
-
-def assignment_score(
-    servers: Sequence[ServerSpec],
-    workload_counts: Sequence[int],
-    required_capacities: Sequence[float | None],
-    attribute: str = "cpu",
-) -> float:
-    """Total score of an assignment across the pool."""
-    if not len(servers) == len(workload_counts) == len(required_capacities):
-        raise PlacementError(
-            "servers, workload_counts and required_capacities must align"
-        )
-    return sum(
-        server_score(server, count, required, attribute)
-        for server, count, required in zip(
-            servers, workload_counts, required_capacities
-        )
-    )

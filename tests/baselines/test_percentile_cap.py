@@ -3,10 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines.percentile_cap import (
-    degraded_run_profile,
-    percentile_cap_pair,
-)
+from repro.baselines.percentile_cap import degraded_run_profile
 from repro.exceptions import QoSSpecificationError
 from repro.traces.calendar import TraceCalendar
 from repro.traces.trace import DemandTrace
@@ -23,30 +20,6 @@ def plateau_trace(cal):
     values = np.ones(cal.n_observations)
     values[100:150] = 5.0  # 50 slots = 250 min sustained burst, ~2.5%
     return DemandTrace("plateau", values, cal)
-
-
-class TestPercentileCapPair:
-    def test_all_demand_in_cos1(self, plateau_trace):
-        pair = percentile_cap_pair(plateau_trace, 97.0)
-        assert pair.cos2.peak() == 0.0
-        assert pair.cos1.peak() > 0.0
-
-    def test_cap_applied(self, plateau_trace):
-        pair = percentile_cap_pair(plateau_trace, 97.0, burst_factor=2.0)
-        cap = plateau_trace.percentile(97.0, method="higher")
-        assert pair.cos1.peak() == pytest.approx(cap * 2.0)
-
-    def test_full_percentile_keeps_peak(self, plateau_trace):
-        pair = percentile_cap_pair(plateau_trace, 100.0, burst_factor=1.0)
-        assert pair.cos1.peak() == pytest.approx(plateau_trace.peak())
-
-    def test_rejects_bad_parameters(self, plateau_trace):
-        with pytest.raises(QoSSpecificationError):
-            percentile_cap_pair(plateau_trace, 0.0)
-        with pytest.raises(QoSSpecificationError):
-            percentile_cap_pair(plateau_trace, 101.0)
-        with pytest.raises(QoSSpecificationError):
-            percentile_cap_pair(plateau_trace, 97.0, burst_factor=0)
 
 
 class TestDegradedRunProfile:

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.degradation import (
-    degraded_fraction,
     max_cap_reduction_bound,
     new_max_demand,
     realized_cap_reduction,
@@ -138,19 +137,3 @@ class TestRealizedCapReduction:
         trace = make_trace(cal, np.ones(cal.n_observations))
         with pytest.raises(QoSSpecificationError):
             realized_cap_reduction(trace, -1.0)
-
-
-class TestDegradedFraction:
-    def test_counts_only_active_slots(self):
-        demand = np.array([0.0, 1.0, 1.0, 1.0])
-        utilization = np.array([0.9, 0.9, 0.5, 0.7])
-        assert degraded_fraction(demand, utilization, 0.66) == pytest.approx(
-            2 / 4
-        )
-
-    def test_empty(self):
-        assert degraded_fraction(np.empty(0), np.empty(0), 0.66) == 0.0
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(QoSSpecificationError):
-            degraded_fraction(np.ones(3), np.ones(4), 0.66)

