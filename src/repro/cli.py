@@ -24,9 +24,9 @@ Subcommands
     trees; same engine as ``python -m repro.analysis``.
 ``chaos``
     Run the sharded planning pipeline under a seeded fault schedule
-    (worker crashes, hangs, corrupted results, broadcast failures) and report
-    the recovery telemetry; ``--verify`` re-runs fault-free and checks
-    the two plans hash identically.  With ``--racks``/``--zones`` and
+    (worker crashes, hangs, corrupted results) and report the recovery
+    telemetry; ``--verify`` re-runs fault-free and checks the two plans
+    hash identically.  With ``--racks``/``--zones`` and
     ``--domains`` the verification also covers the domain-scoped
     failure sweeps (they contribute to the plan hash).
 """
@@ -449,7 +449,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         crash_rate=args.crash_rate,
         hang_rate=args.hang_rate,
         corrupt_rate=args.corrupt_rate,
-        broadcast_rate=args.broadcast_rate,
         hang_seconds=args.hang_seconds,
     )
     scheduled = {
@@ -701,7 +700,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--crash-rate", type=float, default=0.02)
     chaos.add_argument("--hang-rate", type=float, default=0.0)
     chaos.add_argument("--corrupt-rate", type=float, default=0.02)
-    chaos.add_argument("--broadcast-rate", type=float, default=0.1)
     chaos.add_argument(
         "--hang-seconds", type=float, default=5.0,
         help="how long an injected hang sleeps (default 5)",

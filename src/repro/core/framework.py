@@ -173,7 +173,7 @@ class CapacityPlan:
     rows they judged — ``kernel.row_evaluations`` — and how many of
     those reached the backlog pass — ``kernel.backlog_rows`` — bracket
     iterations, evaluation cache hits/misses, the shard waves'
-    ``broadcast.*`` sessions, ...). ``kernel.fused_rows`` and
+    ``broadcast.sessions``, ...). ``kernel.fused_rows`` and
     ``kernel.f32_retries`` count the fused kernel's fast-path rows and
     verification fallbacks and stay zero on every other kernel; every
     mode records the full ``kernel.*`` set, zeros included, so counter

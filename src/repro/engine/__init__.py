@@ -9,7 +9,6 @@ one process-pool backend) for where work runs, and
 event log.
 """
 
-from repro.engine.broadcast import SharedMemoryHandle
 from repro.engine.checkpoint import Checkpointer
 from repro.engine.core import ExecutionEngine
 from repro.engine.dispatch import split_chunks
@@ -31,7 +30,6 @@ __all__ = [
     "ResilienceConfig",
     "ResilientExecutor",
     "SerialExecutor",
-    "SharedMemoryHandle",
     "StageStats",
     "split_chunks",
 ]

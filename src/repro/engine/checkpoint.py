@@ -1,8 +1,8 @@
 """Journaling checkpoint store: atomic write-then-rename JSON documents.
 
 Long-running planning stages (the genetic search's generations, the
-failure sweep's what-if cases, the consolidation pass) persist their
-progress through a :class:`Checkpointer` so a killed run resumes
+failure sweep's what-if cases, the hierarchical tier's completed
+shards) persist their progress through a :class:`Checkpointer` so a killed run resumes
 bit-identically instead of starting over. The store is deliberately
 boring:
 

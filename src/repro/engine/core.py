@@ -79,23 +79,9 @@ class ExecutionEngine:
         return cls(ResilientExecutor(workers, config), instrumentation)
 
     def session(self, shared: "Any" = None) -> ExecutorSession:
-        """Open an executor session and account its broadcast cost.
-
-        Counts one ``broadcast.sessions``, the transport that carried
-        the shared payload (``broadcast.shared_memory_sessions`` vs
-        ``broadcast.pickle_sessions`` — serial sessions hand the payload
-        over by reference and count neither), and the bytes published
-        zero-copy (``broadcast.bytes_shared``).
-        """
+        """Open an executor session and count one ``broadcast.sessions``."""
         session = self.executor.session(shared)
         self.instrumentation.count("broadcast.sessions")
-        if session.broadcast_mode == "shared_memory":
-            self.instrumentation.count("broadcast.shared_memory_sessions")
-            self.instrumentation.count(
-                "broadcast.bytes_shared", session.broadcast_bytes
-            )
-        elif session.broadcast_mode == "pickle":
-            self.instrumentation.count("broadcast.pickle_sessions")
         return session
 
     def close(self) -> None:

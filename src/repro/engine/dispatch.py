@@ -1,11 +1,10 @@
 """Engine-level work dispatch helpers.
 
-Chunking policy is a property of the *executor*, not of any one
-algorithm: every fan-out stage that batches independent work units
-(GA generation evaluation, translation, over-size shard splitting)
-wants the same shape — contiguous, near-equal chunks sized from the
-session's parallelism, so each worker runs a batched solve over its
-whole share.
+Both users of :func:`split_chunks` want the same shape — contiguous,
+near-equal chunks: the hierarchical tier splits an over-size shard into
+as many shards as it has spare servers for, and the benchmark of
+record's engine probe sizes one chunk per worker so each worker runs a
+batched solve over its whole share.
 """
 
 from __future__ import annotations

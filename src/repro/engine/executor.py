@@ -1,21 +1,23 @@
 """Pluggable execution backends for the pipeline's fan-out work.
 
-Every embarrassingly parallel loop in the framework — per-application
-QoS translation, per-generation GA evaluation, failure what-if sweeps —
-routes through an :class:`Executor`. Two backends are provided:
+The hierarchical tier's shard waves are the one fan-out site that
+routes through an :class:`Executor`; translation, GA generations and
+failure what-ifs run in the planner's process. Two backends are
+provided:
 
-* :class:`SerialExecutor` (the default) runs work units inline and is
-  bit-identical to the historical ``for`` loops;
+* :class:`SerialExecutor` (the default) runs work units inline in the
+  driver;
 * :class:`~repro.engine.resilience.ResilientExecutor` fans picklable
   work units out over a :class:`concurrent.futures.ProcessPoolExecutor`
   and recovers from worker failure (the only pool backend).
 
 Work units are *pure functions of their inputs*: ``fn(shared, item)``
 where ``shared`` is an immutable payload broadcast once per session
-(e.g. the stacked allocation matrices of a placement evaluator) and
-``item`` is the per-task argument. Seeded RNG state stays in the
-driver process, so results are deterministic and backend-independent;
-``map`` always preserves input order.
+(the pool initializer hands it to each worker: a forked worker inherits
+it, a spawned one unpickles it) and ``item`` is the per-task argument.
+Seeded RNG state stays in the driver process, so results are
+deterministic and backend-independent; ``map`` always preserves input
+order.
 """
 
 from __future__ import annotations
@@ -24,16 +26,12 @@ import os
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Iterator, Sequence, TypeVar
 
-from repro.engine.broadcast import resolve
-
 ItemT = TypeVar("ItemT")
 ResultT = TypeVar("ResultT")
 WorkFn = Callable[[Any, ItemT], ResultT]
 
 # Payload broadcast to worker processes, installed once per process by the
 # pool initializer so repeated map calls in one session don't re-pickle it.
-# Shared-memory handles are resolved here, once, into read-only array
-# views over the published segment (see repro.engine.broadcast).
 _WORKER_SHARED: Any = None
 
 
@@ -53,24 +51,20 @@ def _install_shared(payload: Any) -> None:
         from repro.analysis.leaktrack import maybe_install as _arm_leaktrack
 
         _arm_leaktrack()
-    _WORKER_SHARED = resolve(payload)
+    _WORKER_SHARED = payload
 
 
 class ExecutorSession(ABC):
     """One fan-out context with a shared payload already broadcast.
 
-    Sessions exist so callers with *many* map calls over the same large
-    payload (the GA evaluates one batch per generation against the same
-    allocation matrices) pay the broadcast cost once, not per call.
+    Sessions exist so callers with *many* map calls over the same
+    payload (a shard-planning pass maps once per wave) pay the
+    broadcast cost once, not per call.
     """
 
     #: Number of work units the backend can run concurrently; callers
     #: use it to size chunks (one batched work unit per slot).
     parallelism: int = 1
-    #: How the shared payload reached the workers.
-    broadcast_mode: str = "inline"
-    #: Bytes published through shared memory (0 on the pickle/inline paths).
-    broadcast_bytes: int = 0
 
     @abstractmethod
     def map(self, fn: WorkFn, items: Sequence[Any]) -> list[Any]:

@@ -13,8 +13,8 @@ Model
 -----
 Each fault kind has a *site* in the execution stack and a driver-side
 occurrence counter (:class:`FaultClock`). Every time execution passes a
-site — one work-unit invocation, one broadcast publish, one checkpoint
-write — the site's counter advances by one, and the plan is consulted:
+site — one work-unit invocation, one checkpoint write — the site's
+counter advances by one, and the plan is consulted:
 ``occurrence in plan.occurrences(kind)`` decides whether the fault
 fires. Retried work units consume *fresh* occurrence numbers, so a
 fault fires for its scheduled occurrence and the retry proceeds clean —
@@ -49,21 +49,9 @@ class FaultKind(Enum):
     #: A worker returns garbage instead of its result. Site: per
     #: invocation.
     CORRUPT_RESULT = "corrupt_result"
-    #: Publishing the shared payload through shared memory fails.
-    #: Site: one occurrence per broadcast attempt.
-    BROADCAST_FAILURE = "broadcast_failure"
     #: A checkpoint write fails (disk full, volume gone). Site: one
     #: occurrence per checkpoint save.
     CHECKPOINT_WRITE_FAILURE = "checkpoint_write_failure"
-
-
-#: Fault kinds whose occurrence counter is the work-unit invocation
-#: counter (they share one site and therefore one clock).
-WORKER_KINDS = (
-    FaultKind.WORKER_CRASH,
-    FaultKind.WORKER_HANG,
-    FaultKind.CORRUPT_RESULT,
-)
 
 
 class InjectedFault(ROpusError):
@@ -76,10 +64,6 @@ class InjectedWorkerCrash(InjectedFault):
 
 class InjectedWorkerHang(InjectedFault):
     """Stands in for a wedged worker on backends without processes."""
-
-
-class InjectedBroadcastFailure(InjectedFault):
-    """The shared-memory broadcast path was made to fail."""
 
 
 class InjectedCheckpointFailure(InjectedFault):
@@ -169,7 +153,7 @@ class FaultPlan:
     ) -> "FaultPlan":
         """Build a plan from explicit occurrence sets, keyed by kind value.
 
-        >>> plan = FaultPlan.of(worker_crash=[0, 3], broadcast_failure=[0])
+        >>> plan = FaultPlan.of(worker_crash=[0, 3])
         >>> plan.fires(FaultKind.WORKER_CRASH, 3)
         True
         >>> plan.fires(FaultKind.WORKER_CRASH, 1)
@@ -192,7 +176,6 @@ class FaultPlan:
         crash_rate: Probability = 0.0,
         hang_rate: Probability = 0.0,
         corrupt_rate: Probability = 0.0,
-        broadcast_rate: Probability = 0.0,
         checkpoint_rate: Probability = 0.0,
         hang_seconds: float = 5.0,
     ) -> "FaultPlan":
@@ -206,7 +189,6 @@ class FaultPlan:
             FaultKind.WORKER_CRASH: crash_rate,
             FaultKind.WORKER_HANG: hang_rate,
             FaultKind.CORRUPT_RESULT: corrupt_rate,
-            FaultKind.BROADCAST_FAILURE: broadcast_rate,
             FaultKind.CHECKPOINT_WRITE_FAILURE: checkpoint_rate,
         }
         schedule = {
@@ -228,17 +210,6 @@ class FaultPlan:
     def empty(self) -> bool:
         return not any(self.schedule.values())
 
-    def worker_faults_beyond(self, occurrence: int) -> bool:
-        """Whether any worker-site fault is scheduled at or past ``occurrence``.
-
-        Lets the resilience layer skip the item-tagging overhead once
-        the schedule is exhausted.
-        """
-        return any(
-            any(index >= occurrence for index in self.occurrences(kind))
-            for kind in WORKER_KINDS
-        )
-
 
 class FaultClock:
     """Driver-side occurrence counters, one per fault site.
@@ -258,21 +229,15 @@ class FaultClock:
         self._counts[site] = start + count
         return range(start, start + count)
 
-    def peek(self, site: str) -> int:
-        """The next occurrence number ``site`` will hand out."""
-        return self._counts.get(site, 0)
-
 
 __all__ = [
     "CorruptedResult",
     "FaultClock",
     "FaultKind",
     "FaultPlan",
-    "InjectedBroadcastFailure",
     "InjectedCheckpointFailure",
     "InjectedFault",
     "InjectedWorkerCrash",
     "InjectedWorkerHang",
-    "WORKER_KINDS",
     "seeded_occurrences",
 ]

@@ -16,10 +16,9 @@ performability framework owes itself:
   unfinished units are retried;
 * **``BrokenProcessPool`` recovery**: a crashed worker costs one pool
   respawn and a retry of the unfinished units, not the run;
-* **graceful degradation ladders**: shared-memory broadcast falls back
-  to pickle, and a process pool that keeps failing falls back to serial
-  in-driver execution — each step emits instrumentation events and
-  counters instead of dying.
+* **graceful degradation**: a process pool that keeps failing falls
+  back to serial in-driver execution, emitting instrumentation events
+  and counters instead of dying.
 
 Work units are pure functions of their inputs (the executor contract),
 so a retried unit recomputes exactly the result the failed attempt
@@ -53,7 +52,6 @@ from functools import partial
 from typing import Any, Callable, Optional, Sequence
 
 from repro.engine import executor as _executor_module
-from repro.engine.broadcast import publish, release
 from repro.engine.executor import Executor, ExecutorSession, WorkFn
 from repro.engine.faults import (
     CorruptedResult,
@@ -65,7 +63,7 @@ from repro.engine.faults import (
     InjectedWorkerHang,
 )
 from repro.engine.instrumentation import Instrumentation
-from repro.exceptions import ConfigurationError, ResilienceError, ROpusError
+from repro.exceptions import ConfigurationError, ResilienceError
 
 #: Exit status an injected worker crash dies with (SIGKILL-alike: the
 #: pool observes an abrupt worker death, exactly as if the OOM killer
@@ -231,14 +229,10 @@ class _ResilientSession(ExecutorSession):
         self._config = owner.config
         self._shared = shared
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._broadcast: Any = shared
-        self._segment_name: Optional[str] = None
         self._rung = "parallel" if owner.workers > 1 else "serial"
         self.parallelism = owner.workers if self._rung == "parallel" else 1
-        self.broadcast_mode = "inline"
-        self.broadcast_bytes = 0
         if self._rung == "parallel":
-            self._open_parallel()
+            self._pool = self._spawn_pool()
 
     # -- instrumentation plumbing --------------------------------------
     def _count(self, name: str, increment: float = 1) -> None:
@@ -252,45 +246,11 @@ class _ResilientSession(ExecutorSession):
             instrumentation.event(name, **fields)
 
     # -- pool lifecycle ------------------------------------------------
-    def _open_parallel(self) -> None:
-        plan = self._config.plan
-        occurrence = self._owner.clock.take("broadcast")[0]
-        if plan.fires(FaultKind.BROADCAST_FAILURE, occurrence):
-            # Degrade exactly as a real shared-memory failure would:
-            # ship the payload by pickle through the pool initializer.
-            self._count("resilience.faults_injected")
-            self._count("resilience.broadcast_fallbacks")
-            self._event("resilience.broadcast_fallback", occurrence=occurrence)
-            self._broadcast, self._segment_name = self._shared, None
-            self.broadcast_bytes = 0
-        else:
-            broadcast, segment, shared_bytes = publish(self._shared)
-            self._broadcast = broadcast
-            self._segment_name = segment.name if segment is not None else None
-            self.broadcast_bytes = shared_bytes
-        self.broadcast_mode = (
-            "shared_memory" if self._segment_name is not None else "pickle"
-        )
-        try:
-            self._pool = self._spawn_pool()
-        except BaseException:
-            # The constructor is unwinding, so nobody holds a session
-            # to close(): without this the published segment would sit
-            # in /dev/shm until interpreter exit — fatal for a
-            # long-running planner that opens sessions per request.
-            self._release_segment()
-            raise
-
-    def _release_segment(self) -> None:
-        if self._segment_name is not None:
-            release(self._segment_name)
-            self._segment_name = None
-
     def _spawn_pool(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
             max_workers=self._owner.workers,
             initializer=_executor_module._install_shared,
-            initargs=(self._broadcast,),
+            initargs=(self._shared,),
         )
 
     def _kill_pool(self) -> None:
@@ -315,7 +275,6 @@ class _ResilientSession(ExecutorSession):
 
     def _degrade_to_serial(self) -> None:
         self._kill_pool()
-        self._release_segment()
         self._rung = "serial"
         self.parallelism = 1
         self._count("resilience.serial_fallbacks")
@@ -326,7 +285,6 @@ class _ResilientSession(ExecutorSession):
         self._pool = None
         if pool is not None:
             pool.shutdown(wait=True)
-        self._release_segment()
 
     # -- the resilient map ---------------------------------------------
     def map(self, fn: WorkFn, items: Sequence[Any]) -> list[Any]:

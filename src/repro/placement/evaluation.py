@@ -134,9 +134,7 @@ class EvaluationPayload:
     Only ``benchmarks/record/tracing.py``'s engine probe broadcasts it
     now (the planner evaluates in its own process); it goes in the
     benchmark PR that retires that probe. ``cos1``/``cos2`` are the
-    stacked per-workload allocation matrices, which the parallel backend
-    publishes zero-copy through shared memory when it can (see
-    :mod:`repro.engine.broadcast`).
+    stacked per-workload allocation matrices.
     """
 
     cos1: np.ndarray

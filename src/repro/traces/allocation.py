@@ -62,6 +62,13 @@ class AllocationTrace:
     def values(self) -> np.ndarray:
         return self._values
 
+    def __setstate__(self, state: tuple) -> None:
+        # Pickle restores the slots but not the array's read-only flag.
+        _, slots = state
+        for name, value in slots.items():
+            setattr(self, name, value)
+        self._values.flags.writeable = False
+
     def __len__(self) -> int:
         return self._values.shape[0]
 

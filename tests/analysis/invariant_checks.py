@@ -1,4 +1,4 @@
-"""Cheap checks for the three resource/state bugs this repo has had.
+"""Cheap checks for two resource/state bugs this repo has had.
 
 Each takes the shape the bug had, so the same function runs over the
 regression fixture (``tests/analysis/fixtures/regression_*.py``) and
@@ -10,22 +10,14 @@ over the shipped tree:
   one starts cold, and a reused one carries state between payloads;
 * :func:`unowned_pool_bindings` — a pool owner (an engine from
   ``with_workers`` or an executor ``session``) bound by assignment and
-  closed after the assertions, so a failing one strands the pool;
-* :func:`stranded_segments` — a ``SharedMemory`` segment created before
-  any owner knows about it, so a raise while populating it strands the
-  ``/dev/shm`` segment.
+  closed after the assertions, so a failing one strands the pool.
 
-The first two read one module's AST; the third runs the publisher with
-a fault injected between creating a segment and filling it.
+Both read one module's AST.
 """
 
 from __future__ import annotations
 
 import ast
-from multiprocessing import shared_memory
-from types import SimpleNamespace
-
-import pytest
 
 _CONTAINER_CALLS = frozenset(
     {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
@@ -154,40 +146,3 @@ def unowned_pool_bindings(tree: ast.Module) -> list[tuple[str, int]]:
             ):
                 found.append((function.name, node.lineno))
     return found
-
-
-def stranded_segments(module, payload) -> list[str]:
-    """Segments ``module.publish(payload)`` strands when populating fails.
-
-    ``module`` is a publisher shaped like :mod:`repro.engine.broadcast`:
-    a ``publish`` function creating segments through its
-    ``shared_memory`` global and a ``_PUBLISHED`` registry naming the
-    segments it owns. Each segment it creates here raises on the first
-    access to its buffer, the window between creating a segment and
-    filling it. Every segment created is released before this returns,
-    owned or not, so nothing is left in ``/dev/shm``.
-    """
-    created = []
-
-    class _FailsToPopulate(shared_memory.SharedMemory):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            created.append(self)
-
-        @property
-        def buf(self):
-            raise BufferError("injected: populating the segment failed")
-
-    original = module.shared_memory
-    module.shared_memory = SimpleNamespace(SharedMemory=_FailsToPopulate)
-    try:
-        with pytest.raises(BufferError, match="injected"):
-            module.publish(payload)
-    finally:
-        module.shared_memory = original
-    stranded = [s.name for s in created if s.name not in module._PUBLISHED]
-    for segment in created:
-        module._PUBLISHED.pop(segment.name, None)
-        segment.close()
-        segment.unlink()
-    return stranded

@@ -4,22 +4,19 @@ Every rule must fire on its ``bad_*`` fixture and stay silent on its
 ``good_*`` fixture; the good fixtures double as regression tests for
 the false-positive traps each rule deliberately avoids (local names
 shadowing modules, sort-key lambdas, injectable clock defaults, ...).
-The ``regression_*`` fixture pairs are the last three classes here.
+The ``regression_*`` fixture pairs are the last two classes here.
 """
 
 from __future__ import annotations
 
 import ast
-import importlib.util
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.analysis import analyze_paths, registered_rules
 from tests.analysis.invariant_checks import (
     module_state_mutations,
-    stranded_segments,
     unowned_pool_bindings,
 )
 
@@ -100,45 +97,14 @@ class TestSpecificDetections:
         assert any("'u_high'" in message for message in messages)
 
 
-# The three first-party bugs the retired fixpoint engines caught (ROP013's
-# worker cache, ROP017's publish leak and engine-assert leak), each
-# pinned by a cheaper check on its regression shape. The same checks run
-# over the shipped tree in tests/test_reachability.py and
-# tests/engine/test_broadcast.py.
+# Two of the first-party bugs the retired fixpoint engines caught
+# (ROP013's worker cache, ROP017's engine-assert leak), each pinned by a
+# cheaper check on its regression shape. The same checks run over the
+# shipped tree in tests/test_reachability.py.
 
 
 def _fixture_tree(name):
     return ast.parse((FIXTURES / name).read_text(encoding="utf-8"))
-
-
-def _fixture_module(name):
-    spec = importlib.util.spec_from_file_location(
-        f"ropus_fixture_{Path(name).stem}", FIXTURES / name
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-class TestShmPublishLeakRegression:
-    """The pre-fault-tolerance ``broadcast.publish`` shm leak.
-
-    The segment used to be created and populated before any owner knew
-    about it; a view copy raising mid-loop stranded the ``/dev/shm``
-    segment. Run with that copy failing, the historical shape leaves
-    its segment unowned and the fixed shape (registry store immediately
-    after creation) leaves it in the registry.
-    """
-
-    ARRAYS = [np.arange(8.0), np.ones(4)]
-
-    def test_historical_publish_shape_is_flagged(self):
-        module = _fixture_module("regression_shm_publish_leak.py")
-        assert len(stranded_segments(module, self.ARRAYS)) == 1
-
-    def test_fixed_publish_shape_is_clean(self):
-        module = _fixture_module("regression_shm_publish_fixed.py")
-        assert stranded_segments(module, self.ARRAYS) == []
 
 
 class TestWorkerGlobalCacheRegression:

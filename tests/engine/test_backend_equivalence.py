@@ -84,9 +84,8 @@ class TestBackendEquivalence:
         serial_summary = serial_plan.summary()
         parallel_summary = parallel_plan.summary()
         # Wall-clock timings (stages and shards) and execution
-        # telemetry (broadcast transport, kernel batching granularity)
-        # legitimately differ between backends; the planning quantities
-        # must not.
+        # telemetry (kernel batching granularity) legitimately differ
+        # between backends; the planning quantities must not.
         for summary in (serial_summary, parallel_summary):
             summary.pop("stage_timings")
             summary["sharding"].pop("shard_seconds")

@@ -1,7 +1,9 @@
 """Tests for the pluggable execution backends."""
 
 import os
+from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from repro.engine import (
@@ -17,6 +19,17 @@ def _add_offset(shared, item):
     """Module-level work unit so the parallel backend can pickle it."""
     offset = shared if shared is not None else 0
     return item + offset
+
+
+@dataclass(frozen=True)
+class _ArrayPayload:
+    """A shared payload carrying an ndarray, like the shard waves' own."""
+
+    offsets: np.ndarray
+
+
+def _offset_at(shared, item):
+    return float(shared.offsets[item]) + item
 
 
 def _square(shared, item):
@@ -68,15 +81,23 @@ class TestParallelExecutor:
             assert _map(engine, _square, items) == [i * i for i in items]
 
     def test_shared_payload_broadcast(self):
+        payload = _ArrayPayload(np.array([10.0, 20.0, 30.0, 40.0]))
+        items = [0, 1, 2, 3]
         with ExecutionEngine.with_workers(2) as engine:
-            assert _map(engine, _add_offset, [1, 2, 3], shared=5) == [6, 7, 8]
+            results = _map(engine, _offset_at, items, shared=payload)
+        assert results == [10.0, 21.0, 32.0, 43.0]
 
     def test_session_amortises_broadcast(self):
+        payload = _ArrayPayload(np.arange(4096, dtype=np.float64))
         with ExecutionEngine.with_workers(2) as engine:
-            with engine.session(shared=1000) as session:
-                assert session.map(_add_offset, [1]) == [1001]
-                assert session.map(_add_offset, [2, 3]) == [1002, 1003]
-        assert engine.instrumentation.counters()["broadcast.sessions"] == 1
+            with engine.session(shared=payload) as session:
+                assert session.map(_offset_at, [1]) == [2.0]
+                assert session.map(_offset_at, [2, 4095]) == [4.0, 8190.0]
+        counters = engine.instrumentation.counters()
+        assert {name for name in counters if name.startswith("broadcast.")} == {
+            "broadcast.sessions"
+        }
+        assert counters["broadcast.sessions"] == 1
 
     def test_empty_items(self):
         with ExecutionEngine.with_workers(2) as engine:

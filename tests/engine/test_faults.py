@@ -51,11 +51,11 @@ class TestFaultPlan:
         assert not plan.fires(FaultKind.WORKER_CRASH, 0)
 
     def test_of_builds_by_kind_value(self):
-        plan = FaultPlan.of(worker_crash=[0, 3], broadcast_failure=[1])
+        plan = FaultPlan.of(worker_crash=[0, 3], corrupt_result=[1])
         assert plan.fires(FaultKind.WORKER_CRASH, 0)
         assert plan.fires(FaultKind.WORKER_CRASH, 3)
         assert not plan.fires(FaultKind.WORKER_CRASH, 1)
-        assert plan.fires(FaultKind.BROADCAST_FAILURE, 1)
+        assert plan.fires(FaultKind.CORRUPT_RESULT, 1)
         assert not plan.empty
 
     def test_of_rejects_unknown_kind(self):
@@ -85,25 +85,17 @@ class TestFaultPlan:
         assert pickle.loads(pickle.dumps(plan)) == plan
         hash(plan.occurrences(FaultKind.WORKER_CRASH))
 
-    def test_worker_faults_beyond(self):
-        plan = FaultPlan.of(worker_crash=[4], broadcast_failure=[100])
-        assert plan.worker_faults_beyond(0)
-        assert plan.worker_faults_beyond(4)
-        # Broadcast occurrences live on another site's clock.
-        assert not plan.worker_faults_beyond(5)
-
 
 class TestFaultClock:
     def test_take_advances_monotonically(self):
         clock = FaultClock()
         assert list(clock.take("worker", 3)) == [0, 1, 2]
         assert list(clock.take("worker", 2)) == [3, 4]
-        assert clock.peek("worker") == 5
 
     def test_sites_are_independent(self):
         clock = FaultClock()
         clock.take("worker", 10)
-        assert list(clock.take("broadcast")) == [0]
+        assert list(clock.take("checkpoint")) == [0]
 
     def test_corrupted_result_is_inert_marker(self):
         marker = CorruptedResult(occurrence=7)

@@ -2,22 +2,18 @@
 
 Each test drives one recovery path the resilience layer promises:
 retried transient faults, SIGKILLed workers (a real ``os._exit`` in a
-pool process), wedged workers against the task deadline, the broadcast
-degradation to pickle, the parallel-to-serial ladder, and the bounded
-give-up. Process-pool cases use tiny worker counts and payloads so the
-whole module stays fast.
+pool process), wedged workers against the task deadline, the
+parallel-to-serial ladder, and the bounded give-up. Process-pool cases
+use tiny worker counts and payloads so the whole module stays fast.
 """
 
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 
-import numpy as np
 import pytest
 
-from repro.engine import ExecutionEngine
+from repro.engine import ExecutionEngine, resilience
 from repro.engine.faults import FaultPlan
 from repro.engine.instrumentation import Instrumentation
-from repro.engine import broadcast, resilience
 from repro.engine.resilience import (
     ResilienceConfig,
     ResilientExecutor,
@@ -45,11 +41,6 @@ def _raise_domain_error(shared, item):
 
 def _no_sleep(_delay):
     return None
-
-
-@dataclass(frozen=True)
-class _ArrayPayload:
-    matrix: np.ndarray
 
 
 def _config(**overrides):
@@ -212,7 +203,6 @@ class TestParallelRung:
         executor = ResilientExecutor(workers=2, config=_config())
         with executor.session(shared=100) as session:
             assert session.map(_add_offset, [1, 2, 3]) == [101, 102, 103]
-            assert session.broadcast_mode in {"shared_memory", "pickle"}
 
     def test_sigkilled_worker_is_respawned_and_retried(self):
         # Occurrence 0 dies with os._exit in the pool: the driver sees
@@ -239,17 +229,6 @@ class TestParallelRung:
         counters = instrumentation.counters()
         assert counters["resilience.deadline_exceeded"] >= 1
         assert counters["resilience.pool_respawns"] >= 1
-
-    def test_broadcast_failure_degrades_to_pickle(self):
-        config = _config(fault_plan=FaultPlan.of(broadcast_failure=[0]))
-        executor = ResilientExecutor(workers=2, config=config)
-        instrumentation = _instrumented(executor)
-        with executor.session(shared=5) as session:
-            assert session.broadcast_mode == "pickle"
-            assert session.map(_add_offset, [1, 2]) == [6, 7]
-        assert instrumentation.counters()[
-            "resilience.broadcast_fallbacks"
-        ] == 1
 
     def test_corrupt_result_retried_in_pool(self):
         config = _config(fault_plan=FaultPlan.of(corrupt_result=[0]))
@@ -297,23 +276,6 @@ class TestParallelRung:
         counters = instrumentation.counters()
         assert counters["resilience.pool_respawns"] == 1
         assert counters["resilience.retries"] == 1
-
-
-    def test_failed_pool_spawn_releases_the_published_segment(
-        self, monkeypatch
-    ):
-        # Publishing succeeds, the spawn does not: the constructor
-        # unwinds with nobody to close() the session, so it must drop
-        # the /dev/shm segment itself.
-        def _no_pool(*args, **kwargs):
-            raise OSError("cannot fork")
-
-        monkeypatch.setattr(resilience, "ProcessPoolExecutor", _no_pool)
-        payload = _ArrayPayload(np.arange(4096, dtype=np.float64))
-        executor = ResilientExecutor(workers=2, config=_config())
-        with pytest.raises(OSError, match="cannot fork"):
-            executor.session(payload)
-        assert not broadcast._PUBLISHED
 
 
 class TestEngineIntegration:

@@ -162,9 +162,10 @@ def test_every_function_is_reached(unshipped_functions):
     ] == []
 
 
-# Process pools and shared-memory segments, two of the acquisitions the
-# leak tracker patches, each have exactly one home. A second pool
-# backend (or a second shared-memory publisher) growing back fails here,
+# Process pools and shared-memory segments are two of the acquisitions
+# the leak tracker patches. Pools have exactly one home, and the pool
+# ships its payload by pickle, so no module creates a segment. A second
+# pool backend (or a shared-memory publisher) growing back fails here,
 # by module.
 _REPO = Path(__file__).resolve().parents[1]
 _SRC = _REPO / "src" / "repro"
@@ -208,10 +209,8 @@ def test_fan_out_sites_are_the_measured_ones():
     assert _modules_calling("session") - {"engine/core.py"} == FAN_OUT_SITES
 
 
-def test_one_module_creates_shared_memory():
-    assert _modules_calling("SharedMemory", _creates_segment) == {
-        "engine/broadcast.py"
-    }
+def test_no_module_creates_shared_memory():
+    assert _modules_calling("SharedMemory", _creates_segment) == set()
 
 
 # The witness screen sits in front of the kernel's aggregation and
@@ -267,15 +266,6 @@ def test_the_scalar_oracle_never_references_the_witness():
 
 #: Module-level state functions mutate on purpose, and why.
 MODULE_STATE = {
-    ("engine/broadcast.py", "_PUBLISHED"): (
-        "driver-side registry of live segments: owning a segment from "
-        "the line after its creation is the publish-leak fix, and the "
-        "atexit sweep releases what is left"
-    ),
-    ("engine/broadcast.py", "_ATTACHED"): (
-        "segments this process attached to, kept referenced so the "
-        "resolved views' buffers stay mapped"
-    ),
     ("engine/executor.py", "_WORKER_SHARED"): (
         "the payload the pool initializer installs once per worker, so "
         "the maps of one session do not re-pickle it"

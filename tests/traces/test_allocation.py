@@ -1,5 +1,7 @@
 """Tests for allocation traces and per-CoS pairs."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,15 @@ class TestAllocationTrace:
         trace = AllocationTrace("a", np.ones(cal.n_observations), cal)
         with pytest.raises(ValueError):
             trace.values[0] = 9
+
+    def test_values_stay_read_only_across_pickle(self, cal):
+        # A spawned pool worker receives the shard waves' pairs by pickle.
+        pair = pickle.loads(pickle.dumps(make_pair(cal, "w", 1.0, 2.0)))
+        for trace in (pair.cos1, pair.cos2):
+            assert not trace.values.flags.writeable
+            with pytest.raises(ValueError):
+                trace.values[0] = 9
+        assert pair.cos1.name == "w.cos1" and pair.cos2.peak() == 2.0
 
 
 class TestCoSAllocationPair:

@@ -1,5 +1,7 @@
 """Tests for DemandTrace."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -26,6 +28,13 @@ class TestConstruction:
         trace = DemandTrace("w", np.ones(cal.n_observations), cal)
         with pytest.raises(ValueError):
             trace.values[0] = 5.0
+
+    def test_values_stay_read_only_across_pickle(self, cal):
+        trace = DemandTrace("w", np.ones(cal.n_observations), cal, repairs=2)
+        restored = pickle.loads(pickle.dumps(trace))
+        assert restored == trace and restored.repairs == 2
+        with pytest.raises(ValueError):
+            restored.values[0] = 5.0
 
     def test_accepts_lists(self, cal):
         trace = DemandTrace("w", [1.0] * cal.n_observations, cal)
