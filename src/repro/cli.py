@@ -92,8 +92,9 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     """Worker flags, for the subcommands that plan sharded (``plan``, ``chaos``)."""
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="worker processes for the shard waves (plan --shards; chaos "
-             "always shards); the pool retries, respawns and degrades "
+        help="worker processes for shard planning, one lock-step unit of "
+             "shards each (plan --shards; chaos always shards); the pool "
+             "retries, respawns and degrades "
              "around lost workers (default: run serially)",
     )
     _add_timings_argument(parser)
@@ -419,7 +420,7 @@ def _chaos_plan(
         _pool(args),
         search_config=GeneticSearchConfig(seed=args.seed),
         engine=engine,
-        # The shard waves are the only work that reaches workers, so
+        # Shard planning is the only work that reaches workers, so
         # the scheduled faults need a sharded plan to land on.
         sharding="auto",
         failure_policy=_failure_policy(args),

@@ -172,14 +172,17 @@ class CapacityPlan:
     holds the run's counter increments (kernel decision steps, the
     rows they judged — ``kernel.row_evaluations`` — and how many of
     those reached the backlog pass — ``kernel.backlog_rows`` — bracket
-    iterations, evaluation cache hits/misses, the shard waves'
-    ``broadcast.sessions``, ...). ``kernel.fused_rows`` and
-    ``kernel.f32_retries`` count the fused kernel's fast-path rows and
+    iterations, evaluation cache hits/misses, shards' included, and
+    shard planning's ``broadcast.sessions``, ...). ``kernel.fused_rows``
+    and ``kernel.f32_retries`` count the fused kernel's fast-path rows and
     verification fallbacks and stay zero on every other kernel; every
     mode records the full ``kernel.*`` set, zeros included, so counter
     maps are comparable across modes and scales. A shard plan runs on
-    a consolidator of its own, whose counters do not come back on any
-    backend.
+    a consolidator of its own; its ``placement.cache_*``, ``kernel.*``,
+    ``placement.ga_generations`` and ``placement.consolidations``
+    come back into these counters on either backend (a solve merged
+    across the shards of one unit counts once, so ``kernel.calls``
+    depends on how the shards were grouped into units).
     ``sharding`` is the hierarchical tier's summary
     (shard count and sizes, migration rounds, per-shard timings) when
     the run was sharded, ``None`` otherwise.

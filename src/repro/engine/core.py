@@ -5,7 +5,7 @@ facade threads down through translation, placement, and failure planning.
 It bundles two concerns:
 
 * *where* fan-out work runs (:class:`~repro.engine.executor.Executor`) —
-  only the hierarchical tier's shard waves open a session; translation,
+  only the hierarchical tier's shard planning opens a session; translation,
   GA generations and failure what-ifs run in the planner's process;
 * *what we learn* about the run
   (:class:`~repro.engine.instrumentation.Instrumentation`), which every

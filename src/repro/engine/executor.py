@@ -1,8 +1,9 @@
 """Pluggable execution backends for the pipeline's fan-out work.
 
-The hierarchical tier's shard waves are the one fan-out site that
-routes through an :class:`Executor`; translation, GA generations and
-failure what-ifs run in the planner's process. Two backends are
+The hierarchical tier's shard planning is the one fan-out site that
+routes through an :class:`Executor` (one lock-step unit of shards per
+worker); translation, GA generations and failure what-ifs run in the
+planner's process. Two backends are
 provided:
 
 * :class:`SerialExecutor` (the default) runs work units inline in the
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Iterator, Sequence, TypeVar
+from typing import Any, Callable, Sequence, TypeVar
 
 ItemT = TypeVar("ItemT")
 ResultT = TypeVar("ResultT")
@@ -57,9 +58,8 @@ def _install_shared(payload: Any) -> None:
 class ExecutorSession(ABC):
     """One fan-out context with a shared payload already broadcast.
 
-    Sessions exist so callers with *many* map calls over the same
-    payload (a shard-planning pass maps once per wave) pay the
-    broadcast cost once, not per call.
+    A session broadcasts its payload once, however many map calls it
+    serves.
     """
 
     #: Number of work units the backend can run concurrently; callers
@@ -69,19 +69,6 @@ class ExecutorSession(ABC):
     @abstractmethod
     def map(self, fn: WorkFn, items: Sequence[Any]) -> list[Any]:
         """Apply ``fn(shared, item)`` to every item, preserving order."""
-
-    def waves(self, fn: WorkFn, items: Sequence[Any]) -> Iterator[Any]:
-        """Map in parallelism-sized waves, yielding results in order.
-
-        A caller that checkpoints each result as it is yielded loses at
-        most the in-flight wave to a kill, and the resume picks up every
-        completed unit. One session spans all waves, so the payload
-        still broadcasts once.
-        """
-        items = list(items)
-        wave = self.parallelism
-        for start in range(0, len(items), wave):
-            yield from self.map(fn, items[start : start + wave])
 
     def close(self) -> None:  # pragma: no cover - overridden where needed
         pass

@@ -17,7 +17,12 @@ from typing import Literal, Mapping, Optional, Sequence
 from repro.engine import Checkpointer, ExecutionEngine
 from repro.exceptions import InfeasiblePlacementError, PlacementError
 from repro.placement.correlation import least_correlated_choice
-from repro.placement.evaluation import KERNELS, PlacementEvaluator
+from repro.placement.evaluation import (
+    KERNELS,
+    PlacementEvaluator,
+    Steps,
+    drive,
+)
 from repro.placement.genetic import (
     GeneticPlacementSearch,
     GeneticSearchConfig,
@@ -26,15 +31,16 @@ from repro.placement.genetic import (
 from repro.placement.greedy import (
     _greedy_place,
     best_fit_choice,
-    best_fit_decreasing,
     first_fit_choice,
-    first_fit_decreasing,
     placed,
 )
 from repro.resources.pool import ResourcePool
 from repro.traces.allocation import CoSAllocationPair
 
 Algorithm = Literal["genetic", "first_fit", "best_fit"]
+
+#: The greedy baselines' placement policies, by algorithm name.
+_GREEDY = {"first_fit": first_fit_choice, "best_fit": best_fit_choice}
 
 
 @dataclass(frozen=True)
@@ -198,19 +204,24 @@ class Consolidator:
         its last completed generation (see
         :meth:`GeneticPlacementSearch.run`).
         """
-        evaluator = PlacementEvaluator(
+        return self.consolidate_with_evaluator(
+            self.evaluator(pairs),
+            algorithm,
+            previous=previous,
+            checkpointer=checkpointer,
+            checkpoint_key=checkpoint_key,
+        )
+
+    def evaluator(
+        self, pairs: Sequence[CoSAllocationPair]
+    ) -> PlacementEvaluator:
+        """A fresh evaluator of ``pairs`` under this consolidator's settings."""
+        return PlacementEvaluator(
             pairs,
             self.commitment,
             tolerance=self.tolerance,
             kernel=self.kernel,
             instrumentation=self.engine.instrumentation,
-        )
-        return self.consolidate_with_evaluator(
-            evaluator,
-            algorithm,
-            previous=previous,
-            checkpointer=checkpointer,
-            checkpoint_key=checkpoint_key,
         )
 
     def consolidate_with_evaluator(
@@ -227,21 +238,39 @@ class Consolidator:
         The failure sweep passes one evaluator to many consolidations so
         they share its memo.
         """
+        return drive(
+            self.consolidate_steps(
+                evaluator,
+                algorithm,
+                previous=previous,
+                checkpointer=checkpointer,
+                checkpoint_key=checkpoint_key,
+            )
+        )
+
+    def consolidate_steps(
+        self,
+        evaluator: PlacementEvaluator,
+        algorithm: Algorithm = "genetic",
+        *,
+        previous: Optional[ConsolidationResult] = None,
+        checkpointer: Optional[Checkpointer] = None,
+        checkpoint_key: str = "consolidation",
+    ) -> Steps[ConsolidationResult]:
+        """:meth:`consolidate_with_evaluator` as a lock-step search
+        (:data:`~repro.placement.evaluation.Steps`): the hierarchical
+        tier plans its shards side by side with it."""
         instrumentation = self.engine.instrumentation
         with instrumentation.stage("placement"):
-            if algorithm == "first_fit":
-                assignment = first_fit_decreasing(
-                    evaluator, self.pool, self.attribute
+            if algorithm in _GREEDY:
+                (outcome,) = yield from _greedy_place(
+                    evaluator, self.pool, (_GREEDY[algorithm],), self.attribute
                 )
-                search = None
-            elif algorithm == "best_fit":
-                assignment = best_fit_decreasing(
-                    evaluator, self.pool, self.attribute
-                )
+                assignment = placed(outcome)
                 search = None
             elif algorithm == "genetic":
                 # The three seeds in lock-step: one batch per workload.
-                first_fit, best_fit, correlated = _greedy_place(
+                first_fit, best_fit, correlated = yield from _greedy_place(
                     evaluator,
                     self.pool,
                     (
@@ -281,7 +310,7 @@ class Consolidator:
                     engine=self.engine,
                     constraints=self.constraints,
                 )
-                search = searcher.run(
+                search = yield from searcher.run_steps(
                     seed,
                     extra_seeds=extra_seeds,
                     checkpointer=checkpointer,

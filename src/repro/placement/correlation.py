@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.placement.evaluation import PlacementEvaluator
+from repro.placement.evaluation import PlacementEvaluator, drive
 from repro.placement.greedy import Choose, _greedy_place, placed
 from repro.resources.pool import ResourcePool
 
@@ -93,4 +93,4 @@ def correlation_aware_seed(
 ) -> Assignment:
     """Greedy placement preferring the least-correlated feasible server."""
     policy = least_correlated_choice(evaluator)
-    return placed(*_greedy_place(evaluator, pool, (policy,), attribute))
+    return placed(*drive(_greedy_place(evaluator, pool, (policy,), attribute)))

@@ -26,18 +26,30 @@ Two execution shapes are supported:
   group that fails it — among the members' hottest — proves the subset
   does not fit, and the kernel never sees it.
 
-:meth:`PlacementEvaluator.evaluate_groups` is the one way to fill the
-cache, so every answer is counted as a ``placement.cache_hits`` or
-``placement.cache_misses``. The picklable :class:`EvaluationPayload`
-and :func:`evaluate_groups_worker` serve only the engine probe of
-``benchmarks/record/tracing.py``; they go in the benchmark PR that
+Searches that run side by side share their solves. A search written as
+a generator (:data:`Steps`) yields an :class:`EvaluationRequest` for
+its cache misses (:meth:`PlacementEvaluator.ask`) and is sent the
+answers; :func:`lock_step` advances many such searches — the shards of
+the hierarchical tier, each with its own evaluator — and answers all of
+one step's requests with one screen and one kernel solve per chunk.
+Rows never interact, so each search gets exactly what it gets alone;
+:func:`drive` runs a single search the same way.
+
+:meth:`PlacementEvaluator.ask` is the one way to fill the cache, so
+every answer is counted as a ``placement.cache_hits`` or
+``placement.cache_misses``. :class:`EvaluationPayload` is an
+evaluator's matrices and settings as one picklable value;
+:func:`evaluate_groups_worker` serves only the engine probe of
+``benchmarks/record/tracing.py`` and goes in the benchmark PR that
 retires that probe.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from itertools import accumulate
+from typing import Generator, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -62,6 +74,8 @@ from repro.placement.simulator import SingleServerSimulator
 from repro.resources.server import ServerSpec
 from repro.traces.allocation import CoSAllocationPair
 from repro.traces.calendar import DAYS_PER_WEEK, TraceCalendar
+
+ResultT = TypeVar("ResultT")
 
 #: Capacity-search implementations selectable on the evaluator.
 #:
@@ -129,12 +143,11 @@ GroupItem = tuple[float, "tuple[int, ...]", None]
 
 @dataclass(frozen=True)
 class EvaluationPayload:
-    """Everything a stateless worker needs to evaluate workload subsets.
+    """Everything a solve needs to evaluate one evaluator's subsets.
 
-    Only ``benchmarks/record/tracing.py``'s engine probe broadcasts it
-    now (the planner evaluates in its own process); it goes in the
-    benchmark PR that retires that probe. ``cos1``/``cos2`` are the
-    stacked per-workload allocation matrices.
+    ``cos1``/``cos2`` are the stacked per-workload allocation matrices.
+    Picklable, so ``benchmarks/record/tracing.py``'s engine probe also
+    broadcasts it to workers.
     """
 
     cos1: np.ndarray
@@ -150,6 +163,7 @@ class EvaluationPayload:
 _REJECTED = ServerEvaluation(
     fits=False, required=float("inf"), utilization=float("inf")
 )
+_EMPTY = ServerEvaluation(fits=True, required=0.0, utilization=0.0)
 
 
 def witness_slots(
@@ -254,24 +268,20 @@ def _evaluation_from_result(
 
 
 def _evaluate_rows(
-    cos1: np.ndarray,
-    cos2: np.ndarray,
-    calendar: TraceCalendar,
-    commitment: CoSCommitment,
-    tolerance: float,
-    rows: Sequence[int],
-    limit: float,
+    payload: EvaluationPayload, rows: Sequence[int], limit: float
 ) -> ServerEvaluation:
     """Scalar evaluation of one canonically-sorted subset at one limit."""
     index = np.asarray(rows, dtype=int)
     simulator = SingleServerSimulator(
-        cos1[index].sum(axis=0), cos2[index].sum(axis=0), calendar
+        payload.cos1[index].sum(axis=0),
+        payload.cos2[index].sum(axis=0),
+        payload.calendar,
     )
     result = required_capacity(
         [],
         capacity_limit=limit,
-        commitment=commitment,
-        tolerance=tolerance,
+        commitment=payload.commitment,
+        tolerance=payload.tolerance,
         simulator=simulator,
     )
     return _evaluation_from_result(result, limit)
@@ -303,39 +313,56 @@ def _chunks(
 
 
 def _evaluate_items_batched(
-    cos1: np.ndarray,
-    cos2: np.ndarray,
-    calendar: TraceCalendar,
-    commitment: CoSCommitment,
-    tolerance: float,
-    items: Sequence[GroupItem],
-    witness: np.ndarray,
-    kernel: str = "batch",
-) -> tuple[list[ServerEvaluation], BatchSearchStats]:
-    """Solve every item's capacity search, a budget-sized chunk at a time.
+    parts: Sequence[tuple[EvaluationPayload, Sequence[GroupItem]]],
+) -> tuple[list[list[ServerEvaluation]], BatchSearchStats]:
+    """Solve every part's items, a budget-sized chunk at a time.
 
-    Each chunk (:func:`_chunks`, :data:`_BATCH_BYTES`) is screened, then
-    its survivors are aggregated and solved in one batched kernel solve.
-    Items the witness screen rejects are answered ``fits=False`` — what
-    the kernel's at-limit screen would say — without being aggregated.
-    The chunks' stats are summed field by field: ``stats.rows`` counts
-    every item, ``stats.witness_rejects`` the ones the kernel was spared,
-    and only ``stats.kernel_calls`` depends on where the chunks split.
+    A part is one evaluator's state and the items it asks; the parts
+    share their commitment, tolerance, calendar and kernel. Their items
+    are taken in order as one sequence and cut into chunks
+    (:func:`_chunks`, :data:`_BATCH_BYTES`). In each chunk every part's
+    items are screened against that part's own matrices and witness
+    table, then the survivors of all parts are aggregated and solved in
+    one batched kernel solve; rows never interact, so each answer is
+    what its part alone would get. Items the witness screen rejects are
+    answered ``fits=False`` — what the kernel's at-limit screen would
+    say — without being aggregated. The fused kernel solves one part at
+    a time. Returns each part's evaluations, in item order, and the
+    chunks' stats summed field by field: ``stats.rows`` counts every
+    item, ``stats.witness_rejects`` the ones the kernel was spared, and
+    only ``stats.kernel_calls`` depends on where the chunks split.
     """
+    first = parts[0][0]
+    calendar, commitment, kernel = first.calendar, first.commitment, first.kernel
+    if kernel == "fused" and len(parts) > 1:
+        raise PlacementError("the fused kernel solves one part at a time")
+    owners = [payload for payload, items in parts for _ in items]
+    items = [item for _, part_items in parts for item in part_items]
+    bounds = list(accumulate((len(part) for _, part in parts), initial=0))
     evaluations = [_REJECTED] * len(items)
-    parts = [BatchSearchStats(rows=0)]
+    stats = [BatchSearchStats(rows=0)]
     survived = 0
     for start, stop in _chunks(
-        items, calendar.n_observations, witness.shape[1]
+        items, calendar.n_observations, first.witness.shape[1]
     ):
-        chunk = items[start:stop]
-        subsets = [rows for _, rows, _ in chunk]
-        limits = np.asarray([limit for limit, _, _ in chunk], dtype=float)
+        subsets = [rows for _, rows, _ in items[start:stop]]
+        limits = np.asarray(
+            [limit for limit, _, _ in items[start:stop]], dtype=float
+        )
+        rejected = np.zeros(stop - start, dtype=bool)
+        for (payload, _), low, high in zip(parts, bounds, bounds[1:]):
+            low, high = max(low, start) - start, min(high, stop) - start
+            if low < high:
+                rejected[low:high] = _witness_rejects(
+                    payload.cos1,
+                    payload.cos2,
+                    payload.witness,
+                    subsets[low:high],
+                    limits[low:high],
+                    commitment,
+                )
         # A non-positive limit is the kernel's error to raise, not a reject.
-        rejected = _witness_rejects(
-            cos1, cos2, witness, subsets, limits, commitment
-        ) & (limits > 0)
-        survivors = np.nonzero(~rejected)[0]
+        survivors = np.nonzero(~(rejected & (limits > 0)))[0]
         survived += int(survivors.size)
         if not survivors.size:
             continue
@@ -343,21 +370,27 @@ def _evaluate_items_batched(
         kept_limits = limits[survivors]
         if kernel == "fused":
             solved = fused_required_capacity(
-                cos1,
-                cos2,
+                first.cos1,
+                first.cos2,
                 kept,
                 calendar,
                 kept_limits,
                 commitment,
-                tolerance=tolerance,
+                tolerance=first.tolerance,
             )
         else:
-            batch = BatchSimulator.from_subsets(cos1, cos2, kept, calendar)
+            sources = [owners[start + index] for index in survivors]
+            batch = BatchSimulator.from_subsets(
+                [source.cos1 for source in sources],
+                [source.cos2 for source in sources],
+                kept,
+                calendar,
+            )
             solved = required_capacity_batch(
                 batch,
                 kept_limits,
                 commitment,
-                tolerance=tolerance,
+                tolerance=first.tolerance,
                 mode=_solver_mode(kernel),
             )
             # Free this chunk's rows before the next chunk aggregates.
@@ -366,8 +399,10 @@ def _evaluate_items_batched(
             survivors.tolist(), solved.results, kept_limits.tolist()
         ):
             evaluations[start + index] = _evaluation_from_result(result, limit)
-        parts.append(solved.stats)
-    return evaluations, BatchSearchStats(*map(sum, zip(*parts)))._replace(
+        stats.append(solved.stats)
+    return [
+        evaluations[low:high] for low, high in zip(bounds, bounds[1:])
+    ], BatchSearchStats(*map(sum, zip(*stats)))._replace(
         rows=len(items), witness_rejects=len(items) - survived
     )
 
@@ -386,29 +421,129 @@ def evaluate_groups_worker(
     """
     if payload.kernel == "scalar":
         evaluations = tuple(
-            _evaluate_rows(
-                payload.cos1,
-                payload.cos2,
-                payload.calendar,
-                payload.commitment,
-                payload.tolerance,
-                rows,
-                limit,
-            )
-            for limit, rows, _ in items
+            _evaluate_rows(payload, rows, limit) for limit, rows, _ in items
         )
         return evaluations, BatchSearchStats(rows=len(items))
-    evaluations_list, stats = _evaluate_items_batched(
-        payload.cos1,
-        payload.cos2,
-        payload.calendar,
-        payload.commitment,
-        payload.tolerance,
-        items,
-        payload.witness,
-        kernel=payload.kernel,
+    (evaluations,), stats = _evaluate_items_batched(((payload, items),))
+    return tuple(evaluations), stats
+
+
+@dataclass(frozen=True)
+class EvaluationRequest:
+    """One evaluator's cache misses, waiting for their step's solve."""
+
+    evaluator: "PlacementEvaluator"
+    keys: tuple[GroupKey, ...]
+
+
+#: A search in lock-step form: a generator that yields each
+#: :class:`EvaluationRequest` it needs answered, is sent the request's
+#: evaluations (in key order) and returns the search's result. Run one
+#: with :func:`drive`, several side by side with :func:`lock_step`.
+Steps = Generator[EvaluationRequest, list[ServerEvaluation], ResultT]
+
+
+def drive(steps: Steps[ResultT]) -> ResultT:
+    """Run one search to its result: :func:`lock_step` with one participant."""
+    (result,), _ = lock_step((steps,))
+    return result
+
+
+def lock_step(
+    participants: Sequence[Steps[ResultT]],
+) -> tuple[list[ResultT], list[float]]:
+    """Run searches side by side, answering each step's requests together.
+
+    Every tick advances each live participant to its next request, then
+    :func:`_answer` solves all of the tick's requests at once — one
+    witness screen and one kernel solve per chunk for the requests whose
+    settings agree. Rows never interact and each participant's own
+    requests keep their order, so every participant returns what it
+    returns alone. An exception a participant raises propagates.
+
+    Returns each participant's result and its seconds: the time spent
+    advancing it plus its row share of each solve, so the seconds of
+    all participants add up to no more than the call's wall time.
+    """
+    clock = time.perf_counter
+    results: list = [None] * len(participants)
+    seconds = [0.0] * len(participants)
+    answers: dict[int, Optional[list[ServerEvaluation]]] = dict.fromkeys(
+        range(len(participants))
     )
-    return tuple(evaluations_list), stats
+    while answers:
+        requests: dict[int, EvaluationRequest] = {}
+        for index, answer in answers.items():
+            start = clock()
+            try:
+                requests[index] = participants[index].send(answer)
+            except StopIteration as done:
+                results[index] = done.value
+            seconds[index] += clock() - start
+        if not requests:
+            break
+        start = clock()
+        solved = _answer(list(requests.values()))
+        share = (clock() - start) / sum(
+            len(request.keys) for request in requests.values()
+        )
+        answers = {}
+        for (index, request), evaluations in zip(requests.items(), solved):
+            answers[index] = evaluations
+            seconds[index] += share * len(request.keys)
+    return results, seconds
+
+
+def _answer(
+    requests: Sequence[EvaluationRequest],
+) -> list[list[ServerEvaluation]]:
+    """Evaluations for one tick's requests, in request and key order.
+
+    ``"batch"`` and ``"analytic"`` requests with equal commitment,
+    tolerance, calendar and kernel share one :func:`_evaluate_items_batched`
+    call, whose kernel stats are recorded once, on the first of their
+    evaluators; ``"fused"`` and ``"scalar"`` requests are solved one by
+    one. Empty subsets need no solve: they fit at zero capacity.
+    """
+    # Per merge: (request index, the items of its non-empty keys).
+    merges: dict[tuple, list[tuple[int, list[GroupItem]]]] = {}
+    for index, request in enumerate(requests):
+        items = [(limit, rows, None) for limit, rows in request.keys if rows]
+        if not items:
+            continue
+        evaluator = request.evaluator
+        settings: tuple = (
+            evaluator.commitment,
+            evaluator.tolerance,
+            evaluator.calendar,
+            evaluator.kernel,
+        )
+        if evaluator.kernel in ("fused", "scalar"):
+            settings = (index,)
+        merges.setdefault(settings, []).append((index, items))
+    solved: list[list[ServerEvaluation]] = [[] for _ in requests]
+    for merged in merges.values():
+        first = requests[merged[0][0]].evaluator
+        if first.kernel == "scalar":
+            ((index, items),) = merged
+            solved[index] = [
+                _evaluate_rows(first.worker_payload(), rows, limit)
+                for limit, rows, _ in items
+            ]
+            continue
+        evaluations, stats = _evaluate_items_batched(
+            [
+                (requests[index].evaluator.worker_payload(), items)
+                for index, items in merged
+            ]
+        )
+        first.record_search_stats(stats)
+        for (index, _), answers in zip(merged, evaluations):
+            solved[index] = answers
+    return [
+        [next(answers) if rows else _EMPTY for _, rows in request.keys]
+        for request, answers in zip(requests, map(iter, solved))
+    ]
 
 
 class PlacementEvaluator:
@@ -449,6 +584,15 @@ class PlacementEvaluator:
             None
             if kernel == "scalar"
             else witness_slots(self._cos1, self._cos2, self.calendar)
+        )
+        self._payload = EvaluationPayload(
+            cos1=self._cos1,
+            cos2=self._cos2,
+            calendar=self.calendar,
+            commitment=commitment,
+            tolerance=tolerance,
+            kernel=kernel,
+            witness=self._witness,
         )
         self._cache: dict[GroupKey, ServerEvaluation] = {}
         self._peaks: Optional[np.ndarray] = None
@@ -508,6 +652,17 @@ class PlacementEvaluator:
         the counters: a key repeated within the batch is a hit, so hits
         plus misses is the number of items asked.
         """
+        return drive(self.ask(items))
+
+    def ask(
+        self, items: Sequence[tuple[float, Sequence[int]]]
+    ) -> Steps[list[ServerEvaluation]]:
+        """:meth:`evaluate_groups` as a lock-step search (see :data:`Steps`).
+
+        Looks the items up in the memo (counting hits and misses), yields
+        one request for the misses if there are any, installs the
+        answers it is sent, and returns every item's evaluation.
+        """
         keys = [
             (float(limit), self._canonical_rows(rows))
             for limit, rows in items
@@ -519,8 +674,9 @@ class PlacementEvaluator:
             else:
                 self._count("placement.cache_misses")
                 missing[key] = None
-        for key, evaluation in zip(missing, self._solve_missing(list(missing))):
-            self._cache[key] = evaluation
+        if missing:
+            answers = yield EvaluationRequest(self, tuple(missing))
+            self._cache.update(zip(missing, answers))
         return [self._cache[key] for key in keys]
 
     def record_search_stats(self, stats: BatchSearchStats) -> None:
@@ -535,16 +691,8 @@ class PlacementEvaluator:
             self._count(name, value)
 
     def worker_payload(self) -> EvaluationPayload:
-        """The picklable state a stateless worker needs (engine probe only)."""
-        return EvaluationPayload(
-            cos1=self._cos1,
-            cos2=self._cos2,
-            calendar=self.calendar,
-            commitment=self.commitment,
-            tolerance=self.tolerance,
-            kernel=self.kernel,
-            witness=self._witness,
-        )
+        """The matrices and settings a solve needs, as one picklable value."""
+        return self._payload
 
     def search_result(
         self,
@@ -567,44 +715,6 @@ class PlacementEvaluator:
         if rows and (rows[0] < 0 or rows[-1] >= self.n_workloads):
             raise PlacementError(f"workload indices out of range: {indices}")
         return rows
-
-    def _solve_missing(
-        self, missing: Sequence[GroupKey]
-    ) -> list[ServerEvaluation]:
-        nonempty = [(limit, rows, None) for limit, rows in missing if rows]
-        if self.kernel != "scalar" and nonempty:
-            solved, stats = _evaluate_items_batched(
-                self._cos1,
-                self._cos2,
-                self.calendar,
-                self.commitment,
-                self.tolerance,
-                nonempty,
-                self._witness,
-                kernel=self.kernel,
-            )
-            self.record_search_stats(stats)
-            solved_by_key = {
-                (limit, rows): evaluation
-                for (limit, rows, _), evaluation in zip(nonempty, solved)
-            }
-        else:
-            solved_by_key = {
-                (limit, rows): _evaluate_rows(
-                    self._cos1,
-                    self._cos2,
-                    self.calendar,
-                    self.commitment,
-                    self.tolerance,
-                    rows,
-                    limit,
-                )
-                for limit, rows, _ in nonempty
-            }
-        empty = ServerEvaluation(fits=True, required=0.0, utilization=0.0)
-        return [
-            solved_by_key[key] if key[1] else empty for key in missing
-        ]
 
     def _count(self, name: str, increment: float = 1) -> None:
         if self.instrumentation is not None:

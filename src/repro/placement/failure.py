@@ -68,7 +68,7 @@ from repro.core.qos import QoSPolicy
 from repro.engine import Checkpointer, ExecutionEngine
 from repro.exceptions import InfeasiblePlacementError, PlacementError
 from repro.placement.consolidation import ConsolidationResult, Consolidator
-from repro.placement.evaluation import PlacementEvaluator
+from repro.placement.evaluation import PlacementEvaluator, drive
 from repro.placement.genetic import GeneticSearchConfig
 from repro.placement.greedy import _greedy_place, least_slack_choice
 from repro.resources.pool import DOMAIN_KINDS, ResourcePool
@@ -549,8 +549,14 @@ def _repair_assignment(
     for survivor, residents in groups.items():
         for workload in residents:
             start[workload] = survivor
-    (repaired,) = _greedy_place(
-        evaluator, pool, (least_slack_choice(limits),), attribute, start=start
+    (repaired,) = drive(
+        _greedy_place(
+            evaluator,
+            pool,
+            (least_slack_choice(limits),),
+            attribute,
+            start=start,
+        )
     )
     if isinstance(repaired, InfeasiblePlacementError):
         return None

@@ -18,8 +18,11 @@ it; when seeded with a feasible initial assignment (the consolidator uses
 a greedy first fit) the result can only improve on the seed.
 
 Each generation's children are drawn first and then evaluated as one
-batch: a single :meth:`PlacementEvaluator.evaluate_groups` call, so the
-generation's cache misses meet the kernel together.
+batch: a single :meth:`PlacementEvaluator.ask` request, so the
+generation's cache misses meet the kernel together. The search is a
+lock-step search (:data:`~repro.placement.evaluation.Steps`,
+:meth:`GeneticPlacementSearch.run_steps`), so searches planned side by
+side — the shards of the hierarchical tier — also share those solves.
 """
 
 from __future__ import annotations
@@ -31,7 +34,12 @@ import numpy as np
 
 from repro.engine import Checkpointer, ExecutionEngine
 from repro.exceptions import PlacementError
-from repro.placement.evaluation import PlacementEvaluator, ServerEvaluation
+from repro.placement.evaluation import (
+    PlacementEvaluator,
+    ServerEvaluation,
+    Steps,
+    drive,
+)
 from repro.placement.objective import server_score
 from repro.resources.pool import ResourcePool
 from repro.util.rng import derive_rng
@@ -157,6 +165,25 @@ class GeneticPlacementSearch:
         pure and the RNG state is restored bit-exactly — continues to
         the same result a never-interrupted run produces.
         """
+        return drive(
+            self.run_steps(
+                initial,
+                extra_seeds,
+                checkpointer=checkpointer,
+                checkpoint_key=checkpoint_key,
+            )
+        )
+
+    def run_steps(
+        self,
+        initial: Assignment | Sequence[int],
+        extra_seeds: Sequence[Assignment] = (),
+        *,
+        checkpointer: Optional[Checkpointer] = None,
+        checkpoint_key: str = "genetic",
+    ) -> Steps[GeneticSearchResult]:
+        """:meth:`run` as a lock-step search
+        (:data:`~repro.placement.evaluation.Steps`)."""
         rng = derive_rng(self.config.seed)
         seed_assignment = self._validate_assignment(tuple(initial))
         instrumentation = self.engine.instrumentation
@@ -167,14 +194,14 @@ class GeneticPlacementSearch:
         )
         if resume is not None:
             population, best_feasible, history, stall, start_generation = (
-                self._restore(resume, rng)
+                yield from self._restore(resume, rng)
             )
             instrumentation.count("placement.ga_resumes")
             instrumentation.event(
                 "placement.ga_resumed", generation=start_generation
             )
         else:
-            population = [self.evaluate(seed_assignment)]
+            population = yield from self._evaluate_batch([seed_assignment])
             pending: list[Assignment] = []
             for extra in extra_seeds:
                 if (
@@ -187,11 +214,13 @@ class GeneticPlacementSearch:
                 len(population) + len(pending) < self.config.population_size
             ):
                 pending.append(
-                    self._mutate(
-                        seed_assignment, rng, population[0].evaluations
+                    (
+                        yield from self._mutate(
+                            seed_assignment, rng, population[0].evaluations
+                        )
                     )
                 )
-            population.extend(self._evaluate_batch(pending))
+            population.extend((yield from self._evaluate_batch(pending)))
 
             best_feasible = self._best_feasible(population)
             history = []
@@ -206,7 +235,7 @@ class GeneticPlacementSearch:
             and stall < self.config.stall_generations
         ):
             generation += 1
-            population = self._next_generation(population, rng)
+            population = yield from self._next_generation(population, rng)
             instrumentation.count("placement.ga_generations")
             history.append(max(member.score for member in population))
             candidate = self._best_feasible(population)
@@ -274,12 +303,14 @@ class GeneticPlacementSearch:
         self,
         resume: dict,
         rng: np.random.Generator,
-    ) -> tuple[
-        list[EvaluatedAssignment],
-        EvaluatedAssignment | None,
-        list[float],
-        int,
-        int,
+    ) -> Steps[
+        tuple[
+            list[EvaluatedAssignment],
+            EvaluatedAssignment | None,
+            list[float],
+            int,
+            int,
+        ]
     ]:
         """Rebuild the search state a checkpoint describes.
 
@@ -296,14 +327,14 @@ class GeneticPlacementSearch:
         out-of-range state.
         """
         try:
-            population = self._evaluate_batch(
+            population = yield from self._evaluate_batch(
                 [tuple(member) for member in resume["population"]]
             )
-            best_feasible = (
-                self.evaluate(tuple(resume["best_feasible"]))
-                if resume["best_feasible"] is not None
-                else None
-            )
+            best_feasible = None
+            if resume["best_feasible"] is not None:
+                (best_feasible,) = yield from self._evaluate_batch(
+                    [tuple(resume["best_feasible"])]
+                )
             history = [float(score) for score in resume["history"]]
             stall = int(resume["stall"])
             start_generation = int(resume["generation"])
@@ -318,38 +349,41 @@ class GeneticPlacementSearch:
 
     def evaluate(self, assignment: Assignment) -> EvaluatedAssignment:
         """Score one assignment (cached per server-content subset)."""
-        return self._evaluate_batch([assignment])[0]
+        return drive(self._evaluate_batch([assignment]))[0]
 
     def _evaluate_batch(
         self, assignments: Sequence[Assignment]
-    ) -> list[EvaluatedAssignment]:
+    ) -> Steps[list[EvaluatedAssignment]]:
         """Validate and score assignments from one evaluator call."""
         validated = [self._validate_assignment(tuple(a)) for a in assignments]
+        asked = yield from self._ask(validated)
         return [
             self._score(assignment, groups, evaluations)
-            for assignment, (groups, evaluations) in zip(
-                validated, self._ask(validated)
-            )
+            for assignment, (groups, evaluations) in zip(validated, asked)
         ]
 
     def _ask(
         self, assignments: Sequence[Assignment]
-    ) -> list[tuple[dict[int, list[int]], dict[int, ServerEvaluation]]]:
+    ) -> Steps[
+        list[tuple[dict[int, list[int]], dict[int, ServerEvaluation]]]
+    ]:
         """Each assignment's server groups and their evaluations.
 
         Every group of every assignment goes into one
-        :meth:`PlacementEvaluator.evaluate_groups` call, so the cache
+        :meth:`PlacementEvaluator.ask` request, so the cache
         misses of a whole batch are solved in one kernel pass. Results
         are bit-identical to asking one by one.
         """
         grouped = [_server_groups(assignment) for assignment in assignments]
         answers = iter(
-            self.evaluator.evaluate_groups(
-                [
-                    (self.servers[server].capacity_of(self.attribute), rows)
-                    for groups in grouped
-                    for server, rows in groups.items()
-                ]
+            (
+                yield from self.evaluator.ask(
+                    [
+                        (self.servers[server].capacity_of(self.attribute), rows)
+                        for groups in grouped
+                        for server, rows in groups.items()
+                    ]
+                )
             )
         )
         return [
@@ -392,7 +426,7 @@ class GeneticPlacementSearch:
         self,
         population: list[EvaluatedAssignment],
         rng: np.random.Generator,
-    ) -> list[EvaluatedAssignment]:
+    ) -> Steps[list[EvaluatedAssignment]]:
         population = sorted(population, key=lambda member: member.score, reverse=True)
         next_population = population[: self.config.elite_count]
         children: list[Assignment] = []
@@ -409,9 +443,9 @@ class GeneticPlacementSearch:
             else:
                 child = parent_a.assignment
             if rng.random() < _MUTATION_PROBABILITY:
-                child = self._mutate(child, rng, held)
+                child = yield from self._mutate(child, rng, held)
             children.append(child)
-        next_population.extend(self._evaluate_batch(children))
+        next_population.extend((yield from self._evaluate_batch(children)))
         return next_population
 
     def _tournament(
@@ -441,7 +475,7 @@ class GeneticPlacementSearch:
         assignment: Assignment,
         rng: np.random.Generator,
         evaluations: Optional[dict[int, ServerEvaluation]] = None,
-    ) -> Assignment:
+    ) -> Steps[Assignment]:
         """Empty a poorly utilised server onto the other used servers.
 
         The victim server is drawn with probability proportional to
@@ -455,7 +489,7 @@ class GeneticPlacementSearch:
         if not used:
             return assignment
         if evaluations is None:
-            evaluations = self._ask([assignment])[0][1]
+            ((_, evaluations),) = yield from self._ask([assignment])
         weights = np.array(
             [
                 1.0 - self._utilization_weight(evaluations[server_index], server_index)

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.exceptions import InfeasiblePlacementError
-from repro.placement.evaluation import PlacementEvaluator
+from repro.placement.evaluation import PlacementEvaluator, Steps, drive
 from repro.resources.pool import ResourcePool
 
 Assignment = tuple[int, ...]
@@ -86,7 +86,9 @@ def first_fit_decreasing(
     attribute: str = "cpu",
 ) -> Assignment:
     """Place each workload (largest peak first) on the first fitting server."""
-    return placed(*_greedy_place(evaluator, pool, (first_fit_choice,), attribute))
+    return placed(
+        *drive(_greedy_place(evaluator, pool, (first_fit_choice,), attribute))
+    )
 
 
 def best_fit_decreasing(
@@ -95,7 +97,9 @@ def best_fit_decreasing(
     attribute: str = "cpu",
 ) -> Assignment:
     """Place each workload on the feasible server it fills tightest."""
-    return placed(*_greedy_place(evaluator, pool, (best_fit_choice,), attribute))
+    return placed(
+        *drive(_greedy_place(evaluator, pool, (best_fit_choice,), attribute))
+    )
 
 
 def placed(outcome: Assignment | InfeasiblePlacementError) -> Assignment:
@@ -112,7 +116,7 @@ def _greedy_place(
     policies: Sequence[Choose],
     attribute: str,
     start: Sequence[int] | None = None,
-) -> list[Assignment | InfeasiblePlacementError]:
+) -> Steps[list[Assignment | InfeasiblePlacementError]]:
     """Shared greedy skeleton, one placement per policy, in lock-step.
 
     ``start`` is a starting assignment, a server index per workload with
@@ -131,7 +135,9 @@ def _greedy_place(
     that runs out of servers stops there: its outcome is the
     :class:`InfeasiblePlacementError` it would have raised alone, and
     the others carry on. Returns one outcome per policy, in order; each
-    is what the policy placed alone would return or raise.
+    is what the policy placed alone would return or raise. A lock-step
+    search (:data:`~repro.placement.evaluation.Steps`): run it with
+    :func:`~repro.placement.evaluation.drive`.
     """
     servers = list(pool.servers)
     order = np.argsort(-evaluator.peak_allocations(), kind="stable")
@@ -158,7 +164,7 @@ def _greedy_place(
             for policy in live
             for server_index in sorted(groups[policy])
         ]
-        evaluations = evaluator.evaluate_groups(
+        evaluations = yield from evaluator.ask(
             [
                 (
                     servers[server_index].capacity_of(attribute),
@@ -180,7 +186,7 @@ def _greedy_place(
                         workload_index, feasible[policy], groups[policy]
                     )
                 else:
-                    target = _open_new_server(
+                    target = yield from _open_new_server(
                         evaluator,
                         servers,
                         groups[policy],
@@ -208,12 +214,12 @@ def _open_new_server(
     groups: dict[int, list[int]],
     workload_index: int,
     attribute: str,
-) -> int:
+) -> Steps[int]:
     for server_index, server in enumerate(servers):
         if server_index in groups:
             continue
-        evaluation = evaluator.evaluate_group(
-            [workload_index], server, attribute
+        (evaluation,) = yield from evaluator.ask(
+            [(server.capacity_of(attribute), [workload_index])]
         )
         if evaluation.fits:
             return server_index

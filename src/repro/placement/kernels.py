@@ -42,6 +42,7 @@ no search starts from another subset's answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -269,8 +270,8 @@ class BatchSimulator:
     @classmethod
     def from_subsets(
         cls,
-        cos1_matrix: np.ndarray,
-        cos2_matrix: np.ndarray,
+        cos1_matrix: np.ndarray | Sequence[np.ndarray],
+        cos2_matrix: np.ndarray | Sequence[np.ndarray],
         subsets: Sequence[Sequence[int]],
         calendar: TraceCalendar,
     ) -> "BatchSimulator":
@@ -280,12 +281,17 @@ class BatchSimulator:
         batch row. Member rows are added into the batch row one by one
         in subset order — the additions, and their order, of the scalar
         path's ``matrix[subset].sum(axis=0)``, without the gathered copy.
+        Each matrix argument is either the one matrix every subset
+        indexes or one matrix per subset, so the subsets of several
+        evaluators aggregate into one batch.
         """
         length = calendar.n_observations
         cos1 = np.empty((len(subsets), length), dtype=float)
         cos2 = np.empty((len(subsets), length), dtype=float)
-        for matrix, out in ((cos1_matrix, cos1), (cos2_matrix, cos2)):
-            for row, subset in zip(out, subsets):
+        for matrices, out in ((cos1_matrix, cos1), (cos2_matrix, cos2)):
+            if isinstance(matrices, np.ndarray):
+                matrices = repeat(matrices)
+            for row, subset, matrix in zip(out, subsets, matrices):
                 row[:] = matrix[subset[0]] if len(subset) else 0.0
                 for member in subset[1:]:
                     row += matrix[member]

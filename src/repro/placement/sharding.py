@@ -10,11 +10,12 @@ containers. This module implements the hierarchical tier on top of it:
 2. **shard** the server pool into sub-pools sized to each cluster's
    demand mass (:func:`partition_pool`);
 3. **place** each shard independently through the existing
-   :class:`~repro.placement.consolidation.Consolidator` — shards are
-   embarrassingly parallel, so they fan out through the execution
-   engine, and each completed shard is
-   journaled through the checkpoint layer so a killed run resumes the
-   finished shards instead of replanning them;
+   :class:`~repro.placement.consolidation.Consolidator` — the shards
+   go out in one unit per engine slot, the shards of a unit plan in
+   lock-step and share each step's capacity solve
+   (:func:`~repro.placement.evaluation.lock_step`), and each completed
+   shard is journaled through the checkpoint layer so a killed run
+   resumes the finished shards instead of replanning them;
 4. **refine** across shards: migrate workloads to the shard where their
    marginal placement cost is lowest, re-plan the affected shards, and
    stop as soon as total cost stops improving (the cluster → tune →
@@ -29,13 +30,12 @@ same sharded plan, on any backend.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.engine import Checkpointer, ExecutionEngine
+from repro.engine import Checkpointer, ExecutionEngine, Instrumentation
 from repro.engine.dispatch import split_chunks
 from repro.exceptions import PlacementError
 from repro.placement.clustering import (
@@ -47,7 +47,7 @@ from repro.placement.clustering import (
     cluster_workloads,
 )
 from repro.placement.consolidation import ConsolidationResult, Consolidator
-from repro.placement.evaluation import PlacementEvaluator
+from repro.placement.evaluation import PlacementEvaluator, Steps, lock_step
 from repro.placement.genetic import GeneticSearchConfig
 from repro.resources.pool import ResourcePool
 from repro.resources.server import ServerSpec
@@ -251,7 +251,7 @@ class ShardedPlacementResult:
 
 @dataclass(frozen=True)
 class _ShardPlanPayload:
-    """Picklable state broadcast once per shard-planning wave."""
+    """Picklable state broadcast once per shard-planning session."""
 
     pairs: tuple[CoSAllocationPair, ...]
     servers: tuple[ServerSpec, ...]
@@ -288,21 +288,65 @@ class _ShardOutcome:
     index: int
     result: Optional[ConsolidationResult]
     error: Optional[str]
+    #: Time spent advancing this shard's search plus its row share of
+    #: each solve it took part in (see :func:`lock_step`).
     seconds: float
+    #: This shard's :data:`_SHARD_COUNTERS` totals. A solve merged across
+    #: the shards of one unit counts once, with the first of them.
+    counters: Mapping[str, float]
+
+
+#: Counters a shard's planning reports back to the planner (by prefix).
+_SHARD_COUNTERS = (
+    "placement.cache_",
+    "kernel.",
+    "placement.ga_generations",
+    "placement.consolidations",
+)
 
 
 def _shard_plan_worker(
-    payload: _ShardPlanPayload, item: _ShardItem
-) -> _ShardOutcome:
-    """Executor work unit: consolidate one shard end to end.
+    payload: _ShardPlanPayload, items: tuple[_ShardItem, ...]
+) -> tuple[_ShardOutcome, ...]:
+    """Executor work unit: consolidate shards end to end, in lock-step.
 
-    A pure function of the broadcast payload and the item (the inner
-    genetic search runs under the item's derived seed), so results are
-    identical across serial and parallel backends. An infeasible shard
-    is an *outcome*, not an exception — the driver decides whether to
-    merge it away or fail the plan.
+    Every shard's search advances to its next capacity question, and one
+    solve answers the questions of all of them (:func:`lock_step`).
+    Each shard keeps its own evaluator, its search seed and the order of
+    its questions, so its outcome is the one it has planned alone: a
+    pure function of the payload and its item, identical across serial
+    and parallel backends and across any grouping of shards into units.
+    An infeasible shard is an *outcome*, not an exception — the driver
+    decides whether to merge it away or fail the plan — and the other
+    shards carry on.
     """
-    start = time.perf_counter()
+    sinks = [Instrumentation() for _ in items]
+    results, seconds = lock_step(
+        [_plan_shard(payload, item, sink) for item, sink in zip(items, sinks)]
+    )
+    return tuple(
+        _ShardOutcome(
+            index=item.index,
+            result=result,
+            error=error,
+            seconds=elapsed,
+            counters={
+                name: value
+                for name, value in sink.counters().items()
+                if name.startswith(_SHARD_COUNTERS)
+            },
+        )
+        for item, (result, error), elapsed, sink in zip(
+            items, results, seconds, sinks
+        )
+    )
+
+
+def _plan_shard(
+    payload: _ShardPlanPayload, item: _ShardItem, sink: Instrumentation
+) -> Steps[tuple[Optional[ConsolidationResult], Optional[str]]]:
+    """One shard's consolidation as a lock-step search, counting into
+    ``sink``; returns its result, or ``None`` and why."""
     pool = ResourcePool(payload.servers[row] for row in item.server_rows)
     pairs = [payload.pairs[row] for row in item.workload_rows]
     config = payload.config
@@ -324,26 +368,19 @@ def _shard_plan_worker(
         config=config,
         tolerance=payload.tolerance,
         attribute=payload.attribute,
+        engine=ExecutionEngine.serial(sink),
         kernel=payload.kernel,
         constraints=payload.constraints,
     )
     try:
-        result = consolidator.consolidate(
-            pairs, algorithm=payload.algorithm, previous=previous
+        result = yield from consolidator.consolidate_steps(
+            consolidator.evaluator(pairs),
+            algorithm=payload.algorithm,
+            previous=previous,
         )
     except PlacementError as error:
-        return _ShardOutcome(
-            index=item.index,
-            result=None,
-            error=str(error),
-            seconds=time.perf_counter() - start,
-        )
-    return _ShardOutcome(
-        index=item.index,
-        result=result,
-        error=None,
-        seconds=time.perf_counter() - start,
-    )
+        return None, str(error)
+    return result, None
 
 
 class HierarchicalPlanner:
@@ -507,9 +544,10 @@ class HierarchicalPlanner:
     ) -> list[ConsolidationResult]:
         """Plan every shard independently through the engine.
 
-        Completed shards are journaled under ``shard/<index>`` as soon
-        as they exist (wave-sized batches, like the failure sweep), so
-        a killed run resumes the finished shards; each checkpoint's
+        The pending shards go out in one lock-step unit per engine slot
+        (:func:`_shard_plan_worker`). Completed shards are journaled
+        under ``shard/<index>`` as their unit returns, so a killed run
+        resumes the finished shards; each checkpoint's
         membership is verified on load, so a resume whose clustering
         came out differently recomputes instead of trusting a shard
         plan for the wrong workloads.
@@ -538,16 +576,7 @@ class HierarchicalPlanner:
                     restored=len(restored),
                     pending=len(pending),
                 )
-            outcomes: list[_ShardOutcome] = []
-            if pending:
-                payload = self._payload(algorithm)
-                with self.engine.session(payload) as session:
-                    # Each completed wave's shards are checkpointed
-                    # before the next wave starts, so a kill loses at
-                    # most one wave.
-                    for outcome in session.waves(_shard_plan_worker, pending):
-                        outcomes.append(outcome)
-                        self._save_shard(checkpointer, outcome)
+            outcomes = self._plan_units(pending, checkpointer)
             self._results = [None] * n_shards  # type: ignore[list-item]
             self._shard_seconds = [0.0] * n_shards
             for index, (result, seconds) in restored.items():
@@ -735,6 +764,32 @@ class HierarchicalPlanner:
             previous=previous,
         )
 
+    def _plan_units(
+        self,
+        items: Sequence[_ShardItem],
+        checkpointer: Checkpointer | None = None,
+    ) -> list[_ShardOutcome]:
+        """Plan ``items`` in one lock-step unit per engine slot.
+
+        Each unit's outcomes are counted into the planner's
+        instrumentation and journaled as the unit returns.
+        """
+        if not items:
+            return []
+        outcomes: list[_ShardOutcome] = []
+        with self.engine.session(self._payload(self._algorithm)) as session:
+            units = split_chunks(items, session.parallelism)
+            for unit in session.map(_shard_plan_worker, units):
+                for outcome in unit:
+                    self._count_shard(outcome)
+                    self._save_shard(checkpointer, outcome)
+                outcomes.extend(unit)
+        return outcomes
+
+    def _count_shard(self, outcome: _ShardOutcome) -> None:
+        for name, value in outcome.counters.items():
+            self.engine.instrumentation.count(name, value)
+
     def _shard_key(self, index: int) -> str:
         return f"shard/{index}"
 
@@ -838,10 +893,11 @@ class HierarchicalPlanner:
                 self._server_rows[index] = ()
                 self._results[index] = None  # type: ignore[call-overload]
                 instrumentation.count("placement.shard_merges")
-            merged = _shard_plan_worker(
+            (merged,) = _shard_plan_worker(
                 self._payload(self._algorithm),
-                self._shard_item(target, single=False),
+                (self._shard_item(target, single=False),),
             )
+            self._count_shard(merged)
             self._shard_seconds[target] += merged.seconds
             if merged.result is not None:
                 self._results[target] = merged.result
@@ -995,9 +1051,9 @@ class HierarchicalPlanner:
     def _replan_affected(self, shards: set[int]) -> bool:
         """Re-plan the shards a move touched; ``False`` on infeasibility.
 
-        Replans run through the engine like the initial wave, each
-        seeded with its post-move placement so the search starts from
-        (and can only improve on) the migrated assignment.
+        Replans run through the engine like the initial placement,
+        each seeded with its post-move placement so the search starts
+        from (and can only improve on) the migrated assignment.
         """
         items = []
         for index in sorted(shards):
@@ -1017,12 +1073,7 @@ class HierarchicalPlanner:
             items.append(
                 self._shard_item(index, single=False, previous=previous)
             )
-        if not items:
-            return True
-        payload = self._payload(self._algorithm)
-        with self.engine.session(payload) as session:
-            outcomes = session.map(_shard_plan_worker, items)
-        for outcome in outcomes:
+        for outcome in self._plan_units(items):
             if outcome.result is None:
                 return False
             self._results[outcome.index] = outcome.result

@@ -110,7 +110,7 @@ class ServerSpec:
     def __reduce__(self):
         # The frozen attributes mapping is a MappingProxyType, which does
         # not pickle; rebuild from plain data so specs can cross process
-        # boundaries (the shard waves ship server specs to workers).
+        # boundaries (shard planning ships server specs to workers).
         return (
             ServerSpec,
             (self.name, self.cpus, dict(self.attributes), self.rack, self.zone),

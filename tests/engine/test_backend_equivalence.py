@@ -3,8 +3,8 @@
 The engine contract: work units are pure functions, seeded RNG stays in
 the driver, so the executor backend must never change a planning result.
 These tests run the full translate -> place -> failure pipeline under
-both backends and require identical outputs. The plans are sharded: the
-shard waves are the one stage that hands work to the pool.
+both backends and require identical outputs. The plans are sharded:
+shard planning is the one stage that hands work to the pool.
 """
 
 import pytest
@@ -95,6 +95,35 @@ class TestBackendEquivalence:
         # Both backends account their capacity-search work.
         assert serial_counters["kernel.calls"] > 0
         assert parallel_counters["kernel.calls"] > 0
+
+    def test_shard_counters_agree_across_backends(self, demands, policy):
+        """Shards report their work to the planner on either backend;
+        only how many decision steps it took depends on the grouping
+        of shards into units."""
+        plans = []
+        for engine in (ExecutionEngine.serial(), ExecutionEngine.with_workers(2)):
+            with engine:
+                plans.append(
+                    make_framework(engine).plan(
+                        demands, policy, plan_failures=False
+                    )
+                )
+        serial, parallel = (plan.counters for plan in plans)
+        assert serial["kernel.rows"] > 0
+        assert serial["placement.consolidations"] >= plans[0].sharding["shards"]
+        assert serial["placement.ga_generations"] > 0
+        for name in (
+            "kernel.rows",
+            "kernel.row_evaluations",
+            "placement.consolidations",
+            "placement.ga_generations",
+        ):
+            assert serial[name] == parallel[name], name
+        assert (
+            serial["placement.cache_hits"] + serial["placement.cache_misses"]
+            == parallel["placement.cache_hits"]
+            + parallel["placement.cache_misses"]
+        )
 
     def test_failure_cases_identical(self, demands, policy):
         serial_plan = plan_with(ExecutionEngine.serial(), demands, policy)

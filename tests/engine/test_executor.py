@@ -23,7 +23,7 @@ def _add_offset(shared, item):
 
 @dataclass(frozen=True)
 class _ArrayPayload:
-    """A shared payload carrying an ndarray, like the shard waves' own."""
+    """A shared payload carrying an ndarray, like the shard planner's own."""
 
     offsets: np.ndarray
 
@@ -66,11 +66,6 @@ class TestSerialExecutor:
             assert session.map(_add_offset, [1]) == [101]
             assert session.map(_add_offset, [2]) == [102]
 
-    def test_waves_yield_every_result_in_order(self):
-        with SerialExecutor().session(shared=1) as session:
-            assert list(session.waves(_add_offset, [3, 1, 2])) == [4, 2, 3]
-            assert list(session.waves(_add_offset, [])) == []
-
 
 class TestParallelExecutor:
     """The one pool backend, reached the way callers reach it."""
@@ -104,11 +99,11 @@ class TestParallelExecutor:
             with engine.session() as session:
                 assert session.map(_square, []) == []
 
-    def test_waves_step_by_parallelism(self):
+    def test_parallelism_counts_the_workers(self):
         with ExecutionEngine.with_workers(2) as engine:
             with engine.session(shared=10) as session:
                 assert session.parallelism == 2
-                results = list(session.waves(_add_offset, [1, 2, 3, 4, 5]))
+                results = session.map(_add_offset, [1, 2, 3, 4, 5])
         assert results == [11, 12, 13, 14, 15]
 
     def test_rejects_nonpositive_workers(self):

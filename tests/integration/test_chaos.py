@@ -61,7 +61,7 @@ def _framework(
 
 
 def _sharded(engine=None):
-    """The shard waves are the one stage that hands work to workers."""
+    """Shard planning is the one stage that hands work to workers."""
     return _framework(engine=engine, sharding=2)
 
 

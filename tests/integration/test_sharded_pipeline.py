@@ -6,7 +6,7 @@ Three contracts:
   plan composed by hand from the original pieces (translate, one
   monolithic ``Consolidator.consolidate``, ``FailurePlanner.plan``)
   hashes identically to what the staged facade produces;
-* a sharded run killed mid-shard-wave resumes the already-planned
+* a sharded run killed mid-placement resumes the already-planned
   shards from their checkpoints and still converges to the exact plan
   of an undisturbed run;
 * sharding trades little quality for its scalability: on a small
@@ -157,9 +157,9 @@ class TestShardedKillResume:
         class _Killed(Exception):
             """Stands in for the SIGKILL that ends the first run."""
 
-        # Die before persisting the second shard: the wave must already
-        # have journaled the first one (shards are saved per completed
-        # wave, not after the whole placement stage returns).
+        # Die before persisting the second shard: the first one must
+        # already be journaled (shards are saved as their unit returns,
+        # one by one, not after the whole placement stage returns).
         class _KilledMidWave(Checkpointer):
             def save(self, key, payload):
                 if key.startswith("shard/") and any(
@@ -188,6 +188,54 @@ class TestShardedKillResume:
         )
         assert resumes == 1
         assert resumed.sharding["resumed_shards"] == 1
+
+    def test_kill_inside_a_lock_step_unit_resumes_to_the_same_hash(
+        self, small_demands, policy, tmp_path, monkeypatch
+    ):
+        """Every pending shard plans in one unit; a kill before the unit
+        returns journals none of them, and the resume replans them all
+        to the undisturbed plan."""
+        from repro.placement import evaluation
+
+        def sharded(checkpointer):
+            return _framework(
+                _small_pool(),
+                checkpointer=checkpointer,
+                sharding=3,
+                cluster_seed=7,
+            )
+
+        baseline = sharded(None).plan(
+            small_demands, policy, plan_failures=False
+        )
+
+        class _Killed(Exception):
+            """Stands in for the SIGKILL that ends the first run."""
+
+        solves = []
+        batched = evaluation._evaluate_items_batched
+
+        def dies_mid_unit(parts):
+            solves.append(parts)
+            if len(solves) == 5:
+                raise _Killed
+            return batched(parts)
+
+        directory = tmp_path / "ckpt"
+        with monkeypatch.context() as patch:
+            patch.setattr(evaluation, "_evaluate_items_batched", dies_mid_unit)
+            with pytest.raises(_Killed):
+                sharded(Checkpointer(directory)).plan(
+                    small_demands, policy, plan_failures=False
+                )
+        # The kill came while the unit's shards were all still in flight.
+        assert max(len(parts) for parts in solves) > 1
+        store = Checkpointer(directory)
+        assert not [key for key in store.keys() if key.startswith("shard/")]
+
+        resumed = sharded(store).plan(small_demands, policy, plan_failures=False)
+        assert resumed.plan_hash() == baseline.plan_hash()
+        assert resumed.sharding["resumed_shards"] == 0
 
     def test_completed_sharded_run_rotates_checkpoints_out(
         self, small_demands, policy, tmp_path

@@ -389,16 +389,11 @@ def test_witness_off_gives_identical_evaluations(kernel, monkeypatch):
 
 
 def _batched(evaluator, items, kernel):
-    return evaluation._evaluate_items_batched(
-        evaluator._cos1,
-        evaluator._cos2,
-        evaluator.calendar,
-        evaluator.commitment,
-        evaluator.tolerance,
-        items,
-        evaluator._witness,
-        kernel=kernel,
+    assert evaluator.kernel == kernel
+    (solved,), stats = evaluation._evaluate_items_batched(
+        ((evaluator.worker_payload(), items),)
     )
+    return solved, stats
 
 
 class TestChunkedBatches:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cos import CoSCommitment
-from repro.placement.evaluation import PlacementEvaluator
+from repro.placement.evaluation import PlacementEvaluator, drive
 from repro.placement.genetic import GeneticPlacementSearch, GeneticSearchConfig
 from repro.resources.pool import ResourcePool
 from repro.resources.server import homogeneous_servers
@@ -66,7 +66,7 @@ class TestMutation:
     @given(assignments, st.integers(0, 2**31 - 1))
     def test_mutation_preserves_length_and_range(self, search, a, seed):
         rng = np.random.default_rng(seed)
-        mutated = search._mutate(a, rng)
+        mutated = drive(search._mutate(a, rng))
         assert len(mutated) == N_WORKLOADS
         assert all(0 <= gene < N_SERVERS for gene in mutated)
 
@@ -76,7 +76,7 @@ class TestMutation:
         """The mutation migrates one server's workloads onto the others,
         so the used-server set never grows (it usually shrinks)."""
         rng = np.random.default_rng(seed)
-        mutated = search._mutate(a, rng)
+        mutated = drive(search._mutate(a, rng))
         before = set(a)
         after = set(mutated)
         if len(before) > 1:
@@ -92,7 +92,7 @@ class TestMutation:
         some other server (all of them together or scattered)."""
         a = tuple([server] * N_WORKLOADS)
         rng = np.random.default_rng(seed)
-        mutated = search._mutate(a, rng)
+        mutated = drive(search._mutate(a, rng))
         assert server not in set(mutated) or mutated == a
         # They must land on valid servers.
         assert all(0 <= gene < N_SERVERS for gene in mutated)

@@ -23,7 +23,7 @@ from repro.placement.correlation import (
     correlation_aware_seed,
     least_correlated_choice,
 )
-from repro.placement.evaluation import PlacementEvaluator
+from repro.placement.evaluation import PlacementEvaluator, drive
 from repro.placement.greedy import (
     _greedy_place,
     best_fit_choice,
@@ -153,7 +153,7 @@ def test_correlation_seed_solve_budget(monkeypatch):
     batched = evaluation._evaluate_items_batched
 
     def counting(*args, **kwargs):
-        solves.append(len(args[5]))
+        solves.append(sum(len(items) for _, items in args[0]))
         return batched(*args, **kwargs)
 
     monkeypatch.setattr(evaluation, "_evaluate_items_batched", counting)
@@ -166,11 +166,13 @@ def test_correlation_seed_solve_budget(monkeypatch):
 
 
 def _lock_step(evaluator, pool):
-    return _greedy_place(
-        evaluator,
-        pool,
-        (first_fit_choice, best_fit_choice, least_correlated_choice(evaluator)),
-        "cpu",
+    return drive(
+        _greedy_place(
+            evaluator,
+            pool,
+            (first_fit_choice, best_fit_choice, least_correlated_choice(evaluator)),
+            "cpu",
+        )
     )
 
 
@@ -274,7 +276,7 @@ def test_lock_step_solve_budget(monkeypatch):
     batched = evaluation._evaluate_items_batched
 
     def counting(*args, **kwargs):
-        solves.append(len(args[5]))
+        solves.append(sum(len(items) for _, items in args[0]))
         return batched(*args, **kwargs)
 
     monkeypatch.setattr(evaluation, "_evaluate_items_batched", counting)

@@ -57,7 +57,7 @@ class TestAllocationTrace:
             trace.values[0] = 9
 
     def test_values_stay_read_only_across_pickle(self, cal):
-        # A spawned pool worker receives the shard waves' pairs by pickle.
+        # A spawned pool worker receives the shard planner's pairs by pickle.
         pair = pickle.loads(pickle.dumps(make_pair(cal, "w", 1.0, 2.0)))
         for trace in (pair.cos1, pair.cos2):
             assert not trace.values.flags.writeable
