@@ -229,26 +229,26 @@ def validate_trace(
 def _stuck_value_issues(
     values: np.ndarray, stuck_run_slots: int
 ) -> list[TraceIssue]:
-    """Find long runs of one repeated positive value."""
-    issues: list[TraceIssue] = []
+    """Find long runs of one repeated positive value.
+
+    A run ends wherever a value differs from its predecessor; NaN equals
+    nothing, so every NaN is a run of its own and is never flagged.
+    """
     n = values.shape[0]
-    run_start = 0
-    for index in range(1, n + 1):
-        at_end = index == n
-        if at_end or values[index] != values[run_start]:
-            length = index - run_start
-            if length > stuck_run_slots and values[run_start] > 0:
-                issues.append(
-                    TraceIssue(
-                        IssueKind.STUCK_VALUE,
-                        f"value {values[run_start]:g} repeated "
-                        f"{length} times",
-                        start=run_start,
-                        stop=index,
-                    )
-                )
-            run_start = index
-    return issues
+    if n == 0:
+        return []
+    starts = np.concatenate(([0], np.flatnonzero(values[1:] != values[:-1]) + 1))
+    stops = np.append(starts[1:], n)
+    flagged = (stops - starts > stuck_run_slots) & (values[starts] > 0)
+    return [
+        TraceIssue(
+            IssueKind.STUCK_VALUE,
+            f"value {values[start]:g} repeated {stop - start} times",
+            start=start,
+            stop=stop,
+        )
+        for start, stop in zip(starts[flagged].tolist(), stops[flagged].tolist())
+    ]
 
 
 def validate_ensemble(

@@ -19,6 +19,10 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.util.rng import RngLike, derive_rng
 
+#: Samples per step of the AR(1) recurrence's Python-float loop; bounds
+#: its temporary lists so no list as long as the trace is ever built.
+_CHUNK = 1024
+
 
 def ar1_lognormal_noise(
     n: int,
@@ -60,8 +64,17 @@ def ar1_lognormal_noise(
     log_values = np.empty(n)
     log_values[0] = generator.normal(0.0, sigma)
     innovations = generator.normal(0.0, innovation_scale, size=n - 1)
-    for index in range(1, n):
-        log_values[index] = correlation * log_values[index - 1] + innovations[index - 1]
+    # The recurrence steps sequentially over Python floats, one bounded
+    # chunk at a time: each step is one IEEE-754 multiply, then one add,
+    # which is what fixes the bytes of every trace. A closed form or a
+    # blocked scan would reorder the additions and change them.
+    previous = float(log_values[0])
+    for start in range(0, n - 1, _CHUNK):
+        chunk: list[float] = []
+        for innovation in innovations[start:start + _CHUNK].tolist():
+            previous = correlation * previous + innovation
+            chunk.append(previous)
+        log_values[start + 1:start + 1 + len(chunk)] = chunk
     return np.exp(log_values - 0.5 * sigma**2)
 
 

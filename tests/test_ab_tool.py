@@ -78,3 +78,38 @@ class TestSummarize:
         assert ab.summarize(parent, change, "higher")["gain"]
         flipped = ab.summarize(parent, change, "lower")
         assert flipped["losses"] == 10 and not flipped["gain"]
+
+
+class TestSetupParts:
+    """The parts of setup_s that run.py writes, reduced to each side's median."""
+
+    PARTS = ("imports", "generate", "cold_plan")
+
+    def documents(self, runs_by_side):
+        return {
+            side: {
+                seed: {"setup_parts_s": dict(zip(self.PARTS, parts))}
+                for seed, parts in enumerate(runs, start=1)
+            }
+            for side, runs in runs_by_side.items()
+        }
+
+    def test_one_line_per_part_with_each_sides_median(self, ab):
+        assert ab.SETUP_PARTS == self.PARTS
+        lines = ab.setup_parts(self.documents({
+            "parent": [(0.3, 0.7, 0.6), (0.4, 0.6, 0.7), (0.35, 0.65, 0.9)],
+            "change": [(0.3, 0.3, 0.6), (0.4, 0.2, 0.7), (0.35, 0.25, 0.9)],
+        }))
+        assert lines[0].startswith("setup_parts_s")
+        assert [line.split() for line in lines[1:]] == [
+            ["imports", "0.35", "->", "0.35", "(+0)"],
+            ["generate", "0.65", "->", "0.25", "(-0.4)"],
+            ["cold_plan", "0.7", "->", "0.7", "(+0)"],
+        ]
+
+    def test_medians_not_means(self, ab):
+        lines = ab.setup_parts(self.documents({
+            "parent": [(0.3, 0.6, 0.6), (0.3, 0.6, 0.6), (0.3, 9.0, 0.6)],
+            "change": [(0.3, 0.2, 0.6), (0.3, 0.2, 0.6), (0.3, 0.2, 0.6)],
+        }))
+        assert lines[2].split()[1:4] == ["0.6", "->", "0.2"]

@@ -7,6 +7,8 @@ from repro.traces.calendar import TraceCalendar
 from repro.traces.trace import DemandTrace
 from repro.traces.validation import (
     IssueKind,
+    TraceIssue,
+    _stuck_value_issues,
     validate_ensemble,
     validate_trace,
 )
@@ -19,6 +21,77 @@ def cal():
 
 def trace(cal, values, name="w"):
     return DemandTrace(name, values, cal)
+
+
+def _stuck_value_oracle(values, stuck_run_slots):
+    """The slot-by-slot walk ``_stuck_value_issues`` must agree with."""
+    issues = []
+    n = values.shape[0]
+    run_start = 0
+    for index in range(1, n + 1):
+        at_end = index == n
+        if at_end or values[index] != values[run_start]:
+            length = index - run_start
+            if length > stuck_run_slots and values[run_start] > 0:
+                issues.append(
+                    TraceIssue(
+                        IssueKind.STUCK_VALUE,
+                        f"value {values[run_start]:g} repeated "
+                        f"{length} times",
+                        start=run_start,
+                        stop=index,
+                    )
+                )
+            run_start = index
+    return issues
+
+
+class TestStuckRunsMatchTheSlotWalk:
+    """Run boundaries found at once give the walk's issues, in its order."""
+
+    @staticmethod
+    def check(values, stuck_run_slots):
+        values = np.asarray(values, dtype=float)
+        expected = _stuck_value_oracle(values, stuck_run_slots)
+        assert _stuck_value_issues(values, stuck_run_slots) == expected
+        return expected
+
+    @pytest.mark.parametrize("values", [[], [np.nan], [np.nan] * 5])
+    def test_empty_and_all_nan_series_have_no_runs(self, values):
+        assert self.check(values, 0) == []
+
+    def test_a_single_slot_is_a_run_of_one(self):
+        assert self.check([2.0], 0) == [
+            TraceIssue(IssueKind.STUCK_VALUE, "value 2 repeated 1 times", 0, 1)
+        ]
+
+    def test_run_of_exactly_the_threshold_is_not_flagged(self):
+        assert self.check([1.0] + [3.5] * 4 + [1.0], 4) == []
+
+    def test_run_one_past_the_threshold_is_flagged(self):
+        assert self.check([1.0] + [3.5] * 5 + [1.0], 4) == [
+            TraceIssue(IssueKind.STUCK_VALUE, "value 3.5 repeated 5 times", 1, 6)
+        ]
+
+    def test_zero_and_negative_runs_are_never_flagged(self):
+        assert self.check([0.0] * 9 + [-2.0] * 9 + [-0.0] * 9, 2) == []
+
+    def test_runs_touching_either_end(self):
+        issues = self.check([7.0] * 5 + [1.0, 2.0] + [0.25] * 6, 3)
+        assert [(issue.start, issue.stop) for issue in issues] == [(0, 5), (7, 13)]
+
+    @pytest.mark.parametrize("stuck_run_slots", [0, 1, 2, 48])
+    def test_random_small_alphabet_series(self, stuck_run_slots):
+        rng = np.random.default_rng(stuck_run_slots)
+        alphabet = np.array([np.nan, -1.0, 0.0, 0.5, 2.0])
+        flagged = 0
+        for _ in range(200):
+            length = int(rng.integers(0, 120))
+            # Repeat each draw a few times so long runs are common.
+            draws = alphabet[rng.integers(0, alphabet.size, size=length)]
+            values = np.repeat(draws, rng.integers(1, 30, size=length))
+            flagged += len(self.check(values, stuck_run_slots))
+        assert flagged > 0
 
 
 class TestCleanTraces:

@@ -4,11 +4,31 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.workloads import noise
 from repro.workloads.noise import (
     ar1_lognormal_noise,
     background_floor,
     inject_spikes,
 )
+
+#: The recurrence's chunk length; the lengths below straddle it.
+CHUNK = 1024
+
+
+def _ar1_reference(n, sigma, correlation, rng):
+    """The per-element recurrence whose bytes every trace is pinned to."""
+    generator = np.random.default_rng(rng)
+    if sigma == 0:
+        return np.ones(n)
+    innovation_scale = sigma * np.sqrt(1.0 - correlation**2)
+    log_values = np.empty(n)
+    log_values[0] = generator.normal(0.0, sigma)
+    innovations = generator.normal(0.0, innovation_scale, size=n - 1)
+    for index in range(1, n):
+        log_values[index] = (
+            correlation * log_values[index - 1] + innovations[index - 1]
+        )
+    return np.exp(log_values - 0.5 * sigma**2)
 
 
 class TestAr1LognormalNoise:
@@ -57,6 +77,26 @@ class TestAr1LognormalNoise:
             ar1_lognormal_noise(10, sigma=-0.1)
         with pytest.raises(ConfigurationError):
             ar1_lognormal_noise(10, correlation=1.0)
+
+
+class TestAr1Bytes:
+    """The chunked recurrence reproduces the per-element loop bit for bit."""
+
+    def test_chunk_length(self):
+        assert noise._CHUNK == CHUNK
+
+    @pytest.mark.parametrize(
+        "n", [1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 104_832]
+    )
+    @pytest.mark.parametrize("sigma", [0.0, 0.05, 0.5])
+    @pytest.mark.parametrize("correlation", [0.0, 0.5, 0.99])
+    def test_bytes_match_the_per_element_loop(self, n, sigma, correlation):
+        for seed in (0, 7, 2006):
+            expected = _ar1_reference(n, sigma, correlation, seed)
+            actual = ar1_lognormal_noise(
+                n, sigma=sigma, correlation=correlation, rng=seed
+            )
+            assert actual.tobytes() == expected.tobytes()
 
 
 class TestInjectSpikes:

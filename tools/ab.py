@@ -15,7 +15,9 @@ regression driver sees them); then, per end-to-end metric, this prints
 every pair, each side's median and quartiles and the pairs won, and
 applies the rule a ``[perf_opt]`` claim must meet: the change better in
 at least nine tenths of the pairs (ties count for neither side) and the
-medians further apart than the parent's own interquartile range.
+medians further apart than the parent's own interquartile range. Last
+come each side's median ``setup_parts_s`` (imports, input generation,
+cold plan), so a ``setup_s`` change says which part of setup moved.
 
 Exit code 1 when a run reported an invalid or failed plan.
 """
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -38,6 +41,8 @@ sys.path.insert(0, str(RECORD))
 from compare import quartiles  # noqa: E402  (the verdict tool's quartiles)
 
 SIDES = ("parent", "change")
+#: The parts of ``setup_s`` that ``run.py`` times, in the order they run.
+SETUP_PARTS = ("imports", "generate", "cold_plan")
 
 
 def run_order(pairs: int) -> list[tuple[int, str]]:
@@ -109,6 +114,23 @@ def report(
     return lines
 
 
+def setup_parts(documents: dict[str, dict[int, dict]]) -> list[str]:
+    """Each side's median ``setup_parts_s``: which part of ``setup_s`` moved."""
+    lines = ["setup_parts_s [s, median of each side]"]
+    for part in SETUP_PARTS:
+        parent, change = (
+            statistics.median(
+                document["setup_parts_s"][part]
+                for document in documents[side].values()
+            )
+            for side in SIDES
+        )
+        lines.append(
+            f"  {part:<9s}  {parent:.4g} -> {change:.4g} ({change - parent:+.3g})"
+        )
+    return lines
+
+
 def checkout(revision: str, into: Path) -> None:
     """Unpack ``revision``'s committed files into ``into``."""
     archive = subprocess.run(
@@ -172,9 +194,11 @@ def main() -> int:
         for seed, side in order:
             document = run_once(roots[side], out / side, args, seed)
             documents[side][seed] = document
-            plan_s = document["end_to_end"]["plan_s_min"]["value"]
+            metrics = document["end_to_end"]
             print(
-                f"seed {seed} {side}: plan_s_min {plan_s:.4f} s"
+                f"seed {seed} {side}: plan_s_min "
+                f"{metrics['plan_s_min']['value']:.4f} s, setup_s "
+                f"{metrics['setup_s']['value']:.4f} s"
                 + ("" if document["correct"] else "  [FAILED PLANS]"),
                 flush=True,
             )
@@ -195,6 +219,7 @@ def main() -> int:
         f"{args.revision} -> working tree, {args.pairs} pairs =="
     )
     print("\n".join(report(documents, order, benchmark["end_to_end"])))
+    print("\n".join(setup_parts(documents)))
     print(f"\nresult documents: {out}")
     correct = all(
         document["correct"] for side in SIDES for document in documents[side].values()
