@@ -13,7 +13,9 @@ from the answer. This module batches that question:
   (row, capacity) pairings by **gates in cost order**: the CoS1 peak
   (no trace pass), then theta (only rows that passed the peak), then
   the FIFO backlog and the deadline check (only rows that passed
-  theta) — in row tiles sized to stay cache-resident;
+  theta) — in row tiles sized to stay cache-resident, or, for a row
+  longer than a whole tile, theta a span of weeks at a time and the
+  backlog only on the days that can hold some;
 * :func:`required_capacity_batch` is a **simultaneous bisection**: the
   low/high brackets of all pending subsets advance as parallel arrays,
   one decision call halving every bracket per iteration, instead of
@@ -65,7 +67,9 @@ _THETA_SLACK = 1e-12
 #: satisfied demand, then backlog and served work in their place), so
 #: the working set is a small multiple of this; see DESIGN.md section 9
 #: for how the value was chosen. Fixed: the tile only changes how many
-#: rows one pass touches, never a decision.
+#: rows one pass touches, never a decision. A row longer than a whole
+#: tile is decided on its own (:meth:`BatchSimulator._decide_long`), its
+#: theta pass in spans of as many whole weeks as fit in one.
 _TILE_BYTES = 1 << 18
 
 
@@ -73,21 +77,20 @@ def _theta_rows(
     satisfied_now: np.ndarray,
     requested: np.ndarray,
     positive: np.ndarray,
-    calendar: TraceCalendar,
 ) -> np.ndarray:
-    """Measured theta per row of a ``(K, T)`` satisfied-demand stack.
+    """Measured theta per row of a ``(K, W·7·S)`` satisfied-demand stack.
 
-    The minimum over weeks and slots-of-day of satisfied / requested,
-    with no-request slots counting as fully satisfied. Same reduction
-    order as the scalar path (day axis first, then the min).
+    ``requested`` and ``positive`` are ``(K, W, S)``: ``W`` weeks of
+    ``S`` slots per day. The minimum over weeks and slots-of-day of
+    satisfied / requested, with no-request slots counting as fully
+    satisfied. Same reduction order as the scalar path (day axis first,
+    then the min).
     """
-    rows = satisfied_now.shape[0]
+    rows, weeks, slots = requested.shape
     satisfied_view = satisfied_now.reshape(
-        rows, calendar.weeks, DAYS_PER_WEEK, calendar.slots_per_day
+        rows, weeks, DAYS_PER_WEEK, slots
     ).sum(axis=2)
-    ratios = np.ones(
-        (rows, calendar.weeks, calendar.slots_per_day), dtype=float
-    )
+    ratios = np.ones((rows, weeks, slots), dtype=float)
     np.divide(satisfied_view, requested, out=ratios, where=positive)
     if not ratios.size:
         return np.ones(rows)
@@ -249,6 +252,13 @@ class BatchSimulator:
         self._arrivals_cum = np.empty((n, length + 1), dtype=float)
         self._arrivals_ready = np.zeros(n, dtype=bool)
         self._tile_rows = max(1, _TILE_BYTES // (8 * max(1, length)))
+        # Weeks per theta span of a row longer than a whole tile; 0 when
+        # rows are short enough to be decided in tiles (see ``decide``).
+        self._span_weeks = (
+            max(1, _TILE_BYTES // (8 * calendar.slots_per_week))
+            if 8 * length > _TILE_BYTES
+            else 0
+        )
         self._theta_cache: dict[float, np.ndarray] = {}
 
     def theta_thresholds(self, theta: float) -> np.ndarray:
@@ -309,6 +319,11 @@ class BatchSimulator:
 
     def _arrivals(self, index: np.ndarray) -> np.ndarray:
         """``[0, cumsum(cos2)]`` for the rows ``index`` (a copy)."""
+        self._fill_arrivals(index)
+        return self._arrivals_cum[index]
+
+    def _fill_arrivals(self, index: np.ndarray) -> None:
+        """Compute the arrival cumsums of the rows ``index`` not yet done."""
         missing = index[~self._arrivals_ready[index]]
         if missing.size:
             self._arrivals_cum[missing, 0] = 0.0
@@ -316,7 +331,6 @@ class BatchSimulator:
                 self._cos2[missing], axis=1
             )
             self._arrivals_ready[missing] = True
-        return self._arrivals_cum[index]
 
     def _pairings(
         self, rows: Optional[np.ndarray], capacities: np.ndarray
@@ -364,8 +378,11 @@ class BatchSimulator:
 
         Each gate is the scalar path's float64 operations on that row,
         and rows are independent, so neither the gating nor the row
-        tiling (see :data:`_TILE_BYTES`) can change a decision. Also
-        returns how many rows reached the backlog pass.
+        tiling (see :data:`_TILE_BYTES`) can change a decision. A row
+        longer than a whole tile is decided on its own by
+        :meth:`_decide_long`, which computes the same floats but stops
+        and skips earlier. Also returns how many rows reached the
+        backlog pass.
         """
         index, caps = self._pairings(rows, capacities)
         ok = self.peaks[index] <= caps + _EPSILON
@@ -373,6 +390,16 @@ class BatchSimulator:
         deadline = commitment.deadline_slots(self.calendar)
         backlog_rows = 0
         live = np.nonzero(ok)[0]
+        if self._span_weeks:
+            for position in live.tolist():
+                ok[position], reached = self._decide_long(
+                    int(index[position]),
+                    float(caps[position]),
+                    theta_floor,
+                    deadline,
+                )
+                backlog_rows += reached
+            return ok, backlog_rows
         for start in range(0, live.size, self._tile_rows):
             tile = live[start : start + self._tile_rows]
             ok[tile], reached = self._decide_tile(
@@ -403,7 +430,6 @@ class BatchSimulator:
             np.minimum(cos2, available),
             self._requested[index],
             self._positive[index],
-            self.calendar,
         )
         ok = ~(theta < theta_floor)
         passed = np.nonzero(ok)[0]
@@ -432,6 +458,82 @@ class BatchSimulator:
             )
             ok[checked[late]] = False
         return ok, int(passed.size)
+
+    def _decide_long(
+        self,
+        row: int,
+        cap: float,
+        theta_floor: float,
+        deadline: int,
+    ) -> tuple[bool, int]:
+        """Theta and deadline gates for one peak-passing row longer than a tile.
+
+        The floats :meth:`_decide_tile` computes at every slot it looks
+        at, in an order that stops early: theta runs a span of whole
+        weeks at a time (each week's cells lie in one span) and fails
+        the row at the first span below the floor; the backlog and the
+        deadline run only on days with a positive deficit or entered
+        with backlog. On any other day the backlog is exactly zero, and
+        a slot with no backlog is never late (DESIGN.md section 9, "Rows
+        longer than a tile", has the proofs).
+        """
+        cos1, cos2 = self._cos1[row], self._cos2[row]
+        weeks = self.calendar.weeks
+        day = self.calendar.slots_per_day
+        week = self.calendar.slots_per_week
+        span = self._span_weeks
+        buffer = np.empty(min(span, weeks) * week)
+        for first in range(0, weeks, span):
+            last = min(first + span, weeks)
+            slots = slice(first * week, last * week)
+            satisfied = buffer[: (last - first) * week]
+            np.subtract(cap, cos1[slots], out=satisfied)
+            np.maximum(0.0, satisfied, out=satisfied)
+            np.minimum(cos2[slots], satisfied, out=satisfied)
+            theta = _theta_rows(
+                satisfied[None],
+                self._requested[row, None, first:last],
+                self._positive[row, None, first:last],
+            )
+            if theta[0] < theta_floor:
+                return False, 0
+        if deadline >= cos2.size:
+            # No wait can outlast a deadline of the whole trace.
+            return True, 0
+
+        # The deficits cos2 - available; a day with a positive one can
+        # build backlog. Then, in place, their prefix sums.
+        prefix = np.subtract(cap, cos1)
+        np.maximum(0.0, prefix, out=prefix)
+        np.subtract(cos2, prefix, out=prefix)
+        days = prefix.reshape(-1, day)
+        held = days.max(axis=1) > 0.0
+        np.cumsum(prefix, out=prefix)
+        # The backlog floor entering each day: the running minimum of the
+        # earlier days' minima of min(prefix, 0).
+        floor = np.minimum(days.min(axis=1), 0.0)
+        np.minimum.accumulate(floor, out=floor)
+        entering = np.concatenate(([0.0], floor[:-1]))
+        # A day entered with backlog can hold some without a deficit.
+        held[1:] |= days[:-1, -1] > entering[1:]
+        picked = np.nonzero(held)[0]
+        if not picked.size:
+            return True, 1
+        backlog = days[picked]
+        running = np.minimum(backlog, 0.0)
+        np.minimum(running[:, 0], entering[picked], out=running[:, 0])
+        np.minimum.accumulate(running, axis=1, out=running)
+        np.subtract(backlog, running, out=backlog)
+        if not backlog.max() > _EPSILON:
+            return True, 1
+        self._fill_arrivals(np.array([row]))
+        arrivals = self._arrivals_cum[row]
+        at = (picked[:, None] * day + np.arange(day)).ravel()
+        judged = at >= deadline
+        at = at[judged]
+        served = arrivals[at + 1] - backlog.ravel()[judged]
+        late = served < arrivals[at - deadline + 1] - _EPSILON
+        return not late.any(), 1
 
 
 class BatchSearchStats(NamedTuple):

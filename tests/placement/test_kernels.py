@@ -31,7 +31,7 @@ from repro.placement import kernels
 from repro.placement.kernels import BatchSimulator, required_capacity_batch
 from repro.placement.required_capacity import required_capacity
 from repro.placement.simulator import SingleServerSimulator
-from repro.traces.calendar import TraceCalendar
+from repro.traces.calendar import DAYS_PER_WEEK, TraceCalendar
 
 # One week at 6-hour resolution: 28 observations per trace keeps each
 # hypothesis example cheap while exercising the (week, slot-of-day)
@@ -217,9 +217,17 @@ class TestDecisionFunction:
         tile_bytes = TILE * 8 * calendar.n_observations
         with mock.patch.object(kernels, "_TILE_BYTES", tile_bytes):
             tiled = BatchSimulator(cos1, cos2, calendar)
+        # A tile one slot shorter than a row sends every row down the
+        # long-row path, in spans of all but the last week (1 week of 1,
+        # 2 weeks then 1 of 3).
+        long_bytes = 8 * (calendar.n_observations - 1)
+        with mock.patch.object(kernels, "_TILE_BYTES", long_bytes):
+            long = BatchSimulator(cos1, cos2, calendar)
         assert tiled._tile_rows == TILE
         assert untiled._tile_rows > 3 * TILE
-        for batch in (untiled, tiled):
+        assert not untiled._span_weeks and not tiled._span_weeks
+        assert long._span_weeks == max(1, calendar.weeks - 1)
+        for batch in (untiled, tiled, long):
             verdicts, backlog_rows = batch.decide(
                 None, capacities, commitment
             )
@@ -431,3 +439,263 @@ class TestRequiredCapacityBatchAnalytic:
                 batch, np.array([LIMIT]), CoSCommitment(theta=0.9),
                 mode="newton",
             )
+
+
+# --- rows longer than a tile: the long-row path against the dense one ---
+
+#: Four weeks of 1-minute slots: 40 320 observations, so one row is
+#: longer than a whole tile and ``decide`` takes the long-row path, with
+#: theta spans of three weeks and then one.
+LONG_CAL = TraceCalendar(weeks=4, slot_minutes=1)
+LONG_T = LONG_CAL.n_observations
+DAY = LONG_CAL.slots_per_day
+
+
+def long_rows() -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Named (cos1, cos2) rows, each built for one edge of the long path.
+
+    Against 1 CPU of CoS2 per slot, a capacity of 2 drains one unit of
+    backlog per slot, so a 10-CPU burst leaves 8 slots of backlog, and
+    the burst itself (served first) waits 4 slots.
+    """
+    rng = np.random.default_rng(34)
+    zeros, ones = np.zeros(LONG_T), np.ones(LONG_T)
+    rows = {
+        "all_zero": (zeros, zeros),
+        "constant": (np.full(LONG_T, 0.5), ones),
+        "cos1_only": (rng.uniform(0.0, 2.0, LONG_T), zeros),
+        "random": (rng.uniform(0.0, 1.0, LONG_T), rng.uniform(0.0, 2.0, LONG_T)),
+    }
+    for name, burst in (
+        ("backlog_from_slot_0", 0),
+        # Backlogged from the third-last slot through the last one.
+        ("backlog_to_last_slot", LONG_T - 3),
+        # The last slot of day 0: the backlog runs into day 1, which has
+        # no positive deficit, and a deadline of 1 to 3 slots is missed
+        # there.
+        ("backlog_over_midnight", DAY - 1),
+    ):
+        cos2 = ones.copy()
+        cos2[burst] = 10.0
+        rows[name] = (zeros, cos2)
+    # One slot-of-day of the last week (the last theta span) is half
+    # served at capacity 2 on all seven days; every other cell is fully
+    # served, so theta 0.95 fails in that span only.
+    cos1 = np.zeros(LONG_T)
+    week = DAYS_PER_WEEK * DAY
+    cos1[3 * week + 600 : 4 * week : DAY] = 1.5
+    rows["theta_fails_in_last_span"] = (cos1, ones)
+    return rows
+
+
+LONG_COMMITMENTS = tuple(
+    CoSCommitment(theta=theta, deadline_minutes=minutes)
+    for theta in (0.5, 0.95, 1.0)
+    # 0; 2 slots (the bursts are late); 5 slots (they are not); the
+    # whole trace and beyond (no wait can be late).
+    for minutes in (0.0, 2.0, 5.0, float(LONG_T), 2.0 * LONG_T)
+)
+
+
+def commitment_id(commitment: CoSCommitment) -> str:
+    return f"{commitment.theta}-{commitment.deadline_minutes:g}"
+
+
+def capacities_for(cos1: np.ndarray) -> list[float]:
+    """A grid plus the peak ± 1e-9 and exactly one slot's CoS1 value."""
+    peak = float(cos1.max())
+    edges = [peak - 1e-9, peak, peak + 1e-9, float(cos1[LONG_T // 3])]
+    grid = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 5.0, 12.0]
+    return [capacity for capacity in edges + grid if capacity > 0]
+
+
+@pytest.fixture(scope="module")
+def long_case():
+    """The rows, one (row, capacity) pairing list, and both batches."""
+    rows = long_rows()
+    cos1 = np.stack([c1 for c1, _ in rows.values()])
+    cos2 = np.stack([c2 for _, c2 in rows.values()])
+    pairs = [
+        (row, capacity)
+        for row, (c1, _) in enumerate(rows.values())
+        for capacity in capacities_for(c1)
+    ]
+    index = np.array([row for row, _ in pairs])
+    capacities = np.array([capacity for _, capacity in pairs])
+    long = BatchSimulator(cos1, cos2, LONG_CAL)
+    with mock.patch.object(kernels, "_TILE_BYTES", 1 << 30):
+        dense = BatchSimulator(cos1, cos2, LONG_CAL)
+    return list(rows), index, capacities, long, dense
+
+
+class TestLongRows:
+    """`decide` on rows longer than a tile equals the dense path and the
+    oracle bit for bit: verdicts, backlog counts, searches and stats."""
+
+    def test_paths_are_the_intended_ones(self, long_case):
+        _, _, _, long, dense = long_case
+        assert long._span_weeks == 3
+        assert not dense._span_weeks
+
+    @pytest.mark.parametrize("commitment", LONG_COMMITMENTS, ids=commitment_id)
+    def test_decide_matches_dense_and_oracle(self, long_case, commitment):
+        _, index, capacities, long, dense = long_case
+        reports = [
+            long.simulator_for(row).evaluate(capacity)
+            for row, capacity in zip(index.tolist(), capacities.tolist())
+        ]
+        oracle = np.array(
+            [report.satisfies(commitment, LONG_CAL) for report in reports]
+        )
+        long_verdicts, long_reached = long.decide(index, capacities, commitment)
+        dense_verdicts, dense_reached = dense.decide(
+            index, capacities, commitment
+        )
+        np.testing.assert_array_equal(long_verdicts, oracle)
+        np.testing.assert_array_equal(dense_verdicts, oracle)
+        assert long_reached == dense_reached
+
+    @pytest.mark.parametrize(
+        "commitment",
+        [LONG_COMMITMENTS[i] for i in (0, 1, 2, 6, 8, 13)],
+        ids=commitment_id,
+    )
+    def test_search_matches_dense_and_scalar(self, long_case, commitment):
+        names, _, _, long, dense = long_case
+        limits = np.full(len(names), 16.0)
+        from_long = required_capacity_batch(
+            long, limits, commitment, tolerance=TOLERANCE
+        )
+        from_dense = required_capacity_batch(
+            dense, limits, commitment, tolerance=TOLERANCE
+        )
+        assert from_long.stats == from_dense.stats
+        assert from_long.results == from_dense.results
+        for row, result in enumerate(from_long.results):
+            scalar = required_capacity(
+                [],
+                16.0,
+                commitment,
+                tolerance=TOLERANCE,
+                simulator=long.simulator_for(row),
+            )
+            assert result.fits == scalar.fits
+            assert result.required_capacity == scalar.required_capacity
+
+    def test_the_shapes_reach_their_edges(self, long_case):
+        """The rows really exercise what they are named after."""
+        names, _, _, long, _ = long_case
+        row = names.index("backlog_over_midnight")
+        oracle = long.simulator_for(row).evaluate(2.0)
+        assert oracle.max_deferred_slots == 4
+        cos1, cos2 = long._cos1[row], long._cos2[row]
+        # Day 1, where the wait turns late, has no positive deficit.
+        assert (cos2[DAY : 2 * DAY] - (2.0 - cos1[DAY : 2 * DAY]) <= 0).all()
+        for minutes, verdict in ((2.0, False), (5.0, True)):
+            commitment = CoSCommitment(theta=0.5, deadline_minutes=minutes)
+            assert oracle.satisfies(commitment, LONG_CAL) is verdict
+            ok, _ = long.decide(np.array([row]), np.array([2.0]), commitment)
+            assert ok.tolist() == [verdict]
+
+        row = names.index("theta_fails_in_last_span")
+        measured = long.simulator_for(row).evaluate(2.0)
+        assert measured.cos1_fits and measured.theta_measured == 0.5
+        first_span = BatchSimulator(
+            long._cos1[row : row + 1, : 3 * DAYS_PER_WEEK * DAY],
+            long._cos2[row : row + 1, : 3 * DAYS_PER_WEEK * DAY],
+            TraceCalendar(weeks=3, slot_minutes=1),
+        )
+        commitment = CoSCommitment(theta=0.95, deadline_minutes=LONG_T)
+        assert first_span.decide(None, np.array([2.0]), commitment)[0].all()
+        ok, _ = long.decide(np.array([row]), np.array([2.0]), commitment)
+        assert ok.tolist() == [False]
+
+        for name, first, last in (
+            ("backlog_from_slot_0", 0, 7),
+            ("backlog_to_last_slot", LONG_T - 3, LONG_T - 1),
+        ):
+            row = names.index(name)
+            deficits = long._cos2[row] - 2.0
+            backlog = np.cumsum(deficits) - np.minimum.accumulate(
+                np.minimum(np.cumsum(deficits), 0.0)
+            )
+            assert np.flatnonzero(backlog > 0)[[0, -1]].tolist() == [first, last]
+
+
+class TestLongRowSelection:
+    """Rows take the long path iff one row is longer than a whole tile."""
+
+    def spies(self):
+        return (
+            mock.patch.object(
+                BatchSimulator,
+                "_decide_long",
+                autospec=True,
+                side_effect=BatchSimulator._decide_long,
+            ),
+            mock.patch.object(
+                BatchSimulator,
+                "_decide_tile",
+                autospec=True,
+                side_effect=BatchSimulator._decide_tile,
+            ),
+        )
+
+    @pytest.mark.parametrize("calendar", CALENDARS, ids=["1-week", "3-week"])
+    def test_threshold_is_one_row_per_tile(self, calendar):
+        rng = np.random.default_rng(3)
+        length = calendar.n_observations
+        cos1 = rng.uniform(0.0, 1.0, (4, length))
+        cos2 = rng.uniform(0.0, 2.0, (4, length))
+        capacities = np.array([0.5, 2.0, 2.5, 4.0])
+        commitment = CoSCommitment(theta=0.5, deadline_minutes=0.0)
+        live = int((cos1.max(axis=1) <= capacities + 1e-9).sum())
+        assert live == 3
+        for tile_bytes, takes_long in (
+            (8 * length, False),
+            (8 * length - 1, True),
+        ):
+            with mock.patch.object(kernels, "_TILE_BYTES", tile_bytes):
+                batch = BatchSimulator(cos1, cos2, calendar)
+            long_spy, tile_spy = self.spies()
+            with long_spy as long_calls, tile_spy as tile_calls:
+                batch.decide(None, capacities, commitment)
+            assert long_calls.call_count == (live if takes_long else 0)
+            assert (tile_calls.call_count > 0) is not takes_long
+
+    def test_production_budget_sends_long_calendars_down_the_long_path(self):
+        long_spy, tile_spy = self.spies()
+        batch = BatchSimulator(
+            np.zeros((1, LONG_T)), np.ones((1, LONG_T)), LONG_CAL
+        )
+        short = BatchSimulator(np.zeros((1, N)), np.ones((1, N)), CAL)
+        assert 8 * LONG_T > kernels._TILE_BYTES >= 8 * N
+        with long_spy as long_calls, tile_spy as tile_calls:
+            batch.decide(None, np.array([2.0]), CoSCommitment(theta=0.5))
+            assert (long_calls.call_count, tile_calls.call_count) == (1, 0)
+            short.decide(None, np.array([2.0]), CoSCommitment(theta=0.5))
+            assert (long_calls.call_count, tile_calls.call_count) == (1, 1)
+
+    def test_kernel_counters_match_on_a_mixed_batch(self, long_case):
+        """Rows failing the peak, theta and the deadline, and passing all:
+        the same ``BatchSearchStats`` on both paths — the fields the
+        evaluator records as the ``kernel.*`` counters."""
+        names, index, capacities, long, dense = long_case
+        commitment = CoSCommitment(theta=0.5, deadline_minutes=2.0)
+        long_ok, long_reached = long.decide(index, capacities, commitment)
+        dense_ok, dense_reached = dense.decide(index, capacities, commitment)
+        np.testing.assert_array_equal(long_ok, dense_ok)
+        assert long_reached == dense_reached
+        # Every gate is exercised by some pairing of the batch.
+        past_peak = int((long.peaks[index] <= capacities + 1e-9).sum())
+        assert 0 < long_reached < past_peak
+        assert 0 < int(long_ok.sum()) < long_reached
+        limits = np.linspace(1.0, 16.0, len(names))
+        stats = [
+            required_capacity_batch(
+                batch, limits, commitment, tolerance=TOLERANCE
+            ).stats
+            for batch in (long, dense)
+        ]
+        assert stats[0] == stats[1]
+        assert stats[0].backlog_rows > 0

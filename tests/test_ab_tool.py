@@ -113,3 +113,34 @@ class TestSetupParts:
             "change": [(0.3, 0.2, 0.6), (0.3, 0.2, 0.6), (0.3, 0.2, 0.6)],
         }))
         assert lines[2].split()[1:4] == ["0.6", "->", "0.2"]
+
+
+class TestPlanHashes:
+    """Each pair's two result documents carry the plan_hash of their plan."""
+
+    def documents(self, parent, change):
+        return {
+            side: {
+                seed: {"plan_hash": value}
+                for seed, value in enumerate(values, start=1)
+            }
+            for side, values in (("parent", parent), ("change", change))
+        }
+
+    def test_every_pair_equal(self, ab):
+        lines = ab.plan_hashes(self.documents(["a", "b", "c"], ["a", "b", "c"]))
+        assert lines == ["plan_hash equal in 3/3 pairs"]
+
+    def test_names_the_seeds_that_differ(self, ab):
+        lines = ab.plan_hashes(
+            self.documents(["a", "b", "c", "d"], ["a", "x", "c", "y"])
+        )
+        assert lines == ["plan_hash equal in 2/4 pairs; differs on seed 2, 4"]
+
+    def test_a_missing_hash_is_a_difference(self, ab):
+        documents = self.documents(["a", "b"], ["a", "b"])
+        del documents["change"][1]["plan_hash"]
+        del documents["parent"][2]["plan_hash"], documents["change"][2]["plan_hash"]
+        assert ab.plan_hashes(documents) == [
+            "plan_hash equal in 0/2 pairs; differs on seed 1, 2"
+        ]

@@ -15,9 +15,11 @@ regression driver sees them); then, per end-to-end metric, this prints
 every pair, each side's median and quartiles and the pairs won, and
 applies the rule a ``[perf_opt]`` claim must meet: the change better in
 at least nine tenths of the pairs (ties count for neither side) and the
-medians further apart than the parent's own interquartile range. Last
-come each side's median ``setup_parts_s`` (imports, input generation,
-cold plan), so a ``setup_s`` change says which part of setup moved.
+medians further apart than the parent's own interquartile range. Then
+comes ``plan_hash equal in k/N pairs``, naming the seeds whose two plans
+differ, so a "same plans" claim is checked on every pair. Last come
+each side's median ``setup_parts_s`` (imports, input generation, cold
+plan), so a ``setup_s`` change says which part of setup moved.
 
 Exit code 1 when a run reported an invalid or failed plan.
 """
@@ -112,6 +114,20 @@ def report(
             + ("gain" if s["gain"] else "no gain to claim")
         )
     return lines
+
+
+def plan_hashes(documents: dict[str, dict[int, dict]]) -> list[str]:
+    """How many pairs planned the same ``plan_hash``; the seeds that did not."""
+    seeds = sorted(documents["parent"])
+    differ = []
+    for seed in seeds:
+        parent, change = (documents[side][seed].get("plan_hash") for side in SIDES)
+        if parent is None or parent != change:
+            differ.append(seed)
+    line = f"plan_hash equal in {len(seeds) - len(differ)}/{len(seeds)} pairs"
+    if differ:
+        line += "; differs on seed " + ", ".join(map(str, differ))
+    return [line]
 
 
 def setup_parts(documents: dict[str, dict[int, dict]]) -> list[str]:
@@ -219,6 +235,7 @@ def main() -> int:
         f"{args.revision} -> working tree, {args.pairs} pairs =="
     )
     print("\n".join(report(documents, order, benchmark["end_to_end"])))
+    print("\n".join(plan_hashes(documents)))
     print("\n".join(setup_parts(documents)))
     print(f"\nresult documents: {out}")
     correct = all(
