@@ -18,7 +18,9 @@ commitments. The pipeline is:
 Translations are independent per workload and cost milliseconds each,
 so :meth:`QoSTranslator.translate_items` runs them in the planner's
 process: a worker pool lost time on every benchmark workload (DESIGN.md
-section 10).
+section 10). It writes a set's allocations straight into one ``(n, T)``
+matrix per class of service, the form the placement evaluator solves
+on, so a plan holds one copy of its translated traces.
 """
 
 from __future__ import annotations
@@ -123,10 +125,14 @@ class QoSTranslator:
             instrumentation if instrumentation is not None else Instrumentation()
         )
 
-    def translate(
-        self, demand: DemandTrace, qos: ApplicationQoS
+    def _translate_into(
+        self,
+        demand: DemandTrace,
+        qos: ApplicationQoS,
+        cos1_row: np.ndarray,
+        cos2_row: np.ndarray,
     ) -> TranslationResult:
-        """Translate one workload's demand trace under one QoS mode."""
+        """Translate one workload, writing its allocations into the rows."""
         theta = self.commitments.theta
         p = breakpoint_fraction(qos.u_low, qos.u_high, theta)
 
@@ -155,13 +161,13 @@ class QoSTranslator:
             demand.name,
             AllocationTrace(
                 f"{demand.name}.cos1",
-                cos1_demand * burst_factor,
+                np.multiply(cos1_demand, burst_factor, out=cos1_row),
                 demand.calendar,
                 demand.attribute,
             ),
             AllocationTrace(
                 f"{demand.name}.cos2",
-                cos2_demand * burst_factor,
+                np.multiply(cos2_demand, burst_factor, out=cos2_row),
                 demand.calendar,
                 demand.attribute,
             ),
@@ -193,17 +199,46 @@ class QoSTranslator:
             time_limited=time_limited,
         )
 
+    def translate(
+        self, demand: DemandTrace, qos: ApplicationQoS
+    ) -> TranslationResult:
+        """Translate one workload's demand trace under one QoS mode."""
+        return self.translate_items([(demand, qos)])[0]
+
     def translate_items(
         self, items: Sequence[tuple[DemandTrace, ApplicationQoS]]
     ) -> list[TranslationResult]:
         """Translate ``(demand, qos)`` pairs in order, in this process.
 
-        Every batch path routes through here, so the ``translation``
+        Every translation routes through here, so the ``translation``
         stage timing and the ``translation.workloads`` count cover all
-        of them.
+        of them. The items must share one calendar: item ``i``'s CoS1
+        and CoS2 allocations are written into row ``i`` of one ``(n, T)``
+        matrix per class, and each :class:`AllocationTrace` is a
+        read-only view of its row. The matrices are read-only once
+        filled, so :func:`~repro.traces.allocation.allocation_matrices`
+        hands them to a placement evaluator of the same pairs, in the
+        same order, without a copy.
         """
         with self.instrumentation.stage("translation"):
-            results = [self.translate(demand, qos) for demand, qos in items]
+            results: list[TranslationResult] = []
+            if items:
+                calendar = items[0][0].calendar
+                for demand, _ in items:
+                    if not calendar.compatible_with(demand.calendar):
+                        raise TranslationError(
+                            f"workload {demand.name!r} is on calendar "
+                            f"{demand.calendar}, not {calendar}: workloads "
+                            f"translated together must share one calendar"
+                        )
+                shape = (len(items), calendar.n_observations)
+                cos1, cos2 = np.empty(shape), np.empty(shape)
+                results = [
+                    self._translate_into(demand, qos, cos1[row], cos2[row])
+                    for row, (demand, qos) in enumerate(items)
+                ]
+                cos1.flags.writeable = False
+                cos2.flags.writeable = False
         self.instrumentation.count("translation.workloads", len(items))
         return results
 

@@ -2,11 +2,14 @@
 
 Every placement algorithm (genetic, greedy, bin-packing comparisons)
 needs the same primitive: "what is the required capacity of this subset
-of workloads on this server?". The :class:`PlacementEvaluator` owns the
-stacked allocation matrices, runs the simulator + capacity search, and
-memoises results by (server capacity profile, workload subset) — the
-genetic search re-visits the same server contents constantly, so the
-cache is what makes the search affordable.
+of workloads on this server?". The :class:`PlacementEvaluator` holds the
+workloads' allocation matrices (the translator's own when its pairs are
+one translated set, in order: see
+:func:`~repro.traces.allocation.allocation_matrices`), runs the
+simulator + capacity search, and memoises results by (server capacity
+profile, workload subset) — the genetic search re-visits the same
+server contents constantly, so the cache is what makes the search
+affordable.
 
 Two execution shapes are supported:
 
@@ -72,7 +75,7 @@ from repro.placement.required_capacity import (
 )
 from repro.placement.simulator import SingleServerSimulator
 from repro.resources.server import ServerSpec
-from repro.traces.allocation import CoSAllocationPair
+from repro.traces.allocation import CoSAllocationPair, allocation_matrices
 from repro.traces.calendar import DAYS_PER_WEEK, TraceCalendar
 
 ResultT = TypeVar("ResultT")
@@ -578,8 +581,7 @@ class PlacementEvaluator:
         self.calendar: TraceCalendar = pairs[0].calendar
         for pair in pairs:
             self.calendar.require_compatible(pair.calendar)
-        self._cos1 = np.vstack([pair.cos1.values for pair in self.pairs])
-        self._cos2 = np.vstack([pair.cos2.values for pair in self.pairs])
+        self._cos1, self._cos2 = allocation_matrices(self.pairs)
         self._witness = (
             None
             if kernel == "scalar"

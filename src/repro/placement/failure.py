@@ -406,11 +406,13 @@ class _SweepScratch:
     Holds what every case needs and none should rebuild — a translator
     on the planner's commitments and the demand lookup — plus, when the
     planner shares its cache, two memos of pure functions of the
-    sweep's inputs: a workload's failure-mode translation does not
-    depend on which server failed, and with ``relax_all`` every case
-    degrades the same ensemble — so the cases share one translation
-    table and, per distinct QoS mix, one :class:`PlacementEvaluator`
-    whose required-capacity memo carries over from case to case.
+    sweep's inputs: the ensemble's translation in one QoS mode does
+    not depend on which server failed, and with ``relax_all`` every
+    case degrades the same ensemble — so the cases share one
+    translation per mode and, per distinct QoS mix, one
+    :class:`PlacementEvaluator` whose required-capacity memo carries
+    over from case to case (a single-mode evaluator, such as
+    ``relax_all``'s, adopts its mode's matrices).
     Neither depends on the pool, the scope or the scenario (degraded
     servers and spares only change server *limits*, which key the
     evaluator's memo), so one scratch serves every sweep a planner runs
@@ -459,12 +461,16 @@ class _SweepScratch:
         """The evaluator of one case's QoS mix (memoised when sharing)."""
         relaxed = set(affected)
         mix = tuple(
-            (name, relax_all or name in relaxed) for name in self.demand_by_name
+            relax_all or name in relaxed for name in self.demand_by_name
         )
         evaluator = self.evaluators.get(mix)
         if evaluator is None:
+            translations = self.translations if self.share_cache else {}
             evaluator = PlacementEvaluator(
-                [self._pair(name, failure_mode) for name, failure_mode in mix],
+                [
+                    self._mode_pairs(failure_mode, translations)[row]
+                    for row, failure_mode in enumerate(mix)
+                ],
                 self.commitments.cos2,
                 tolerance=self.tolerance,
                 kernel=self.kernel,
@@ -474,17 +480,26 @@ class _SweepScratch:
                 self.evaluators[mix] = evaluator
         return evaluator
 
-    def _pair(self, name: str, failure_mode: bool) -> CoSAllocationPair:
-        key = (name, failure_mode)
-        pair = self.translations.get(key)
-        if pair is None:
-            qos = _policy_for(self.policies, name).mode(
-                failure_mode=failure_mode
-            )
-            pair = self.translator.translate(self.demand_by_name[name], qos).pair
-            if self.share_cache:
-                self.translations[key] = pair
-        return pair
+    def _mode_pairs(
+        self, failure_mode: bool, translations: dict
+    ) -> list[CoSAllocationPair]:
+        """Every workload's pair in one QoS mode, translated together.
+
+        One :meth:`~repro.core.translation.QoSTranslator.translate_items`
+        call per mode, on first use, so an evaluator of a single mode
+        adopts the translation's matrices instead of copying them.
+        """
+        pairs = translations.get(failure_mode)
+        if pairs is None:
+            items = [
+                (demand, _policy_for(self.policies, name).mode(failure_mode))
+                for name, demand in self.demand_by_name.items()
+            ]
+            pairs = [
+                result.pair for result in self.translator.translate_items(items)
+            ]
+            translations[failure_mode] = pairs
+        return pairs
 
 
 def _repair_assignment(

@@ -106,9 +106,10 @@ def _late_rows_numpy(
 class GroupTranslation:
     """One group's capacity-independent compressed representation.
 
-    ``totals``/``guards`` are the float32 compressed demand series and
+    ``totals``/``guards`` are the float64 compressed demand series and
     late-check guard windows (``+inf`` marks drain slots and slots that
-    can never be late); ``theta_cap`` is the exact float64 minimal
+    can never be late), cast to float32 only where the fused search
+    stacks them; ``theta_cap`` is the exact float64 minimal
     capacity satisfying the theta constraint and ``low0`` the search
     bracket floor. The compression was computed against the floor
     ``max(low0, theta_cap)`` — the scan is only valid for capacities at
@@ -137,7 +138,7 @@ def _compress_row(
     """Compress one row to its positive floor-backlog runs plus drains."""
     active = np.nonzero(backlog_floor > 0.0)[0]
     if active.size == 0:
-        empty = np.zeros(0, dtype=np.float32)
+        empty = np.zeros(0)
         return empty, empty
     gaps = np.nonzero(np.diff(active) > 1)[0]
     starts = np.concatenate([active[:1], active[gaps + 1]])
@@ -153,10 +154,7 @@ def _compress_row(
     totals_c[drain_pos] = -backlog_floor[ends]
     guards_c = np.full(out_len, np.inf, dtype=np.float64)
     guards_c[keep] = guard[active]
-    return (
-        totals_c.astype(np.float32),
-        guards_c.astype(np.float32),
-    )
+    return totals_c, guards_c
 
 
 def translate_rows(
@@ -218,7 +216,7 @@ def translate_rows(
             + _EPSILON
         )
     translations = []
-    empty = np.zeros(0, dtype=np.float32)
+    empty = np.zeros(0)
     for position in range(index.shape[0]):
         at = int(compress_at[position])
         if late_possible and at >= 0:
@@ -307,6 +305,7 @@ def fused_required_capacity(
         batch, candidate, commitment, tolerance, limits=limits[candidate]
     )
     width = max(t.width for t in cand_translations)
+    # The float32 fast path starts here: assignment rounds each float64.
     stack_totals = np.zeros((m, width), dtype=np.float32)
     stack_guards = np.full((m, width), np.inf, dtype=np.float32)
     for position, translation in enumerate(cand_translations):

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.exceptions import SimulationError
-from repro.traces.allocation import CoSAllocationPair
+from repro.traces.allocation import CoSAllocationPair, allocation_matrices
 
 _EPSILON = 1e-9
 
@@ -110,8 +110,7 @@ class CapacityScheduler:
 
         n_workloads = len(pairs)
         n_slots = calendar.n_observations
-        cos1_requested = np.vstack([pair.cos1.values for pair in pairs])
-        cos2_requested = np.vstack([pair.cos2.values for pair in pairs])
+        cos1_requested, cos2_requested = allocation_matrices(pairs)
         cos1_granted = np.zeros_like(cos1_requested)
         cos2_granted = np.zeros_like(cos2_requested)
         max_backlog_age = np.zeros(n_workloads, dtype=int)

@@ -172,3 +172,42 @@ class CoSAllocationPair:
             f"peak_total={self.peak_allocation():.3f})"
         )
 
+
+def allocation_matrices(
+    pairs: Sequence[CoSAllocationPair],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs' CoS1 and CoS2 series as two read-only ``(n, T)`` matrices.
+
+    Pairs whose series are exactly the rows of one read-only matrix per
+    class, in order — what
+    :meth:`~repro.core.translation.QoSTranslator.translate_items`
+    returns — get those matrices themselves. Any other set (a subset, a
+    reordering, a mix of two translations) is stacked into fresh
+    copies. ``pairs`` must not be empty.
+    """
+    return (
+        _rows_matrix([pair.cos1.values for pair in pairs]),
+        _rows_matrix([pair.cos2.values for pair in pairs]),
+    )
+
+
+def _rows_matrix(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """The read-only matrix whose rows ``rows`` are, or a read-only copy."""
+    matrix = rows[0].base
+    if (
+        isinstance(matrix, np.ndarray)
+        and not matrix.flags.writeable
+        and matrix.flags.c_contiguous
+        and matrix.shape == (len(rows), rows[0].shape[0])
+    ):
+        start = matrix.__array_interface__["data"][0]
+        stride = matrix.strides[0]
+        if all(
+            row.base is matrix
+            and row.__array_interface__["data"][0] == start + index * stride
+            for index, row in enumerate(rows)
+        ):
+            return matrix
+    stacked = np.vstack(rows)
+    stacked.flags.writeable = False
+    return stacked

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+from itertools import chain
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -47,11 +48,13 @@ def save_traces_csv(traces: Sequence[DemandTrace], path: PathLike) -> None:
             [_CSV_MAGIC, calendar.weeks, calendar.slot_minutes, attribute]
         )
         writer.writerow([trace.name for trace in traces])
-        columns = [trace.values for trace in traces]
-        for row_index in range(calendar.n_observations):
-            writer.writerow(
-                [repr(float(column[row_index])) for column in columns]
-            )
+        # Each sample as ``repr(float)``, the shortest string that reads
+        # back to the same double. No such string needs quoting, so the
+        # rows are joined here exactly as ``writer`` would write them.
+        columns = [map(repr, trace.values.tolist()) for trace in traces]
+        handle.writelines(
+            map("{}\r\n".format, map(",".join, zip(*columns)))
+        )
 
 
 def load_traces_csv(path: PathLike) -> list[DemandTrace]:
@@ -72,16 +75,23 @@ def load_traces_csv(path: PathLike) -> list[DemandTrace]:
         except (IndexError, ValueError) as exc:
             raise TraceError(f"{path}: malformed trace CSV header") from exc
         calendar = TraceCalendar(weeks=weeks, slot_minutes=slot_minutes)
-        columns: list[list[float]] = [[] for _ in names]
-        for row in reader:
+
+        def checked(row: list[str]) -> list[str]:
             if len(row) != len(names):
                 raise TraceError(
                     f"{path}: row has {len(row)} cells, expected {len(names)}"
                 )
-            for column, cell in zip(columns, row):
-                column.append(float(cell))
+            return row
+
+        # Row by row and cell by cell, as the file reads: the first
+        # ragged row or unparsable cell is the one reported.
+        cells = chain.from_iterable(map(checked, reader))
+        values = np.fromiter(map(float, cells), dtype=float)
+    if not names:
+        return []
+    columns = values.reshape(-1, len(names)).T
     return [
-        DemandTrace(name, column, calendar, attribute)
+        DemandTrace(name, np.ascontiguousarray(column), calendar, attribute)
         for name, column in zip(names, columns)
     ]
 

@@ -142,6 +142,51 @@ class TestTranslateMany:
             translator_60.translate_many(demands, case_study_qos())
 
 
+class TestTranslateItems:
+    def test_pairs_are_rows_of_one_read_only_matrix_per_class(
+        self, cal, translator_60
+    ):
+        demands = [spiky_trace(cal, seed=i).renamed(f"w{i}") for i in range(3)]
+        results = translator_60.translate_items(
+            [(demand, case_study_qos()) for demand in demands]
+        )
+        for cos in ("cos1", "cos2"):
+            matrix = getattr(results[0].pair, cos).values.base
+            assert matrix.shape == (3, cal.n_observations)
+            assert not matrix.flags.writeable
+            for row, result in enumerate(results):
+                values = getattr(result.pair, cos).values
+                assert values.base is matrix
+                assert np.shares_memory(values, matrix[row])
+
+    def test_rows_hold_what_one_at_a_time_translation_gives(
+        self, cal, translator_60
+    ):
+        demands = [spiky_trace(cal, seed=i).renamed(f"w{i}") for i in range(3)]
+        qos = case_study_qos(m_degr_percent=3, t_degr_minutes=30)
+        together = translator_60.translate_items(
+            [(demand, qos) for demand in demands]
+        )
+        for demand, result in zip(demands, together):
+            alone = translator_60.translate(demand, qos).pair
+            assert alone.cos1.values.tobytes() == result.pair.cos1.values.tobytes()
+            assert alone.cos2.values.tobytes() == result.pair.cos2.values.tobytes()
+
+    def test_one_calendar_per_call(self, cal, translator_60):
+        other = TraceCalendar(weeks=1, slot_minutes=10)
+        demands = [spiky_trace(cal).renamed("a"), spiky_trace(other).renamed("b")]
+        with pytest.raises(TranslationError, match="share one calendar"):
+            translator_60.translate_items(
+                [(demand, case_study_qos()) for demand in demands]
+            )
+
+    def test_no_items(self, translator_60):
+        assert translator_60.translate_items([]) == []
+        assert translator_60.instrumentation.counters()[
+            "translation.workloads"
+        ] == 0
+
+
 class TestInternalGuarantees:
     def test_worst_case_ceiling_respected_across_thetas(self, cal):
         """Utilization never exceeds U_degr under the worst-case model,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.cos import CoSCommitment
@@ -152,17 +152,42 @@ class TestBitIdentityWithBatch:
             )
 
 
+class _Pinned:
+    """Stands in for ``st.data()`` in an explicit example: one fixed draw."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def draw(self, strategy):
+        return self.value
+
+
+def _slot0_matrices(cos1, cos2):
+    """Rows with all their demand in slot 0, at float32-drawn levels."""
+    matrices = np.zeros((2, len(cos1), N))
+    matrices[0, :, 0] = np.float32(cos1)
+    matrices[1, :, 0] = np.float32(cos2)
+    return matrices[0], matrices[1]
+
+
 class TestCompression:
     @settings(max_examples=50, deadline=None)
     @given(workload_matrices(min_apps=1, max_apps=3), commitments, st.data())
+    # Backlog 2.7e-8 over a zero deadline window: late. Float32 totals
+    # rounded the slot's 14.86872149 below the capacity and said not.
+    @example(
+        matrices=_slot0_matrices([4.0, 3.98227811], [3.62054133, 3.26590204]),
+        commitment=CoSCommitment(theta=0.5, deadline_minutes=0.0),
+        data=_Pinned(14.868721458479296),
+    )
     def test_compressed_decisions_match_uncompressed(
         self, matrices, commitment, data
     ):
         """The run-length translation preserves the late decision.
 
         For any candidate capacity at or above the compression floor
-        ``max(low0, theta_cap)`` the compressed series (evaluated in
-        float64, isolating compression from float32 rounding) must
+        ``max(low0, theta_cap)`` the compressed series, which stay in
+        float64 until the fused search stacks them as float32, must
         report *late* exactly when the uncompressed total-demand
         recursion does.
         """
@@ -200,10 +225,7 @@ class TestCompression:
 
         def late_compressed():
             backlog = 0.0
-            for value, guard in zip(
-                translation.totals.astype(float),
-                translation.guards.astype(float),
-            ):
+            for value, guard in zip(translation.totals, translation.guards):
                 backlog = max(0.0, backlog + value - capacity)
                 if backlog > guard:
                     return True
@@ -224,7 +246,7 @@ class TestCompression:
         # Floor backlog at capacity 2: two active runs separated by a gap.
         floor = np.array([1.0, 2.0, 0.0, 0.0, 2.0, 0.5])
         totals_c, guards_c = _compress_row(total, guard, floor)
-        assert totals_c.dtype == np.float32
+        assert totals_c.dtype == np.float64
         # run(2) + drain + run(2) — the trailing run ends the row, but
         # still carries its drain for rectangular stacking safety.
         assert totals_c.tolist() == [3.0, 3.0, -2.0, 4.0, 0.5, -0.5]

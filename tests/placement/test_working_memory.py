@@ -5,6 +5,10 @@ planner asks a batch is the batch's working set: the evaluator's own
 matrices are built before tracing starts. Each case states its slack
 over :data:`~repro.placement.evaluation._BATCH_BYTES` and what the
 slack holds.
+
+A plan holds one copy of its translated traces: an evaluator of a
+whole translated set adopts the translator's matrices, and only a
+subset or a mix of modes is copied.
 """
 
 import tracemalloc
@@ -12,12 +16,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core.cos import CoSCommitment
-from repro.placement import evaluation
+from repro.core.cos import CoSCommitment, PoolCommitments
+from repro.core.framework import ROpus
+from repro.core.qos import QoSPolicy, case_study_qos
+from repro.placement import consolidation, evaluation, failure, sharding
+from repro.placement.consolidation import Consolidator
 from repro.placement.correlation import allocation_correlation_matrix
 from repro.placement.evaluation import PlacementEvaluator
+from repro.placement.genetic import GeneticSearchConfig
+from repro.resources.pool import ResourcePool
+from repro.resources.server import homogeneous_servers
 from repro.traces.allocation import AllocationTrace, CoSAllocationPair
 from repro.traces.calendar import TraceCalendar
+from repro.workloads.ensemble import scaled_ensemble
 
 MIB = 1 << 20
 
@@ -110,3 +121,141 @@ def test_correlation_holds_one_matrix_and_one_row(year_long):
     n, length = year_long.n_workloads, year_long.calendar.n_observations
     peak, _ = _traced_peak(lambda: allocation_correlation_matrix(year_long))
     assert peak <= 8 * (n * length + length) + 64 * 1024
+
+
+FAST_SEARCH = GeneticSearchConfig(
+    seed=0, max_generations=4, stall_generations=2, population_size=6
+)
+
+POLICY = QoSPolicy(
+    normal=case_study_qos(m_degr_percent=0),
+    failure=case_study_qos(m_degr_percent=3, t_degr_minutes=30),
+)
+
+
+def _framework(servers, **options):
+    return ROpus(
+        PoolCommitments.of(theta=0.95),
+        ResourcePool(homogeneous_servers(servers, cpus=32, racks=2)),
+        search_config=FAST_SEARCH,
+        **options,
+    )
+
+
+@pytest.fixture
+def evaluators(monkeypatch):
+    """Every evaluator the planner builds while the test runs."""
+    made = []
+
+    class Recorded(PlacementEvaluator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    for module in (consolidation, failure, sharding):
+        monkeypatch.setattr(module, "PlacementEvaluator", Recorded)
+    return made
+
+
+def _matrices(evaluator):
+    payload = evaluator.worker_payload()
+    return payload.cos1, payload.cos2
+
+
+def _adopts(evaluator, pairs):
+    """Whether the evaluator's matrices are the pairs' own rows, in order."""
+    cos1, cos2 = _matrices(evaluator)
+    return len(cos1) == len(pairs) and all(
+        np.shares_memory(cos1[row], pair.cos1.values)
+        and np.shares_memory(cos2[row], pair.cos2.values)
+        for row, pair in enumerate(pairs)
+    )
+
+
+def _aliases(evaluator, pairs):
+    """Whether the evaluator's matrices share any memory with ``pairs``."""
+    cos1, cos2 = _matrices(evaluator)
+    return any(
+        np.shares_memory(cos1, pair.cos1.values)
+        or np.shares_memory(cos2, pair.cos2.values)
+        for pair in pairs
+    )
+
+
+class TestOneCopyOfTheTraces:
+    def test_monolithic_plan_adopts_the_translated_matrices(self, evaluators):
+        demands = scaled_ensemble(8, seed=3, weeks=1, slot_minutes=60)
+        plan = _framework(6).plan(demands, POLICY, plan_failures=False)
+        pairs = [result.pair for result in plan.translations.values()]
+        (placement,) = evaluators
+        assert placement.names == [pair.name for pair in pairs]
+        assert _adopts(placement, pairs)
+
+    def test_the_adopted_matrices_are_read_only(self, evaluators):
+        demands = scaled_ensemble(8, seed=3, weeks=1, slot_minutes=60)
+        _framework(6).plan(demands, POLICY, plan_failures=False)
+        for matrix in _matrices(evaluators[0]):
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 1.0
+
+    def test_relax_all_sweep_adopts_the_failure_mode_matrices(self, evaluators):
+        demands = scaled_ensemble(8, seed=3, weeks=1, slot_minutes=60)
+        plan = _framework(6).plan(demands, POLICY, relax_all_on_failure=True)
+        normal = [result.pair for result in plan.translations.values()]
+        _, *what_ifs = evaluators
+        assert what_ifs and all(
+            not _aliases(evaluator, normal) for evaluator in what_ifs
+        )
+        # Every what-if shares one all-relaxed evaluator (the scratch's
+        # memo), whose matrices are one failure-mode translation.
+        (relaxed,) = {id(evaluator): evaluator for evaluator in what_ifs}.values()
+        assert _adopts(relaxed, relaxed.pairs)
+
+    def test_mixed_modes_and_shards_copy_only_their_own_rows(self, evaluators):
+        demands = scaled_ensemble(12, seed=3, weeks=1, slot_minutes=60)
+        plan = _framework(8, sharding=3).plan(
+            demands, POLICY, relax_all_on_failure=False
+        )
+        pairs = [result.pair for result in plan.translations.values()]
+        # The sharded tier's global evaluator adopts the translation.
+        adopted = [e for e in evaluators if _adopts(e, pairs)]
+        assert len(adopted) == 1
+        # Shards hold a subset; the sweep's mixes relax some workloads.
+        copied = [e for e in evaluators if e not in adopted]
+        assert any(e.n_workloads < len(pairs) for e in copied)
+        assert any(e.n_workloads == len(pairs) for e in copied)
+        for evaluator in copied:
+            assert not _aliases(evaluator, pairs)
+            cos1, cos2 = _matrices(evaluator)
+            for row, pair in enumerate(evaluator.pairs):
+                assert np.array_equal(cos1[row], pair.cos1.values)
+                assert np.array_equal(cos2[row], pair.cos2.values)
+
+    def test_long_trace_placement_holds_no_second_copy(self):
+        """A monolithic placement over 12 translated 26-week, 5-minute
+        traces. Over the retained pairs it may hold the correlation
+        seed's fresh ``total_allocations`` matrix and one row, or one
+        chunk's budget and six rows — never both at once — plus 1 MiB for
+        the search's own state. The seed's matrix next to a second copy
+        of the pairs (two more matrices) is over that bound."""
+        demands = scaled_ensemble(12, seed=5, weeks=26, slot_minutes=5)
+        framework = _framework(6)
+        pairs = [
+            result.pair for result in framework.translate(demands, POLICY).values()
+        ]
+        consolidator = Consolidator(
+            framework.pool,
+            framework.commitments.cos2,
+            config=FAST_SEARCH,
+            tolerance=framework.tolerance,
+        )
+        row_bytes = 8 * demands[0].calendar.n_observations
+        matrix_bytes = len(pairs) * row_bytes
+        bound = max(
+            matrix_bytes + row_bytes, evaluation._BATCH_BYTES + 6 * row_bytes
+        ) + MIB
+        # The correlation seed's matrix next to a copy of the pairs is over.
+        assert 3 * matrix_bytes > bound
+        peak, result = _traced_peak(lambda: consolidator.consolidate(pairs))
+        assert result.assignment
+        assert peak <= bound

@@ -144,3 +144,25 @@ class TestPlanHashes:
         assert ab.plan_hashes(documents) == [
             "plan_hash equal in 0/2 pairs; differs on seed 1, 2"
         ]
+
+
+class TestProgress:
+    """The line each run prints as the campaign goes."""
+
+    def document(self, correct=True):
+        values = {"plan_s_min": 0.3251, "setup_s": 0.99517, "peak_rss_mb": 87.90625}
+        return {
+            "end_to_end": {name: {"value": value} for name, value in values.items()},
+            "correct": correct,
+        }
+
+    def test_time_setup_and_memory_on_one_line(self, ab):
+        assert ab.progress(3, "change", self.document()) == (
+            "seed 3 change: plan_s_min 0.3251 s, setup_s 0.9952 s, "
+            "peak_rss_mb 87.91 MB"
+        )
+
+    def test_a_run_with_failed_plans_says_so(self, ab):
+        line = ab.progress(1, "parent", self.document(correct=False))
+        assert line.startswith("seed 1 parent: plan_s_min 0.3251 s")
+        assert line.endswith("peak_rss_mb 87.91 MB  [FAILED PLANS]")

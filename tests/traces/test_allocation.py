@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from repro.exceptions import TraceError
-from repro.traces.allocation import AllocationTrace, CoSAllocationPair
+from repro.traces.allocation import (
+    AllocationTrace,
+    CoSAllocationPair,
+    allocation_matrices,
+)
 from repro.traces.calendar import TraceCalendar
 
 
@@ -87,3 +91,61 @@ class TestCoSAllocationPair:
         with pytest.raises(TraceError):
             CoSAllocationPair("w", cos1, cos2)
 
+
+
+def rows_pairs(cal, count, writeable=False):
+    """Pairs whose series are the rows of one matrix per class."""
+    n = cal.n_observations
+    cos1 = np.empty((count, n))
+    cos1[:] = np.arange(count * n).reshape(count, n)
+    cos2 = cos1 * 0.5
+    cos1.flags.writeable = cos2.flags.writeable = writeable
+    return [
+        CoSAllocationPair(
+            f"w{row}",
+            AllocationTrace(f"w{row}.cos1", cos1[row], cal),
+            AllocationTrace(f"w{row}.cos2", cos2[row], cal),
+        )
+        for row in range(count)
+    ]
+
+
+class TestAllocationMatrices:
+    def test_rows_of_one_read_only_matrix_are_adopted(self, cal):
+        pairs = rows_pairs(cal, 3)
+        cos1, cos2 = allocation_matrices(pairs)
+        assert cos1 is pairs[0].cos1.values.base
+        assert cos2 is pairs[0].cos2.values.base
+
+    @pytest.mark.parametrize(
+        "pick",
+        [
+            lambda pairs: pairs[:2],
+            lambda pairs: pairs[1:],
+            lambda pairs: pairs[::-1],
+            lambda pairs: [pairs[0], pairs[0], pairs[2]],
+            lambda pairs: pickle.loads(pickle.dumps(pairs)),
+        ],
+        ids=["prefix", "suffix", "reordered", "repeated", "unpickled"],
+    )
+    def test_any_other_set_is_copied(self, cal, pick):
+        pairs = rows_pairs(cal, 3)
+        chosen = pick(pairs)
+        cos1, cos2 = allocation_matrices(chosen)
+        assert not np.shares_memory(cos1, pairs[0].cos1.values.base)
+        assert not np.shares_memory(cos2, pairs[0].cos2.values.base)
+        assert not cos1.flags.writeable and not cos2.flags.writeable
+        for row, pair in enumerate(chosen):
+            assert np.array_equal(cos1[row], pair.cos1.values)
+            assert np.array_equal(cos2[row], pair.cos2.values)
+
+    def test_a_writeable_matrix_is_copied(self, cal):
+        pairs = rows_pairs(cal, 3, writeable=True)
+        cos1, _ = allocation_matrices(pairs)
+        assert not np.shares_memory(cos1, pairs[0].cos1.values.base)
+
+    def test_separate_series_are_stacked(self, cal):
+        pairs = [make_pair(cal, "a", 1.0, 2.0), make_pair(cal, "b", 3.0, 4.0)]
+        cos1, cos2 = allocation_matrices(pairs)
+        assert cos1[:, 0].tolist() == [1.0, 3.0]
+        assert cos2[:, 0].tolist() == [2.0, 4.0]

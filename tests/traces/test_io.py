@@ -1,11 +1,14 @@
 """Tests for trace serialization."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from repro.exceptions import TraceError
 from repro.traces.calendar import TraceCalendar
 from repro.traces.io import (
+    _CSV_MAGIC,
     load_traces_csv,
     save_traces_csv,
     save_traces_json,
@@ -60,6 +63,151 @@ class TestCsvRoundTrip:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(TraceError):
             load_traces_csv(path)
+
+
+def _slot_loop_save(traces, path):
+    """The writer as it formatted one sample at a time: the byte oracle."""
+    calendar = traces[0].calendar
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(
+            [_CSV_MAGIC, calendar.weeks, calendar.slot_minutes, traces[0].attribute]
+        )
+        writer.writerow([trace.name for trace in traces])
+        columns = [trace.values for trace in traces]
+        for row_index in range(calendar.n_observations):
+            writer.writerow(
+                [repr(float(column[row_index])) for column in columns]
+            )
+
+
+def _slot_loop_load(path):
+    """The reader as it appended one cell at a time: the value oracle."""
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        magic_row = next(reader)
+        names = next(reader)
+        calendar = TraceCalendar(
+            weeks=int(magic_row[1]), slot_minutes=int(magic_row[2])
+        )
+        columns = [[] for _ in names]
+        for row in reader:
+            if len(row) != len(names):
+                raise TraceError(
+                    f"{path}: row has {len(row)} cells, expected {len(names)}"
+                )
+            for column, cell in zip(columns, row):
+                column.append(float(cell))
+    return [
+        DemandTrace(name, column, calendar, magic_row[3])
+        for name, column in zip(names, columns)
+    ]
+
+
+def _outcome(load, path):
+    """What ``load`` makes of ``path``: each trace's bytes, or the error."""
+    try:
+        return [
+            (trace.name, trace.calendar, trace.attribute, trace.values.tobytes())
+            for trace in load(path)
+        ]
+    except Exception as error:  # compared, type and message, below
+        return type(error), str(error)
+
+
+class TestCsvWriterBytes:
+    @pytest.mark.parametrize(
+        "weeks, slot_minutes", [(1, 360), (3, 60), (52, 1440)]
+    )
+    def test_same_bytes_as_the_slot_loop(self, weeks, slot_minutes, tmp_path):
+        cal = TraceCalendar(weeks=weeks, slot_minutes=slot_minutes)
+        n = cal.n_observations
+        rng = np.random.default_rng(weeks)
+        awkward = np.resize(
+            [0.0, 0.1, 1 / 3, 2.0, 5e-324, 1e-7, 123456789.123, 1e300, 2.5e16],
+            n,
+        )
+        traces = [
+            DemandTrace("noisy", rng.uniform(0, 4, n), cal),
+            DemandTrace("awkward", awkward, cal),
+            DemandTrace("with, comma", rng.gamma(2.0, 0.3, n).round(3), cal),
+        ]
+        for subset in (traces, traces[:1]):
+            ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
+            save_traces_csv(subset, ours)
+            _slot_loop_save(subset, oracle)
+            assert ours.read_bytes() == oracle.read_bytes()
+
+
+class TestCsvReaderOracle:
+    HEADER = f"{_CSV_MAGIC},1,1440,cpu\r\na,b\r\n"
+
+    def test_values_are_float_of_each_field(self, tmp_path):
+        fields = [
+            "0.1", "1e-300", "5e-324", "3", " 2.5", "1_000", "0.30000000000000004",
+            "1.7976931348623157e308", "4.9406564584124654e-324",
+            "123456789.12345678", "0", "1e-7", "7.0", "2.0000000000000004",
+        ]
+        path = tmp_path / "fields.csv"
+        path.write_text(
+            self.HEADER
+            + "".join(f"{a},{b}\r\n" for a, b in zip(fields[:7], fields[7:]))
+        )
+        a, b = load_traces_csv(path)
+        assert a.values.tobytes() == np.array(
+            [float(field) for field in fields[:7]]
+        ).tobytes()
+        assert b.values.tobytes() == np.array(
+            [float(field) for field in fields[7:]]
+        ).tobytes()
+        assert _outcome(load_traces_csv, path) == _outcome(_slot_loop_load, path)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["1,2"] * 6 + ["1"],
+            ["1,2", "1,2,3"] + ["1,2"] * 5,
+            ["1,2", "1,x"] + ["1,2"] * 5,
+            ["1,2", "y,z", "1"] + ["1,2"] * 4,
+            ["1,2", "1", "y,z"] + ["1,2"] * 4,
+            ["1,2"] * 6,
+            ["1,2"] * 8,
+            ["1,2"] * 6 + ["nan,2"],
+            ["1,2"] * 6 + ["1,-2"],
+            ["1,2"] * 6 + [","],
+            ["1,2"] * 3 + [""] + ["1,2"] * 4,
+        ],
+        ids=[
+            "short-last-row", "long-row", "bad-cell", "bad-cell-then-ragged",
+            "ragged-then-bad-cell", "too-few-rows", "too-many-rows", "nan",
+            "negative", "empty-cells", "blank-line",
+        ],
+    )
+    def test_errors_keep_their_types_and_messages(self, rows, tmp_path):
+        path = tmp_path / "broken.csv"
+        path.write_text(self.HEADER + "".join(row + "\r\n" for row in rows))
+        outcome = _outcome(load_traces_csv, path)
+        assert outcome == _outcome(_slot_loop_load, path)
+        assert isinstance(outcome, tuple)  # every case here is an error
+
+    def test_a_file_without_workloads(self, tmp_path):
+        path = tmp_path / "none.csv"
+        path.write_text(f"{_CSV_MAGIC},1,1440,cpu\r\n\r\n\r\n")
+        assert load_traces_csv(path) == [] == _slot_loop_load(path)
+
+    def test_round_trip_of_a_multi_week_file(self, tmp_path):
+        cal = TraceCalendar(weeks=4, slot_minutes=30)
+        rng = np.random.default_rng(4)
+        traces = [
+            DemandTrace(f"w{index}", rng.lognormal(0, 1, cal.n_observations), cal)
+            for index in range(5)
+        ]
+        path = tmp_path / "month.csv"
+        save_traces_csv(traces, path)
+        assert _outcome(load_traces_csv, path) == _outcome(_slot_loop_load, path)
+        for original, restored in zip(traces, load_traces_csv(path)):
+            assert restored.values.tobytes() == original.values.tobytes()
+            assert restored.values.flags.c_contiguous
 
 
 class TestJsonRoundTrip:

@@ -9,7 +9,8 @@ parent and change runs of ``benchmarks/record/run.py --seconds 27
 --trace 0`` on seeds 1..N — odd seeds parent first, even seeds change
 first, so a machine that drifts during the campaign drifts on both
 sides. The change is the working tree this file sits in, uncommitted
-edits included. Both sets of result documents go to
+edits included. Each run prints its ``plan_s_min``, ``setup_s`` and
+``peak_rss_mb`` as it finishes. Both sets of result documents go to
 ``benchmarks/record/compare.py`` (medians, spreads and bounds as the
 regression driver sees them); then, per end-to-end metric, this prints
 every pair, each side's median and quartiles and the pairs won, and
@@ -147,6 +148,18 @@ def setup_parts(documents: dict[str, dict[int, dict]]) -> list[str]:
     return lines
 
 
+def progress(seed: int, side: str, document: dict) -> str:
+    """One run's line as the campaign goes: its time, setup and memory."""
+    metrics = document["end_to_end"]
+    return (
+        f"seed {seed} {side}: plan_s_min "
+        f"{metrics['plan_s_min']['value']:.4f} s, setup_s "
+        f"{metrics['setup_s']['value']:.4f} s, peak_rss_mb "
+        f"{metrics['peak_rss_mb']['value']:.2f} MB"
+        + ("" if document["correct"] else "  [FAILED PLANS]")
+    )
+
+
 def checkout(revision: str, into: Path) -> None:
     """Unpack ``revision``'s committed files into ``into``."""
     archive = subprocess.run(
@@ -210,14 +223,7 @@ def main() -> int:
         for seed, side in order:
             document = run_once(roots[side], out / side, args, seed)
             documents[side][seed] = document
-            metrics = document["end_to_end"]
-            print(
-                f"seed {seed} {side}: plan_s_min "
-                f"{metrics['plan_s_min']['value']:.4f} s, setup_s "
-                f"{metrics['setup_s']['value']:.4f} s"
-                + ("" if document["correct"] else "  [FAILED PLANS]"),
-                flush=True,
-            )
+            print(progress(seed, side, document), flush=True)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
