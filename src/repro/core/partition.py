@@ -19,6 +19,8 @@ ratio above it (degenerate; handled by the theta == 1 branch).
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.exceptions import PartitionError
@@ -69,6 +71,7 @@ def partition_demand(
     demand_values: np.ndarray,
     demand_cap: CpuShares,
     breakpoint_demand: CpuShares,
+    out: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split a demand series across CoS1 and CoS2.
 
@@ -84,6 +87,10 @@ def partition_demand(
         degradation.
     breakpoint_demand:
         ``p x D_new_max``: demand up to this value rides in CoS1.
+
+    out:
+        Two arrays of the demand's length to write ``(cos1, cos2)``
+        into; fresh arrays when omitted.
 
     Returns ``(cos1, cos2)`` arrays with ``cos1 + cos2 ==
     min(demand, demand_cap)`` element-wise.
@@ -103,10 +110,10 @@ def partition_demand(
             f"breakpoint demand ({breakpoint_demand}) must be in "
             f"[0, demand_cap={demand_cap}]"
         )
-    capped = np.minimum(values, demand_cap)
-    cos1 = np.minimum(capped, breakpoint_demand)
-    cos2 = capped - cos1
-    return cos1, cos2
+    cos1, cos2 = (None, None) if out is None else out
+    capped = np.minimum(values, demand_cap, out=cos2)
+    cos1 = np.minimum(capped, breakpoint_demand, out=cos1)
+    return cos1, np.subtract(capped, cos1, out=capped)
 
 
 def worst_case_granted_allocation(
@@ -114,6 +121,7 @@ def worst_case_granted_allocation(
     cos2_demand: np.ndarray,
     theta: Probability,
     u_low: Fraction01,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Expected allocation granted when CoS2 delivers exactly ``theta``.
 
@@ -121,10 +129,13 @@ def worst_case_granted_allocation(
     probability ``theta``; the burst factor ``1 / U_low`` converts demand
     to allocation. This is the quantity the degraded-performance
     classification in the ``T_degr`` analysis is computed against
-    (formula 8 of the paper).
+    (formula 8 of the paper). ``out``, when given, receives the result;
+    it may be ``cos2_demand`` itself, not ``cos1_demand``.
     """
     theta = 1.0 if isclose(theta, 1.0) else require_fraction(theta, "theta")
     u_low = require_positive(u_low, "u_low")
     cos1 = np.asarray(cos1_demand, dtype=float)
     cos2 = np.asarray(cos2_demand, dtype=float)
-    return (cos1 + cos2 * theta) / u_low
+    allocation = np.multiply(cos2, theta, out=out)
+    np.add(cos1, allocation, out=allocation)
+    return np.divide(allocation, u_low, out=allocation)

@@ -86,13 +86,47 @@ def expected_utilization(
     cos1, cos2 = partition_demand(
         values, demand_cap, breakpoint_fraction * demand_cap
     )
-    allocation = worst_case_granted_allocation(cos1, cos2, theta, u_low)
-    utilization = np.zeros_like(values)
-    positive = allocation > 0
-    utilization[positive] = values[positive] / allocation[positive]
-    starved = (~positive) & (values > 0)
-    utilization[starved] = np.inf
+    return split_utilization(values, cos1, cos2, theta, u_low, out=cos2)
+
+
+def split_utilization(
+    values: np.ndarray,
+    cos1_demand: np.ndarray,
+    cos2_demand: np.ndarray,
+    theta: float,
+    u_low: float,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """:func:`expected_utilization` of a demand already partitioned.
+
+    The floats are the same: the granted allocation (formula 8), then
+    the demand divided by it where it is positive, 0 where it is not and
+    infinity where positive demand gets nothing (starved). ``out``, when
+    given, receives the result; it may be ``cos2_demand`` itself.
+    """
+    utilization = worst_case_granted_allocation(
+        cos1_demand, cos2_demand, theta, u_low, out=out
+    )
+    positive = utilization > 0
+    np.divide(values, utilization, out=utilization, where=positive)
+    idle = np.logical_not(positive, out=positive)
+    np.copyto(utilization, 0.0, where=idle)
+    starved = np.logical_and(idle, values > 0, out=idle)
+    np.copyto(utilization, np.inf, where=starved)
     return utilization
+
+
+def degraded_slots(
+    values: np.ndarray, utilization: np.ndarray, u_high: float
+) -> np.ndarray:
+    """Observations degraded under the worst-case model, as a mask.
+
+    Utilization above ``U_high`` (by more than
+    :data:`DEGRADED_TOLERANCE`) with positive demand.
+    """
+    mask = np.greater(utilization, u_high + DEGRADED_TOLERANCE)
+    mask &= values > 0
+    return mask
 
 
 def enforce_time_limited_degradation(
@@ -168,13 +202,11 @@ def enforce_time_limited_degradation(
     final_utilization = expected_utilization(
         values, cap, breakpoint_fraction, theta, u_low
     )
-    degraded_mask = (final_utilization > u_high + DEGRADED_TOLERANCE) & (values > 0)
+    degraded_mask = degraded_slots(values, final_utilization, u_high)
     return TimeLimitedResult(
         d_new_max=cap,
         iterations=iterations,
-        longest_degraded_run=longest_run_above(
-            degraded_mask.astype(float), 0.5
-        ),
+        longest_degraded_run=longest_run_above(degraded_mask, 0.5),
         degraded_fraction=(
             float(np.count_nonzero(degraded_mask)) / values.shape[0]
             if values.shape[0]
@@ -190,9 +222,7 @@ def _min_demand_in_violating_run(
     max_run_slots: int,
 ) -> float | None:
     """``D_min_degr`` of the first over-length degraded run, if any."""
-    degraded = (
-        (utilization > u_high + DEGRADED_TOLERANCE) & (values > 0)
-    ).astype(float)
+    degraded = degraded_slots(values, utilization, u_high)
     for run in contiguous_runs_above(degraded, 0.5):
         if run.length > max_run_slots:
             return float(values[run.start : run.stop].min())

@@ -35,10 +35,10 @@ from repro.core.degradation import new_max_demand, realized_cap_reduction
 from repro.core.partition import breakpoint_fraction, partition_demand
 from repro.core.qos import ApplicationQoS
 from repro.core.time_limited import (
-    DEGRADED_TOLERANCE,
     TimeLimitedResult,
+    degraded_slots,
     enforce_time_limited_degradation,
-    expected_utilization,
+    split_utilization,
 )
 from repro.engine.instrumentation import Instrumentation
 from repro.exceptions import TranslationError
@@ -153,8 +153,15 @@ class QoSTranslator:
             )
             cap = time_limited.d_new_max
 
+        # The rows hold the demand split until it is scaled in place, so
+        # the partition is computed once and no whole-length temporary
+        # but the utilization is made.
+        values = demand.values
         cos1_demand, cos2_demand = partition_demand(
-            demand.values, cap, p * cap
+            values, cap, p * cap, out=(cos1_row, cos2_row)
+        )
+        utilization = split_utilization(
+            values, cos1_demand, cos2_demand, theta, qos.u_low
         )
         burst_factor = qos.acceptable.burst_factor
         pair = CoSAllocationPair(
@@ -173,12 +180,7 @@ class QoSTranslator:
             ),
         )
 
-        utilization = expected_utilization(
-            demand.values, cap, p, theta, qos.u_low
-        )
-        degraded_mask = (
-            utilization > qos.u_high + DEGRADED_TOLERANCE
-        ) & (demand.values > 0)
+        degraded_mask = degraded_slots(values, utilization, qos.u_high)
         degraded_fraction = (
             float(np.count_nonzero(degraded_mask)) / len(demand)
             if len(demand)
@@ -193,9 +195,7 @@ class QoSTranslator:
             d_new_max=cap,
             cap_reduction=realized_cap_reduction(demand, cap),
             degraded_fraction=degraded_fraction,
-            longest_degraded_run_slots=longest_run_above(
-                degraded_mask.astype(float), 0.5
-            ),
+            longest_degraded_run_slots=longest_run_above(degraded_mask, 0.5),
             time_limited=time_limited,
         )
 
@@ -295,10 +295,11 @@ class QoSTranslator:
                 f"{budget:.4%}"
             )
         ceiling = qos.u_degr if qos.u_degr is not None else qos.u_high
-        positive = demand.values > 0
-        if positive.any() and float(utilization[positive].max()) > ceiling + 1e-6:
+        worst = float(
+            np.max(utilization, where=demand.values > 0, initial=-np.inf)
+        )
+        if worst > ceiling + 1e-6:
             raise TranslationError(
                 f"internal error: workload {demand.name!r} worst-case "
-                f"utilization {float(utilization[positive].max()):.4f} exceeds "
-                f"ceiling {ceiling}"
+                f"utilization {worst:.4f} exceeds ceiling {ceiling}"
             )

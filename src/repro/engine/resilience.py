@@ -40,16 +40,10 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    CancelledError,
-    ProcessPoolExecutor,
-    wait,
-)
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, CancelledError, wait
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from repro.engine import executor as _executor_module
 from repro.engine.executor import Executor, ExecutorSession, WorkFn
@@ -64,6 +58,12 @@ from repro.engine.faults import (
 )
 from repro.engine.instrumentation import Instrumentation
 from repro.exceptions import ConfigurationError, ResilienceError
+
+# The process pool (and with it ``multiprocessing``, ``socket`` and
+# ``subprocess``) is imported only where a pool is spawned or its
+# failure handled, so a serial plan never loads it.
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 #: Exit status an injected worker crash dies with (SIGKILL-alike: the
 #: pool observes an abrupt worker death, exactly as if the OOM killer
@@ -247,6 +247,8 @@ class _ResilientSession(ExecutorSession):
 
     # -- pool lifecycle ------------------------------------------------
     def _spawn_pool(self) -> ProcessPoolExecutor:
+        from concurrent.futures import ProcessPoolExecutor
+
         return ProcessPoolExecutor(
             max_workers=self._owner.workers,
             initializer=_executor_module._install_shared,
@@ -390,6 +392,8 @@ class _ResilientSession(ExecutorSession):
     def _attempt_parallel(
         self, fn: WorkFn, items: Sequence[Any], pending: Sequence[int]
     ) -> _AttemptOutcome:
+        from concurrent.futures.process import BrokenProcessPool
+
         tags = _FaultTags.from_plan(self._config.plan, simulate=False)
         wrapped = partial(_invoke_tagged_in_pool, fn, tags)
         outcome = _AttemptOutcome()

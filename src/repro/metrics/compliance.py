@@ -112,7 +112,7 @@ def check_compliance(
     violation_fraction = float(np.count_nonzero(violation_mask)) / n if n else 0.0
     acceptable_fraction = 1.0 - degraded_fraction
 
-    run_slots = longest_run_above(degraded_mask.astype(float), 0.5)
+    run_slots = longest_run_above(degraded_mask, 0.5)
     run_minutes = run_slots * calendar.slot_minutes
 
     budget = qos.m_degr_fraction

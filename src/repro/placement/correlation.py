@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.placement.evaluation import PlacementEvaluator, drive
 from repro.placement.greedy import Choose, _greedy_place, placed
+from repro.placement.kernels import _TILE_BYTES
 from repro.resources.pool import ResourcePool
 
 Assignment = tuple[int, ...]
@@ -38,31 +39,63 @@ def allocation_correlation_matrix(evaluator: PlacementEvaluator) -> np.ndarray:
     """Pairwise Pearson correlations of total allocation series.
 
     Constant series (zero variance) correlate 0 with everything: they
-    neither help nor hurt coincident peaks. The series are centred in
-    place and each norm is taken a row at a time, so the only ``(n, T)``
-    matrix is the fresh one ``total_allocations`` returns. Each norm is
-    ``np.linalg.norm(centered, axis=1)``'s float: the same pairwise sum
-    of squares. ``np.linalg.norm`` of a lone row is a BLAS dot whose last
-    bits differ, and those bits pick servers.
+    neither help nor hurt coincident peaks. No ``(n, T)`` matrix is
+    built: the centred series are rebuilt from the evaluator's read-only
+    matrices in blocks of as many rows as fit in
+    :data:`~repro.placement.kernels._TILE_BYTES` (at least one), and two
+    blocks at most are held at once. Each block is built once with its
+    own means and norms, then rebuilt, from the stored means, beside
+    every later block. The floats are the full-matrix formulas': a
+    block's ``mean(axis=1)`` is the same per-row pairwise sum as the
+    whole matrix's, each norm is ``np.sqrt(np.add.reduce(row * row))``
+    (``np.linalg.norm(centered, axis=1)``'s float, where
+    ``np.linalg.norm`` of a lone row is a BLAS dot whose last bits
+    differ), and each pair is one dot of two centred rows, the lower
+    index first. Those last bits pick servers.
     """
-    centered = evaluator.total_allocations()
-    n = centered.shape[0]
-    centered -= centered.mean(axis=1, keepdims=True)
-    norms = np.array([np.sqrt(np.add.reduce(row * row)) for row in centered])
+    cos1, cos2 = evaluator.matrices
+    n, length = cos1.shape
+    size = min(n, max(1, _TILE_BYTES // (8 * max(1, length))))
+    blocks = [(start, min(start + size, n)) for start in range(0, n, size)]
+    means, norms = np.empty(n), np.empty(n)
+    current, earlier = np.empty((size, length)), np.empty((size, length))
     matrix = np.zeros((n, n))
-    for row in range(n):
+    for index, (start, stop) in enumerate(blocks):
+        block = np.add(cos1[start:stop], cos2[start:stop], out=current[: stop - start])
+        means[start:stop] = block.mean(axis=1)
+        block -= means[start:stop, None]
+        norms[start:stop] = [np.sqrt(np.add.reduce(row * row)) for row in block]
+        for low, high in blocks[:index]:
+            rows = np.add(cos1[low:high], cos2[low:high], out=earlier[: high - low])
+            rows -= means[low:high, None]
+            _correlate(matrix, norms, rows, low, block, start)
+        _correlate(matrix, norms, block, start, block, start)
+    np.fill_diagonal(matrix, 1.0)
+    return matrix
+
+
+def _correlate(
+    matrix: np.ndarray,
+    norms: np.ndarray,
+    rows: np.ndarray,
+    first_row: int,
+    columns: np.ndarray,
+    first_column: int,
+) -> None:
+    """Fill ``matrix`` for each pair of a row of ``rows`` before a row of
+    ``columns`` (centred blocks starting at those indices), both ways."""
+    for row, centred_row in enumerate(rows, first_row):
         if norms[row] == 0:
             continue
-        for column in range(row + 1, n):
+        for column in range(max(row + 1, first_column), first_column + len(columns)):
             if norms[column] == 0:
                 continue
             value = float(
-                centered[row] @ centered[column] / (norms[row] * norms[column])
+                centred_row @ columns[column - first_column]
+                / (norms[row] * norms[column])
             )
             matrix[row, column] = value
             matrix[column, row] = value
-    np.fill_diagonal(matrix, 1.0)
-    return matrix
 
 
 def least_correlated_choice(evaluator: PlacementEvaluator) -> Choose:

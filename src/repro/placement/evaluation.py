@@ -609,9 +609,10 @@ class PlacementEvaluator:
         except KeyError:
             raise PlacementError(f"unknown workload {name!r}") from None
 
-    def total_allocations(self) -> np.ndarray:
-        """Per-workload CoS1 + CoS2 allocation series (a fresh matrix)."""
-        return self._cos1 + self._cos2
+    @property
+    def matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only ``(n, T)`` CoS1 and CoS2 allocation matrices."""
+        return self._cos1, self._cos2
 
     def peak_allocations(self) -> np.ndarray:
         """Per-workload peak total allocation (the C_peak contributions).
@@ -669,13 +670,13 @@ class PlacementEvaluator:
             (float(limit), self._canonical_rows(rows))
             for limit, rows in items
         ]
-        missing: dict[GroupKey, None] = {}
-        for key in keys:
-            if key in self._cache or key in missing:
-                self._count("placement.cache_hits")
-            else:
-                self._count("placement.cache_misses")
-                missing[key] = None
+        missing = dict.fromkeys(key for key in keys if key not in self._cache)
+        # One count per request, not per key; a zero total is skipped,
+        # so a counter exists only once some key was a hit (or a miss).
+        if missing:
+            self._count("placement.cache_misses", len(missing))
+        if len(keys) > len(missing):
+            self._count("placement.cache_hits", len(keys) - len(missing))
         if missing:
             answers = yield EvaluationRequest(self, tuple(missing))
             self._cache.update(zip(missing, answers))

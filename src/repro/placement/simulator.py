@@ -80,7 +80,7 @@ class SingleServerSimulator:
         self._cos1 = cos1
         self._cos2 = cos2
         self._cos1_peak = float(cos1.max()) if cos1.size else 0.0
-        self._cos2_arrivals_cum = np.concatenate(([0.0], np.cumsum(cos2)))
+        self._cos2_arrivals_cum = np.cumsum(cos2)
         # Capacity-independent precomputation, hoisted so repeated
         # evaluate() calls (dozens per binary search) don't redo it: the
         # theta denominator (requested CoS2 per week and slot-of-day),
@@ -108,16 +108,25 @@ class SingleServerSimulator:
         return self._cos1_peak
 
     def evaluate(self, capacity: float) -> AccessReport:
-        """Measure access statistics at one candidate capacity."""
+        """Measure access statistics at one candidate capacity.
+
+        Two whole-length buffers carry every step: the CoS2 capacity
+        left after CoS1 and the CoS2 satisfied on request, then the
+        deferral search's scratch.
+        """
         if capacity <= 0:
             raise SimulationError(f"capacity must be > 0, got {capacity}")
         cos1_fits = self._cos1_peak <= capacity + _EPSILON
-        granted_cos1 = np.minimum(self._cos1, capacity)
-        available_cos2 = np.maximum(0.0, capacity - granted_cos1)
+        available_cos2 = np.minimum(self._cos1, capacity)
+        np.subtract(capacity, available_cos2, out=available_cos2)
+        np.maximum(0.0, available_cos2, out=available_cos2)
         satisfied_now = np.minimum(self._cos2, available_cos2)
 
         theta = self._measure_theta(satisfied_now)
-        max_deferred = self._max_deferred_slots(available_cos2)
+        satisfied_total = float(satisfied_now.sum())
+        max_deferred = self._max_deferred_slots(
+            available_cos2, scratch=satisfied_now
+        )
 
         return AccessReport(
             capacity=float(capacity),
@@ -126,7 +135,7 @@ class SingleServerSimulator:
             theta_measured=theta,
             max_deferred_slots=max_deferred,
             cos2_demand_total=self._cos2_total,
-            cos2_satisfied_on_request=float(satisfied_now.sum()),
+            cos2_satisfied_on_request=satisfied_total,
         )
 
     def _measure_theta(self, satisfied_now: np.ndarray) -> float:
@@ -145,7 +154,9 @@ class SingleServerSimulator:
         ratios[positive] = satisfied[positive] / self._theta_requested[positive]
         return float(ratios.min()) if ratios.size else 1.0
 
-    def _max_deferred_slots(self, available_cos2: np.ndarray) -> int:
+    def _max_deferred_slots(
+        self, available_cos2: np.ndarray, scratch: np.ndarray
+    ) -> int:
         """Longest time any deferred CoS2 demand waited (fluid FIFO model).
 
         The backlog after slot ``t`` is
@@ -154,16 +165,18 @@ class SingleServerSimulator:
         served within ``k`` extra slots iff cumulative service through
         ``t + k`` covers cumulative arrivals through ``t``. The returned
         value is the smallest ``k`` that works for every slot (0 when no
-        demand is ever deferred).
+        demand is ever deferred). Overwrites ``available_cos2`` and
+        ``scratch``, a second array of its length.
         """
-        deficits = self._cos2 - available_cos2
-        prefix = np.cumsum(deficits)
-        floor = np.minimum.accumulate(np.minimum(prefix, 0.0))
-        backlog = prefix - floor
+        prefix = np.subtract(self._cos2, available_cos2, out=available_cos2)
+        np.cumsum(prefix, out=prefix)
+        floor = np.minimum(prefix, 0.0, out=scratch)
+        np.minimum.accumulate(floor, out=floor)
+        backlog = np.subtract(prefix, floor, out=prefix)
         if float(backlog.max(initial=0.0)) <= _EPSILON:
             return 0
-        arrivals_cum = self._cos2_arrivals_cum[1:]
-        served_cum = arrivals_cum - backlog
+        arrivals_cum = self._cos2_arrivals_cum
+        served_cum = np.subtract(arrivals_cum, backlog, out=backlog)
         # For each arrival slot t find the first slot where cumulative
         # service reaches the arrivals through t; served_cum is
         # non-decreasing so searchsorted applies. Index n means demand
@@ -171,7 +184,9 @@ class SingleServerSimulator:
         # that wait as running to the end of the trace.
         n = arrivals_cum.shape[0]
         first_served = np.searchsorted(
-            served_cum, arrivals_cum - _EPSILON, side="left"
+            served_cum,
+            np.subtract(arrivals_cum, _EPSILON, out=scratch),
+            side="left",
         )
-        waits = first_served - np.arange(n)
+        waits = np.subtract(first_served, np.arange(n), out=first_served)
         return int(max(0, waits.max()))

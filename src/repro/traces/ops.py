@@ -36,11 +36,13 @@ def contiguous_runs_above(values: np.ndarray, threshold: float) -> list[Run]:
     """Find maximal runs of consecutive values strictly above ``threshold``.
 
     Returns runs in order of appearance. An empty array yields no runs.
+    A boolean mask is compared as 0 / 1 where it lies, with no float
+    copy.
 
     >>> contiguous_runs_above(np.array([0, 2, 2, 0, 2]), 1)
     [Run(start=1, stop=3), Run(start=4, stop=5)]
     """
-    values = np.asarray(values, dtype=float)
+    values = np.asarray(values)
     if values.ndim != 1:
         raise TraceError(f"values must be 1-D, got shape {values.shape}")
     above = values > threshold

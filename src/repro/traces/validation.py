@@ -211,7 +211,7 @@ def validate_trace(
         )
 
     # Dead collector: long all-zero runs inside a live trace.
-    zero_mask = (values == 0).astype(float)
+    zero_mask = values == 0
     for run in contiguous_runs_above(zero_mask, 0.5):
         if run.length > dead_run_slots:
             issues.append(

@@ -7,7 +7,10 @@ parallel-to-serial ladder, and the bounded give-up. Process-pool cases
 use tiny worker counts and payloads so the whole module stays fast.
 """
 
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
@@ -288,3 +291,54 @@ class TestEngineIntegration:
         assert engine.instrumentation.counters()[
             "resilience.corrupt_results"
         ] == 1
+
+
+#: Plans a tiny ensemble on each serial engine (the plain one and the
+#: resilient one at one worker, sharded so the fan-out site runs), then
+#: prints which of the process pool's modules were ever imported.
+_SERIAL_PLAN_SCRIPT = """
+import sys
+sys.path.insert(0, {src!r})
+from repro.core.cos import PoolCommitments
+from repro.core.framework import ROpus
+from repro.core.qos import QoSPolicy, case_study_qos
+from repro.engine import ExecutionEngine
+from repro.placement.genetic import GeneticSearchConfig
+from repro.resources.pool import ResourcePool
+from repro.resources.server import homogeneous_servers
+from repro.workloads.ensemble import scaled_ensemble
+
+demands = scaled_ensemble(6, seed=3, weeks=1, slot_minutes=60)
+policy = QoSPolicy(
+    normal=case_study_qos(m_degr_percent=0),
+    failure=case_study_qos(m_degr_percent=3, t_degr_minutes=30),
+)
+search = GeneticSearchConfig(
+    seed=0, max_generations=2, stall_generations=1, population_size=4
+)
+for engine, sharding in (
+    (ExecutionEngine.serial(), "off"),
+    (ExecutionEngine.with_workers(1), 2),
+):
+    ROpus(
+        PoolCommitments.of(theta=0.95),
+        ResourcePool(homogeneous_servers(6, cpus=32, racks=2)),
+        search_config=search,
+        engine=engine,
+        sharding=sharding,
+    ).plan(demands, policy)
+pool_modules = ("concurrent.futures.process", "multiprocessing")
+print(",".join(name for name in pool_modules if name in sys.modules))
+"""
+
+
+class TestSerialPlansNeverImportThePool:
+    def test_no_pool_module_is_imported(self):
+        src = Path(resilience.__file__).resolve().parents[2]
+        completed = subprocess.run(
+            [sys.executable, "-c", _SERIAL_PLAN_SCRIPT.format(src=str(src))],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert completed.stdout.strip() == ""

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.cos import CoSCommitment
 from repro.exceptions import InfeasiblePlacementError
+from repro.placement import correlation
 from repro.placement.correlation import (
     allocation_correlation_matrix,
     correlation_aware_seed,
@@ -82,7 +83,8 @@ def full_matrix_correlation(evaluator):
     """The full-matrix formulas before rows were taken one at a time:
     the oracle the in-place centring and row norms must equal bit for
     bit (a norm's last bits pick servers)."""
-    totals = evaluator.total_allocations()
+    cos1, cos2 = evaluator.matrices
+    totals = cos1 + cos2
     n = totals.shape[0]
     centered = totals - totals.mean(axis=1, keepdims=True)
     norms = np.linalg.norm(centered, axis=1)
@@ -140,6 +142,33 @@ def _oracle_cases():
 ORACLE_CASES = dict(_oracle_cases())
 
 
+#: Rows per block under test: the block budget is patched to this many
+#: rows of the case's length.
+BLOCK = 4
+
+
+def _block_cases():
+    """Row counts around the block size, with constant rows at the
+    boundaries (their zero norms skip whole blocks or single pairs)."""
+    hourly = TraceCalendar(weeks=1, slot_minutes=60)
+    n = hourly.n_observations
+    for rows in (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1):
+        yield f"{rows}_rows", _random_pairs(
+            hourly, rows, np.random.default_rng(rows)
+        )
+    pairs = _random_pairs(hourly, 2 * BLOCK + 1, np.random.default_rng(9))
+    for row in (BLOCK - 1, BLOCK):
+        pairs[row] = pair_from(hourly, f"flat{row}", np.full(n, 1.5))
+    yield "constant_at_a_boundary", pairs
+    flat = [pair_from(hourly, f"idle{row}", np.zeros(n)) for row in range(BLOCK)]
+    yield "a_block_of_constants", flat + _random_pairs(
+        hourly, BLOCK + 1, np.random.default_rng(10)
+    )
+
+
+BLOCK_CASES = dict(_block_cases())
+
+
 class TestRowAtATimeIsTheFullMatrix:
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_bit_identical_to_the_full_matrix_formulas(self, case):
@@ -149,6 +178,24 @@ class TestRowAtATimeIsTheFullMatrix:
         matrix, peaks = full_matrix_correlation(evaluator)
         assert np.array_equal(allocation_correlation_matrix(evaluator), matrix)
         assert np.array_equal(evaluator.peak_allocations(), peaks)
+
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_blocks_of_any_size_give_the_same_floats(self, case, monkeypatch):
+        evaluator = PlacementEvaluator(BLOCK_CASES[case], CoSCommitment(theta=0.9))
+        matrix, _ = full_matrix_correlation(evaluator)
+        length = evaluator.calendar.n_observations
+        for rows in (1, BLOCK, evaluator.n_workloads):
+            monkeypatch.setattr(correlation, "_TILE_BYTES", rows * 8 * length)
+            blocked = allocation_correlation_matrix(evaluator)
+            assert blocked.tobytes() == matrix.tobytes(), rows
+
+    def test_year_long_rows_take_one_row_blocks(self):
+        """At the production budget a 52-week, 5-minute row is a block on
+        its own, so every pair of the ``52_weeks`` case above crossed two
+        one-row blocks."""
+        length = TraceCalendar(weeks=52, slot_minutes=5).n_observations
+        assert 8 * length > correlation._TILE_BYTES
+        assert len(ORACLE_CASES["52_weeks"]) > 2
 
 
 class TestCorrelationAwareSeed:

@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cos import CoSCommitment
 from repro.exceptions import SimulationError
-from repro.placement.simulator import SingleServerSimulator
+from repro.placement.simulator import AccessReport, SingleServerSimulator
 from repro.resources.scheduler import CapacityScheduler
 from repro.traces.allocation import AllocationTrace, CoSAllocationPair
 from repro.traces.calendar import TraceCalendar
+from tests.placement.test_kernels import CALENDARS, capacity_values, hostile_rows
 
 
 @pytest.fixture
@@ -210,3 +213,109 @@ class TestSatisfies:
         )
         commitment = CoSCommitment(theta=0.5, deadline_minutes=10_000)
         assert not simulator.evaluate(4.0).satisfies(commitment, cal)
+
+
+# --- the in-place replay against the whole-array one ---------------------
+
+
+def frozen_evaluate(cos1, cos2, calendar, capacity):
+    """``SingleServerSimulator.evaluate`` as it was before it wrote into
+    two buffers: a fresh array for every step. The oracle the in-place
+    replay must equal in every :class:`AccessReport` field, bit for bit."""
+    epsilon = 1e-9
+    cos1_peak = float(cos1.max()) if cos1.size else 0.0
+    arrivals_cum = np.concatenate(([0.0], np.cumsum(cos2)))
+    requested = calendar.slot_of_day_view(cos2).sum(axis=1)
+    granted_cos1 = np.minimum(cos1, capacity)
+    available_cos2 = np.maximum(0.0, capacity - granted_cos1)
+    satisfied_now = np.minimum(cos2, available_cos2)
+    satisfied = calendar.slot_of_day_view(satisfied_now).sum(axis=1)
+    ratios = np.ones_like(requested)
+    positive = requested > 0
+    ratios[positive] = satisfied[positive] / requested[positive]
+    prefix = np.cumsum(cos2 - available_cos2)
+    backlog = prefix - np.minimum.accumulate(np.minimum(prefix, 0.0))
+    deferred = 0
+    if float(backlog.max(initial=0.0)) > epsilon:
+        served_cum = arrivals_cum[1:] - backlog
+        first_served = np.searchsorted(
+            served_cum, arrivals_cum[1:] - epsilon, side="left"
+        )
+        waits = first_served - np.arange(cos2.shape[0])
+        deferred = int(max(0, waits.max()))
+    return AccessReport(
+        capacity=float(capacity),
+        cos1_fits=cos1_peak <= capacity + epsilon,
+        cos1_peak=cos1_peak,
+        theta_measured=float(ratios.min()) if ratios.size else 1.0,
+        max_deferred_slots=deferred,
+        cos2_demand_total=float(cos2.sum()),
+        cos2_satisfied_on_request=float(satisfied_now.sum()),
+    )
+
+
+def _deadlines(calendar):
+    """Deadline 0, one slot, and at and beyond the whole trace."""
+    slot, length = calendar.slot_minutes, calendar.n_observations
+    return (0.0, slot, length * slot, 2.0 * length * slot)
+
+
+@st.composite
+def oracle_cases(draw):
+    """A hostile row and capacities around its every edge."""
+    calendar = draw(st.sampled_from(CALENDARS))
+    length = calendar.n_observations
+    cos1, cos2 = draw(hostile_rows(length))
+    peak = float(cos1.max())
+    at_a_slot = float(cos1[draw(st.integers(0, length - 1))])
+    capacities = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from([peak, peak + 1e-9, peak - 1e-9, at_a_slot]),
+                capacity_values,
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return calendar, cos1, cos2, [c if c > 0 else 0.125 for c in capacities]
+
+
+class TestInPlaceEvaluateIsTheOldOne:
+    def _assert_same(self, simulator, cos1, cos2, calendar, capacities):
+        # One simulator answers every capacity in turn, as a search asks
+        # it: no buffer of one call may leak into the next.
+        for capacity in capacities:
+            report = simulator.evaluate(capacity)
+            oracle = frozen_evaluate(cos1, cos2, calendar, capacity)
+            assert repr(report) == repr(oracle)
+            for theta in (0.5, 0.95, 1.0):
+                for deadline in _deadlines(calendar):
+                    commitment = CoSCommitment(
+                        theta=theta, deadline_minutes=deadline
+                    )
+                    assert report.satisfies(
+                        commitment, calendar
+                    ) == oracle.satisfies(commitment, calendar)
+
+    @settings(max_examples=200, deadline=None)
+    @given(oracle_cases())
+    def test_every_report_field_on_hostile_corners(self, case):
+        calendar, cos1, cos2, capacities = case
+        simulator = SingleServerSimulator(cos1, cos2, calendar)
+        self._assert_same(simulator, cos1, cos2, calendar, capacities)
+
+    def test_long_row_with_deferral_to_the_end(self):
+        """Four weeks of 5-minute slots: deferral that is served, and a
+        burst in the last slot that never is."""
+        calendar = TraceCalendar(weeks=4, slot_minutes=5)
+        rng = np.random.default_rng(36)
+        cos1 = rng.gamma(2.0, 0.2, calendar.n_observations)
+        cos2 = rng.gamma(2.0, 0.5, calendar.n_observations)
+        cos2[-1] = 50.0
+        peak = float(cos1.max())
+        simulator = SingleServerSimulator(cos1, cos2, calendar)
+        capacities = [peak - 1e-9, peak, peak + 1e-9, 1.0, 1.6, 3.0, 60.0]
+        self._assert_same(simulator, cos1, cos2, calendar, capacities)
+        assert simulator.evaluate(1.6).max_deferred_slots > 1
+        assert simulator.evaluate(60.0).max_deferred_slots == 0

@@ -6,6 +6,10 @@ matrices are built before tracing starts. Each case states its slack
 over :data:`~repro.placement.evaluation._BATCH_BYTES` and what the
 slack holds.
 
+The whole-trace passes outside the kernel hold a few rows: the
+correlation seed rebuilds its centred series in blocks, and one
+translation or one scalar-oracle ``evaluate`` works in place.
+
 A plan holds one copy of its translated traces: an evaluator of a
 whole translated set adopts the translator's matrices, and only a
 subset or a mix of modes is copied.
@@ -19,15 +23,18 @@ import pytest
 from repro.core.cos import CoSCommitment, PoolCommitments
 from repro.core.framework import ROpus
 from repro.core.qos import QoSPolicy, case_study_qos
-from repro.placement import consolidation, evaluation, failure, sharding
+from repro.core.translation import QoSTranslator
+from repro.placement import consolidation, evaluation, failure, kernels, sharding
 from repro.placement.consolidation import Consolidator
 from repro.placement.correlation import allocation_correlation_matrix
 from repro.placement.evaluation import PlacementEvaluator
 from repro.placement.genetic import GeneticSearchConfig
+from repro.placement.simulator import SingleServerSimulator
 from repro.resources.pool import ResourcePool
 from repro.resources.server import homogeneous_servers
 from repro.traces.allocation import AllocationTrace, CoSAllocationPair
 from repro.traces.calendar import TraceCalendar
+from repro.traces.trace import DemandTrace
 from repro.workloads.ensemble import scaled_ensemble
 
 MIB = 1 << 20
@@ -116,11 +123,67 @@ def test_year_long_rows_stay_in_budget(year_long):
 
 
 def test_correlation_holds_one_matrix_and_one_row(year_long):
-    """The fresh ``total_allocations`` matrix, one squared row, and 64 KiB
-    for the ``(n, n)`` result and the per-row scalars."""
-    n, length = year_long.n_workloads, year_long.calendar.n_observations
+    """Two one-row blocks of centred rows (a year-long row is longer than
+    a block's budget), one squared row, and 64 KiB for the ``(n, n)``
+    result and the per-row scalars: far under the matrix this bound
+    used to allow."""
+    length = year_long.calendar.n_observations
     peak, _ = _traced_peak(lambda: allocation_correlation_matrix(year_long))
-    assert peak <= 8 * (n * length + length) + 64 * 1024
+    assert peak <= 8 * 3 * length + 64 * 1024
+
+
+def test_correlation_peak_does_not_grow_with_workloads():
+    """On 26-week rows (one per block) the seed's peak for 16 workloads
+    is the peak for 4 within one block and the ``(n, n)`` result: the
+    centred series are rebuilt in blocks, never held whole."""
+    calendar = TraceCalendar(weeks=26, slot_minutes=5)
+    block = 8 * calendar.n_observations
+    assert block > kernels._TILE_BYTES
+    peaks = {}
+    for count in (4, 16):
+        evaluator = PlacementEvaluator(
+            _pairs(calendar, count, seed=count), CoSCommitment(theta=0.95)
+        )
+        peaks[count], _ = _traced_peak(
+            lambda: allocation_correlation_matrix(evaluator)
+        )
+    assert abs(peaks[16] - peaks[4]) <= block + 8 * 16 * 16
+    assert peaks[16] <= 3 * block + 64 * 1024
+
+
+def test_year_long_translation_holds_a_few_rows():
+    """One 52-week, 5-minute translation: the two rows it returns, the
+    utilization and three boolean masks without ``T_degr``; with it, the
+    loop's utilization and one partition more."""
+    calendar = TraceCalendar(weeks=52, slot_minutes=5)
+    row = 8 * calendar.n_observations
+    values = np.random.default_rng(52).lognormal(0.0, 0.5, calendar.n_observations)
+    demand = DemandTrace("year", values, calendar)
+    translator = QoSTranslator(PoolCommitments.of(theta=0.6))
+    for qos, rows in (
+        (case_study_qos(m_degr_percent=0), 4),
+        (case_study_qos(m_degr_percent=3), 4),
+        (case_study_qos(m_degr_percent=3, t_degr_minutes=30), 6),
+    ):
+        peak, _ = _traced_peak(lambda: translator.translate(demand, qos))
+        assert peak <= rows * row, (qos, peak / row)
+
+
+def test_oracle_evaluate_holds_four_rows():
+    """One scalar-oracle ``evaluate`` of a 52-week row: its two float
+    buffers, then the deferral search's two integer rows."""
+    calendar = TraceCalendar(weeks=52, slot_minutes=5)
+    row = 8 * calendar.n_observations
+    rng = np.random.default_rng(5)
+    simulator = SingleServerSimulator(
+        rng.gamma(2.0, 0.2, calendar.n_observations),
+        rng.gamma(2.0, 0.5, calendar.n_observations),
+        calendar,
+    )
+    for capacity in (0.5, 1.0, 3.0):
+        peak, report = _traced_peak(lambda: simulator.evaluate(capacity))
+        assert peak <= 4 * row + 64 * 1024
+    assert report.max_deferred_slots > 0
 
 
 FAST_SEARCH = GeneticSearchConfig(
@@ -158,8 +221,7 @@ def evaluators(monkeypatch):
 
 
 def _matrices(evaluator):
-    payload = evaluator.worker_payload()
-    return payload.cos1, payload.cos2
+    return evaluator.matrices
 
 
 def _adopts(evaluator, pairs):
@@ -233,11 +295,11 @@ class TestOneCopyOfTheTraces:
 
     def test_long_trace_placement_holds_no_second_copy(self):
         """A monolithic placement over 12 translated 26-week, 5-minute
-        traces. Over the retained pairs it may hold the correlation
-        seed's fresh ``total_allocations`` matrix and one row, or one
-        chunk's budget and six rows — never both at once — plus 1 MiB for
-        the search's own state. The seed's matrix next to a second copy
-        of the pairs (two more matrices) is over that bound."""
+        traces. Over the retained pairs it may hold one chunk's budget
+        and six rows, plus 1 MiB for the search's own state; the
+        correlation seed's few rows fit under that, and no bound term is
+        left for an ``(n, T)`` matrix of its own. A second copy of the
+        pairs (two more matrices) and a seed's matrix are over it."""
         demands = scaled_ensemble(12, seed=5, weeks=26, slot_minutes=5)
         framework = _framework(6)
         pairs = [
@@ -251,10 +313,8 @@ class TestOneCopyOfTheTraces:
         )
         row_bytes = 8 * demands[0].calendar.n_observations
         matrix_bytes = len(pairs) * row_bytes
-        bound = max(
-            matrix_bytes + row_bytes, evaluation._BATCH_BYTES + 6 * row_bytes
-        ) + MIB
-        # The correlation seed's matrix next to a copy of the pairs is over.
+        bound = evaluation._BATCH_BYTES + 6 * row_bytes + MIB
+        # A seed's matrix next to a copy of the pairs is over.
         assert 3 * matrix_bytes > bound
         peak, result = _traced_peak(lambda: consolidator.consolidate(pairs))
         assert result.assignment
