@@ -3,13 +3,13 @@
 Under ``ROPUS_LEAKTRACK=1`` the tracker monkey-patches the acquire
 points of the resources that outlive a careless caller:
 
-* ``multiprocessing.shared_memory.SharedMemory`` created with
-  ``create=True`` (attaching workers are not acquisitions), released
-  by ``unlink()``;
 * ``concurrent.futures.ProcessPoolExecutor``, released by
   ``shutdown()``;
 * ``tempfile.TemporaryDirectory``, released by ``cleanup()`` (the
   context-manager exit goes through ``cleanup`` too).
+
+No module creates a shared-memory segment, so none is tracked;
+``tests/test_reachability.py`` keeps it that way statically.
 
 Every tracked acquisition records the call stack of the acquire site.
 :func:`report` lists resources still open; an ``atexit`` hook prints
@@ -133,23 +133,6 @@ def install() -> None:
     """Arm the tracker in this process. Idempotent."""
     if installed():
         return
-
-    from multiprocessing import shared_memory
-
-    def _is_create(args: tuple, kwargs: dict) -> bool:
-        # SharedMemory(name=None, create=False, size=0): acquisition
-        # means create=True; attaches (create omitted/False) are not.
-        if kwargs.get("create"):
-            return True
-        return len(args) >= 2 and bool(args[1])
-
-    _wrap_init(
-        shared_memory.SharedMemory,
-        "shared-memory segment",
-        _is_create,
-        lambda obj: getattr(obj, "name", "?"),
-    )
-    _wrap_release(shared_memory.SharedMemory, "unlink")
 
     from concurrent.futures import ProcessPoolExecutor
 

@@ -111,6 +111,13 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_pool_arguments(
+    parser: argparse.ArgumentParser, servers: int = 12
+) -> None:
+    parser.add_argument("--servers", type=int, default=servers)
+    parser.add_argument("--cpus", type=int, default=16)
+
+
 def _add_topology_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--racks", type=int, default=None,
@@ -171,6 +178,30 @@ def _failure_policy(args: argparse.Namespace) -> FailureSweepPolicy | None:
         spare_curve=spare_curve,
         max_spares=getattr(args, "max_spares", 4),
         sample_seed=getattr(args, "seed", None),
+    )
+
+
+def _framework(args: argparse.Namespace, **overrides: object) -> ROpus:
+    """The framework the flags describe.
+
+    ``overrides`` are :class:`ROpus` keyword arguments that replace or
+    add to the flags' (``commitments`` among them).
+    """
+    options: dict = {
+        "commitments": PoolCommitments.of(theta=args.theta),
+        "pool": _pool(args),
+        "search_config": GeneticSearchConfig(seed=args.seed),
+        "failure_policy": _failure_policy(args),
+        **overrides,
+    }
+    return ROpus(**options)
+
+
+def _policy(args: argparse.Namespace) -> QoSPolicy:
+    """The flags' normal-mode QoS, and the case study's failure mode."""
+    return QoSPolicy(
+        normal=_qos(args),
+        failure=case_study_qos(m_degr_percent=3.0, t_degr_minutes=30.0),
     )
 
 
@@ -294,22 +325,17 @@ def cmd_translate(args: argparse.Namespace) -> int:
 def cmd_plan(args: argparse.Namespace) -> int:
     demands = _load_demands(args)
     engine = _engine(args)
-    framework = ROpus(
-        PoolCommitments.of(theta=args.theta),
-        _pool(args),
-        search_config=GeneticSearchConfig(seed=args.seed),
+    framework = _framework(
+        args,
         engine=engine,
         checkpointer=_checkpointer(args),
         sharding=args.shards,
         cluster_seed=args.cluster_seed,
         refine_rounds=args.refine_rounds,
-        failure_policy=_failure_policy(args),
     )
-    policy = QoSPolicy(
-        normal=_qos(args),
-        failure=case_study_qos(m_degr_percent=3.0, t_degr_minutes=30.0),
+    plan = framework.plan(
+        demands, _policy(args), plan_failures=not args.no_failures
     )
-    plan = framework.plan(demands, policy, plan_failures=not args.no_failures)
     for key, value in plan.summary().items():
         if key == "stage_timings":
             continue
@@ -343,10 +369,9 @@ def cmd_table1(args: argparse.Namespace) -> int:
     ]
     rows = []
     for label, m_degr, theta, t_degr in cases:
-        framework = ROpus(
-            PoolCommitments.of(theta=theta, deadline_minutes=60),
-            ResourcePool(homogeneous_servers(args.servers, cpus=args.cpus)),
-            search_config=GeneticSearchConfig(seed=args.seed),
+        framework = _framework(
+            args,
+            commitments=PoolCommitments.of(theta=theta, deadline_minutes=60),
             engine=engine,
         )
         policy = QoSPolicy(
@@ -415,22 +440,11 @@ def _chaos_plan(
     """One full planning run under the given (possibly empty) faults."""
     demands = _load_demands(args)
     engine = _engine(args, fault_plan=fault_plan)
-    framework = ROpus(
-        PoolCommitments.of(theta=args.theta),
-        _pool(args),
-        search_config=GeneticSearchConfig(seed=args.seed),
-        engine=engine,
-        # Shard planning is the only work that reaches workers, so
-        # the scheduled faults need a sharded plan to land on.
-        sharding="auto",
-        failure_policy=_failure_policy(args),
-    )
-    policy = QoSPolicy(
-        normal=_qos(args),
-        failure=case_study_qos(m_degr_percent=3.0, t_degr_minutes=30.0),
-    )
+    # Shard planning is the only work that reaches workers, so the
+    # scheduled faults need a sharded plan to land on.
+    framework = _framework(args, engine=engine, sharding="auto")
     plan = framework.plan(
-        demands, policy, plan_failures=not args.no_failures
+        demands, _policy(args), plan_failures=not args.no_failures
     )
     return plan, engine
 
@@ -546,18 +560,9 @@ def _failure_outlook(args: argparse.Namespace) -> int:
     """Failure-tier outlook: domain sweeps and spare sizing for today's pool."""
     demands = _load_demands(args)
     engine = ExecutionEngine.serial()
-    framework = ROpus(
-        PoolCommitments.of(theta=args.theta),
-        _pool(args),
-        search_config=GeneticSearchConfig(seed=args.seed),
-        engine=engine,
-        failure_policy=_failure_policy(args),
+    plan = _framework(args, engine=engine).plan(
+        demands, _policy(args), plan_failures=True
     )
-    policy = QoSPolicy(
-        normal=_qos(args),
-        failure=case_study_qos(m_degr_percent=3.0, t_degr_minutes=30.0),
-    )
-    plan = framework.plan(demands, policy, plan_failures=True)
     print(f"plan_hash: {plan.plan_hash()}")
     print(f"servers_used: {plan.servers_used}")
     print()
@@ -575,14 +580,8 @@ def cmd_outlook(args: argparse.Namespace) -> int:
         return _failure_outlook(args)
     demands = _load_demands(args)
     engine = ExecutionEngine.serial()
-    framework = ROpus(
-        PoolCommitments.of(theta=args.theta),
-        _pool(args),
-        search_config=GeneticSearchConfig(seed=args.seed),
-        engine=engine,
-    )
-    manager = CapacityManager(framework)
-    policy = QoSPolicy(normal=_qos(args))
+    manager = CapacityManager(_framework(args, engine=engine))
+    policy = _policy(args)
     growth = None
     if args.growth is not None:
         growth = {demand.name: args.growth for demand in demands}
@@ -650,16 +649,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common_qos_arguments(plan)
     _add_engine_arguments(plan)
-    plan.add_argument("--servers", type=int, default=12)
-    plan.add_argument("--cpus", type=int, default=16)
+    _add_pool_arguments(plan)
     _add_topology_arguments(plan)
     _add_failure_tier_arguments(plan)
     plan.add_argument("--no-failures", action="store_true")
     plan.add_argument(
         "--checkpoint", type=str, default=None, metavar="DIR",
-        help="journal planning progress to DIR and resume from it "
-             "(per-generation search state, per-case failure what-ifs, "
-             "completed shards)",
+        help="keep finished results in DIR and resume from them (the "
+             "consolidation, each completed shard, each failure what-if)",
     )
     plan.add_argument(
         "--shards", type=_shards_value, default="off", metavar="N|auto|off",
@@ -685,8 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common_qos_arguments(chaos)
     _add_engine_arguments(chaos)
-    chaos.add_argument("--servers", type=int, default=12)
-    chaos.add_argument("--cpus", type=int, default=16)
+    _add_pool_arguments(chaos)
     _add_topology_arguments(chaos)
     _add_failure_tier_arguments(chaos)
     chaos.add_argument("--no-failures", action="store_true")
@@ -716,8 +712,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common_qos_arguments(table1)
     _add_timings_argument(table1)
-    table1.add_argument("--servers", type=int, default=14)
-    table1.add_argument("--cpus", type=int, default=16)
+    _add_pool_arguments(table1, servers=14)
     table1.set_defaults(handler=cmd_table1)
 
     validate = subparsers.add_parser(
@@ -737,8 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common_qos_arguments(outlook)
     _add_timings_argument(outlook)
-    outlook.add_argument("--servers", type=int, default=12)
-    outlook.add_argument("--cpus", type=int, default=16)
+    _add_pool_arguments(outlook)
     _add_topology_arguments(outlook)
     _add_failure_tier_arguments(outlook)
     outlook.add_argument("--horizon", type=int, default=24)

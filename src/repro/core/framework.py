@@ -12,14 +12,11 @@ the paper draws them:
    onto few servers, and the failure planner reports whether a spare
    server is needed.
 
-:meth:`ROpus.plan` is a composition of named pipeline stages —
-``translate → cluster → shard → place → refine → failure_check``
-(:data:`PIPELINE_STAGES`). With ``sharding="off"`` (the default) the
-cluster/shard/refine stages are no-ops and placement runs the single
-monolithic consolidation exactly as it always has; with ``"auto"`` or an
-explicit shard count the hierarchical tier
-(:mod:`repro.placement.sharding`) clusters workloads by demand shape,
-plans sub-pools in parallel, and refines across them.
+:meth:`ROpus.plan` runs straight through: translate, then place —
+one monolithic consolidation with ``sharding="off"`` (the default), or
+the hierarchical tier (:mod:`repro.placement.sharding`: cluster
+workloads by demand shape, plan sub-pools, refine across them) with
+``"auto"`` or an explicit shard count — then the failure what-ifs.
 """
 
 from __future__ import annotations
@@ -30,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
 from repro.core.cos import PoolCommitments
-from repro.core.qos import ApplicationQoS, QoSPolicy
+from repro.core.qos import ApplicationQoS, PolicyMap, QoSPolicy, policy_for
 from repro.core.translation import QoSTranslator, TranslationResult
 from repro.engine import Checkpointer, ExecutionEngine
 from repro.exceptions import ConfigurationError
@@ -51,23 +48,6 @@ from repro.placement.sharding import (
 )
 from repro.resources.pool import ResourcePool
 from repro.traces.trace import DemandTrace
-
-PolicyMap = Union[Mapping[str, QoSPolicy], QoSPolicy]
-
-#: The named stages :meth:`ROpus.plan` composes, in execution order.
-#: Each maps to a ``_stage_<name>`` method on :class:`ROpus`; stages
-#: that do not apply to the current configuration (the hierarchical
-#: ones when ``sharding="off"``, ``failure_check`` when failures are
-#: not planned) record themselves as skipped and do no work.
-PIPELINE_STAGES = (
-    "translate",
-    "cluster",
-    "shard",
-    "place",
-    "refine",
-    "failure_check",
-)
-
 
 def _policy_digest(policies: PolicyMap) -> object:
     """A JSON-able canonical form of the policy input.
@@ -159,6 +139,26 @@ def planning_fingerprint(
     }
     canonical = json.dumps(document, sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _hashed_cases(report: FailureReport, label: str) -> list[dict]:
+    """A sweep's cases as :meth:`CapacityPlan.plan_hash` digests them:
+    each case's ``label``, feasibility and assignment."""
+    return [
+        {
+            label: case.label,
+            "feasible": case.feasible,
+            "assignment": (
+                None
+                if case.result is None
+                else {
+                    server: list(names)
+                    for server, names in case.result.assignment.items()
+                }
+            ),
+        }
+        for case in report.cases
+    ]
 
 
 @dataclass(frozen=True)
@@ -253,7 +253,7 @@ class CapacityPlan:
         prefixes = ("resilience.", "checkpoint.")
         names = (
             "failure.case_resumes",
-            "placement.ga_resumes",
+            "placement.consolidation_resumes",
             "placement.shard_resumes",
         )
         return {
@@ -291,70 +291,18 @@ class CapacityPlan:
             "failures": (
                 None
                 if self.failure_report is None
-                else [
-                    {
-                        "failed_server": case.label,
-                        "feasible": case.feasible,
-                        "assignment": (
-                            None
-                            if case.result is None
-                            else {
-                                server: list(names)
-                                for server, names in (
-                                    case.result.assignment.items()
-                                )
-                            }
-                        ),
-                    }
-                    for case in self.failure_report.cases
-                ]
+                else _hashed_cases(self.failure_report, "failed_server")
             ),
         }
         if self.domain_reports is not None:
             document["failure_domains"] = {
-                scope: [
-                    {
-                        "case": case.label,
-                        "feasible": case.feasible,
-                        "assignment": (
-                            None
-                            if case.result is None
-                            else {
-                                server: list(names)
-                                for server, names in (
-                                    case.result.assignment.items()
-                                )
-                            }
-                        ),
-                    }
-                    for case in report.cases
-                ]
+                scope: _hashed_cases(report, "case")
                 for scope, report in self.domain_reports.items()
             }
         if self.spare_curve is not None:
             document["spare_curve"] = self.spare_curve.to_payload()
         canonical = json.dumps(document, sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-@dataclass
-class _PlanContext:
-    """Mutable state threaded through one run of the staged pipeline."""
-
-    demands: Sequence[DemandTrace]
-    policies: PolicyMap
-    algorithm: str
-    previous: Optional[ConsolidationResult]
-    plan_failures: bool
-    relax_all_on_failure: bool
-    planner: Optional[HierarchicalPlanner] = None
-    translations: dict[str, TranslationResult] = field(default_factory=dict)
-    pairs: list = field(default_factory=list)
-    consolidation: Optional[ConsolidationResult] = None
-    sharded: Optional[ShardedPlacementResult] = None
-    failure_report: Optional[FailureReport] = None
-    domain_reports: Optional[dict[str, FailureReport]] = None
-    spare_curve: Optional[SpareSizingCurve] = None
 
 
 class ROpus:
@@ -411,7 +359,7 @@ class ROpus:
         #: this framework runs (monolithic, sharded, and failure
         #: what-ifs plan *around* them via the priced objective).
         self.constraints = constraints
-        #: What the ``failure_check`` stage sweeps beyond the paper's
+        #: What the failure what-ifs sweep beyond the paper's
         #: single-server baseline (domain scopes, degraded servers, the
         #: spare-sizing curve). ``None`` keeps the historical behavior.
         self.failure_policy = failure_policy
@@ -436,7 +384,7 @@ class ROpus:
                 )
             seen.add(demand.name)
             items.append(
-                (demand, self._qos_for(policies, demand.name, failure_mode))
+                (demand, policy_for(policies, demand.name).mode(failure_mode))
             )
         results = self.translator.translate_items(items)
         return {
@@ -454,7 +402,7 @@ class ROpus:
         algorithm: str = "genetic",
         previous: "ConsolidationResult | None" = None,
     ) -> CapacityPlan:
-        """Run the staged pipeline and assemble the capacity plan.
+        """Translate, place and plan for failures; assemble the plan.
 
         ``previous`` seeds the placement search with an earlier plan so
         re-planning favours low-migration solutions (see
@@ -487,90 +435,29 @@ class ROpus:
                 constraints=self.constraints,
                 failure_policy=self.failure_policy,
             )
-        context = _PlanContext(
-            demands=demands,
-            policies=policies,
-            algorithm=algorithm,
-            previous=previous,
-            plan_failures=plan_failures,
-            relax_all_on_failure=relax_all_on_failure,
-            planner=self._hierarchical_planner(),
-        )
-        for name in PIPELINE_STAGES:
-            stage = getattr(self, f"_stage_{name}")
-            ran = stage(context)
-            instrumentation.event(
-                "pipeline.stage", stage=name, ran=bool(ran)
+        translations = self.translate(demands, policies)
+        pairs = [result.pair for result in translations.values()]
+        sharded: Optional[ShardedPlacementResult] = None
+        if self.sharding_policy.enabled:
+            sharded = HierarchicalPlanner(
+                self.pool,
+                self.commitments.cos2,
+                config=self.search_config,
+                tolerance=self.tolerance,
+                attribute=self.attribute,
+                engine=self.engine,
+                kernel=self.kernel,
+                policy=self.sharding_policy,
+                constraints=self.constraints,
+            ).plan(
+                pairs,
+                features=demand_shape_features(demands, translations),
+                checkpointer=self.checkpointer,
+                algorithm=algorithm,
             )
-        if self.checkpointer is not None:
-            # The run completed: its checkpoints are spent. Rotating
-            # them out here means only interrupted runs leave resumable
-            # state behind.
-            self.checkpointer.clear()
-        return CapacityPlan(
-            translations=context.translations,
-            consolidation=context.consolidation,
-            failure_report=context.failure_report,
-            timings=instrumentation.timings_since(baseline),
-            counters=instrumentation.counters_since(counter_baseline),
-            sharding=(
-                None
-                if context.sharded is None
-                else context.sharded.summary()
-            ),
-            domain_reports=context.domain_reports,
-            spare_curve=context.spare_curve,
-        )
-
-    # ------------------------------------------------------------------
-    # Pipeline stages (see PIPELINE_STAGES for the composition order).
-    # Each returns True when it did work, False when it was skipped for
-    # the current configuration.
-    # ------------------------------------------------------------------
-    def _hierarchical_planner(self) -> Optional[HierarchicalPlanner]:
-        if not self.sharding_policy.enabled:
-            return None
-        return HierarchicalPlanner(
-            self.pool,
-            self.commitments.cos2,
-            config=self.search_config,
-            tolerance=self.tolerance,
-            attribute=self.attribute,
-            engine=self.engine,
-            kernel=self.kernel,
-            policy=self.sharding_policy,
-            constraints=self.constraints,
-        )
-
-    def _stage_translate(self, context: _PlanContext) -> bool:
-        context.translations = self.translate(
-            context.demands, context.policies
-        )
-        context.pairs = [
-            result.pair for result in context.translations.values()
-        ]
-        return True
-
-    def _stage_cluster(self, context: _PlanContext) -> bool:
-        if context.planner is None:
-            return False
-        features = demand_shape_features(
-            context.demands, context.translations
-        )
-        context.planner.cluster(context.pairs, features)
-        return True
-
-    def _stage_shard(self, context: _PlanContext) -> bool:
-        if context.planner is None:
-            return False
-        context.planner.partition()
-        return True
-
-    def _stage_place(self, context: _PlanContext) -> bool:
-        if context.planner is None:
-            # The monolithic path: one consolidation over the whole
-            # pool, exactly as before the hierarchical tier existed.
-            consolidator = Consolidator(
+            consolidation = sharded.consolidation
+        else:
+            consolidation = Consolidator(
                 self.pool,
                 self.commitments.cos2,
                 config=self.search_config,
@@ -579,27 +466,52 @@ class ROpus:
                 engine=self.engine,
                 kernel=self.kernel,
                 constraints=self.constraints,
-            )
-            context.consolidation = consolidator.consolidate(
-                context.pairs,
-                algorithm=context.algorithm,
-                previous=context.previous,
+            ).consolidate(
+                pairs,
+                algorithm=algorithm,
+                previous=previous,
                 checkpointer=self.checkpointer,
             )
-        else:
-            context.planner.place(self.checkpointer, context.algorithm)
-        return True
+        failure_report, domain_reports, spare_curve = None, None, None
+        if plan_failures:
+            failure_report, domain_reports, spare_curve = self._plan_failures(
+                demands,
+                policies,
+                consolidation,
+                relax_all=relax_all_on_failure,
+                algorithm=algorithm,
+            )
+        if self.checkpointer is not None:
+            # The run completed: its checkpoints are spent. Rotating
+            # them out here means only interrupted runs leave resumable
+            # state behind.
+            self.checkpointer.clear()
+        return CapacityPlan(
+            translations=translations,
+            consolidation=consolidation,
+            failure_report=failure_report,
+            timings=instrumentation.timings_since(baseline),
+            counters=instrumentation.counters_since(counter_baseline),
+            sharding=None if sharded is None else sharded.summary(),
+            domain_reports=domain_reports,
+            spare_curve=spare_curve,
+        )
 
-    def _stage_refine(self, context: _PlanContext) -> bool:
-        if context.planner is None:
-            return False
-        context.sharded = context.planner.refine()
-        context.consolidation = context.sharded.consolidation
-        return True
-
-    def _stage_failure_check(self, context: _PlanContext) -> bool:
-        if not context.plan_failures:
-            return False
+    def _plan_failures(
+        self,
+        demands: Sequence[DemandTrace],
+        policies: PolicyMap,
+        consolidation: ConsolidationResult,
+        *,
+        relax_all: bool,
+        algorithm: str,
+    ) -> tuple[
+        FailureReport,
+        Optional[dict[str, FailureReport]],
+        Optional[SpareSizingCurve],
+    ]:
+        """The single-server sweep, then what ``failure_policy`` adds:
+        domain-scoped sweeps and the spare-sizing curve."""
         planner = FailurePlanner(
             self.translator,
             config=self.search_config,
@@ -610,31 +522,30 @@ class ROpus:
             share_cache=self.share_sweep_cache,
             checkpointer=self.checkpointer,
         )
-        context.failure_report = planner.plan(
-            context.demands,
-            context.policies,
+        report = planner.plan(
+            demands,
+            policies,
             self.pool,
-            context.consolidation,
-            relax_all=context.relax_all_on_failure,
-            algorithm=context.algorithm,
+            consolidation,
+            relax_all=relax_all,
+            algorithm=algorithm,
         )
         policy = self.failure_policy
         if policy is None:
-            return True
-        # Domain-scoped sweeps on top of the single-server baseline.
+            return report, None, None
         # Each scope checkpoints under its own key prefix, so a killed
         # multi-scope sweep resumes every completed case regardless of
         # which scope was in flight.
         domain_reports: dict[str, FailureReport] = {}
         for scope in policy.scopes:
             domain_reports[scope] = planner.plan_scope(
-                context.demands,
-                context.policies,
+                demands,
+                policies,
                 self.pool,
-                context.consolidation,
+                consolidation,
                 scope=scope,
-                relax_all=context.relax_all_on_failure,
-                algorithm=context.algorithm,
+                relax_all=relax_all,
+                algorithm=algorithm,
                 max_cases=policy.max_cases,
                 sample_seed=policy.sample_seed,
                 key_prefix=f"scope:{scope}",
@@ -642,41 +553,27 @@ class ROpus:
         if policy.degraded_factor is not None:
             label = f"degraded:server@{policy.degraded_factor:g}"
             domain_reports[label] = planner.plan_scope(
-                context.demands,
-                context.policies,
+                demands,
+                policies,
                 self.pool,
-                context.consolidation,
+                consolidation,
                 scope="server",
                 degraded_factor=policy.degraded_factor,
-                relax_all=context.relax_all_on_failure,
-                algorithm=context.algorithm,
+                relax_all=relax_all,
+                algorithm=algorithm,
                 key_prefix=label,
             )
-        if domain_reports:
-            context.domain_reports = domain_reports
+        spare_curve = None
         if policy.spare_curve:
-            context.spare_curve = planner.spare_sizing_curve(
-                context.demands,
-                context.policies,
+            spare_curve = planner.spare_sizing_curve(
+                demands,
+                policies,
                 self.pool,
-                context.consolidation,
+                consolidation,
                 max_spares=policy.max_spares,
-                relax_all=context.relax_all_on_failure,
-                algorithm=context.algorithm,
+                relax_all=relax_all,
+                algorithm=algorithm,
                 max_cases=policy.max_cases,
                 sample_seed=policy.sample_seed,
             )
-        return True
-
-    def _qos_for(
-        self, policies: PolicyMap, name: str, failure_mode: bool
-    ) -> ApplicationQoS:
-        if isinstance(policies, QoSPolicy):
-            return policies.mode(failure_mode)
-        try:
-            policy = policies[name]
-        except KeyError:
-            raise ConfigurationError(
-                f"no QoS policy given for workload {name!r}"
-            ) from None
-        return policy.mode(failure_mode)
+        return report, domain_reports or None, spare_curve

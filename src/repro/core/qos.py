@@ -20,9 +20,9 @@ failure mode where one server in the pool is down
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Mapping, Optional, Union
 
-from repro.exceptions import QoSSpecificationError
+from repro.exceptions import ConfigurationError, QoSSpecificationError
 from repro.units import Fraction01, Percent
 
 
@@ -185,6 +185,22 @@ class QoSPolicy:
         if failure_mode and self.failure is not None:
             return self.failure
         return self.normal
+
+
+#: One policy for every workload, or a policy per workload name.
+PolicyMap = Union[Mapping[str, QoSPolicy], QoSPolicy]
+
+
+def policy_for(policies: PolicyMap, name: str) -> QoSPolicy:
+    """The policy in force for workload ``name``."""
+    if isinstance(policies, QoSPolicy):
+        return policies
+    try:
+        return policies[name]
+    except KeyError:
+        raise ConfigurationError(
+            f"no QoS policy given for workload {name!r}"
+        ) from None
 
 
 def case_study_qos(

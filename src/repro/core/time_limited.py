@@ -71,12 +71,15 @@ def expected_utilization(
     breakpoint_fraction: float,
     theta: float,
     u_low: float,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Worst-case-model utilization of allocation per observation.
 
     Demand is capped and partitioned; CoS1 is fully granted, CoS2 at
     exactly ``theta``; utilization is the *raw* demand divided by the
     granted allocation. Zero-demand slots report utilization 0.
+    ``out``, when given, is the pair of rows the partition is written
+    into; the utilization is returned in its second row.
     """
     values = np.asarray(demand_values, dtype=float)
     if not 0.0 <= breakpoint_fraction <= 1.0:
@@ -84,7 +87,7 @@ def expected_utilization(
             f"breakpoint fraction must be in [0, 1], got {breakpoint_fraction}"
         )
     cos1, cos2 = partition_demand(
-        values, demand_cap, breakpoint_fraction * demand_cap
+        values, demand_cap, breakpoint_fraction * demand_cap, out=out
     )
     return split_utilization(values, cos1, cos2, theta, u_low, out=cos2)
 
@@ -175,10 +178,13 @@ def enforce_time_limited_degradation(
         u_high * (breakpoint_fraction * (1.0 - theta) + theta)
     )
     max_iterations = values.shape[0] + 1
+    # Every iteration partitions into the same two rows: the previous
+    # utilization is dead once the cap moves.
+    scratch = (np.empty_like(values), np.empty_like(values))
 
     while True:
         utilization = expected_utilization(
-            values, cap, breakpoint_fraction, theta, u_low
+            values, cap, breakpoint_fraction, theta, u_low, out=scratch
         )
         violating_min = _min_demand_in_violating_run(
             values, utilization, u_high, max_run_slots
@@ -199,10 +205,9 @@ def enforce_time_limited_degradation(
                 "parameters are degenerate"
             )
 
-    final_utilization = expected_utilization(
-        values, cap, breakpoint_fraction, theta, u_low
-    )
-    degraded_mask = degraded_slots(values, final_utilization, u_high)
+    # The loop left when the utilization at the final cap had no
+    # over-length run, so it is the final utilization.
+    degraded_mask = degraded_slots(values, utilization, u_high)
     return TimeLimitedResult(
         d_new_max=cap,
         iterations=iterations,

@@ -1,17 +1,18 @@
-"""Journaling checkpoint store: atomic write-then-rename JSON documents.
+"""Checkpoint store of finished results: atomic write-then-rename JSON.
 
-Long-running planning stages (the genetic search's generations, the
-failure sweep's what-if cases, the hierarchical tier's completed
-shards) persist their progress through a :class:`Checkpointer` so a killed run resumes
-bit-identically instead of starting over. The store is deliberately
-boring:
+Planning keeps each finished result through a :class:`Checkpointer` —
+the monolithic consolidation, each completed shard of the hierarchical
+tier, each failure what-if case — so a killed run resumes them
+bit-identically instead of computing them again; what was in flight is
+recomputed, and every search is a pure function of its seeds, so the
+plan is the same. The store is deliberately boring:
 
 * one JSON document per key, written to a temp file in the same
   directory and ``os.replace``d into place — a ``kill -9`` mid-write
   leaves either the previous complete document or a stray temp file,
   never a torn checkpoint;
-* loads treat *any* malformed document as absent (the stage recomputes
-  that step; correctness never depends on a checkpoint being present);
+* loads treat *any* malformed document as absent (the result is
+  recomputed; correctness never depends on a checkpoint being present);
 * saves degrade instead of raising — a full disk (or an injected
   :class:`~repro.engine.faults.InjectedCheckpointFailure`) costs
   resumability, not the run. Failures are counted on the attached
@@ -65,7 +66,7 @@ def _escape_key(key: str) -> str:
 
 
 class Checkpointer:
-    """Atomic per-key JSON persistence for resumable pipeline stages."""
+    """Atomic per-key JSON persistence of finished planning results."""
 
     def __init__(
         self,

@@ -42,6 +42,9 @@ Algorithm = Literal["genetic", "first_fit", "best_fit"]
 #: The greedy baselines' placement policies, by algorithm name.
 _GREEDY = {"first_fit": first_fit_choice, "best_fit": best_fit_choice}
 
+#: The checkpoint key of a finished monolithic consolidation.
+_KEY = "consolidation"
+
 
 @dataclass(frozen=True)
 class ConsolidationResult:
@@ -122,8 +125,9 @@ class ConsolidationResult:
         """Rebuild a persisted result; raises on malformed documents.
 
         Callers restoring from untrusted checkpoints catch the failure
-        and recompute (see :func:`repro.placement.failure._case_from_payload`
-        and the shard resume path) — a checkpoint is never load-bearing.
+        and recompute (see :func:`_restored`,
+        :func:`repro.placement.failure._case_from_payload` and the shard
+        resume path) — a checkpoint is never load-bearing.
         """
         return cls(
             assignment={
@@ -139,6 +143,33 @@ class ConsolidationResult:
             score=float(payload["score"]),
             algorithm=str(payload["algorithm"]),
         )
+
+
+def _restored(
+    payload: Optional[dict],
+    pairs: Sequence[CoSAllocationPair],
+    pool: ResourcePool,
+) -> Optional[ConsolidationResult]:
+    """The checkpointed result of placing ``pairs`` on ``pool``, or ``None``.
+
+    A document that is not a whole result — a malformed one, or the
+    per-generation search state older runs left under the same key — or
+    one that places other workloads or names a server outside the pool
+    reads as absent, and the consolidation is recomputed.
+    """
+    if payload is None:
+        return None
+    try:
+        result = ConsolidationResult.from_payload(payload)
+    except (KeyError, TypeError, ValueError, AttributeError):
+        return None
+    placed = sorted(name for names in result.assignment.values() for name in names)
+    servers = {server.name for server in pool.servers}
+    if placed != sorted(pair.name for pair in pairs) or not (
+        result.assignment.keys() <= servers
+    ):
+        return None
+    return result
 
 
 class Consolidator:
@@ -191,7 +222,6 @@ class Consolidator:
         *,
         previous: Optional[ConsolidationResult] = None,
         checkpointer: Optional[Checkpointer] = None,
-        checkpoint_key: str = "consolidation",
     ) -> ConsolidationResult:
         """Place ``pairs`` onto the pool with the chosen algorithm.
 
@@ -199,18 +229,24 @@ class Consolidator:
         assignment: re-planning then prefers solutions close to what is
         already running, which keeps workload migrations down (each move
         disrupts an application and needs migration machinery).
-        ``checkpointer`` journals the genetic search's generations under
-        ``checkpoint_key`` so an interrupted consolidation resumes from
-        its last completed generation (see
-        :meth:`GeneticPlacementSearch.run`).
+        ``checkpointer`` keeps the finished result under the key
+        ``consolidation``: a run killed after it resumes the result
+        instead of searching again, and a document that does not read
+        back as a result of these workloads on this pool is recomputed.
         """
-        return self.consolidate_with_evaluator(
-            self.evaluator(pairs),
-            algorithm,
-            previous=previous,
-            checkpointer=checkpointer,
-            checkpoint_key=checkpoint_key,
+        if checkpointer is not None:
+            restored = _restored(checkpointer.load(_KEY), pairs, self.pool)
+            if restored is not None:
+                self.engine.instrumentation.count(
+                    "placement.consolidation_resumes"
+                )
+                return restored
+        result = self.consolidate_with_evaluator(
+            self.evaluator(pairs), algorithm, previous=previous
         )
+        if checkpointer is not None:
+            checkpointer.save(_KEY, result.to_payload())
+        return result
 
     def evaluator(
         self, pairs: Sequence[CoSAllocationPair]
@@ -230,8 +266,6 @@ class Consolidator:
         algorithm: Algorithm = "genetic",
         *,
         previous: Optional[ConsolidationResult] = None,
-        checkpointer: Optional[Checkpointer] = None,
-        checkpoint_key: str = "consolidation",
     ) -> ConsolidationResult:
         """Run the placement algorithms against a caller-built evaluator.
 
@@ -239,13 +273,7 @@ class Consolidator:
         they share its memo.
         """
         return drive(
-            self.consolidate_steps(
-                evaluator,
-                algorithm,
-                previous=previous,
-                checkpointer=checkpointer,
-                checkpoint_key=checkpoint_key,
-            )
+            self.consolidate_steps(evaluator, algorithm, previous=previous)
         )
 
     def consolidate_steps(
@@ -254,8 +282,6 @@ class Consolidator:
         algorithm: Algorithm = "genetic",
         *,
         previous: Optional[ConsolidationResult] = None,
-        checkpointer: Optional[Checkpointer] = None,
-        checkpoint_key: str = "consolidation",
     ) -> Steps[ConsolidationResult]:
         """:meth:`consolidate_with_evaluator` as a lock-step search
         (:data:`~repro.placement.evaluation.Steps`): the hierarchical
@@ -311,10 +337,7 @@ class Consolidator:
                     constraints=self.constraints,
                 )
                 search = yield from searcher.run_steps(
-                    seed,
-                    extra_seeds=extra_seeds,
-                    checkpointer=checkpointer,
-                    checkpoint_key=checkpoint_key,
+                    seed, extra_seeds=extra_seeds
                 )
                 assignment = search.best.assignment
             else:

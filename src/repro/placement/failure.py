@@ -64,7 +64,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from repro.core.qos import QoSPolicy
+from repro.core.qos import PolicyMap, QoSPolicy, policy_for
 from repro.engine import Checkpointer, ExecutionEngine
 from repro.exceptions import InfeasiblePlacementError, PlacementError
 from repro.placement.consolidation import ConsolidationResult, Consolidator
@@ -387,19 +387,6 @@ class FailureSweepPolicy:
             )
 
 
-def _policy_for(
-    policies: Mapping[str, QoSPolicy] | QoSPolicy, name: str
-) -> QoSPolicy:
-    if isinstance(policies, QoSPolicy):
-        return policies
-    try:
-        return policies[name]
-    except KeyError:
-        raise PlacementError(
-            f"no QoS policy given for workload {name!r}"
-        ) from None
-
-
 class _SweepScratch:
     """State shared by the what-if cases of one planner.
 
@@ -492,7 +479,7 @@ class _SweepScratch:
         pairs = translations.get(failure_mode)
         if pairs is None:
             items = [
-                (demand, _policy_for(self.policies, name).mode(failure_mode))
+                (demand, policy_for(self.policies, name).mode(failure_mode))
                 for name, demand in self.demand_by_name.items()
             ]
             pairs = [
@@ -660,7 +647,7 @@ class FailurePlanner:
     def plan(
         self,
         demands: Sequence[DemandTrace],
-        policies: Mapping[str, QoSPolicy] | QoSPolicy,
+        policies: PolicyMap,
         pool,
         normal_result: ConsolidationResult,
         *,
@@ -681,7 +668,7 @@ class FailurePlanner:
     def plan_scope(
         self,
         demands: Sequence[DemandTrace],
-        policies: Mapping[str, QoSPolicy] | QoSPolicy,
+        policies: PolicyMap,
         pool,
         normal_result: ConsolidationResult,
         *,
@@ -839,7 +826,7 @@ class FailurePlanner:
     def spare_sizing_curve(
         self,
         demands: Sequence[DemandTrace],
-        policies: Mapping[str, QoSPolicy] | QoSPolicy,
+        policies: PolicyMap,
         pool,
         normal_result: ConsolidationResult,
         *,
@@ -1007,7 +994,7 @@ class FailurePlanner:
         self,
         items: Sequence[tuple[FaultScenario, tuple[str, ...]]],
         demands: Sequence[DemandTrace],
-        policies: Mapping[str, QoSPolicy] | QoSPolicy,
+        policies: PolicyMap,
         pool,
         normal_result: ConsolidationResult,
         relax_all: bool,

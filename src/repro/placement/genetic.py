@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.engine import Checkpointer, ExecutionEngine
+from repro.engine import ExecutionEngine
 from repro.exceptions import PlacementError
 from repro.placement.evaluation import (
     PlacementEvaluator,
@@ -146,95 +146,47 @@ class GeneticPlacementSearch:
         self,
         initial: Assignment | Sequence[int],
         extra_seeds: Sequence[Assignment] = (),
-        *,
-        checkpointer: Optional[Checkpointer] = None,
-        checkpoint_key: str = "genetic",
     ) -> GeneticSearchResult:
         """Search from an initial assignment; returns the best feasible one.
 
         ``extra_seeds`` adds further starting points to the population
         (e.g. several greedy solutions), guaranteeing the result is at
         least as good as the best seed. Raises :class:`PlacementError`
-        when neither a seed nor any evolved assignment is feasible.
-
-        With a ``checkpointer``, every completed generation journals the
-        full search state (generation number, RNG state, population and
-        incumbent assignments, stall counter, score history) under
-        ``checkpoint_key``. A later run with the same inputs resumes
-        from the last completed generation and — because evaluation is
-        pure and the RNG state is restored bit-exactly — continues to
-        the same result a never-interrupted run produces.
+        when neither a seed nor any evolved assignment is feasible. The
+        search is a pure function of its seeds and ``config.seed``.
         """
-        return drive(
-            self.run_steps(
-                initial,
-                extra_seeds,
-                checkpointer=checkpointer,
-                checkpoint_key=checkpoint_key,
-            )
-        )
+        return drive(self.run_steps(initial, extra_seeds))
 
     def run_steps(
         self,
         initial: Assignment | Sequence[int],
         extra_seeds: Sequence[Assignment] = (),
-        *,
-        checkpointer: Optional[Checkpointer] = None,
-        checkpoint_key: str = "genetic",
     ) -> Steps[GeneticSearchResult]:
         """:meth:`run` as a lock-step search
         (:data:`~repro.placement.evaluation.Steps`)."""
         rng = derive_rng(self.config.seed)
         seed_assignment = self._validate_assignment(tuple(initial))
         instrumentation = self.engine.instrumentation
-        resume = (
-            checkpointer.load(checkpoint_key)
-            if checkpointer is not None
-            else None
-        )
-        if resume is not None:
-            population, best_feasible, history, stall, start_generation = (
-                yield from self._restore(resume, rng)
-            )
-            instrumentation.count("placement.ga_resumes")
-            instrumentation.event(
-                "placement.ga_resumed", generation=start_generation
-            )
-        else:
-            population = yield from self._evaluate_batch([seed_assignment])
-            pending: list[Assignment] = []
-            for extra in extra_seeds:
-                if (
-                    len(population) + len(pending)
-                    >= self.config.population_size
-                ):
-                    break
-                pending.append(self._validate_assignment(tuple(extra)))
-            while (
-                len(population) + len(pending) < self.config.population_size
-            ):
-                pending.append(
-                    (
-                        yield from self._mutate(
-                            seed_assignment, rng, population[0].evaluations
-                        )
+        population = yield from self._evaluate_batch([seed_assignment])
+        pending: list[Assignment] = []
+        for extra in extra_seeds:
+            if len(population) + len(pending) >= self.config.population_size:
+                break
+            pending.append(self._validate_assignment(tuple(extra)))
+        while len(population) + len(pending) < self.config.population_size:
+            pending.append(
+                (
+                    yield from self._mutate(
+                        seed_assignment, rng, population[0].evaluations
                     )
                 )
-            population.extend((yield from self._evaluate_batch(pending)))
+            )
+        population.extend((yield from self._evaluate_batch(pending)))
 
-            best_feasible = self._best_feasible(population)
-            history = []
-            stall = 0
-            start_generation = 0
-        # Entry-checked loop (not `for ... break`) so a resume from
-        # a checkpoint written at the converged generation stops
-        # immediately instead of evolving one extra generation.
-        generation = start_generation
-        while (
-            generation < self.config.max_generations
-            and stall < self.config.stall_generations
-        ):
-            generation += 1
+        best_feasible = self._best_feasible(population)
+        history: list[float] = []
+        stall = 0
+        for _ in range(self.config.max_generations):
             population = yield from self._next_generation(population, rng)
             instrumentation.count("placement.ga_generations")
             history.append(max(member.score for member in population))
@@ -246,14 +198,8 @@ class GeneticPlacementSearch:
                 stall = 0
             else:
                 stall += 1
-            if checkpointer is not None:
-                checkpointer.save(
-                    checkpoint_key,
-                    self._checkpoint_payload(
-                        generation, rng, population, best_feasible,
-                        stall, history,
-                    ),
-                )
+                if stall >= self.config.stall_generations:
+                    break
 
         if best_feasible is None:
             raise PlacementError(
@@ -262,90 +208,10 @@ class GeneticPlacementSearch:
             )
         return GeneticSearchResult(
             best=best_feasible,
-            generations_run=generation,
+            generations_run=len(history),
             evaluations_performed=self._evaluations,
             history=history,
         )
-
-    # ------------------------------------------------------------------
-    # Checkpoint / resume
-    # ------------------------------------------------------------------
-    def _checkpoint_payload(
-        self,
-        generation: int,
-        rng: np.random.Generator,
-        population: list[EvaluatedAssignment],
-        best_feasible: EvaluatedAssignment | None,
-        stall: int,
-        history: list[float],
-    ) -> dict:
-        """The JSON-able search state after a completed generation.
-
-        Only *assignments* are persisted, never scores or evaluations —
-        those are recomputed on resume by the same pure functions, so a
-        corrupted evaluator cache can never be smuggled through a
-        checkpoint into a resumed run.
-        """
-        return {
-            "generation": generation,
-            "rng_state": rng.bit_generator.state,
-            "population": [list(member.assignment) for member in population],
-            "best_feasible": (
-                list(best_feasible.assignment)
-                if best_feasible is not None
-                else None
-            ),
-            "stall": stall,
-            "history": list(history),
-        }
-
-    def _restore(
-        self,
-        resume: dict,
-        rng: np.random.Generator,
-    ) -> Steps[
-        tuple[
-            list[EvaluatedAssignment],
-            EvaluatedAssignment | None,
-            list[float],
-            int,
-            int,
-        ]
-    ]:
-        """Rebuild the search state a checkpoint describes.
-
-        The population is re-evaluated in its persisted order (batch
-        evaluation preserves order, and the generation loop's sort is
-        stable, so ties break identically to the original run) and the
-        RNG is restored bit-exactly, making the continuation
-        indistinguishable from one that never stopped.
-
-        Every restored assignment passes through
-        :meth:`_validate_assignment` (inside the evaluation calls), so
-        a checkpoint written against a different workload ensemble or
-        pool shape fails loudly here instead of seeding the search with
-        out-of-range state.
-        """
-        try:
-            population = yield from self._evaluate_batch(
-                [tuple(member) for member in resume["population"]]
-            )
-            best_feasible = None
-            if resume["best_feasible"] is not None:
-                (best_feasible,) = yield from self._evaluate_batch(
-                    [tuple(resume["best_feasible"])]
-                )
-            history = [float(score) for score in resume["history"]]
-            stall = int(resume["stall"])
-            start_generation = int(resume["generation"])
-            rng.bit_generator.state = resume["rng_state"]
-        except (KeyError, TypeError, ValueError, PlacementError) as error:
-            raise PlacementError(
-                f"genetic-search checkpoint is not restorable: {error!r}; "
-                "it likely belongs to a different planning problem — "
-                "delete the checkpoint directory to restart the search"
-            ) from error
-        return population, best_feasible, history, stall, start_generation
 
     def evaluate(self, assignment: Assignment) -> EvaluatedAssignment:
         """Score one assignment (cached per server-content subset)."""

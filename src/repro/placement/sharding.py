@@ -14,7 +14,7 @@ containers. This module implements the hierarchical tier on top of it:
    go out in one unit per engine slot, the shards of a unit plan in
    lock-step and share each step's capacity solve
    (:func:`~repro.placement.evaluation.lock_step`), and each completed
-   shard is journaled through the checkpoint layer so a killed run
+   shard is kept through the checkpoint layer so a killed run
    resumes the finished shards instead of replanning them;
 4. **refine** across shards: migrate workloads to the shard where their
    marginal placement cost is lowest, re-plan the affected shards, and
@@ -387,10 +387,10 @@ class HierarchicalPlanner:
     """Runs the cluster → shard → place → refine pipeline for one pool.
 
     The planner is *staged*: :meth:`cluster`, :meth:`partition`,
-    :meth:`place`, and :meth:`refine` are called in order (the
-    :class:`~repro.core.framework.ROpus` facade exposes each as a named
-    pipeline stage with its own instrumentation); :meth:`plan` is the
-    one-call convenience wrapper.
+    :meth:`place`, and :meth:`refine` are called in order (a caller
+    that times each stage calls them one by one); :meth:`plan` runs all
+    four and is what the :class:`~repro.core.framework.ROpus` facade
+    calls.
     """
 
     def __init__(
@@ -545,7 +545,7 @@ class HierarchicalPlanner:
         """Plan every shard independently through the engine.
 
         The pending shards go out in one lock-step unit per engine slot
-        (:func:`_shard_plan_worker`). Completed shards are journaled
+        (:func:`_shard_plan_worker`). Completed shards are kept
         under ``shard/<index>`` as their unit returns, so a killed run
         resumes the finished shards; each checkpoint's
         membership is verified on load, so a resume whose clustering
@@ -657,7 +657,7 @@ class HierarchicalPlanner:
         checkpointer: Checkpointer | None = None,
         algorithm: str = "genetic",
     ) -> ShardedPlacementResult:
-        """All four stages in order (the non-facade entry point)."""
+        """All four stages in order."""
         self.cluster(pairs, features)
         self.partition()
         self.place(checkpointer, algorithm)
@@ -772,7 +772,7 @@ class HierarchicalPlanner:
         """Plan ``items`` in one lock-step unit per engine slot.
 
         Each unit's outcomes are counted into the planner's
-        instrumentation and journaled as the unit returns.
+        instrumentation and checkpointed as the unit returns.
         """
         if not items:
             return []

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import io
 import tempfile
-from multiprocessing import shared_memory
 
 import pytest
 
@@ -67,20 +66,6 @@ class TestTracking:
             assert newest.stack  # acquisition stack was captured
         finally:
             tmpdir.cleanup()
-        assert len(leaktrack.live_resources()) == before
-
-    def test_shared_memory_create_tracked_attach_not(self, armed):
-        before = len(leaktrack.live_resources())
-        segment = shared_memory.SharedMemory(create=True, size=16)
-        try:
-            assert len(leaktrack.live_resources()) == before + 1
-            attached = shared_memory.SharedMemory(name=segment.name)
-            # Attaching is not an acquisition.
-            assert len(leaktrack.live_resources()) == before + 1
-            attached.close()
-        finally:
-            segment.close()
-            segment.unlink()
         assert len(leaktrack.live_resources()) == before
 
     def test_report_lists_open_resources(self, armed):

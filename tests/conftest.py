@@ -18,8 +18,7 @@ from repro.workloads.generator import WorkloadGenerator, WorkloadSpec
 def pytest_sessionstart(session):
     """Arm the runtime leak tracker when ``ROPUS_LEAKTRACK=1``.
 
-    The tracker wraps the acquire points (shared-memory create, pool
-    spawn, temp dirs) and records acquisition stacks; the sessionfinish
+    The tracker wraps the acquire points (pool spawn, temp dirs) and records acquisition stacks; the sessionfinish
     hook below prints anything still open and fails an otherwise green
     session, which makes CI's ``runtime-checks`` job a leak gate.
     """

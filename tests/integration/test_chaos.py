@@ -118,11 +118,11 @@ class TestCheckpointResume:
         class _Killed(Exception):
             """Stands in for the SIGKILL that ends the first run."""
 
-        # The full run checkpoints five times (three GA generations,
-        # two failure cases); killing on the fourth save lands the kill
-        # mid-failure-sweep, after the search already checkpointed.
+        # The full run checkpoints three times (the consolidation, then
+        # two failure cases); killing on the first save lands the kill
+        # right after the consolidation is kept.
         class _Interrupting(Checkpointer):
-            remaining = 4
+            remaining = 1
 
             def save(self, key, payload):
                 stuck = super().save(key, payload)
@@ -142,7 +142,63 @@ class TestCheckpointResume:
         assert resumed.plan_hash() == baseline.plan_hash()
         summary = resumed.resilience_summary()
         assert summary.get("checkpoint.reads", 0) > 0
-        assert summary.get("placement.ga_resumes", 0) >= 1
+        assert summary.get("placement.consolidation_resumes", 0) == 1
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"assignment": [["s0", ["app0"]]], "score": "high"},
+            # The per-generation search state older runs kept under
+            # the same key.
+            {
+                "generation": 3,
+                "rng_state": {},
+                "population": [[0, 1, 2, 3, 4, 5]],
+                "best_feasible": [0, 1, 2, 3, 4, 5],
+                "stall": 1,
+                "history": [1.0, 1.5, 1.5],
+            },
+            # A whole result, for workloads this run does not place.
+            {
+                "assignment": {"server-00": ["ghost"]},
+                "required_by_server": {"server-00": 1.0},
+                "sum_required": 1.0,
+                "sum_peak_allocations": 2.0,
+                "score": 5.0,
+                "algorithm": "genetic",
+            },
+        ],
+        ids=["malformed", "search-journal", "other-workloads"],
+    )
+    def test_unreadable_consolidation_document_is_recomputed(
+        self, demands, policy, tmp_path, document
+    ):
+        baseline = _framework().plan(demands, policy)
+
+        class _Killed(Exception):
+            """Stands in for the SIGKILL that ends the first run."""
+
+        # Keep ``document`` in place of the finished consolidation,
+        # under this run's fingerprint, and die.
+        class _Replacing(Checkpointer):
+            def save(self, key, payload):
+                super().save(key, document)
+                raise _Killed
+
+        directory = tmp_path / "ckpt"
+        with pytest.raises(_Killed):
+            _framework(checkpointer=_Replacing(directory)).plan(
+                demands, policy
+            )
+        assert Checkpointer(directory).keys() == ["consolidation"]
+
+        resumed = _framework(checkpointer=Checkpointer(directory)).plan(
+            demands, policy
+        )
+        assert resumed.plan_hash() == baseline.plan_hash()
+        summary = resumed.resilience_summary()
+        assert summary.get("checkpoint.reads", 0) >= 1
+        assert summary.get("placement.consolidation_resumes", 0) == 0
 
     def test_mid_sweep_kill_resumes_completed_cases(
         self, demands, policy, tmp_path
@@ -224,9 +280,9 @@ class TestCheckpointResume:
 
         # Re-plan over *different inputs* (another search seed) against
         # the same checkpoint directory: the leftover documents carry
-        # the old inputs' fingerprint, so nothing resumes — the genetic
-        # search restarts instead of silently inheriting the old run's
-        # (possibly converged) population.
+        # the old inputs' fingerprint, so nothing resumes — the
+        # consolidation is searched again instead of silently taking
+        # the old run's result.
         changed = GeneticSearchConfig(
             seed=1, max_generations=8, stall_generations=3, population_size=10
         )
@@ -236,6 +292,6 @@ class TestCheckpointResume:
         fresh = _framework(search_config=changed).plan(demands, policy)
         assert replan.plan_hash() == fresh.plan_hash()
         summary = replan.resilience_summary()
-        assert summary.get("placement.ga_resumes", 0) == 0
+        assert summary.get("placement.consolidation_resumes", 0) == 0
         assert summary.get("failure.case_resumes", 0) == 0
         assert summary.get("checkpoint.fingerprint_mismatches", 0) >= 1

@@ -6,7 +6,7 @@ import pytest
 from repro.core.cos import PoolCommitments
 from repro.core.qos import QoSPolicy, case_study_qos
 from repro.core.translation import QoSTranslator
-from repro.exceptions import PlacementError
+from repro.exceptions import ConfigurationError, PlacementError
 from repro.engine import (
     ExecutionEngine,
     FaultPlan,
@@ -162,7 +162,7 @@ class TestFailurePlanning:
         pool = ResourcePool(homogeneous_servers(6, cpus=16))
         normal = normal_plan(translator, demands, policy, pool)
         planner = FailurePlanner(translator, config=SEARCH_CONFIG)
-        with pytest.raises(PlacementError):
+        with pytest.raises(ConfigurationError, match="no QoS policy"):
             planner.plan(demands, {"w0": policy}, pool, normal)
 
 

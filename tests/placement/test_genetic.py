@@ -150,90 +150,3 @@ class TestRun:
         result = search.run(first_fit_decreasing(evaluator, pool))
         assert len(result.history) == result.generations_run
         assert result.evaluations_performed > 0
-
-
-class TestCheckpointResume:
-    def _search(self, cal, seed=7):
-        evaluator, pool = small_problem(cal)
-        config = GeneticSearchConfig(
-            seed=seed, max_generations=12, stall_generations=4,
-            population_size=12,
-        )
-        return GeneticPlacementSearch(evaluator, pool, config)
-
-    def test_interrupted_search_resumes_to_identical_result(self, cal, tmp_path):
-        from repro.engine.checkpoint import Checkpointer
-
-        search = self._search(cal)
-        seed_assignment = first_fit_decreasing(search.evaluator, search.pool)
-        baseline = search.run(seed_assignment)
-
-        class _Interrupting(Checkpointer):
-            saves = 0
-
-            def save(self, key, payload):
-                stuck = super().save(key, payload)
-                type(self).saves += 1
-                if type(self).saves == 3:
-                    raise KeyboardInterrupt  # the operator's ^C / kill
-                return stuck
-
-        directory = tmp_path / "ga"
-        with pytest.raises(KeyboardInterrupt):
-            self._search(cal).run(
-                seed_assignment, checkpointer=_Interrupting(directory)
-            )
-        resumed = self._search(cal).run(
-            seed_assignment, checkpointer=Checkpointer(directory)
-        )
-        assert resumed.best.assignment == baseline.best.assignment
-        assert resumed.best.score == pytest.approx(baseline.best.score)
-        assert resumed.history == pytest.approx(baseline.history)
-        assert resumed.generations_run == baseline.generations_run
-
-    def test_resume_from_converged_checkpoint_is_a_no_op(self, cal, tmp_path):
-        from repro.engine.checkpoint import Checkpointer
-
-        search = self._search(cal)
-        seed_assignment = first_fit_decreasing(search.evaluator, search.pool)
-        store = Checkpointer(tmp_path / "ga")
-        first = search.run(seed_assignment, checkpointer=store)
-        again = self._search(cal).run(seed_assignment, checkpointer=store)
-        assert again.best.assignment == first.best.assignment
-        assert again.generations_run == first.generations_run
-        assert again.history == pytest.approx(first.history)
-
-    def test_malformed_checkpoint_raises_actionably(self, cal, tmp_path):
-        from repro.engine.checkpoint import Checkpointer
-
-        search = self._search(cal)
-        seed_assignment = first_fit_decreasing(search.evaluator, search.pool)
-        store = Checkpointer(tmp_path / "ga")
-        store.save("genetic", {"generation": 1})  # missing every other field
-        with pytest.raises(PlacementError, match="checkpoint"):
-            search.run(seed_assignment, checkpointer=store)
-
-    def test_checkpoint_from_another_problem_raises_actionably(
-        self, cal, tmp_path
-    ):
-        from repro.engine.checkpoint import Checkpointer
-
-        search = self._search(cal)
-        seed_assignment = first_fit_decreasing(search.evaluator, search.pool)
-        store = Checkpointer(tmp_path / "ga")
-        # A structurally valid checkpoint whose population was evolved
-        # for a *different* ensemble (wrong workload count): restore
-        # must reject it via assignment validation, never evaluate it.
-        store.save(
-            "genetic",
-            {
-                "generation": 1,
-                "rng_state": {},
-                "population": [[0, 0]],
-                "best_feasible": None,
-                "stall": 0,
-                "history": [],
-            },
-        )
-        with pytest.raises(PlacementError, match="different planning problem"):
-            search.run(seed_assignment, checkpointer=store)
