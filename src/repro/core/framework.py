@@ -474,10 +474,21 @@ class ROpus:
             )
         failure_report, domain_reports, spare_curve = None, None, None
         if plan_failures:
-            failure_report, domain_reports, spare_curve = self._plan_failures(
+            failure_report, domain_reports, spare_curve = FailurePlanner(
+                self.translator,
+                config=self.search_config,
+                tolerance=self.tolerance,
+                attribute=self.attribute,
+                engine=self.engine,
+                kernel=self.kernel,
+                share_cache=self.share_sweep_cache,
+                checkpointer=self.checkpointer,
+            ).sweep(
                 demands,
                 policies,
+                self.pool,
                 consolidation,
+                self.failure_policy,
                 relax_all=relax_all_on_failure,
                 algorithm=algorithm,
             )
@@ -496,84 +507,3 @@ class ROpus:
             domain_reports=domain_reports,
             spare_curve=spare_curve,
         )
-
-    def _plan_failures(
-        self,
-        demands: Sequence[DemandTrace],
-        policies: PolicyMap,
-        consolidation: ConsolidationResult,
-        *,
-        relax_all: bool,
-        algorithm: str,
-    ) -> tuple[
-        FailureReport,
-        Optional[dict[str, FailureReport]],
-        Optional[SpareSizingCurve],
-    ]:
-        """The single-server sweep, then what ``failure_policy`` adds:
-        domain-scoped sweeps and the spare-sizing curve."""
-        planner = FailurePlanner(
-            self.translator,
-            config=self.search_config,
-            tolerance=self.tolerance,
-            attribute=self.attribute,
-            engine=self.engine,
-            kernel=self.kernel,
-            share_cache=self.share_sweep_cache,
-            checkpointer=self.checkpointer,
-        )
-        report = planner.plan(
-            demands,
-            policies,
-            self.pool,
-            consolidation,
-            relax_all=relax_all,
-            algorithm=algorithm,
-        )
-        policy = self.failure_policy
-        if policy is None:
-            return report, None, None
-        # Each scope checkpoints under its own key prefix, so a killed
-        # multi-scope sweep resumes every completed case regardless of
-        # which scope was in flight.
-        domain_reports: dict[str, FailureReport] = {}
-        for scope in policy.scopes:
-            domain_reports[scope] = planner.plan_scope(
-                demands,
-                policies,
-                self.pool,
-                consolidation,
-                scope=scope,
-                relax_all=relax_all,
-                algorithm=algorithm,
-                max_cases=policy.max_cases,
-                sample_seed=policy.sample_seed,
-                key_prefix=f"scope:{scope}",
-            )
-        if policy.degraded_factor is not None:
-            label = f"degraded:server@{policy.degraded_factor:g}"
-            domain_reports[label] = planner.plan_scope(
-                demands,
-                policies,
-                self.pool,
-                consolidation,
-                scope="server",
-                degraded_factor=policy.degraded_factor,
-                relax_all=relax_all,
-                algorithm=algorithm,
-                key_prefix=label,
-            )
-        spare_curve = None
-        if policy.spare_curve:
-            spare_curve = planner.spare_sizing_curve(
-                demands,
-                policies,
-                self.pool,
-                consolidation,
-                max_spares=policy.max_spares,
-                relax_all=relax_all,
-                algorithm=algorithm,
-                max_cases=policy.max_cases,
-                sample_seed=policy.sample_seed,
-            )
-        return report, domain_reports or None, spare_curve

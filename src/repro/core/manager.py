@@ -143,8 +143,10 @@ class CapacityManager:
                     algorithm=algorithm,
                     previous=previous_result if sticky else None,
                 )
-                migrations = _migrations_between(
-                    previous_result, plan.consolidation
+                migrations = (
+                    ()
+                    if previous_result is None
+                    else plan.consolidation.moved_from(previous_result)
                 )
                 steps.append(
                     RollingStep(
@@ -230,22 +232,3 @@ class CapacityManager:
         return CapacityOutlook(
             steps=tuple(steps), growth_by_name=dict(growth_by_name)
         )
-
-
-def _migrations_between(
-    previous: ConsolidationResult | None, current: ConsolidationResult
-) -> tuple[str, ...]:
-    """Workloads whose server changed between two consecutive plans."""
-    if previous is None:
-        return ()
-    previous_server = {
-        name: server
-        for server, names in previous.assignment.items()
-        for name in names
-    }
-    moved = []
-    for server, names in current.assignment.items():
-        for name in names:
-            if previous_server.get(name, server) != server:
-                moved.append(name)
-    return tuple(sorted(moved))

@@ -12,7 +12,7 @@ baseline instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Mapping, Optional, Sequence
+from typing import Iterable, Literal, Mapping, Optional, Sequence
 
 from repro.engine import Checkpointer, ExecutionEngine
 from repro.exceptions import InfeasiblePlacementError, PlacementError
@@ -94,6 +94,23 @@ class ConsolidationResult:
             return 0.0
         return 1.0 - self.sum_required / self.sum_peak_allocations
 
+    def moved_from(self, previous: "ConsolidationResult") -> tuple[str, ...]:
+        """Workloads this result places on another server than ``previous``
+        (workloads ``previous`` does not place are not counted), sorted."""
+        home = {
+            name: server
+            for server, names in previous.assignment.items()
+            for name in names
+        }
+        return tuple(
+            sorted(
+                name
+                for server, names in self.assignment.items()
+                for name in names
+                if home.get(name, server) != server
+            )
+        )
+
     def server_of(self, workload: str) -> str:
         for server, names in self.assignment.items():
             if workload in names:
@@ -124,10 +141,9 @@ class ConsolidationResult:
     def from_payload(cls, payload: dict) -> "ConsolidationResult":
         """Rebuild a persisted result; raises on malformed documents.
 
-        Callers restoring from untrusted checkpoints catch the failure
-        and recompute (see :func:`_restored`,
-        :func:`repro.placement.failure._case_from_payload` and the shard
-        resume path) — a checkpoint is never load-bearing.
+        Callers restoring from untrusted checkpoints go through
+        :func:`restore_result`, which reads a malformed document as
+        absent — a checkpoint is never load-bearing.
         """
         return cls(
             assignment={
@@ -145,17 +161,18 @@ class ConsolidationResult:
         )
 
 
-def _restored(
+def restore_result(
     payload: Optional[dict],
-    pairs: Sequence[CoSAllocationPair],
-    pool: ResourcePool,
+    workloads: Iterable[str],
+    servers: Iterable[str],
 ) -> Optional[ConsolidationResult]:
-    """The checkpointed result of placing ``pairs`` on ``pool``, or ``None``.
+    """The checkpointed result placing ``workloads`` on ``servers``, or ``None``.
 
-    A document that is not a whole result — a malformed one, or the
+    Every checkpoint document holding a result restores through here. A
+    document that is not a whole result — a malformed one, or the
     per-generation search state older runs left under the same key — or
-    one that places other workloads or names a server outside the pool
-    reads as absent, and the consolidation is recomputed.
+    one that places other workloads or names a server outside
+    ``servers`` reads as absent, and the result is recomputed.
     """
     if payload is None:
         return None
@@ -164,10 +181,7 @@ def _restored(
     except (KeyError, TypeError, ValueError, AttributeError):
         return None
     placed = sorted(name for names in result.assignment.values() for name in names)
-    servers = {server.name for server in pool.servers}
-    if placed != sorted(pair.name for pair in pairs) or not (
-        result.assignment.keys() <= servers
-    ):
+    if placed != sorted(workloads) or not result.assignment.keys() <= set(servers):
         return None
     return result
 
@@ -235,7 +249,11 @@ class Consolidator:
         back as a result of these workloads on this pool is recomputed.
         """
         if checkpointer is not None:
-            restored = _restored(checkpointer.load(_KEY), pairs, self.pool)
+            restored = restore_result(
+                checkpointer.load(_KEY),
+                [pair.name for pair in pairs],
+                self.pool.names(),
+            )
             if restored is not None:
                 self.engine.instrumentation.count(
                     "placement.consolidation_resumes"
@@ -346,7 +364,9 @@ class Consolidator:
                 )
 
             assignment = self._enforce_constraints(evaluator, assignment)
-            result = self._build_result(evaluator, assignment, algorithm, search)
+            result = build_result(
+                evaluator, self.pool, self.attribute, assignment, algorithm, search
+            )
         instrumentation.count("placement.consolidations")
         return result
 
@@ -422,65 +442,73 @@ class Consolidator:
             return None
         return tuple(assignment)
 
-    def _build_result(
-        self,
-        evaluator: PlacementEvaluator,
-        assignment: Sequence[int],
-        algorithm: str,
-        search: Optional[GeneticSearchResult],
-    ) -> ConsolidationResult:
-        servers = list(self.pool.servers)
-        groups: dict[int, list[int]] = {}
-        for workload_index, server_index in enumerate(assignment):
-            groups.setdefault(int(server_index), []).append(workload_index)
 
-        # Evaluate every used server's final group in one batched call
-        # (normally all cache hits after a search; one simultaneous
-        # solve otherwise, e.g. for the pure greedy algorithms' final
-        # scoring).
-        used = [
-            (server_index, server)
-            for server_index, server in enumerate(servers)
-            if groups.get(server_index)
+def build_result(
+    evaluator: PlacementEvaluator,
+    pool: ResourcePool,
+    attribute: str,
+    assignment: Sequence[int],
+    algorithm: str,
+    search: Optional[GeneticSearchResult] = None,
+) -> ConsolidationResult:
+    """The result of placing workload ``i`` on ``pool.servers[assignment[i]]``.
+
+    Every used server's group is re-decided against its ``attribute``
+    limit; an unfit group raises :class:`PlacementError` rather than
+    being reported as placed.
+    """
+    servers = list(pool.servers)
+    groups: dict[int, list[int]] = {}
+    for workload_index, server_index in enumerate(assignment):
+        groups.setdefault(int(server_index), []).append(workload_index)
+
+    # Evaluate every used server's final group in one batched call
+    # (normally all cache hits after a search; one simultaneous
+    # solve otherwise, e.g. for the pure greedy algorithms' final
+    # scoring).
+    used = [
+        (server_index, server)
+        for server_index, server in enumerate(servers)
+        if groups.get(server_index)
+    ]
+    evaluations = evaluator.evaluate_groups(
+        [
+            (server.capacity_of(attribute), groups[server_index])
+            for server_index, server in used
         ]
-        evaluations = evaluator.evaluate_groups(
-            [
-                (server.capacity_of(self.attribute), groups[server_index])
-                for server_index, server in used
-            ]
-        )
-        evaluation_by_server = {
-            server_index: evaluation
-            for (server_index, _), evaluation in zip(used, evaluations)
-        }
+    )
+    evaluation_by_server = {
+        server_index: evaluation
+        for (server_index, _), evaluation in zip(used, evaluations)
+    }
 
-        named_assignment: dict[str, tuple[str, ...]] = {}
-        required_by_server: dict[str, float] = {}
-        score = 0.0
-        for server_index, server in enumerate(servers):
-            indices = groups.get(server_index)
-            if not indices:
-                score += 1.0
-                continue
-            evaluation = evaluation_by_server[server_index]
-            if not evaluation.fits:
-                raise PlacementError(
-                    f"assignment places an infeasible workload set on "
-                    f"{server.name!r}"
-                )
-            named_assignment[server.name] = tuple(
-                evaluator.names[index] for index in sorted(indices)
+    named_assignment: dict[str, tuple[str, ...]] = {}
+    required_by_server: dict[str, float] = {}
+    score = 0.0
+    for server_index, server in enumerate(servers):
+        indices = groups.get(server_index)
+        if not indices:
+            score += 1.0
+            continue
+        evaluation = evaluation_by_server[server_index]
+        if not evaluation.fits:
+            raise PlacementError(
+                f"assignment places an infeasible workload set on "
+                f"{server.name!r}"
             )
-            required_by_server[server.name] = evaluation.required
-            score += evaluation.utilization ** (2 * server.cpus)
-
-        peaks = evaluator.peak_allocations()
-        return ConsolidationResult(
-            assignment=named_assignment,
-            required_by_server=required_by_server,
-            sum_required=float(sum(required_by_server.values())),
-            sum_peak_allocations=float(peaks.sum()),
-            score=score,
-            algorithm=algorithm,
-            search=search,
+        named_assignment[server.name] = tuple(
+            evaluator.names[index] for index in sorted(indices)
         )
+        required_by_server[server.name] = evaluation.required
+        score += evaluation.utilization ** (2 * server.cpus)
+
+    peaks = evaluator.peak_allocations()
+    return ConsolidationResult(
+        assignment=named_assignment,
+        required_by_server=required_by_server,
+        sum_required=float(sum(required_by_server.values())),
+        sum_peak_allocations=float(peaks.sum()),
+        score=score,
+        algorithm=algorithm,
+        search=search,
+    )

@@ -24,7 +24,8 @@ workload finds no home. A repaired case reports
 ``failure.replanned`` counters say how often each branch ran.
 
 Scenario families, one per scope spec of :meth:`FailurePlanner.plan_scope`
-(each case a :class:`FaultScenario`):
+(each case a :class:`FailureCase`: its :class:`FaultScenario` plus the
+survivors' plan):
 
 * ``"server"`` — the paper's sweep (:meth:`FailurePlanner.plan`):
   remove one used server at a time;
@@ -52,22 +53,35 @@ default; pass ``relax_all=True`` to apply failure-mode QoS to every
 application during the what-if (the cheaper, pool-wide degraded posture
 used in the paper's case-study discussion of Table I).
 
+:meth:`FailurePlanner.sweep` is the whole failure tier of a plan: the
+single-server sweep, then what a :class:`FailureSweepPolicy` adds —
+domain scopes, a degraded-server sweep and the spare-sizing curve — each
+under its own checkpoint key prefix.
+
 A sweep runs its cases one by one in the planner's process (a repaired
 case costs hundredths of a second, too little to ship to a worker) and
 checkpoints each as it completes, so a killed sweep loses at most one.
+A case's document is its result alone (``null`` when infeasible); the
+case itself is regenerated from the sweep's inputs, and a result that
+does not place every workload on the surviving pool is recomputed.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 from repro.core.qos import PolicyMap, QoSPolicy, policy_for
 from repro.engine import Checkpointer, ExecutionEngine
 from repro.exceptions import InfeasiblePlacementError, PlacementError
-from repro.placement.consolidation import ConsolidationResult, Consolidator
+from repro.placement.consolidation import (
+    ConsolidationResult,
+    Consolidator,
+    build_result,
+    restore_result,
+)
 from repro.placement.evaluation import PlacementEvaluator, drive
 from repro.placement.genetic import GeneticSearchConfig
 from repro.placement.greedy import _greedy_place, least_slack_choice
@@ -124,29 +138,6 @@ def _scope_width(scope: str) -> tuple[int, float]:
     return DOMAIN_KINDS.index(base), math.inf if k is None else float(k)
 
 
-def _scenario_label(
-    kind: str,
-    domain: Optional[str],
-    failed_servers: tuple[str, ...],
-    degraded: tuple[tuple[str, float], ...],
-) -> str:
-    """The stable display / checkpoint identity of one scenario.
-
-    Built from structured fields only — never parsed back. Plain
-    single- and multi-server losses keep the historical ``"+"``-joined
-    form, so flat-pool checkpoint keys and plan hashes are unchanged.
-    """
-    if degraded:
-        core = "degraded:" + "+".join(
-            f"{name}@{factor:g}" for name, factor in degraded
-        )
-    else:
-        core = "+".join(failed_servers)
-    if kind != "server" and domain is not None:
-        return f"{kind}:{domain}:{core}"
-    return core
-
-
 @dataclass(frozen=True)
 class FaultScenario:
     """One fault to what-if: servers lost and/or degraded together.
@@ -181,28 +172,46 @@ class FaultScenario:
 
     @property
     def label(self) -> str:
-        return _scenario_label(
-            self.kind, self.domain, self.failed_servers, self.degraded
-        )
+        """The stable display / checkpoint identity of the scenario.
+
+        Built from structured fields only — never parsed back. Plain
+        single- and multi-server losses keep the historical ``"+"``-joined
+        form, so flat-pool checkpoint keys and plan hashes are unchanged.
+        """
+        if self.degraded:
+            core = "degraded:" + "+".join(
+                f"{name}@{factor:g}" for name, factor in self.degraded
+            )
+        else:
+            core = "+".join(self.failed_servers)
+        if self.kind != "server" and self.domain is not None:
+            return f"{self.kind}:{self.domain}:{core}"
+        return core
+
+    def surviving(self, pool: ResourcePool) -> ResourcePool:
+        """``pool`` without the failed servers, the degraded ones scaled."""
+        if self.failed_servers:
+            pool = pool.without(*self.failed_servers)
+        if self.degraded:
+            pool = pool.with_degraded(dict(self.degraded))
+        return pool
 
 
 @dataclass(frozen=True)
-class FailureCase:
-    """Outcome of one failure what-if.
+class FailureCase(FaultScenario):
+    """One failure what-if: its scenario and the survivors' plan.
 
-    ``failed_servers`` is the structured identity of the fault (empty
-    for pure degraded-capacity scenarios); ``degraded`` lists the
-    ``(server, factor)`` pairs that survived with scaled limits;
-    ``kind``/``domain`` record the scope the case came from.
+    ``affected_workloads`` are the workloads the faulted servers hosted;
+    ``result`` is the plan on the surviving pool, ``None`` when the
+    pool cannot absorb the fault.
     """
 
-    failed_servers: tuple[str, ...]
-    feasible: bool
-    affected_workloads: tuple[str, ...]
-    result: ConsolidationResult | None
-    kind: str = "server"
-    domain: Optional[str] = None
-    degraded: tuple[tuple[str, float], ...] = ()
+    affected_workloads: tuple[str, ...] = ()
+    result: ConsolidationResult | None = None
+
+    @property
+    def feasible(self) -> bool:
+        return self.result is not None
 
     @property
     def servers_used(self) -> int | None:
@@ -214,30 +223,11 @@ class FailureCase:
         the case fell back to the full search (absorbed there or not)."""
         return self.result is not None and self.result.algorithm == "repair"
 
-    @property
-    def label(self) -> str:
-        """The case's stable identity (matches its scenario's label)."""
-        return _scenario_label(
-            self.kind, self.domain, self.failed_servers, self.degraded
-        )
-
     def moved_from(self, normal_result: ConsolidationResult) -> tuple[str, ...]:
         """Workloads this case hosts on another server than the normal plan."""
         if self.result is None:
             return ()
-        home = {
-            name: server
-            for server, names in normal_result.assignment.items()
-            for name in names
-        }
-        return tuple(
-            sorted(
-                name
-                for server, names in self.result.assignment.items()
-                for name in names
-                if home.get(name) != server
-            )
-        )
+        return self.result.moved_from(normal_result)
 
 
 @dataclass(frozen=True)
@@ -306,12 +296,6 @@ class SpareSizingCurve:
     points: tuple[SparePoint, ...]
     max_spares: int
 
-    def spares_for(self, scope: str) -> Optional[int]:
-        for point in self.points:
-            if point.scope == scope:
-                return point.spares_needed
-        raise PlacementError(f"no spare-sizing point for scope {scope!r}")
-
     def monotone_in_scope(self) -> bool:
         """True when shrinking the failure scope never needs more spares.
 
@@ -348,7 +332,7 @@ class SpareSizingCurve:
 
 @dataclass(frozen=True)
 class FailureSweepPolicy:
-    """What the pipeline's ``failure_check`` stage should sweep.
+    """What a plan's failure tier sweeps (:meth:`FailurePlanner.sweep`).
 
     The single-server sweep always runs (it is the paper's baseline
     report); ``scopes`` adds domain-scoped sweeps on top (see
@@ -565,57 +549,6 @@ def _repair_assignment(
     return repaired
 
 
-def _case_to_payload(case: FailureCase) -> dict:
-    """A :class:`FailureCase` as a JSON-able checkpoint document.
-
-    Structured fields only: nothing downstream re-parses a joined
-    display string.
-    """
-    result = case.result
-    return {
-        "failed_servers": list(case.failed_servers),
-        "kind": case.kind,
-        "domain": case.domain,
-        "degraded": [[name, factor] for name, factor in case.degraded],
-        "feasible": case.feasible,
-        "affected_workloads": list(case.affected_workloads),
-        "result": None if result is None else result.to_payload(),
-    }
-
-
-def _case_from_payload(payload: dict) -> FailureCase | None:
-    """Rebuild a persisted what-if case; ``None`` when unreadable.
-
-    Search details are not persisted (the sweep's plan-level outputs —
-    feasibility, assignment, capacities — never depend on them), so a
-    restored case carries ``search=None`` exactly like a repaired case
-    or one computed by a greedy algorithm; ``result.algorithm`` is
-    persisted, so a restored case still says whether it was repaired.
-    A document missing a structured field reads as unreadable and the
-    case recomputes.
-    """
-    try:
-        doc = payload["result"]
-        result = None if doc is None else ConsolidationResult.from_payload(doc)
-        domain = payload["domain"]
-        return FailureCase(
-            failed_servers=tuple(
-                str(name) for name in payload["failed_servers"]
-            ),
-            feasible=bool(payload["feasible"]),
-            affected_workloads=tuple(payload["affected_workloads"]),
-            result=result,
-            kind=str(payload["kind"]),
-            domain=None if domain is None else str(domain),
-            degraded=tuple(
-                (str(name), float(factor))
-                for name, factor in payload["degraded"]
-            ),
-        )
-    except (KeyError, TypeError, ValueError, AttributeError):
-        return None
-
-
 class FailurePlanner:
     """Evaluates whether fault scenarios can be absorbed by the pool."""
 
@@ -664,6 +597,62 @@ class FailurePlanner:
             demands, policies, pool, normal_result, scope="server",
             relax_all=relax_all, algorithm=algorithm, key_prefix=key_prefix,
         )
+
+    def sweep(
+        self,
+        demands: Sequence[DemandTrace],
+        policies: PolicyMap,
+        pool: ResourcePool,
+        normal_result: ConsolidationResult,
+        policy: Optional[FailureSweepPolicy],
+        *,
+        relax_all: bool,
+        algorithm: str,
+    ) -> tuple[
+        FailureReport,
+        Optional[dict[str, FailureReport]],
+        Optional[SpareSizingCurve],
+    ]:
+        """A plan's failure tier: the single-server sweep, then what
+        ``policy`` adds — domain-scoped sweeps (keyed by scope spec), a
+        degraded-server sweep (keyed ``degraded:server@<factor>``) and
+        the spare-sizing curve. Returns ``(report, domain_reports,
+        spare_curve)``; the last two are ``None`` when not asked for.
+
+        Each sweep checkpoints under its own key prefix, so a killed
+        multi-scope sweep resumes every completed case regardless of
+        which scope was in flight.
+        """
+        report = self.plan(
+            demands, policies, pool, normal_result,
+            relax_all=relax_all, algorithm=algorithm,
+        )
+        if policy is None:
+            return report, None, None
+        domain_reports: dict[str, FailureReport] = {}
+        for scope in policy.scopes:
+            domain_reports[scope] = self.plan_scope(
+                demands, policies, pool, normal_result, scope=scope,
+                relax_all=relax_all, algorithm=algorithm,
+                max_cases=policy.max_cases, sample_seed=policy.sample_seed,
+                key_prefix=f"scope:{scope}",
+            )
+        if policy.degraded_factor is not None:
+            label = f"degraded:server@{policy.degraded_factor:g}"
+            domain_reports[label] = self.plan_scope(
+                demands, policies, pool, normal_result, scope="server",
+                degraded_factor=policy.degraded_factor,
+                relax_all=relax_all, algorithm=algorithm, key_prefix=label,
+            )
+        spare_curve = None
+        if policy.spare_curve:
+            spare_curve = self.spare_sizing_curve(
+                demands, policies, pool, normal_result,
+                max_spares=policy.max_spares, relax_all=relax_all,
+                algorithm=algorithm, max_cases=policy.max_cases,
+                sample_seed=policy.sample_seed,
+            )
+        return report, domain_reports or None, spare_curve
 
     def plan_scope(
         self,
@@ -714,11 +703,11 @@ class FailurePlanner:
             the search config's seed, then ``0``) instead of refusing
             or exploding.
         """
-        items = self._scenarios(
+        cases = self._scenarios(
             scope, pool, normal_result, degraded_factor, max_cases, sample_seed
         )
-        return self._sweep(
-            items, demands, policies, pool, normal_result, relax_all,
+        return self._evaluate_cases(
+            cases, demands, policies, pool, normal_result, relax_all,
             algorithm, key_prefix=key_prefix,
         )
 
@@ -730,8 +719,8 @@ class FailurePlanner:
         degraded_factor: Optional[float],
         max_cases: Optional[int],
         sample_seed: Optional[int],
-    ) -> list[tuple[FaultScenario, tuple[str, ...]]]:
-        """The ``(scenario, affected workloads)`` items of one scope spec.
+    ) -> list[FailureCase]:
+        """The pending cases (``result=None``) of one scope spec.
 
         This generator is all that differs between sweeps (the module
         docstring lists the families). Only domains hosting a workload
@@ -765,30 +754,30 @@ class FailurePlanner:
                 )
         elif base == "server" and k == 1:
             return [
-                (FaultScenario(failed_servers=(server,)), hosted((server,)))
+                FailureCase(
+                    failed_servers=(server,), affected_workloads=hosted((server,))
+                )
                 for server in assignment
             ]
         if degraded_factor is not None or k is None:
-            items = []
+            cases = []
             for label, members in pool.domains(base).items():
                 affected = hosted(members)
                 if not affected:
                     continue
-                domain = label if base != "server" else None
-                if degraded_factor is None:
-                    scenario = FaultScenario(
-                        failed_servers=tuple(members), kind=base, domain=domain
-                    )
-                else:
-                    scenario = FaultScenario(
-                        degraded=tuple(
-                            (server, degraded_factor) for server in members
-                        ),
+                lost = degraded_factor is None
+                cases.append(
+                    FailureCase(
+                        failed_servers=tuple(members) if lost else (),
+                        degraded=()
+                        if lost
+                        else tuple((server, degraded_factor) for server in members),
                         kind=base,
-                        domain=domain,
+                        domain=label if base != "server" else None,
+                        affected_workloads=affected,
                     )
-                items.append((scenario, affected))
-            return items
+                )
+            return cases
         used_servers = list(assignment)
         if k > len(used_servers):
             raise PlacementError(
@@ -814,9 +803,9 @@ class FailurePlanner:
                 # caller error).
                 return []
         return [
-            (
-                FaultScenario(failed_servers=combo, kind=base, domain=domain),
-                hosted(combo),
+            FailureCase(
+                failed_servers=combo, kind=base, domain=domain,
+                affected_workloads=hosted(combo),
             )
             for domain, combo in self._combinations(
                 groups, k, max_cases, sample_seed
@@ -842,11 +831,11 @@ class FailurePlanner:
         For each scope, spares are appended one at a time — clones of
         the pool's roomiest server, each in a fresh singleton failure
         domain — until the scope's sweep is fully absorbable or
-        ``max_spares`` is exhausted (``spares_needed=None``). Because a
-        narrower scope's fail-sets are subsets of a wider scope's, the
-        resulting curve is monotone non-increasing as the scope shrinks
-        (:meth:`SpareSizingCurve.monotone_in_scope` asserts exactly
-        that; the hypothesis harness sweeps it over random ensembles).
+        ``max_spares`` is exhausted (``spares_needed=None``). Whether
+        the curve is monotone non-increasing as the scope shrinks is
+        checked for each plan (:meth:`SpareSizingCurve.monotone_in_scope`),
+        not guaranteed: a narrower fail-set is a subset of a wider one,
+        but removing a workload can raise a server's required capacity.
         """
         if max_spares < 0:
             raise PlacementError(
@@ -990,19 +979,20 @@ class FailurePlanner:
         )
         return selected
 
-    def _sweep(
+    def _evaluate_cases(
         self,
-        items: Sequence[tuple[FaultScenario, tuple[str, ...]]],
+        cases: Sequence[FailureCase],
         demands: Sequence[DemandTrace],
         policies: PolicyMap,
-        pool,
+        pool: ResourcePool,
         normal_result: ConsolidationResult,
         relax_all: bool,
         algorithm: str,
         key_prefix: str = "",
     ) -> FailureReport:
-        """Evaluate every what-if case, one by one, in this process."""
-        known = {demand.name for demand in demands}
+        """Evaluate every pending case, one by one, in this process."""
+        workloads = [demand.name for demand in demands]
+        known = set(workloads)
         missing = [
             name
             for names in normal_result.assignment.values()
@@ -1018,51 +1008,91 @@ class FailurePlanner:
         ):
             self._scratch = _SweepScratch(self, demands, policies)
         instrumentation = self.engine.instrumentation
+        prefix = f"failure/{key_prefix}/" if key_prefix else "failure/"
         with instrumentation.stage("failure_planning"):
-            cases = [
-                self._load_case(scenario.label, key_prefix)
-                for scenario, _ in items
+            survivors = [case.surviving(pool) for case in cases]
+            finished = [
+                self._restore_case(case, prefix + case.label, workloads, surviving)
+                for case, surviving in zip(cases, survivors)
             ]
-            restored = sum(case is not None for case in cases)
+            restored = sum(case is not None for case in finished)
             if restored:
                 instrumentation.count("failure.case_resumes", restored)
                 instrumentation.event(
                     "failure.cases_resumed",
                     restored=restored,
-                    pending=len(items) - restored,
+                    pending=len(cases) - restored,
                 )
             # Each case is checkpointed as soon as it exists: a kill
             # mid-sweep loses at most the case in flight.
-            for position, (scenario, affected) in enumerate(items):
-                if cases[position] is None:
-                    cases[position] = self._evaluate_case(
-                        scenario, affected, pool, normal_result.assignment,
-                        relax_all, algorithm,
+            for position, (case, surviving) in enumerate(zip(cases, survivors)):
+                if finished[position] is not None:
+                    continue
+                result = self._evaluate_case(
+                    case, surviving, normal_result.assignment, relax_all,
+                    algorithm,
+                )
+                finished[position] = replace(case, result=result)
+                if self.checkpointer is not None:
+                    self.checkpointer.save(
+                        prefix + case.label,
+                        {"result": None if result is None else result.to_payload()},
                     )
-                    self._save_case(cases[position], key_prefix)
-        report = FailureReport(cases=tuple(cases))
-        instrumentation.count("failure.cases", len(items))
+        report = FailureReport(cases=tuple(finished))
+        instrumentation.count("failure.cases", len(cases))
         # Counted here, from computed and checkpoint-restored cases
         # alike, so fresh and resumed runs report the same.
         instrumentation.count("failure.repaired", report.repaired)
         instrumentation.count("failure.replanned", report.replanned)
         return report
 
+    def _restore_case(
+        self,
+        case: FailureCase,
+        key: str,
+        workloads: Sequence[str],
+        surviving: ResourcePool,
+    ) -> FailureCase | None:
+        """The finished case kept under ``key``, or ``None``.
+
+        A document is ``{"result": payload | null}``; ``null`` restores
+        the case as infeasible. A result restores only if it places
+        every workload on the surviving pool
+        (:func:`~repro.placement.consolidation.restore_result`);
+        anything else reads as absent and the case is recomputed.
+        """
+        payload = None if self.checkpointer is None else self.checkpointer.load(key)
+        if payload is None or "result" not in payload:
+            return None
+        if payload["result"] is None:
+            return case
+        result = restore_result(payload["result"], workloads, surviving.names())
+        return None if result is None else replace(case, result=result)
+
     def _evaluate_case(
         self,
-        scenario: FaultScenario,
-        affected: tuple[str, ...],
-        pool,
+        case: FailureCase,
+        surviving: ResourcePool,
         normal_assignment: Mapping[str, Sequence[str]],
         relax_all: bool,
         algorithm: str,
-    ) -> FailureCase:
-        """One what-if: repair the normal plan, re-plan only as the fallback."""
-        surviving = pool
-        if scenario.failed_servers:
-            surviving = surviving.without(*scenario.failed_servers)
-        if scenario.degraded:
-            surviving = surviving.with_degraded(dict(scenario.degraded))
+    ) -> ConsolidationResult | None:
+        """One what-if's result: repair the normal plan on ``surviving``,
+        re-plan only as the fallback; ``None`` when neither absorbs it."""
+        evaluator = self._scratch.evaluator_for(case.affected_workloads, relax_all)
+        assignment = _repair_assignment(
+            evaluator,
+            surviving,
+            self.attribute,
+            normal_assignment,
+            [name for name, _ in case.degraded],
+        )
+        if assignment is not None:
+            # Every used server is re-decided against its limit here; an
+            # unfit group raises rather than being reported as absorbed.
+            return build_result(
+                evaluator, surviving, self.attribute, assignment, "repair"
+            )
         # The fallback search keeps its own serial engine, so no
         # ``placement`` stage nests inside ``failure_planning``.
         consolidator = Consolidator(
@@ -1073,56 +1103,9 @@ class FailurePlanner:
             attribute=self.attribute,
             kernel=self.kernel,
         )
-        evaluator = self._scratch.evaluator_for(affected, relax_all)
-        assignment = _repair_assignment(
-            evaluator,
-            surviving,
-            self.attribute,
-            normal_assignment,
-            [name for name, _ in scenario.degraded],
-        )
-        result: ConsolidationResult | None
-        if assignment is not None:
-            # Every used server is re-decided against its limit here; an
-            # unfit group raises rather than being reported as absorbed.
-            result = consolidator._build_result(
-                evaluator, assignment, "repair", None
+        try:
+            return consolidator.consolidate_with_evaluator(
+                evaluator, algorithm=algorithm
             )
-        else:
-            try:
-                result = consolidator.consolidate_with_evaluator(
-                    evaluator, algorithm=algorithm
-                )
-            except PlacementError:
-                result = None
-        return FailureCase(
-            failed_servers=scenario.failed_servers,
-            feasible=result is not None,
-            affected_workloads=affected,
-            result=result,
-            kind=scenario.kind,
-            domain=scenario.domain,
-            degraded=scenario.degraded,
-        )
-
-    def _case_key(self, label: str, key_prefix: str = "") -> str:
-        if key_prefix:
-            return f"failure/{key_prefix}/{label}"
-        return f"failure/{label}"
-
-    def _load_case(
-        self, label: str, key_prefix: str = ""
-    ) -> FailureCase | None:
-        if self.checkpointer is None:
+        except PlacementError:
             return None
-        payload = self.checkpointer.load(self._case_key(label, key_prefix))
-        if payload is None:
-            return None
-        return _case_from_payload(payload)
-
-    def _save_case(self, case: FailureCase, key_prefix: str = "") -> None:
-        if self.checkpointer is not None:
-            self.checkpointer.save(
-                self._case_key(case.label, key_prefix),
-                _case_to_payload(case),
-            )

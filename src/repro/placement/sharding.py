@@ -46,7 +46,12 @@ from repro.placement.clustering import (
     _normalise,
     cluster_workloads,
 )
-from repro.placement.consolidation import ConsolidationResult, Consolidator
+from repro.placement.consolidation import (
+    ConsolidationResult,
+    Consolidator,
+    build_result,
+    restore_result,
+)
 from repro.placement.evaluation import PlacementEvaluator, Steps, lock_step
 from repro.placement.genetic import GeneticSearchConfig
 from repro.resources.pool import ResourcePool
@@ -547,10 +552,11 @@ class HierarchicalPlanner:
         The pending shards go out in one lock-step unit per engine slot
         (:func:`_shard_plan_worker`). Completed shards are kept
         under ``shard/<index>`` as their unit returns, so a killed run
-        resumes the finished shards; each checkpoint's
-        membership is verified on load, so a resume whose clustering
-        came out differently recomputes instead of trusting a shard
-        plan for the wrong workloads.
+        resumes the finished shards. A kept result restores only if it
+        places exactly the shard's workloads on the shard's servers
+        (:func:`~repro.placement.consolidation.restore_result`), so a
+        resume whose clustering came out differently recomputes instead
+        of trusting a shard plan for the wrong workloads.
         """
         self._require(self._server_rows or None, "partition")
         self._algorithm = algorithm
@@ -790,56 +796,32 @@ class HierarchicalPlanner:
         for name, value in outcome.counters.items():
             self.engine.instrumentation.count(name, value)
 
-    def _shard_key(self, index: int) -> str:
-        return f"shard/{index}"
-
     def _load_shard(
         self, checkpointer: Checkpointer | None, index: int
     ) -> tuple[ConsolidationResult, float] | None:
-        if checkpointer is None:
-            return None
-        payload = checkpointer.load(self._shard_key(index))
+        payload = None if checkpointer is None else checkpointer.load(
+            f"shard/{index}"
+        )
         if payload is None:
             return None
-        expected_workloads = sorted(
-            self._names[row] for row in self._membership[index]
+        result = restore_result(
+            payload.get("result"),
+            [self._names[row] for row in self._membership[index]],
+            [self.pool.servers[row].name for row in self._server_rows[index]],
         )
-        expected_servers = [
-            self.pool.servers[row].name for row in self._server_rows[index]
-        ]
         try:
-            if (
-                sorted(payload["workloads"]) != expected_workloads
-                or list(payload["servers"]) != expected_servers
-            ):
-                return None
-            return (
-                ConsolidationResult.from_payload(payload["result"]),
-                float(payload.get("seconds", 0.0)),
-            )
+            return None if result is None else (result, float(payload["seconds"]))
         except (KeyError, TypeError, ValueError):
             return None
 
     def _save_shard(
         self, checkpointer: Checkpointer | None, outcome: _ShardOutcome
     ) -> None:
-        if checkpointer is None or outcome.result is None:
-            return
-        index = outcome.index
-        checkpointer.save(
-            self._shard_key(index),
-            {
-                "workloads": sorted(
-                    self._names[row] for row in self._membership[index]
-                ),
-                "servers": [
-                    self.pool.servers[row].name
-                    for row in self._server_rows[index]
-                ],
-                "result": outcome.result.to_payload(),
-                "seconds": outcome.seconds,
-            },
-        )
+        if checkpointer is not None and outcome.result is not None:
+            checkpointer.save(
+                f"shard/{outcome.index}",
+                {"result": outcome.result.to_payload(), "seconds": outcome.seconds},
+            )
 
     def _absorb_infeasible(self, infeasible: list[_ShardOutcome]) -> None:
         """Merge shards the sub-pool could not absorb into roomier ones.
@@ -1217,16 +1199,8 @@ class HierarchicalPlanner:
         )
         if moves == 0:
             return consolidation, 0
-        rebuilt = Consolidator(
-            self.pool,
-            self.commitment,
-            config=self.config,
-            tolerance=self.tolerance,
-            attribute=self.attribute,
-            engine=self.engine,
-            kernel=self.kernel,
-        )._build_result(
-            evaluator, repaired, consolidation.algorithm, None
+        rebuilt = build_result(
+            evaluator, self.pool, self.attribute, repaired, consolidation.algorithm
         )
         return rebuilt, moves
 

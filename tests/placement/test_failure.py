@@ -12,7 +12,7 @@ from repro.engine import (
     FaultPlan,
     ResilienceConfig,
 )
-from repro.placement.consolidation import Consolidator
+from repro.placement.consolidation import Consolidator, build_result
 from repro.placement.evaluation import PlacementEvaluator
 from repro.placement.failure import FailurePlanner
 from repro.placement.genetic import GeneticSearchConfig
@@ -306,13 +306,12 @@ class TestFallback:
             translator.translate(demand, policy.normal).pair
             for demand in demands
         ]
-        normal = Consolidator(
-            pool, translator.commitments.cos2
-        )._build_result(
+        normal = build_result(
             PlacementEvaluator(pairs, translator.commitments.cos2),
+            pool,
+            "cpu",
             [0, 0, 1, 1, 2],
             "by hand",
-            None,
         )
         assert dict(normal.assignment) == self.NORMAL
         return demands, policy, pool, normal

@@ -322,9 +322,9 @@ class TestRepairFirstAcrossScopes:
 class TestUnknownWorkload:
     """A normal plan naming a workload no demand trace backs is refused.
 
-    Every entry point sweeps through ``FailurePlanner._sweep``, which is
-    where the check lives: the repair path would otherwise drop the
-    stranger from every what-if and report the sweep fully supported.
+    Every entry point sweeps through ``FailurePlanner._evaluate_cases``,
+    which is where the check lives: the repair path would otherwise drop
+    the stranger from every what-if and report the sweep fully supported.
     """
 
     @pytest.mark.parametrize("relax_all", [False, True])
@@ -477,34 +477,41 @@ class TestDomainSweepResume:
         policy = QoSPolicy(normal=case_study_qos(m_degr_percent=3))
         return demands, policy
 
-    def _framework(self, checkpointer=None):
+    def _framework(self, checkpointer=None, failure_policy=None):
         return ROpus(
             PoolCommitments.of(theta=0.95),
             ResourcePool(homogeneous_servers(6, cpus=16, racks=3)),
             search_config=SEARCH,
             engine=ExecutionEngine.serial(),
             checkpointer=checkpointer,
-            failure_policy=FailureSweepPolicy(scopes=("rack",)),
+            failure_policy=failure_policy or FailureSweepPolicy(scopes=("rack",)),
         )
 
+    @pytest.mark.parametrize(
+        "prefix", ["scope:rack", "degraded:server@0.5", "spare:"]
+    )
     def test_kill_mid_rack_sweep_resumes_to_identical_plan(
-        self, framework_parts, tmp_path
+        self, framework_parts, tmp_path, prefix
     ):
         demands, policy = framework_parts
-        baseline = self._framework().plan(demands, policy)
+        sweeps = FailureSweepPolicy(
+            scopes=("rack",), degraded_factor=0.5, spare_curve=True
+        )
+        baseline = self._framework(failure_policy=sweeps).plan(demands, policy)
         assert baseline.domain_reports is not None
         assert len(baseline.domain_reports["rack"].cases) > 1
+        assert baseline.spare_curve is not None
+        keys = f"failure/{prefix}"
 
         class _Killed(Exception):
             """Stands in for the SIGKILL that ends the first run."""
 
-        # Die before persisting the second rack-loss case: the domain
+        # Die before persisting the second case under the prefix: the
         # sweep must already have journaled the first one by then.
         class _KilledMidDomainSweep(Checkpointer):
             def save(self, key, payload):
-                if key.startswith("failure/scope:rack/") and any(
-                    stored.startswith("failure/scope:rack/")
-                    for stored in self.keys()
+                if key.startswith(keys) and any(
+                    stored.startswith(keys) for stored in self.keys()
                 ):
                     raise _Killed
                 return super().save(key, payload)
@@ -512,23 +519,80 @@ class TestDomainSweepResume:
         directory = tmp_path / "ckpt"
         with pytest.raises(_Killed):
             self._framework(
-                checkpointer=_KilledMidDomainSweep(directory)
+                checkpointer=_KilledMidDomainSweep(directory),
+                failure_policy=sweeps,
             ).plan(demands, policy)
 
         survivor_store = Checkpointer(directory)
         persisted = [
-            key
-            for key in survivor_store.keys()
-            if key.startswith("failure/scope:rack/")
+            key for key in survivor_store.keys() if key.startswith(keys)
         ]
         assert len(persisted) == 1
 
-        resumed = self._framework(checkpointer=survivor_store).plan(
-            demands, policy
-        )
+        resumed = self._framework(
+            checkpointer=survivor_store, failure_policy=sweeps
+        ).plan(demands, policy)
         assert resumed.plan_hash() == baseline.plan_hash()
         resumes = resumed.resilience_summary().get("failure.case_resumes", 0)
         assert resumes >= 1
+
+    def test_case_documents_that_misplace_workloads_are_recomputed(
+        self, framework_parts, tmp_path
+    ):
+        """A kept case result is checked against every workload and the
+        surviving pool: one that leaves a workload out, or hosts on the
+        failed server, is recomputed and not counted as resumed."""
+        demands, policy = framework_parts
+        sweeps = FailureSweepPolicy(scopes=("rack",), degraded_factor=0.5)
+        baseline = self._framework(failure_policy=sweeps).plan(demands, policy)
+
+        class _Killed(Exception):
+            pass
+
+        class _KilledBeforeDegradedSweep(Checkpointer):
+            def save(self, key, payload):
+                if key.startswith("failure/degraded:"):
+                    raise _Killed
+                return super().save(key, payload)
+
+        directory = tmp_path / "ckpt"
+        killed = _KilledBeforeDegradedSweep(directory)
+        with pytest.raises(_Killed):
+            self._framework(checkpointer=killed, failure_policy=sweeps).plan(
+                demands, policy
+            )
+        # Doctored documents keep the run's fingerprint, so only the
+        # result check can turn them away.
+        store = Checkpointer(directory, fingerprint=killed.fingerprint)
+        kept = [key for key in store.keys() if key.startswith("failure/")]
+        assert len(kept) == len(baseline.failure_report.cases) + len(
+            baseline.domain_reports["rack"].cases
+        )
+        # The single-server sweep's documents are ``failure/<server>``.
+        server_cases = [key for key in kept if key.count("/") == 1]
+        assert len(server_cases) >= 2
+
+        dropped, moved = server_cases[:2]
+        document = store.load(dropped)
+        assignment = document["result"]["assignment"]
+        server = next(iter(assignment))
+        assignment[server] = assignment[server][1:]
+        store.save(dropped, document)
+
+        failed = moved.removeprefix("failure/")
+        document = store.load(moved)
+        assignment = document["result"]["assignment"]
+        required = document["result"]["required_by_server"]
+        survivor = next(iter(assignment))
+        assignment[failed] = assignment.pop(survivor)
+        required[failed] = required.pop(survivor)
+        store.save(moved, document)
+
+        resumed = self._framework(
+            checkpointer=Checkpointer(directory), failure_policy=sweeps
+        ).plan(demands, policy)
+        assert resumed.plan_hash() == baseline.plan_hash()
+        assert resumed.counters["failure.case_resumes"] == len(kept) - 2
 
     def test_domain_sweeps_contribute_to_plan_hash(
         self, framework_parts

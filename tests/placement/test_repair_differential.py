@@ -159,13 +159,14 @@ def _outcomes(ensemble_seed, pool_kind, relax_all):
     evaluators = {}
     outcomes = []
     for scope, factor in SWEEPS:
-        for scenario, affected in scenarios(scope, pool, normal, factor, None, None):
+        for case in scenarios(scope, pool, normal, factor, None, None):
+            affected = case.affected_workloads
             surviving = pool
-            if scenario.failed_servers:
-                surviving = surviving.without(*scenario.failed_servers)
-            if scenario.degraded:
-                surviving = surviving.with_degraded(dict(scenario.degraded))
-            degraded = [name for name, _ in scenario.degraded]
+            if case.failed_servers:
+                surviving = surviving.without(*case.failed_servers)
+            if case.degraded:
+                surviving = surviving.with_degraded(dict(case.degraded))
+            degraded = [name for name, _ in case.degraded]
             # One evaluator per QoS mix, as the sweep shares them: a
             # cache hit returns what a fresh solve would.
             mix = tuple(relax_all or demand.name in affected for demand in demands)
@@ -190,7 +191,7 @@ def _outcomes(ensemble_seed, pool_kind, relax_all):
             )
             outcomes.append(
                 (
-                    scenario.label,
+                    case.label,
                     None if reference is None else tuple(reference),
                     None if ours is None else tuple(ours),
                 )

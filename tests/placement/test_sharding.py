@@ -275,12 +275,14 @@ class TestShardCheckpoints:
         baseline = _planner().plan(pairs, checkpointer=store)
         assert baseline.shard_count >= 2
 
-        # Tamper with shard 0's membership record: a resume whose
-        # clustering assigned different workloads to the shard must
-        # recompute it rather than trust the stale plan.
+        # Tamper with the workloads shard 0's kept result places: a
+        # resume whose clustering assigned different workloads to the
+        # shard must recompute it rather than trust the stale plan.
         doctored = store.load("shard/0")
         assert doctored is not None
-        doctored["workloads"] = ["not-a-real-workload"]
+        assignment = doctored["result"]["assignment"]
+        server, names = next(iter(assignment.items()))
+        assignment[server] = ["not-a-real-workload", *names[1:]]
         store.save("shard/0", doctored)
 
         resumed = _planner().plan(pairs, checkpointer=store)
