@@ -396,7 +396,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     from repro.traces.validation import validate_ensemble
 
-    if args.repair and args.traces:
+    if args.repair:
         from repro.traces.io import load_traces_csv_repaired
 
         demands, repair_reports = load_traces_csv_repaired(args.traces)
@@ -756,6 +756,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "validate" and args.repair and args.traces is None:
+        parser.error("validate --repair requires --traces")
     return args.handler(args)
 
 

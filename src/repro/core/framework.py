@@ -411,7 +411,7 @@ class ROpus:
         the hierarchical tier re-derives placements per shard.
         """
         instrumentation = self.engine.instrumentation
-        baseline = instrumentation.snapshot()
+        baseline = instrumentation.timings()
         counter_baseline = instrumentation.counters()
         if self.checkpointer is not None:
             # Stamp this run's inputs on the store: checkpoints written

@@ -120,9 +120,8 @@ class Checkpointer:
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp, path)
-        except (OSError, TypeError, ValueError, InjectedFault) as error:
+        except (OSError, TypeError, ValueError, InjectedFault):
             self._count("checkpoint.write_failures")
-            self._event("checkpoint.write_failed", key=key, error=repr(error))
             return False
         finally:
             # After a successful rename the temp file is gone and the
@@ -161,18 +160,12 @@ class Checkpointer:
             return None
         if document.get("key") != key:
             self._count("checkpoint.key_mismatches")
-            self._event(
-                "checkpoint.key_mismatch",
-                key=key,
-                stored=document.get("key"),
-            )
             return None
         if (
             self.fingerprint is not None
             and document.get("fingerprint") != self.fingerprint
         ):
             self._count("checkpoint.fingerprint_mismatches")
-            self._event("checkpoint.fingerprint_mismatch", key=key)
             return None
         self._count("checkpoint.reads")
         return payload
@@ -222,10 +215,6 @@ class Checkpointer:
     def _count(self, name: str, increment: float = 1) -> None:
         if self.instrumentation is not None:
             self.instrumentation.count(name, increment)
-
-    def _event(self, name: str, **fields: object) -> None:
-        if self.instrumentation is not None:
-            self.instrumentation.event(name, **fields)
 
 
 __all__ = ["Checkpointer"]

@@ -13,12 +13,12 @@ Model
 -----
 Each fault kind has a *site* in the execution stack and a driver-side
 occurrence counter (:class:`FaultClock`). Every time execution passes a
-site — one work-unit invocation, one checkpoint write — the site's
-counter advances by one, and the plan is consulted:
-``occurrence in plan.occurrences(kind)`` decides whether the fault
-fires. Retried work units consume *fresh* occurrence numbers, so a
-fault fires for its scheduled occurrence and the retry proceeds clean —
-exactly the transient-failure shape the resilience layer is built for.
+site — one work-unit invocation — the site's counter advances by one,
+and the plan is consulted: ``occurrence in plan.occurrences(kind)``
+decides whether the fault fires. Retried work units consume *fresh*
+occurrence numbers, so a fault fires for its scheduled occurrence and
+the retry proceeds clean — exactly the transient-failure shape the
+resilience layer is built for.
 A fault that should defeat every retry is expressed by scheduling a
 contiguous run of occurrences.
 
@@ -49,9 +49,6 @@ class FaultKind(Enum):
     #: A worker returns garbage instead of its result. Site: per
     #: invocation.
     CORRUPT_RESULT = "corrupt_result"
-    #: A checkpoint write fails (disk full, volume gone). Site: one
-    #: occurrence per checkpoint save.
-    CHECKPOINT_WRITE_FAILURE = "checkpoint_write_failure"
 
 
 class InjectedFault(ROpusError):
@@ -67,7 +64,8 @@ class InjectedWorkerHang(InjectedFault):
 
 
 class InjectedCheckpointFailure(InjectedFault):
-    """A checkpoint write was made to fail."""
+    """A checkpoint write was made to fail (raised by a
+    :class:`~repro.engine.checkpoint.Checkpointer` ``fault_hook``)."""
 
 
 @dataclass(frozen=True)
@@ -176,7 +174,6 @@ class FaultPlan:
         crash_rate: Probability = 0.0,
         hang_rate: Probability = 0.0,
         corrupt_rate: Probability = 0.0,
-        checkpoint_rate: Probability = 0.0,
         hang_seconds: float = 5.0,
     ) -> "FaultPlan":
         """A reproducible random plan: each kind fires at its own rate.
@@ -189,7 +186,6 @@ class FaultPlan:
             FaultKind.WORKER_CRASH: crash_rate,
             FaultKind.WORKER_HANG: hang_rate,
             FaultKind.CORRUPT_RESULT: corrupt_rate,
-            FaultKind.CHECKPOINT_WRITE_FAILURE: checkpoint_rate,
         }
         schedule = {
             kind: seeded_occurrences(seed, kind.value, rate, horizon)

@@ -1,4 +1,4 @@
-"""Named stage timers, counters, and a structured event log.
+"""Named stage timers and counters.
 
 Every compute layer of the pipeline (translation, placement, failure
 planning, the management loops) emits into one shared
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
 
@@ -30,24 +30,14 @@ class StageStats:
     name: str
     calls: int = 0
     total_seconds: float = 0.0
-    last_seconds: float = 0.0
 
     @property
     def mean_seconds(self) -> float:
         return self.total_seconds / self.calls if self.calls else 0.0
 
 
-@dataclass(frozen=True)
-class Event:
-    """One entry of the structured event log."""
-
-    name: str
-    timestamp: float
-    fields: Mapping[str, object] = field(default_factory=dict)
-
-
 class Instrumentation:
-    """Collects stage timings, counters, and events from any layer.
+    """Collects stage timings and counters from any layer.
 
     >>> ticks = iter(range(100))
     >>> instr = Instrumentation(clock=lambda: float(next(ticks)))
@@ -64,7 +54,6 @@ class Instrumentation:
         self._clock = clock
         self._stages: dict[str, StageStats] = {}
         self._counters: dict[str, float] = {}
-        self._events: list[Event] = []
 
     # -- stage timers --------------------------------------------------
     @contextmanager
@@ -83,7 +72,6 @@ class Instrumentation:
             stats = self._stages[name] = StageStats(name=name)
         stats.calls += 1
         stats.total_seconds += seconds
-        stats.last_seconds = seconds
 
     def stage_stats(self) -> list[StageStats]:
         """Stage statistics in first-recorded order."""
@@ -101,19 +89,7 @@ class Instrumentation:
     def counters(self) -> dict[str, float]:
         return dict(self._counters)
 
-    # -- structured events ---------------------------------------------
-    def event(self, name: str, **fields: object) -> None:
-        """Append one entry to the structured event log."""
-        self._events.append(Event(name=name, timestamp=self._clock(), fields=fields))
-
-    def events(self) -> tuple[Event, ...]:
-        return tuple(self._events)
-
     # -- deltas --------------------------------------------------------
-    def snapshot(self) -> dict[str, float]:
-        """A timing snapshot usable with :meth:`timings_since`."""
-        return self.timings()
-
     def counters_since(self, snapshot: Mapping[str, float]) -> dict[str, float]:
         """Per-counter increments accumulated since ``snapshot``.
 
@@ -135,6 +111,8 @@ class Instrumentation:
 
     def timings_since(self, snapshot: Mapping[str, float]) -> dict[str, float]:
         """Per-stage seconds accumulated since ``snapshot`` was taken.
+
+        The snapshot is a :meth:`timings` copy taken earlier.
 
         Stages that did not advance are omitted, so the result of one
         planning run only names the stages that actually ran in it.

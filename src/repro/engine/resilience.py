@@ -17,8 +17,8 @@ performability framework owes itself:
 * **``BrokenProcessPool`` recovery**: a crashed worker costs one pool
   respawn and a retry of the unfinished units, not the run;
 * **graceful degradation**: a process pool that keeps failing falls
-  back to serial in-driver execution, emitting instrumentation events
-  and counters instead of dying.
+  back to serial in-driver execution, counting each step on the
+  instrumentation instead of dying.
 
 Work units are pure functions of their inputs (the executor contract),
 so a retried unit recomputes exactly the result the failed attempt
@@ -240,11 +240,6 @@ class _ResilientSession(ExecutorSession):
         if instrumentation is not None:
             instrumentation.count(name, increment)
 
-    def _event(self, name: str, **fields: object) -> None:
-        instrumentation = self._owner.instrumentation
-        if instrumentation is not None:
-            instrumentation.event(name, **fields)
-
     # -- pool lifecycle ------------------------------------------------
     def _spawn_pool(self) -> ProcessPoolExecutor:
         from concurrent.futures import ProcessPoolExecutor
@@ -269,10 +264,9 @@ class _ResilientSession(ExecutorSession):
                 pass
         pool.shutdown(wait=False, cancel_futures=True)
 
-    def _respawn_pool(self, reason: str) -> None:
+    def _respawn_pool(self) -> None:
         self._kill_pool()
         self._count("resilience.pool_respawns")
-        self._event("resilience.pool_respawn", reason=reason)
         self._pool = self._spawn_pool()
 
     def _degrade_to_serial(self) -> None:
@@ -280,7 +274,6 @@ class _ResilientSession(ExecutorSession):
         self._rung = "serial"
         self.parallelism = 1
         self._count("resilience.serial_fallbacks")
-        self._event("resilience.degraded_serial")
 
     def close(self) -> None:
         pool = self._pool
@@ -319,13 +312,6 @@ class _ResilientSession(ExecutorSession):
             delay = backoff_delay(retries_this_rung)
             retries_this_rung += 1
             self._count("resilience.retries")
-            self._event(
-                "resilience.retry",
-                rung=self._rung,
-                retry=retries_this_rung,
-                items=len(pending),
-                delay_seconds=delay,
-            )
             self._config.sleep(delay)
         return [results[index] for index in range(len(items))]
 
@@ -410,7 +396,7 @@ class _ResilientSession(ExecutorSession):
             # CancelledError), so the whole batch retries on the fresh
             # pool — work units are pure, recomputing is safe.
             outcome.retryable.extend(pending)
-            self._respawn_pool("broken_on_submit")
+            self._respawn_pool()
             return outcome
         in_flight = set(futures)
         pool_broken = False
@@ -425,14 +411,9 @@ class _ResilientSession(ExecutorSession):
                 # Kill the pool (reclaiming any wedged process) and
                 # retry everything still in flight.
                 self._count("resilience.deadline_exceeded")
-                self._event(
-                    "resilience.deadline_exceeded",
-                    items=len(in_flight),
-                    timeout_seconds=self._config.task_timeout_seconds,
-                )
                 for future in in_flight:
                     outcome.retryable.append(futures[future])
-                self._respawn_pool("stuck_worker")
+                self._respawn_pool()
                 return outcome
             for future in done:
                 index = futures[future]
@@ -464,7 +445,7 @@ class _ResilientSession(ExecutorSession):
             if pool_broken:
                 for future in in_flight:
                     outcome.retryable.append(futures[future])
-                self._respawn_pool("broken_process_pool")
+                self._respawn_pool()
                 return outcome
         return outcome
 

@@ -14,10 +14,14 @@ here is deliberately small:
   so the search is steered away from violating assignments without
   ever declaring them infeasible — capacity feasibility stays a hard
   constraint, anti-affinity a soft one;
-* after any search (and after cross-shard refinement merges shard
-  plans, where co-locations can reappear), :func:`repair_assignment`
-  deterministically migrates surplus group members to feasible servers
-  in unoccupied domains.
+* after any search — the monolithic consolidator's, and the
+  hierarchical tier's merged shard plans, where co-locations can
+  reappear across shards — one pass, :func:`enforce_constraints`,
+  counts the violations, repairs them through
+  :func:`repair_assignment` (which deterministically migrates surplus
+  group members to feasible servers in unoccupied domains) and counts
+  what it moved and what it could not separate, under one
+  ``placement.affinity_*`` counter family.
 
 Domains come from the pool topology
 (:class:`~repro.resources.server.ServerSpec` rack/zone labels); an
@@ -31,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
+from repro.engine.instrumentation import Instrumentation
 from repro.exceptions import PlacementError
 from repro.placement.objective import affinity_penalty
 from repro.resources.pool import DOMAIN_KINDS
@@ -263,11 +268,44 @@ def repair_assignment(
     return tuple(current), moves
 
 
+def enforce_constraints(
+    assignment: Sequence[int],
+    evaluator,
+    servers: Sequence[ServerSpec],
+    constraints: PlacementConstraints,
+    attribute: str,
+    instrumentation: Instrumentation,
+) -> tuple[Sequence[int], int]:
+    """The anti-affinity pass over a finished assignment.
+
+    Counts the co-located pairs (``placement.affinity_violations``),
+    repairs them with :func:`repair_assignment`
+    (``placement.affinity_repairs``: workloads moved) and counts the
+    pairs left unseparated (``placement.affinity_unrepaired``). All
+    three counters report on every pass, zeros included, so counter
+    deltas stay comparable across runs. Returns the assignment —
+    unchanged when there was nothing to repair — and the moves.
+    """
+    index = ConstraintIndex(constraints, evaluator.names, servers)
+    violations = index.pair_count(assignment)
+    instrumentation.count("placement.affinity_violations", violations)
+    moves = 0
+    if violations:
+        assignment, moves = repair_assignment(
+            assignment, evaluator, servers, constraints, attribute
+        )
+    instrumentation.count("placement.affinity_repairs", moves)
+    remaining = index.pair_count(assignment) if violations else 0
+    instrumentation.count("placement.affinity_unrepaired", remaining)
+    return assignment, moves
+
+
 __all__ = [
     "AffinityViolation",
     "ConstraintIndex",
     "PlacementConstraints",
     "domain_of",
+    "enforce_constraints",
     "find_violations",
     "repair_assignment",
 ]

@@ -16,6 +16,7 @@ from typing import Iterable, Literal, Mapping, Optional, Sequence
 
 from repro.engine import Checkpointer, ExecutionEngine
 from repro.exceptions import InfeasiblePlacementError, PlacementError
+from repro.placement.affinity import enforce_constraints
 from repro.placement.correlation import least_correlated_choice
 from repro.placement.evaluation import (
     KERNELS,
@@ -331,14 +332,8 @@ class Consolidator:
                 # for that ordering goes without the seed, and says so.
                 # Counted on every genetic consolidation, zero included,
                 # so counter sets stay comparable across runs.
-                skipped = 0
-                if isinstance(correlated, InfeasiblePlacementError):
-                    skipped = 1
-                    instrumentation.event(
-                        "placement.correlation_seed_skipped",
-                        reason=str(correlated),
-                    )
-                else:
+                skipped = isinstance(correlated, InfeasiblePlacementError)
+                if not skipped:
                     extra_seeds.append(correlated)
                 instrumentation.count(
                     "placement.correlation_seed_skipped", skipped
@@ -363,54 +358,24 @@ class Consolidator:
                     f"unknown placement algorithm {algorithm!r}"
                 )
 
-            assignment = self._enforce_constraints(evaluator, assignment)
+            # The genetic search only *prices* anti-affinity violations
+            # (a crowded pool can make a clean assignment unreachable
+            # mid-search) and the greedy algorithms ignore them, so the
+            # final assignment gets the deterministic repair pass.
+            if self.constraints is not None and self.constraints.enabled:
+                assignment, _ = enforce_constraints(
+                    assignment,
+                    evaluator,
+                    self.pool.servers,
+                    self.constraints,
+                    self.attribute,
+                    instrumentation,
+                )
             result = build_result(
                 evaluator, self.pool, self.attribute, assignment, algorithm, search
             )
         instrumentation.count("placement.consolidations")
         return result
-
-    def _enforce_constraints(self, evaluator, assignment):
-        """Repair anti-affinity violations left in a final assignment.
-
-        The genetic search only *prices* violations (a crowded pool can
-        make a clean assignment unreachable mid-search) and the greedy
-        algorithms ignore them entirely, so the final assignment gets a
-        deterministic repair pass: surplus group members migrate to
-        feasible servers in unoccupied domains (see
-        :func:`repro.placement.affinity.repair_assignment`). The
-        ``placement.affinity_*`` counters always report — zeros
-        included — whenever constraints are enabled, so counter deltas
-        are comparable across runs.
-        """
-        if self.constraints is None or not self.constraints.enabled:
-            return assignment
-        from repro.placement.affinity import ConstraintIndex, repair_assignment
-
-        servers = list(self.pool.servers)
-        index = ConstraintIndex(self.constraints, evaluator.names, servers)
-        instrumentation = self.engine.instrumentation
-        violations = index.pair_count(assignment)
-        instrumentation.count("placement.affinity_violations", violations)
-        moves = 0
-        if violations:
-            assignment, moves = repair_assignment(
-                assignment,
-                evaluator,
-                servers,
-                self.constraints,
-                self.attribute,
-            )
-        instrumentation.count("placement.affinity_repairs", moves)
-        remaining = index.pair_count(assignment) if violations else 0
-        instrumentation.count("placement.affinity_unrepaired", remaining)
-        if remaining:
-            instrumentation.event(
-                "placement.affinity_unrepaired",
-                violations=violations,
-                remaining=remaining,
-            )
-        return assignment
 
     def _assignment_from_previous(
         self, evaluator, previous: Optional[ConsolidationResult]

@@ -881,11 +881,6 @@ class FailurePlanner:
                     spares_needed=spares_needed,
                 )
             )
-            self.engine.instrumentation.event(
-                "failure.spare_point",
-                scope=scope,
-                spares_needed=spares_needed,
-            )
         curve = SpareSizingCurve(points=tuple(points), max_spares=max_spares)
         self.engine.instrumentation.count("failure.spare_curves")
         return curve
@@ -929,8 +924,7 @@ class FailurePlanner:
         combination is evaluated (``failure.sweep_exhaustive``); above
         it a deterministic seeded draw selects ``cap`` distinct
         combinations, groups weighted by their share of the space
-        (``failure.sweep_sampled``, with the space size recorded on the
-        ``failure.sweep_sampled`` event).
+        (``failure.sweep_sampled``).
         """
         cap = MAX_EXHAUSTIVE_CASES if max_cases is None else max_cases
         if cap < 1:
@@ -971,12 +965,6 @@ class FailurePlanner:
             seen.add((label, combo))
             selected.append((label, combo))
         instrumentation.count("failure.cases_sampled", len(selected))
-        instrumentation.event(
-            "failure.sweep_sampled",
-            space=total,
-            cap=cap,
-            selected=len(selected),
-        )
         return selected
 
     def _evaluate_cases(
@@ -1018,11 +1006,6 @@ class FailurePlanner:
             restored = sum(case is not None for case in finished)
             if restored:
                 instrumentation.count("failure.case_resumes", restored)
-                instrumentation.event(
-                    "failure.cases_resumed",
-                    restored=restored,
-                    pending=len(cases) - restored,
-                )
             # Each case is checkpointed as soon as it exists: a kill
             # mid-sweep loses at most the case in flight.
             for position, (case, surviving) in enumerate(zip(cases, survivors)):

@@ -38,6 +38,7 @@ import numpy as np
 from repro.engine import Checkpointer, ExecutionEngine, Instrumentation
 from repro.engine.dispatch import split_chunks
 from repro.exceptions import PlacementError
+from repro.placement.affinity import enforce_constraints
 from repro.placement.clustering import (
     FEATURE_NAMES,
     ClusteringResult,
@@ -576,11 +577,6 @@ class HierarchicalPlanner:
                 self._resumed = len(restored)
                 instrumentation.count(
                     "placement.shard_resumes", len(restored)
-                )
-                instrumentation.event(
-                    "placement.shards_resumed",
-                    restored=len(restored),
-                    pending=len(pending),
                 )
             outcomes = self._plan_units(pending, checkpointer)
             self._results = [None] * n_shards  # type: ignore[list-item]
@@ -1166,36 +1162,27 @@ class HierarchicalPlanner:
         one anti-affinity group placed in *different* shards can still
         land in the *same* rack (shard slices and racks are both
         contiguous runs of the pool). The merged assignment therefore
-        gets one global repair pass through the pool-wide evaluator —
-        the cross-shard analogue of the monolithic consolidator's
-        post-search repair — and the repaired plan is rebuilt with
+        gets the monolithic consolidator's anti-affinity pass
+        (:func:`~repro.placement.affinity.enforce_constraints`) through
+        the pool-wide evaluator, and a repaired plan is rebuilt with
         freshly evaluated per-server capacities.
         """
         if self.constraints is None or not self.constraints.enabled:
             return consolidation, 0
-        from repro.placement.affinity import ConstraintIndex, repair_assignment
-
         evaluator = self._global_evaluator()
-        servers = list(self.pool.servers)
+        servers = self.pool.servers
         server_row = {server.name: row for row, server in enumerate(servers)}
         assignment = [-1] * evaluator.n_workloads
         for server_name, names in consolidation.assignment.items():
             for name in names:
                 assignment[evaluator.index_of(name)] = server_row[server_name]
-        index = ConstraintIndex(self.constraints, evaluator.names, servers)
-        instrumentation = self.engine.instrumentation
-        violations = index.pair_count(assignment)
-        instrumentation.count(
-            "placement.affinity_cross_shard_violations", violations
-        )
-        if not violations:
-            instrumentation.count("placement.affinity_cross_shard_repairs", 0)
-            return consolidation, 0
-        repaired, moves = repair_assignment(
-            assignment, evaluator, servers, self.constraints, self.attribute
-        )
-        instrumentation.count(
-            "placement.affinity_cross_shard_repairs", moves
+        repaired, moves = enforce_constraints(
+            assignment,
+            evaluator,
+            servers,
+            self.constraints,
+            self.attribute,
+            self.engine.instrumentation,
         )
         if moves == 0:
             return consolidation, 0

@@ -57,24 +57,29 @@ def save_traces_csv(traces: Sequence[DemandTrace], path: PathLike) -> None:
         )
 
 
+def _read_header(reader, path: PathLike) -> tuple[list[str], TraceCalendar, str]:
+    """The names row, calendar and attribute of a trace CSV's header."""
+    try:
+        magic_row = next(reader)
+        names = next(reader)
+    except StopIteration as exc:
+        raise TraceError(f"{path}: truncated trace CSV") from exc
+    if not magic_row or magic_row[0] != _CSV_MAGIC:
+        raise TraceError(f"{path}: not an R-Opus trace CSV")
+    try:
+        weeks = int(magic_row[1])
+        slot_minutes = int(magic_row[2])
+        attribute = magic_row[3]
+    except (IndexError, ValueError) as exc:
+        raise TraceError(f"{path}: malformed trace CSV header") from exc
+    return names, TraceCalendar(weeks=weeks, slot_minutes=slot_minutes), attribute
+
+
 def load_traces_csv(path: PathLike) -> list[DemandTrace]:
     """Read back an ensemble written by :func:`save_traces_csv`."""
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        try:
-            magic_row = next(reader)
-            names = next(reader)
-        except StopIteration as exc:
-            raise TraceError(f"{path}: truncated trace CSV") from exc
-        if not magic_row or magic_row[0] != _CSV_MAGIC:
-            raise TraceError(f"{path}: not an R-Opus trace CSV")
-        try:
-            weeks = int(magic_row[1])
-            slot_minutes = int(magic_row[2])
-            attribute = magic_row[3]
-        except (IndexError, ValueError) as exc:
-            raise TraceError(f"{path}: malformed trace CSV header") from exc
-        calendar = TraceCalendar(weeks=weeks, slot_minutes=slot_minutes)
+        names, calendar, attribute = _read_header(reader, path)
 
         def checked(row: list[str]) -> list[str]:
             if len(row) != len(names):
@@ -131,20 +136,7 @@ def load_traces_csv_repaired(
 
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        try:
-            magic_row = next(reader)
-            names = next(reader)
-        except StopIteration as exc:
-            raise TraceError(f"{path}: truncated trace CSV") from exc
-        if not magic_row or magic_row[0] != _CSV_MAGIC:
-            raise TraceError(f"{path}: not an R-Opus trace CSV")
-        try:
-            weeks = int(magic_row[1])
-            slot_minutes = int(magic_row[2])
-            attribute = magic_row[3]
-        except (IndexError, ValueError) as exc:
-            raise TraceError(f"{path}: malformed trace CSV header") from exc
-        calendar = TraceCalendar(weeks=weeks, slot_minutes=slot_minutes)
+        names, calendar, attribute = _read_header(reader, path)
         has_slot_column = bool(names) and names[0] == "slot"
         workload_names = names[1:] if has_slot_column else names
         if not workload_names:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _framework, _policy, build_parser, main
 from repro.traces.io import load_traces_csv
 
 
@@ -135,6 +135,80 @@ class TestOutlook:
         out = capsys.readouterr().out
         assert "Capacity outlook" in out
         assert "sufficient" in out
+
+    def test_failure_tier_tables(self, tmp_path, capsys):
+        import numpy as np
+
+        from repro.traces.calendar import TraceCalendar
+        from repro.traces.io import save_traces_csv
+        from repro.traces.trace import DemandTrace
+
+        # Loads heavy enough that no what-if is absorbed in place: a
+        # server failure needs one spare, a rack failure more than
+        # --max-spares allows, so both ways of printing a count show.
+        cal = TraceCalendar(weeks=1, slot_minutes=60)
+        rng = np.random.default_rng(3)
+        save_traces_csv(
+            [
+                DemandTrace(
+                    f"w{i}",
+                    2.5 * (rng.lognormal(0, 0.4, cal.n_observations) + 0.5),
+                    cal,
+                )
+                for i in range(6)
+            ],
+            tmp_path / "t.csv",
+        )
+        argv = [
+            "outlook", "--traces", str(tmp_path / "t.csv"),
+            "--servers", "6", "--racks", "3", "--domains",
+            "--degraded", "0.5", "--spare-curve", "--max-spares", "1",
+        ]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # The same plan through the library: the tables must print its
+        # reports, column by column.
+        args = build_parser().parse_args(argv)
+        plan = _framework(args).plan(
+            load_traces_csv(args.traces), _policy(args), plan_failures=True
+        )
+        assert f"plan_hash: {plan.plan_hash()}" in lines
+
+        def table(title):
+            """The ``|``-split data rows under ``title``'s header rule."""
+            rows = {}
+            for line in lines[lines.index(title) + 3:]:
+                if "|" not in line:
+                    break
+                scope, *cells = (cell.strip() for cell in line.split("|"))
+                rows[scope] = cells
+            return rows
+
+        domains = table("Failure-domain outlook")
+        assert sorted(domains) == ["degraded:server@0.5", "rack"]
+        for scope, report in plan.domain_reports.items():
+            cases, infeasible, absorbed, spare, repaired, replanned, moved = (
+                domains[scope]
+            )
+            assert int(cases) == len(report.cases) >= 1
+            assert int(infeasible) == len(report.infeasible_cases)
+            assert absorbed == ("yes" if infeasible == "0" else "no")
+            assert spare == ("no" if infeasible == "0" else "yes")
+            assert (int(repaired), int(replanned)) == (
+                report.repaired,
+                report.replanned,
+            )
+            assert int(moved) >= 0
+        curve = table("Spare-sizing curve")
+        assert list(curve) == ["server", "rack"]
+        for point in plan.spare_curve.points:
+            infeasible, spares = curve[point.scope]
+            assert int(infeasible) == point.infeasible_without_spares
+            assert spares == (
+                "> 1" if point.spares_needed is None else str(point.spares_needed)
+            )
+        assert [spares for _, spares in curve.values()] == ["1", "> 1"]
+        assert lines[-1] == "curve monotone in scope: yes"
 
 
 class TestPlan:
@@ -301,3 +375,11 @@ class TestValidateRepair:
         out = capsys.readouterr().out
         assert "repair" in out
         assert code == 0
+
+    def test_repair_without_traces_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["validate", "--repair"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "--repair requires --traces" in captured.err
+        assert captured.out == ""
